@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -31,8 +30,10 @@ from .operators import operator_from_name
 from .solver import (
     AdmissibilityError,
     PathKind,
+    SolveReport,
     StagnationError,
     TorusProblem,
+    background_value,
     newton_solve,
     run_continuity,
     uniform_schedule,
@@ -56,19 +57,6 @@ EXIT_STAGNATION = 2
 EXIT_DOMAIN = 3
 EXIT_IO = 4
 EXIT_REFUTED = 5
-
-
-def _set_threads(threads: int | None) -> None:
-    if threads is None:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(threads)
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(threads)
-    except ImportError:
-        pass
 
 
 def build_problem(cfg: RunConfig) -> tuple[TorusProblem, dict]:
@@ -135,9 +123,7 @@ def certify_problem(problem: TorusProblem, cfg: RunConfig) -> dict:
         out["class_constant"] = c_class
         return out
     if problem.path is PathKind.RIEMANNIAN:
-        from .solver import _background_value
-
-        h0 = _background_value(problem, 0.0)
+        h0 = background_value(problem, 0.0)
         sigmas = np.full(eigs.shape[0], float(h0.max()))
     else:
         sigmas = np.asarray(problem.h.values).ravel()
@@ -205,22 +191,13 @@ def run(cfg: RunConfig, check_only: bool = False, certify_only: bool = False) ->
             return EXIT_OK if ok else EXIT_SELFTEST
 
         if problem.path is PathKind.FIXED:
-            state = newton_solve(problem, 1.0)
-            from .solver import SolveReport, normalize
-
-            solve_report = SolveReport(final=None)
-            solve_report.steps.append({
-                "t": 1.0, "c": state.c, "residual_norm": state.residual_norm,
-                "admissibility_margin": state.admissibility_margin,
-                "newton_iterations": state.iterations,
-            })
-            state.u = normalize(state.u, problem.normalization)
-            solve_report.final = state
+            solve_report = SolveReport()
+            solve_report.record(newton_solve(problem, 1.0), problem.normalization)
         else:
             schedule = (uniform_schedule(cfg.schedule)
                         if isinstance(cfg.schedule, int) else cfg.schedule)
             solve_report = run_continuity(problem, schedule)
-            state = solve_report.final
+        state = solve_report.final
         report["solve"] = solve_report.to_dict()
         if not solve_report.complete:
             _write_report(report, outdir)
@@ -265,7 +242,7 @@ def _write_summary(report: dict, outdir: Path) -> None:
         cert = report["certificate"]
         lines.append(
             f"certificate: {cert['verdict']} delta={cert['delta']}"
-            f" R={cert[chr(82)]} kappa={cert[chr(107)+chr(97)+chr(112)+chr(112)+chr(97)]}"
+            f" R={cert['R']} kappa={cert['kappa']}"
         )
     if "solve" in report:
         final = report["solve"].get("final")
@@ -380,8 +357,6 @@ def main(argv: list[str] | None = None) -> int:
         description="Continuity-method solves of symmetric eigenvalue-operator "
                     "equations on flat tori",
     )
-    parser.add_argument("--threads", type=int, default=None,
-                        help="cap the linear-algebra thread pools")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="certify, solve and diagnose")
@@ -409,7 +384,6 @@ def main(argv: list[str] | None = None) -> int:
     p_abp.set_defaults(func=_cmd_abp)
 
     args = parser.parse_args(argv)
-    _set_threads(args.threads)
     return args.func(args)
 
 

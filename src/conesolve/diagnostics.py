@@ -112,6 +112,27 @@ class ContactSet:
         return int(self.mask.sum())
 
 
+def _has_supporting_plane(v: BallFunction, grads, candidates: np.ndarray) -> np.ndarray:
+    """The candidates whose tangent plane is a global lower supporting plane of
+    v over the interior and boundary samples, up to a relative 1e-12 slack."""
+    grid = v.grid
+    interior = grid.interior_mask()
+    coords = grid.coordinates()
+    pts_all = np.stack([c[interior] for c in coords], axis=1)
+    test_pts = np.concatenate([pts_all, grid.boundary_points()], axis=0)
+    test_vals = np.concatenate([v.values[interior], v.boundary_values])
+    slack = 1e-12 * (1.0 + float(np.abs(test_vals).max()))
+    mask = np.zeros_like(candidates)
+    for idx in np.argwhere(candidates):
+        key = tuple(idx)
+        x = np.array([coords[a][key] for a in range(grid.m)])
+        g = np.array([grads[a][key] for a in range(grid.m)])
+        support = v.values[key] + (test_pts - x) @ g
+        if np.all(test_vals >= support - slack):
+            mask[key] = True
+    return mask
+
+
 def contact_set(v: BallFunction, epsilon: float) -> ContactSet:
     """Points carrying a global lower supporting plane with |gradient| < eps/2."""
     if epsilon <= 0:
@@ -124,23 +145,8 @@ def contact_set(v: BallFunction, epsilon: float) -> ContactSet:
     grad_norm = np.sqrt(sum(g**2 for g in grads))
     candidates = interior & (grad_norm < 0.5 * epsilon)
 
+    mask = _has_supporting_plane(v, grads, candidates)
     coords = grid.coordinates()
-    pts_all = np.stack([c[interior] for c in coords], axis=1)
-    vals_all = v.values[interior]
-    bpts = grid.boundary_points()
-    test_pts = np.concatenate([pts_all, bpts], axis=0)
-    test_vals = np.concatenate([vals_all, v.boundary_values])
-
-    slack = 1e-12 * (1.0 + float(np.abs(test_vals).max()))
-    mask = np.zeros_like(candidates)
-    cand_idx = np.argwhere(candidates)
-    for idx in cand_idx:
-        key = tuple(idx)
-        x = np.array([coords[a][key] for a in range(grid.m)])
-        g = np.array([grads[a][key] for a in range(grid.m)])
-        support = v.values[key] + (test_pts - x) @ g
-        if np.all(test_vals >= support - slack):
-            mask[key] = True
     pts = np.stack([coords[a][mask] for a in range(grid.m)], axis=1) if mask.any() \
         else np.zeros((0, grid.m))
     return ContactSet(mask, pts)
@@ -194,21 +200,7 @@ def abp_check(v: BallFunction, epsilon: float) -> AbpReport:
     weight = np.clip(0.5 + (0.5 * epsilon - gnorm) / np.maximum(rate * h, 1e-300), 0.0, 1.0)
     weight[~interior] = 0.0
     candidates = weight > 0.0
-
-    coords = grid.coordinates()
-    pts_all = np.stack([c[interior] for c in coords], axis=1)
-    vals_all = v.values[interior]
-    bpts = grid.boundary_points()
-    test_pts = np.concatenate([pts_all, bpts], axis=0)
-    test_vals = np.concatenate([vals_all, v.boundary_values])
-    slack = 1e-12 * (1.0 + float(np.abs(test_vals).max()))
-    for idx in np.argwhere(candidates):
-        key = tuple(idx)
-        x = np.array([coords[a][key] for a in range(m)])
-        g = np.array([grads[a][key] for a in range(m)])
-        support = v.values[key] + (test_pts - x) @ g
-        if not np.all(test_vals >= support - slack):
-            weight[key] = 0.0
+    weight[~_has_supporting_plane(v, grads, candidates)] = 0.0
 
     cell = h**m
     dets = np.linalg.det(hess[weight > 0]) if candidates.any() else np.zeros(0)

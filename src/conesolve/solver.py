@@ -53,7 +53,8 @@ class AdmissibilityError(ValueError):
 
 
 class StagnationError(RuntimeError):
-    """Newton line search exhausted its halvings."""
+    """Newton stopped without converging: the line search exhausted its
+    halvings, the iteration cap was reached or a Krylov solve failed."""
 
     def __init__(self, message: str, state: "SolveState | None" = None):
         self.state = state
@@ -124,6 +125,18 @@ class SolveReport:
     diagnostics: dict = field(default_factory=dict)
     complete: bool = True
 
+    def record(self, state: SolveState, normalization: str) -> None:
+        """Append the step record of a converged state and make it the final
+        state, with u normalized as the problem asks."""
+        self.steps.append({
+            "t": float(state.t),
+            "c": float(state.c),
+            "residual_norm": float(state.residual_norm),
+            "admissibility_margin": float(state.admissibility_margin),
+            "newton_iterations": int(state.iterations),
+        })
+        self.final = replace(state, u=normalize(state.u, normalization))
+
     def to_dict(self) -> dict:
         out = {
             "schema": "v1",
@@ -165,66 +178,79 @@ def constant_sign(problem: TorusProblem) -> float:
     return -1.0 if problem.path is PathKind.QUOTIENT else 1.0
 
 
-def _background_value(problem: TorusProblem, t: float) -> np.ndarray:
-    """F(A[0]) for the operator in force at parameter t."""
+@dataclass(frozen=True)
+class PointwiseEvaluation:
+    """A[u] at one (u, t) and the pointwise data every Newton step reads from it.
+
+    ``value`` is F(lambda(A[u])) for the operator in force at t; it is only
+    computed when the iterate is admissible (``margin > 0``).
+    """
+
+    op: SymmetricOperator
+    endomorphism: np.ndarray
+    eigenvalues: np.ndarray
+    margin: float
+    worst_index: tuple
+    value: np.ndarray | None
+
+    def require_admissible(self) -> "PointwiseEvaluation":
+        if self.margin <= 0.0:
+            raise AdmissibilityError(self.worst_index, self.margin)
+        return self
+
+
+def evaluate_pointwise(problem: TorusProblem, u: ScalarField | None,
+                       t: float) -> PointwiseEvaluation:
+    """Evaluate A[u] (A[0] when ``u`` is None), its eigenvalues, cone margin and F."""
     op = path_operator(problem, t)
-    endo = endomorphism_field(problem.alpha, problem.chi)
-    lam = np.linalg.eigvalsh(endo.values)
-    _require_admissible(op, lam)
-    return np.asarray(op.value(lam, check=False))
+    endo = endomorphism_field(problem.alpha, problem.chi, u).values
+    lam = np.linalg.eigvalsh(endo)
+    margins = np.asarray(op.cone.margin(lam))
+    worst = int(np.argmin(margins))
+    margin = float(margins.flat[worst])
+    value = np.asarray(op.value(lam, check=False)) if margin > 0.0 else None
+    return PointwiseEvaluation(op, endo, lam, margin,
+                               np.unravel_index(worst, margins.shape), value)
+
+
+def background_value(problem: TorusProblem, t: float) -> np.ndarray:
+    """F(A[0]) for the operator in force at parameter t."""
+    return evaluate_pointwise(problem, None, t).require_admissible().value
 
 
 def rhs_base(problem: TorusProblem, t: float) -> np.ndarray:
     """The c-independent part of the right-hand side at parameter t."""
     if problem.path is PathKind.HESSIAN:
-        h0 = _background_value(problem, t)
+        h0 = background_value(problem, t)
         return t * problem.h.values + (1.0 - t) * h0
     if problem.path is PathKind.QUOTIENT:
         return np.zeros(problem.grid.shape)
     if problem.path is PathKind.RIEMANNIAN:
-        return (1.0 - t) * _background_value(problem, t)
+        return (1.0 - t) * background_value(problem, t)
     return problem.h.values
-
-
-def _require_admissible(op: SymmetricOperator, lam: np.ndarray) -> float:
-    margins = np.asarray(op.cone.margin(lam))
-    worst = float(margins.min())
-    if worst <= 0.0:
-        idx = np.unravel_index(int(np.argmin(margins)), margins.shape)
-        raise AdmissibilityError(idx, worst)
-    return worst
 
 
 def admissibility_margin(problem: TorusProblem, u: ScalarField, t: float = 1.0) -> float:
     """min over the grid of the cone margin of lambda(A[u]); may be <= 0."""
-    op = path_operator(problem, t)
-    endo = endomorphism_field(problem.alpha, problem.chi, u)
-    lam = np.linalg.eigvalsh(endo.values)
-    return float(np.asarray(op.cone.margin(lam)).min())
+    return evaluate_pointwise(problem, u, t).margin
 
 
 def residual(problem: TorusProblem, u: ScalarField, c: float, t: float) -> ScalarField:
     """Pointwise F_t(A[u]) - rhs_t(c); raises AdmissibilityError off the cone."""
-    op = path_operator(problem, t)
-    endo = endomorphism_field(problem.alpha, problem.chi, u)
-    lam = np.linalg.eigvalsh(endo.values)
-    _require_admissible(op, lam)
-    vals = np.asarray(op.value(lam, check=False))
+    ev = evaluate_pointwise(problem, u, t).require_admissible()
     rhs = rhs_base(problem, t) + constant_sign(problem) * c
-    return ScalarField(problem.grid, vals - rhs)
+    return ScalarField(problem.grid, ev.value - rhs)
 
 
 class Linearization:
     """Matrix-free derivative of the residual at a fixed admissible iterate."""
 
-    def __init__(self, problem: TorusProblem, u: ScalarField, t: float):
+    def __init__(self, problem: TorusProblem, ev: PointwiseEvaluation):
         self.problem = problem
         self.grid = problem.grid
-        op = path_operator(problem, t)
-        endo = endomorphism_field(problem.alpha, problem.chi, u)
-        eig = eigen_decompose(endo.values)
-        _require_admissible(op, eig.values)
-        grad = op.gradient(eig.values, check=False)
+        ev.require_admissible()
+        eig = eigen_decompose(ev.endomorphism)
+        grad = ev.op.gradient(eig.values, check=False)
         frame = eig.frame
         self.derivative_matrix = np.einsum(
             "...ip,...p,...jp->...ij", frame, grad, np.conj(frame)
@@ -245,7 +271,8 @@ class Linearization:
 
 def linearized_apply(problem: TorusProblem, state: SolveState, v: ScalarField,
                      dc: float) -> ScalarField:
-    return Linearization(problem, state.u, state.t).apply(v, dc)
+    ev = evaluate_pointwise(problem, state.u, state.t)
+    return Linearization(problem, ev).apply(v, dc)
 
 
 def _solve_newton_system(lin: Linearization, r: np.ndarray, forcing: float):
@@ -273,10 +300,10 @@ def _solve_newton_system(lin: Linearization, r: np.ndarray, forcing: float):
     a_op = LinearOperator((npts + 1, npts + 1), matvec=matvec, dtype=float)
     m_op = LinearOperator((npts + 1, npts + 1), matvec=precondition, dtype=float)
     b = np.concatenate([-r.ravel(), [0.0]])
-    sol, _ = lgmres(a_op, b, M=m_op, rtol=forcing, atol=0.0, maxiter=200)
+    sol, info = lgmres(a_op, b, M=m_op, rtol=forcing, atol=0.0, maxiter=200)
     dv = sol[:npts].reshape(grid.shape)
     dv = dv - dv.mean()
-    return ScalarField(grid, dv), float(sol[npts])
+    return ScalarField(grid, dv), float(sol[npts]), info
 
 
 def newton_solve(problem: TorusProblem, t: float,
@@ -285,63 +312,56 @@ def newton_solve(problem: TorusProblem, t: float,
 
     Accepts a step only when the iterate stays strictly admissible and the
     sup-norm residual decreases; halves the step up to ``max_halvings`` times
-    and raises StagnationError with the last state when exhausted.
+    and raises StagnationError with the last state when exhausted, or when a
+    Krylov solve does not converge.  Each iterate is evaluated once.
     """
     grid = problem.grid
+    sign = constant_sign(problem)
+    base = rhs_base(problem, t)
     if warm is None:
         u = ScalarField.zeros(grid)
-        base = rhs_base(problem, t)
-        endo = endomorphism_field(problem.alpha, problem.chi)
-        lam = np.linalg.eigvalsh(endo.values)
-        op = path_operator(problem, t)
-        _require_admissible(op, lam)
-        c = constant_sign(problem) * float(
-            (np.asarray(op.value(lam, check=False)) - base).mean()
-        )
+        c = sign * float((background_value(problem, t) - base).mean())
     else:
         u = normalize(warm.u, "mean_zero")
         c = warm.c
 
-    r = residual(problem, u, c, t)  # raises on an inadmissible warm start
-    r_sup = float(np.abs(r.values).max())
+    ev = evaluate_pointwise(problem, u, t).require_admissible()
+    r = ev.value - (base + sign * c)
+    r_sup = float(np.abs(r).max())
     trace: list[dict] = []
     iterations = 0
+
+    def stagnated(message: str) -> StagnationError:
+        state = SolveState(u, c, t, r_sup, ev.margin, iterations, tuple(trace))
+        return StagnationError(f"{message} at t={t:.6g}, residual {r_sup:.3e}", state)
+
     for _ in range(problem.max_newton):
-        margin = admissibility_margin(problem, u, t)
-        trace.append({"residual_sup": r_sup, "margin": margin})
+        trace.append({"residual_sup": r_sup, "margin": ev.margin})
         if r_sup < problem.newton_tol:
             break
-        lin = Linearization(problem, u, t)
         forcing = max(min(1e-4, 0.1 * r_sup), 1e-12)
-        dv, dc = _solve_newton_system(lin, r.values, forcing)
+        dv, dc, info = _solve_newton_system(Linearization(problem, ev), r, forcing)
+        if info != 0:
+            raise stagnated(f"Krylov solve did not converge (lgmres info {info})")
         step = 1.0
         for _ in range(problem.max_halvings + 1):
             u_try = ScalarField(grid, u.values + step * dv.values)
-            c_try = c + step * dc
-            if admissibility_margin(problem, u_try, t) > 0.0:
-                r_try = residual(problem, u_try, c_try, t)
-                r_try_sup = float(np.abs(r_try.values).max())
+            ev_try = evaluate_pointwise(problem, u_try, t)
+            if ev_try.margin > 0.0:
+                c_try = c + step * dc
+                r_try = ev_try.value - (base + sign * c_try)
+                r_try_sup = float(np.abs(r_try).max())
                 if r_try_sup < r_sup:
-                    u, c, r, r_sup = u_try, c_try, r_try, r_try_sup
+                    u, c, ev, r, r_sup = u_try, c_try, ev_try, r_try, r_try_sup
                     break
             step *= 0.5
         else:
-            state = SolveState(u, c, t, r_sup, admissibility_margin(problem, u, t),
-                               iterations, tuple(trace))
-            raise StagnationError(
-                f"line search stagnated at t={t:.6g}, residual {r_sup:.3e}", state
-            )
+            raise stagnated("line search stagnated")
         iterations += 1
     else:
         if r_sup >= problem.newton_tol:
-            state = SolveState(u, c, t, r_sup, admissibility_margin(problem, u, t),
-                               iterations, tuple(trace))
-            raise StagnationError(
-                f"Newton did not converge in {problem.max_newton} iterations "
-                f"at t={t:.6g}, residual {r_sup:.3e}", state
-            )
-    margin = admissibility_margin(problem, u, t)
-    return SolveState(u, c, t, r_sup, margin, iterations, tuple(trace))
+            raise stagnated(f"Newton did not converge in {problem.max_newton} iterations")
+    return SolveState(u, c, t, r_sup, ev.margin, iterations, tuple(trace))
 
 
 def uniform_schedule(steps: int = 21) -> np.ndarray:
@@ -372,7 +392,7 @@ def run_continuity(problem: TorusProblem, t_schedule, bound_slack: float = 1e-8,
     h0_bounds = None
     quotient_floor = None
     if problem.path is PathKind.RIEMANNIAN:
-        h0 = _background_value(problem, 0.0)
+        h0 = background_value(problem, 0.0)
         h0_bounds = (float(h0.min()), float(h0.max()))
     if problem.path is PathKind.QUOTIENT:
         from .torus import compute_c
@@ -392,22 +412,13 @@ def run_continuity(problem: TorusProblem, t_schedule, bound_slack: float = 1e-8,
             t_from = 0.0 if t_done is None else t_done
             if t_next - t_from <= min_step:
                 report.complete = False
-                report.final = state
                 return report
             pending.insert(0, 0.5 * (t_from + t_next))
             continue
         pending.pop(0)
         t_done = t_next
         _check_path_bounds(problem, state, h0_bounds, quotient_floor, bound_slack)
-        report.steps.append({
-            "t": float(state.t),
-            "c": float(state.c),
-            "residual_norm": float(state.residual_norm),
-            "admissibility_margin": float(state.admissibility_margin),
-            "newton_iterations": int(state.iterations),
-        })
-    final_u = normalize(state.u, problem.normalization)
-    report.final = replace(state, u=final_u)
+        report.record(state, problem.normalization)
     return report
 
 

@@ -11,6 +11,7 @@ from conesolve import (
     PeriodicGrid,
     ScalarField,
     SolveState,
+    StagnationError,
     TorusProblem,
     admissibility_margin,
     endomorphism_field,
@@ -137,6 +138,36 @@ def test_newton_inadmissible_warm_start():
         newton_solve(bad, 1.0)
 
 
+def test_newton_evaluates_each_iterate_once(monkeypatch):
+    import conesolve.solver as solver
+
+    prob, _ = manufactured_problem(n=1, points=32)
+    calls = []
+    original = solver.endomorphism_field
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "endomorphism_field", counting)
+    state = newton_solve(prob, 1.0)
+    # A[0] for the cold-start constant, A[u] at the start, then one
+    # evaluation per full Newton step
+    assert state.iterations >= 3
+    assert len(calls) == 2 + state.iterations
+
+
+def test_newton_krylov_nonconvergence_stagnates(monkeypatch):
+    import conesolve.solver as solver
+
+    prob, _ = manufactured_problem(n=1, points=32)
+    monkeypatch.setattr(solver, "lgmres", lambda a, b, **kw: (np.zeros_like(b), 1))
+    with pytest.raises(StagnationError, match="Krylov") as err:
+        newton_solve(prob, 1.0)
+    assert err.value.state is not None
+    assert err.value.state.iterations == 0
+
+
 def test_trivial_solution_unique():
     g = PeriodicGrid.make("complex", 2, 16, 1.0, reduced=True)
     prob = TorusProblem(g, MongeAmpere(2), np.eye(2),
@@ -232,8 +263,8 @@ def test_riemannian_path_bounds_enforced():
     prob = TorusProblem(g, LogSigmaK(2, 2), np.eye(2), chi, path=PathKind.RIEMANNIAN)
     report = run_continuity(prob, uniform_schedule(6))
     assert report.complete
-    from conesolve.solver import _background_value
-    h0 = _background_value(prob, 0.0)
+    from conesolve.solver import background_value
+    h0 = background_value(prob, 0.0)
     for step in report.steps:
         assert step["t"] * h0.min() - 1e-8 <= step["c"] <= step["t"] * h0.max() + 1e-8
 
