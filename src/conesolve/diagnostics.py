@@ -14,7 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import SymmetricOperator
-from .torus import MatrixField, ScalarField, complex_gradient, complex_hessian, metric_root_inverse
+from .torus import (
+    MatrixField,
+    ScalarField,
+    complex_gradient,
+    complex_hessian,
+    congruence,
+    metric_root_inverse,
+)
 
 
 @dataclass(frozen=True)
@@ -234,7 +241,7 @@ def hmw_ratio(u: ScalarField, alpha, a_const: float = 1.0) -> HmwReport:
     n = u.grid.n
     linv = metric_root_inverse(alpha, n)
     dd = complex_hessian(u).values
-    ddo = np.einsum("ab,...bc,dc->...ad", linv, dd, np.conj(linv))
+    ddo = congruence(linv, dd)
     opnorm = np.abs(np.linalg.eigvalsh(ddo)).max(axis=-1)
     sup_dd = float(opnorm.max())
     grad = complex_gradient(u)

@@ -85,6 +85,11 @@ def evaluate(op: SymmetricOperator, a):
     return op.value(eig.values, check=False)
 
 
+def frame_product(frame, weights) -> np.ndarray:
+    """U diag(w) U* for eigenframes U (..., n, n) and weights w (..., n)."""
+    return np.einsum("...ip,...p,...jp->...ij", frame, weights, np.conj(frame))
+
+
 def first_derivative(op: SymmetricOperator, a) -> np.ndarray:
     """The matrix of dF at A, reconstructed in the original basis.
 
@@ -92,9 +97,7 @@ def first_derivative(op: SymmetricOperator, a) -> np.ndarray:
     trace pairing sum_ij D_ij conj(H_ij).  Positive definite on admissible A.
     """
     eig = _admissible_eigenvalues(op, a)
-    g = op.gradient(eig.values, check=False)
-    u = eig.frame
-    return np.einsum("...ip,...p,...jp->...ij", u, g, np.conj(u))
+    return frame_product(eig.frame, op.gradient(eig.values, check=False))
 
 
 def contract(d, h) -> float | np.ndarray:
@@ -181,5 +184,4 @@ def spectrum_separator(a, gap: float) -> np.ndarray:
         raise ValueError("could not separate the spectrum")
     b = np.zeros(n)
     b[1:] = scale * ladder
-    u = eig.frame
-    return np.asarray(a) - np.einsum("ip,p,jp->ij", u, b, np.conj(u))
+    return np.asarray(a) - frame_product(eig.frame, b)

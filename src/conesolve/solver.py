@@ -28,12 +28,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, lgmres
 
-from .eigencalc import eigen_decompose
+from .eigencalc import contract, eigen_decompose, frame_product
 from .operators import BlendedQuotient, SymmetricOperator
 from .torus import (
     MatrixField,
     PeriodicGrid,
     ScalarField,
+    congruence,
     endomorphism_field,
     hessian,
     laplacian_symbol,
@@ -250,22 +251,16 @@ class Linearization:
         self.grid = problem.grid
         ev.require_admissible()
         eig = eigen_decompose(ev.endomorphism)
-        grad = ev.op.gradient(eig.values, check=False)
-        frame = eig.frame
-        self.derivative_matrix = np.einsum(
-            "...ip,...p,...jp->...ij", frame, grad, np.conj(frame)
-        )
-        self.mean_trace = float(np.real(
-            np.einsum("...ii->...", self.derivative_matrix)
-        ).mean()) / self.grid.n
+        d = frame_product(eig.frame, ev.op.gradient(eig.values, check=False))
+        self.mean_trace = float(np.real(np.einsum("...ii->...", d)).mean()) / self.grid.n
         self.sign = constant_sign(problem)
-        self._linv = metric_root_inverse(problem.alpha, self.grid.n)
+        # <D, L^-1 H L^-*> = <L^-* D L^-1, H>: pull D back once, not H per matvec
+        linv = metric_root_inverse(problem.alpha, self.grid.n)
+        self.pulled_back = congruence(np.conj(linv).T, d)
 
     def apply(self, v: ScalarField, dc: float) -> ScalarField:
         """Directional derivative: <D, alpha-orthonormal Hess v> - s*dc."""
-        hv = hessian(v).values
-        ht = np.einsum("ab,...bc,dc->...ad", self._linv, hv, np.conj(self._linv))
-        out = np.real(np.einsum("...ij,...ij->...", self.derivative_matrix, np.conj(ht)))
+        out = contract(self.pulled_back, hessian(v).values)
         return ScalarField(self.grid, out - self.sign * dc)
 
 
@@ -280,7 +275,9 @@ def _solve_newton_system(lin: Linearization, r: np.ndarray, forcing: float):
     grid = lin.grid
     npts = int(np.prod(grid.shape))
     sign = lin.sign
-    symbol = laplacian_symbol(grid, lin.problem.alpha) * lin.mean_trace
+    axes = tuple(range(grid.stored_axes))
+    half = grid.points_per_axis // 2 + 1
+    symbol = laplacian_symbol(grid, lin.problem.alpha)[..., :half] * lin.mean_trace
     zero_mode = (0,) * grid.stored_axes
     symbol[zero_mode] = 1.0  # the zero mode is handled by the constant block
 
@@ -292,9 +289,9 @@ def _solve_newton_system(lin: Linearization, r: np.ndarray, forcing: float):
     def precondition(w):
         g = w[:npts].reshape(grid.shape)
         gbar = g.mean()
-        spec = np.fft.fftn(g - gbar) / symbol
+        spec = np.fft.rfftn(g - gbar) / symbol
         spec[zero_mode] = 0.0
-        v = np.real(np.fft.ifftn(spec))
+        v = np.fft.irfftn(spec, s=grid.shape, axes=axes)
         return np.concatenate([v.ravel(), [-sign * gbar]])
 
     a_op = LinearOperator((npts + 1, npts + 1), matvec=matvec, dtype=float)

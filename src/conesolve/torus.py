@@ -193,10 +193,53 @@ def derivative(f: ScalarField, axes) -> ScalarField:
     return ScalarField(grid, np.real(np.fft.ifftn(spec)))
 
 
-def _second_derivative(f: ScalarField, ax_a: int | None, ax_b: int | None) -> np.ndarray:
+def _second_derivative_symbol(grid: PeriodicGrid, ax_a: int | None,
+                              ax_b: int | None) -> np.ndarray | float:
+    """Symbol of d_a d_b on the rfftn half spectrum, broadcastable to it.
+
+    Follows ``derivative``'s Nyquist rule: the Nyquist mode is zeroed on an
+    axis differentiated once, kept on an axis differentiated twice.  An axis
+    of None (a y axis of a reduced grid) gives the symbol 0.
+    """
     if ax_a is None or ax_b is None:
-        return np.zeros(f.grid.shape)
-    return derivative(f, (ax_a, ax_b)).values
+        return 0.0
+    ng = grid.points_per_axis
+    last = grid.stored_axes - 1
+
+    def wavenumbers(ax: int) -> np.ndarray:
+        k = grid.wavenumbers(ax)
+        if ax_a != ax_b:
+            k = k.copy()
+            k[ng // 2] = 0.0
+        if ax == last:
+            k = k[: ng // 2 + 1]
+        shape = [1] * grid.stored_axes
+        shape[ax] = k.size
+        return k.reshape(shape)
+
+    return -wavenumbers(ax_a) * wavenumbers(ax_b)
+
+
+def _spectral_hessian(u: ScalarField, entries, dtype) -> np.ndarray:
+    """A Hessian-type matrix field from one forward rfftn of u.
+
+    ``entries`` lists (i, j, real symbol, imaginary symbol or None) for the
+    upper triangle, each symbol on the half spectrum; every symbol costs one
+    irfftn, and the lower triangle is filled by Hermitian symmetry.
+    """
+    grid = u.grid
+    axes = tuple(range(grid.stored_axes))
+    spec = np.fft.rfftn(u.values)
+    out = np.zeros(grid.shape + (grid.n, grid.n), dtype=dtype)
+    for i, j, real_symbol, imag_symbol in entries:
+        d2 = np.fft.irfftn(spec * real_symbol, s=grid.shape, axes=axes)
+        out.real[..., i, j] = d2
+        out.real[..., j, i] = d2
+        if imag_symbol is not None:
+            d2 = np.fft.irfftn(spec * imag_symbol, s=grid.shape, axes=axes)
+            out.imag[..., i, j] = d2
+            out.imag[..., j, i] = -d2
+    return out
 
 
 def complex_hessian(u: ScalarField) -> MatrixField:
@@ -204,40 +247,31 @@ def complex_hessian(u: ScalarField) -> MatrixField:
     grid = u.grid
     if grid.mode != "complex":
         raise ValueError("complex_hessian requires a complex-mode grid")
-    n = grid.n
-    dtype = float if grid.reduced else complex
-    out = np.zeros(grid.shape + (n, n), dtype=dtype)
-    for i in range(n):
+    entries = []
+    for i in range(grid.n):
         xi, yi = grid.axis_pair(i)
-        for j in range(i, n):
+        for j in range(i, grid.n):
             xj, yj = grid.axis_pair(j)
-            real_part = 0.25 * (
-                _second_derivative(u, xi, xj) + _second_derivative(u, yi, yj)
+            real_symbol = 0.25 * (_second_derivative_symbol(grid, xi, xj)
+                                  + _second_derivative_symbol(grid, yi, yj))
+            imag_symbol = None if grid.reduced or i == j else 0.25 * (
+                _second_derivative_symbol(grid, xi, yj)
+                - _second_derivative_symbol(grid, yi, xj)
             )
-            if grid.reduced:
-                out[..., i, j] = real_part
-                out[..., j, i] = real_part
-            else:
-                imag_part = 0.25 * (
-                    _second_derivative(u, xi, yj) - _second_derivative(u, yi, xj)
-                )
-                out[..., i, j] = real_part + 1j * imag_part
-                out[..., j, i] = real_part - 1j * imag_part
-    return MatrixField(grid, out)
+            entries.append((i, j, real_symbol, imag_symbol))
+    dtype = float if grid.reduced else complex
+    return MatrixField(grid, _spectral_hessian(u, entries, dtype))
 
 
 def real_hessian(u: ScalarField) -> MatrixField:
     grid = u.grid
     if grid.mode != "real":
         raise ValueError("real_hessian requires a real-mode grid")
-    m = grid.n
-    out = np.zeros(grid.shape + (m, m))
-    for i in range(m):
-        for j in range(i, m):
-            d2 = _second_derivative(u, i, j)
-            out[..., i, j] = d2
-            out[..., j, i] = d2
-    return MatrixField(grid, out)
+    entries = [
+        (i, j, _second_derivative_symbol(grid, i, j), None)
+        for i in range(grid.n) for j in range(i, grid.n)
+    ]
+    return MatrixField(grid, _spectral_hessian(u, entries, float))
 
 
 def hessian(u: ScalarField) -> MatrixField:
@@ -280,6 +314,16 @@ def metric_root_inverse(alpha, dim: int) -> np.ndarray:
     return np.linalg.inv(np.linalg.cholesky(_as_matrix(alpha, dim)))
 
 
+def congruence(l: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """L g L* for a constant d x d matrix L and matrices g of shape (..., d, d).
+
+    One matrix product: the (points, d*d) view of g times kron(L, conj L)^T.
+    """
+    d = l.shape[-1]
+    flat = np.reshape(g, (-1, d * d)) @ np.kron(l, np.conj(l)).T
+    return flat.reshape(np.shape(g))
+
+
 def endomorphism_field(alpha, chi: MatrixField, u: ScalarField | None = None) -> MatrixField:
     """A = alpha^{-1} (chi + Hess u), in alpha-orthonormalized coordinates.
 
@@ -294,8 +338,7 @@ def endomorphism_field(alpha, chi: MatrixField, u: ScalarField | None = None) ->
             raise ValueError("fields must share one grid")
         g = g + hessian(u).values
     linv = metric_root_inverse(alpha, chi.dim)
-    vals = np.einsum("ab,...bc,dc->...ad", linv, g, np.conj(linv))
-    return MatrixField(grid, vals)
+    return MatrixField(grid, congruence(linv, g))
 
 
 def integral(f: ScalarField, weight: ScalarField | None = None) -> float:

@@ -23,8 +23,9 @@ from conesolve import (
     run_continuity,
     uniform_schedule,
 )
-from conesolve.solver import rhs_base
-from conesolve.torus import compute_c, hessian_perturbation
+from conesolve.eigencalc import first_derivative
+from conesolve.solver import Linearization, evaluate_pointwise, rhs_base
+from conesolve.torus import compute_c, hessian, hessian_perturbation
 
 
 def manufactured_problem(n=1, amplitude=0.5, points=32, reduced=False, seed=0):
@@ -109,6 +110,36 @@ def test_linearized_apply_consistency():
               - residual(prob, u0, 0.1, 1.0).values) / eps
         errs.append(np.abs(fd - lin.values).max())
     assert errs[1] < 0.11 * errs[0]  # first-order remainder shrinks linearly
+
+
+@pytest.mark.parametrize("mode,n,alpha", [
+    ("real", 3, np.array([[2.0, 0.5, 0.2], [0.5, 1.5, 0.3], [0.2, 0.3, 1.2]])),
+    ("complex", 2, np.array([[2.0, 0.5 + 0.3j], [0.5 - 0.3j, 1.5]])),
+])
+def test_linearization_general_metric(mode, n, alpha):
+    # a metric that is not a multiple of the identity tells L^-* D L^-1 from
+    # L^-1 D L^-* and from no transform at all
+    g = PeriodicGrid.make(mode, n, 8, 1.0)
+    chi = MatrixField.constant(g, alpha)
+    prob = TorusProblem(g, MongeAmpere(n), alpha, chi, ScalarField.zeros(g))
+    u0, _ = hessian_perturbation(g, 0.3, seed=5)
+    v = random_band_limited(g, 1.0, seed=6)
+    c0, dc = 0.1, 0.7
+    lin = Linearization(prob, evaluate_pointwise(prob, u0, 1.0))
+    out = lin.apply(v, dc).values
+
+    eps = 1e-5
+    fd = (residual(prob, ScalarField(g, u0.values + eps * v.values), c0 + eps * dc, 1.0).values
+          - residual(prob, ScalarField(g, u0.values - eps * v.values), c0 - eps * dc, 1.0).values
+          ) / (2 * eps)
+    assert np.abs(fd - out).max() < 1e-6 * np.abs(out).max()
+
+    # <D, L^-1 (Hess v) L^-*> - dc, with dF taken at A[u0] in the orthonormal frame
+    linv = np.linalg.inv(np.linalg.cholesky(alpha))
+    d = first_derivative(prob.op, endomorphism_field(alpha, chi, u0).values)
+    ht = np.einsum("ab,...bc,dc->...ad", linv, hessian(v).values, np.conj(linv))
+    explicit = np.real(np.einsum("...ij,...ij->...", d, np.conj(ht))) - dc
+    assert np.abs(explicit - out).max() < 1e-12 * np.abs(out).max()
 
 
 def test_manufactured_monge_ampere_n1():

@@ -15,6 +15,7 @@ from conesolve import (
     endomorphism_field,
     export_csv,
     form_ratio,
+    hessian,
     integral,
     load_field,
     nminus1_background,
@@ -94,6 +95,45 @@ def test_real_hessian_symmetry():
     assert np.abs(h.values - np.swapaxes(h.values, -1, -2)).max() < 1e-12
     with pytest.raises(ValueError):
         complex_hessian(u)
+
+
+def _per_entry_hessian(u):
+    """The Hessian composed entry by entry from ``derivative``: the reference."""
+    g = u.grid
+
+    def d2(a, b):
+        return np.zeros(g.shape) if a is None or b is None else derivative(u, (a, b)).values
+
+    if g.mode == "real":
+        out = np.zeros(g.shape + (g.n, g.n))
+        for i in range(g.n):
+            for j in range(g.n):
+                out[..., i, j] = d2(i, j)
+        return out
+    out = np.zeros(g.shape + (g.n, g.n), dtype=complex)
+    for i in range(g.n):
+        xi, yi = g.axis_pair(i)
+        for j in range(g.n):
+            xj, yj = g.axis_pair(j)
+            out[..., i, j] = 0.25 * (d2(xi, xj) + d2(yi, yj) + 1j * (d2(xi, yj) - d2(yi, xj)))
+    return out
+
+
+@pytest.mark.parametrize("points", [8, 10])  # N/2 even and odd
+@pytest.mark.parametrize("mode,n,reduced", [
+    ("real", 1, False), ("real", 2, False), ("real", 3, False),
+    ("complex", 1, True), ("complex", 2, True), ("complex", 3, True),
+    ("complex", 1, False), ("complex", 2, False),
+])
+def test_hessian_matches_per_entry_derivatives(mode, n, reduced, points):
+    # random normal values carry energy up to and including the Nyquist modes
+    rng = np.random.default_rng(points + 10 * n)
+    axes = n if mode == "real" or reduced else 2 * n
+    g = PeriodicGrid.make(mode, n, points, tuple(rng.uniform(0.5, 2.0, axes)), reduced)
+    u = ScalarField(g, rng.normal(size=g.shape))
+    h = hessian(u).values
+    ref = _per_entry_hessian(u)
+    assert np.abs(h - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_integral_values():
