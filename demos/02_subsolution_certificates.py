@@ -39,9 +39,9 @@ for lam in ([100.0, 0.01], [1.0, 1.0]):
 kappa = cs.estimate_kappa(ma, [2.0, 2.0], 0.0, radius=10.0, samples=10_000, seed=1)
 held_out = cs.sample_level_set(ma, 0.0, 10_000, np.random.default_rng(2),
                                min_radius=10.0)
-from conesolve.subsolution import _dichotomy_margins
+from conesolve.subsolution import dichotomy_margins
 
-margins = _dichotomy_margins(ma, np.array([2.0, 2.0]), held_out)
+margins = dichotomy_margins(ma, np.array([2.0, 2.0]), held_out)
 print()
 print(f"empirical kappa = {kappa} from 10^4 samples;"
       f" held-out min margin = {margins.min():.3f} -> violations:"

@@ -83,7 +83,7 @@ def dichotomy_check(op: SymmetricOperator, mu, sigma_level: float, lam,
     return DichotomyBranch.VIOLATION
 
 
-def _dichotomy_margins(op: SymmetricOperator, mu: np.ndarray, lam: np.ndarray) -> np.ndarray:
+def dichotomy_margins(op: SymmetricOperator, mu: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """max of the two branch ratios per sample; dichotomy holds at kappa < margin."""
     g = op.gradient(lam, check=False)
     trace = g.sum(axis=-1)
@@ -106,7 +106,7 @@ def estimate_kappa(op: SymmetricOperator, mu, sigma_level: float, radius: float,
     mu = np.asarray(mu, dtype=float)
     lam = sample_level_set(op, sigma_level, samples, np.random.default_rng(seed),
                            min_radius=radius)
-    margins = _dichotomy_margins(op, mu, lam)
+    margins = dichotomy_margins(op, mu, lam)
     m_min = float(margins.min())
     if m_min <= 0:
         raise NumericError(
@@ -255,7 +255,7 @@ def certify_field(op: SymmetricOperator, eigenvalue_field, rhs_field, delta_grid
         if not valid.all():
             continue  # this delta exits the natural domain somewhere
         if bounded.all():
-            radius = _coordinate_ray_radius(op, mu, sigmas)
+            radius = coordinate_ray_radius(op, mu, sigmas)
             kappa = _kappa_at_tightest(op, mu, sigmas, radius, kappa_samples, seed)
             return SubsolutionCertificate(
                 delta=delta, radius=radius, kappa=kappa, sigma_range=sigma_range,
@@ -286,8 +286,8 @@ def _first_failing_subtuple(op: SymmetricOperator, mu: np.ndarray, sigma_level: 
     return None
 
 
-def _coordinate_ray_radius(op: SymmetricOperator, mu: np.ndarray, sigmas: np.ndarray,
-                           iters: int = 60) -> float:
+def coordinate_ray_radius(op: SymmetricOperator, mu: np.ndarray, sigmas: np.ndarray,
+                          iters: int = 60) -> float:
     """sup over points and axes of |mu + t* e_i| at the level crossing t*.
 
     Along +e_i both cone membership and f are monotone, so the crossing of

@@ -1,7 +1,7 @@
 """Independent oracles used across the test suite.
 
 Everything here is deliberately dumb: subset enumeration, finite differences,
-and geometric ray shooting.  None of it shares code with the library paths it
+geometric ray shooting and one supporting-plane test per candidate.  None of it shares code with the library paths it
 checks.
 """
 
@@ -115,3 +115,25 @@ def ray_boundedness_oracle(op, mu, sigma_level: float, rng, rays: int = 200,
         if max_radius > radius_cap:
             return False
     return max_radius <= radius_cap
+
+
+def supporting_plane_bruteforce(v, grads, candidates: np.ndarray) -> np.ndarray:
+    """The candidates of a ``BallFunction`` whose tangent plane lies below v on
+    every interior and boundary sample, up to a relative 1e-12 slack; one
+    candidate at a time."""
+    grid = v.grid
+    interior = grid.interior_mask()
+    coords = grid.coordinates()
+    pts_all = np.stack([c[interior] for c in coords], axis=1)
+    test_pts = np.concatenate([pts_all, grid.boundary_points()], axis=0)
+    test_vals = np.concatenate([v.values[interior], v.boundary_values])
+    slack = 1e-12 * (1.0 + float(np.abs(test_vals).max()))
+    mask = np.zeros_like(candidates)
+    for idx in np.argwhere(candidates):
+        key = tuple(idx)
+        x = np.array([coords[a][key] for a in range(grid.m)])
+        g = np.array([grads[a][key] for a in range(grid.m)])
+        support = v.values[key] + (test_pts - x) @ g
+        if np.all(test_vals >= support - slack):
+            mask[key] = True
+    return mask

@@ -12,7 +12,7 @@ import pytest
 
 import conesolve as cs
 from conesolve.solver import background_value
-from conesolve.subsolution import _coordinate_ray_radius, _dichotomy_margins
+from conesolve.subsolution import coordinate_ray_radius, dichotomy_margins
 from conesolve.torus import hessian_perturbation
 from oracles import ray_boundedness_oracle, second_difference, sigma_bruteforce
 
@@ -167,11 +167,11 @@ def test_criterion_4_dichotomy_validation():
     total_violations = 0
     details = []
     for op, mu, sigma_level in cases:
-        radius = _coordinate_ray_radius(op, mu[None, :], np.array([sigma_level]))
+        radius = coordinate_ray_radius(op, mu[None, :], np.array([sigma_level]))
         kappa = cs.estimate_kappa(op, mu, sigma_level, radius, samples=10_000, seed=1)
         held_out = cs.sample_level_set(op, sigma_level, 10_000,
                                        np.random.default_rng(2), min_radius=radius)
-        margins = _dichotomy_margins(op, mu, held_out)
+        margins = dichotomy_margins(op, mu, held_out)
         violations = int((margins <= kappa).sum())
         total_violations += violations
         details.append(f"{type(op).__name__}: kappa={kappa:.3g} viol={violations}")

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from conesolve import diagnostics
 from conesolve import (
     BallFunction,
     BallGrid,
@@ -15,6 +17,7 @@ from conesolve import (
     strong_concavity_flags,
     trace_estimate_check,
 )
+from oracles import supporting_plane_bruteforce
 
 
 def quadratic_well(a, grid=None):
@@ -72,7 +75,8 @@ def test_abp_rejects_bad_epsilon():
         abp_check(quadratic_well(0.4), 0.6)
 
 
-def test_abp_fuzz_wells():
+def fuzz_wells():
+    """Perturbed quadratic wells on a 64^2 ball with their epsilon, seed 0."""
     grid = BallGrid(2, 64)
     rng = np.random.default_rng(0)
     done = 0
@@ -90,9 +94,78 @@ def test_abp_fuzz_wells():
         room = float(v.boundary_values.min() - v.center_value())
         if room <= 0.1:
             continue
-        rep = abp_check(v, min(0.45, 0.9 * room))
-        assert rep.passed
+        yield v, min(0.45, 0.9 * room)
         done += 1
+
+
+def test_abp_fuzz_wells():
+    for v, eps in fuzz_wells():
+        rep = abp_check(v, eps)
+        assert rep.passed
+
+
+def assert_contact_mask_matches_bruteforce(v, epsilon):
+    """contact_set's mask against the per-candidate plane test on the same
+    candidates; returns the candidate and contact counts."""
+    grads = v.gradient()
+    gnorm = np.sqrt(sum(g**2 for g in grads))
+    candidates = v.grid.interior_mask() & (gnorm < 0.5 * epsilon)
+    expected = supporting_plane_bruteforce(v, grads, candidates)
+    mask = contact_set(v, epsilon).mask
+    assert mask.dtype == expected.dtype and mask.shape == expected.shape
+    assert np.array_equal(mask, expected)
+    return int(candidates.sum()), int(expected.sum())
+
+
+def tilted_double_well(m, points_per_axis):
+    return BallFunction.from_callable(
+        BallGrid(m, points_per_axis),
+        lambda *x: (sum(c**2 for c in x) - 0.3) ** 2 + 0.1 * x[0])
+
+
+@pytest.mark.parametrize("m, points, kept", [(1, 64, (12, 2)), (2, 64, (222, 78)),
+                                             (3, 24, (297, 113))])
+def test_supporting_plane_double_well(m, points, kept):
+    # non-convex: the central bump and most of the tilted ring of minima at
+    # |x|^2 = 0.3 have small gradients but no global supporting plane
+    assert assert_contact_mask_matches_bruteforce(tilted_double_well(m, points), 0.2) == kept
+
+
+def test_supporting_plane_fuzz_wells():
+    for v, eps in fuzz_wells():
+        assert_contact_mask_matches_bruteforce(v, eps)
+
+
+@pytest.mark.parametrize("chunk", [5, 64, 1000])
+def test_supporting_plane_partial_blocks(monkeypatch, chunk):
+    v = tilted_double_well(2, 64)
+    grid = v.grid
+    points = int(grid.interior_mask().sum()) + len(grid.boundary_points())
+    monkeypatch.setattr(diagnostics, "_PLANE_BLOCK_BYTES", chunk * points * 8)
+    count, _ = assert_contact_mask_matches_bruteforce(v, 0.2)
+    assert count % chunk != 0
+
+
+def test_supporting_plane_no_candidates():
+    # a cone with its tip between grid points: every centered difference has
+    # |grad| > 0.4, so no candidate reaches the plane test
+    grid = BallGrid(2, 64)
+    h = grid.spacing
+    v = BallFunction.from_callable(grid, lambda x, y: np.hypot(x - h / 2, y - h / 2))
+    assert assert_contact_mask_matches_bruteforce(v, 0.2) == (0, 0)
+    assert contact_set(v, 0.2).points.shape == (0, 2)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(depth=st.floats(0.1, 0.5), tilt=st.floats(-0.3, 0.3), scale=st.floats(0.5, 2.0),
+       points=st.sampled_from([16, 25, 32]))
+def test_supporting_plane_property(depth, tilt, scale, points):
+    v = BallFunction.from_callable(
+        BallGrid(2, points),
+        lambda x, y: scale * (x**2 + y**2 - depth) ** 2 + tilt * (x - 0.5 * y))
+    room = float(v.boundary_values.min() - v.center_value())
+    assume(room > 0.02)
+    assert_contact_mask_matches_bruteforce(v, min(0.45, 0.9 * room))
 
 
 def test_hmw_ratio_values():

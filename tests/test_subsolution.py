@@ -19,7 +19,7 @@ from conesolve import (
     sample_level_set,
     schur_horn_pairing,
 )
-from conesolve.subsolution import _dichotomy_margins
+from conesolve.subsolution import dichotomy_margins
 from oracles import ray_boundedness_oracle, sigma_bruteforce
 
 
@@ -97,7 +97,7 @@ def test_estimate_kappa_and_heldout():
     assert kappa >= 0.05
     held_out = sample_level_set(ma, 0.0, 4000, np.random.default_rng(2),
                                 min_radius=10.0)
-    margins = _dichotomy_margins(ma, np.array([2.0, 2.0]), held_out)
+    margins = dichotomy_margins(ma, np.array([2.0, 2.0]), held_out)
     assert margins.min() > kappa  # zero violations
 
     with pytest.raises(ValueError):
