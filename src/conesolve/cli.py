@@ -9,7 +9,7 @@ Subcommands:
   abp       contact-set lower-bound check: closed-form case plus fuzz
 
 Exit codes: 0 success, 1 selftest/abp failure, 2 solver stagnation,
-3 domain (admissibility) error, 4 I/O failure, 5 refuted certificate.
+3 domain (admissibility) error, 4 I/O failure or invalid config, 5 refuted certificate.
 
 Reports are deterministic for a fixed config and seed: wall-clock timings are
 deliberately excluded so two identical runs produce byte-identical artifacts.

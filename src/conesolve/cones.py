@@ -89,14 +89,18 @@ def t_map(lam) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GammaCone:
-    """The cone Gamma_k in dimension n: sigma_1, ..., sigma_k all > 0."""
+    """The cone Gamma_k in dimension n: sigma_1, ..., sigma_k all > 0.
+
+    k = 0 imposes no constraint: Gamma_0 is all of R^n, the projection of
+    Gamma_1.
+    """
 
     n: int
     k: int
 
     def __post_init__(self):
-        if not 1 <= self.k <= self.n:
-            raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
+        if not 0 <= self.k <= self.n:
+            raise ValueError(f"need 0 <= k <= n, got k={self.k}, n={self.n}")
 
     def contains(self, lam) -> np.ndarray | bool:
         lam = np.asarray(lam, dtype=float)
@@ -108,7 +112,7 @@ class GammaCone:
         """min_{j<=k} sigma_j(lam); positive iff lam is strictly inside."""
         lam = np.asarray(lam, dtype=float)
         e = sigma_all(lam, self.k)
-        m = e[..., 1:].min(axis=-1)
+        m = e[..., 1:].min(axis=-1, initial=np.inf)
         return m if m.ndim else float(m)
 
     def violation(self, lam) -> ConeViolation:
@@ -120,19 +124,27 @@ class GammaCone:
                 return ConeViolation(j, float(e[j]), lam)
         raise ValueError("point is inside the cone")
 
+    def projection(self) -> GammaCone:
+        """The projection of the cone along one axis onto R^{n-1}.
+
+        sigma_j(mu', t) = sigma_j(mu') + t * sigma_{j-1}(mu'), so (mu', t) lies
+        in Gamma_k for some (then every larger) t iff mu' lies in Gamma_{k-1}.
+        """
+        return GammaCone(self.n - 1, max(self.k - 1, 0))
+
 
 @dataclass(frozen=True)
 class PreimageCone:
-    """Preimage T^{-1}(inner) of a cone under the averaging map T."""
+    """Preimage T^{-1}(inner) of a cone Gamma_k under the averaging map T."""
 
-    inner: GammaCone | PreimageCone
+    inner: GammaCone
 
     @property
     def n(self) -> int:
         return self.inner.n
 
     @property
-    def k(self) -> int:  # order of the innermost Gamma_k
+    def k(self) -> int:
         return self.inner.k
 
     def contains(self, lam):
@@ -144,6 +156,15 @@ class PreimageCone:
     def violation(self, lam) -> ConeViolation:
         return self.inner.violation(t_map(np.asarray(lam, dtype=float)))
 
+    def projection(self) -> GammaCone:
+        """The projection along one axis: R^{n-1} for k < n, else Gamma_1.
+
+        T(mu', R) = T(mu', 0) + R/(n-1) * (1, ..., 1, 0), so in R each
+        sigma_j(T(mu', R)) with j < n has leading coefficient
+        C(n-1, j)/(n-1)^j > 0, and sigma_n has sum(mu')/(n-1)^n times R^{n-1}.
+        """
+        return GammaCone(self.n - 1, 1 if self.k == self.n else 0)
+
 
 Cone = GammaCone | PreimageCone
 
@@ -153,74 +174,22 @@ def cone_contains(cone: Cone, lam) -> np.ndarray | bool:
     return cone.contains(lam)
 
 
-def projected_cone(cone: Cone) -> tuple[Cone, bool]:
-    """The slice { x' in R^{n-1} : (x', 0) in cone } as a cone in R^{n-1}.
-
-    For Gamma_k with k < n the slice is exactly Gamma_k in dimension n-1,
-    since sigma_j(x', 0) = sigma_j(x').  For Gamma_n the slice is empty; by
-    convention Gamma_{n-1} is returned with the flag set to False.  The
-    returned flag is True when the slice is represented exactly.
-    """
-    n = cone.n
-    if n < 2:
-        raise ValueError("projection requires n >= 2")
-    if isinstance(cone, GammaCone):
-        if cone.k < n:
-            return GammaCone(n - 1, cone.k), True
-        return GammaCone(n - 1, n - 1), False
-    return _SliceCone(cone), True
+def in_projection(cone: Cone, mu_prime) -> np.ndarray | bool:
+    """Membership of mu' in the projection of ``cone`` along the last axis:
+    (mu', t) lies in the cone for all large t."""
+    return cone.projection().contains(mu_prime)
 
 
-@dataclass(frozen=True)
-class _SliceCone:
-    """Generic slice of a parent cone at x_n = 0."""
-
-    parent: Cone
-
-    @property
-    def n(self) -> int:
-        return self.parent.n - 1
-
-    def contains(self, lam):
-        lam = np.asarray(lam, dtype=float)
-        ext = np.concatenate([lam, np.zeros(lam.shape[:-1] + (1,))], axis=-1)
-        return self.parent.contains(ext)
-
-    def margin(self, lam):
-        lam = np.asarray(lam, dtype=float)
-        ext = np.concatenate([lam, np.zeros(lam.shape[:-1] + (1,))], axis=-1)
-        return self.parent.margin(ext)
-
-
-def _append(lam, t: float) -> np.ndarray:
-    lam = np.asarray(lam, dtype=float)
-    pad = np.full(lam.shape[:-1] + (1,), t)
-    return np.concatenate([lam, pad], axis=-1)
-
-
-def in_projection(cone: Cone, mu_prime, t_factor: float = 1e8) -> np.ndarray | bool:
-    """Membership of mu' in the projection of ``cone`` along the last axis.
-
-    Checked by testing (mu', t) in cone for large t; membership in the open
-    projection is monotone in t because cone + closure(Gamma_n) stays in cone.
-    """
-    mu_prime = np.asarray(mu_prime, dtype=float)
-    scale = 1.0 + np.abs(mu_prime).max(initial=0.0)
-    return cone.contains(_append(mu_prime, t_factor * scale))
-
-
-def in_gamma_tilde(cone: Cone, mu, t_factor: float = 1e8) -> bool:
+def in_gamma_tilde(cone: Cone, mu) -> np.ndarray | bool:
     """Whether mu + t*e_i lies in ``cone`` for large t, for every axis i.
 
     This is the natural domain on which boundedness of the level-set
-    intersection (mu + Gamma_n) for f = const can be decided.
+    intersection (mu + Gamma_n) for f = const can be decided.  By symmetry of
+    the cone it holds iff mu with any one entry dropped lies in the projection.
     """
     mu = np.asarray(mu, dtype=float)
-    n = mu.shape[-1]
-    t = t_factor * (1.0 + float(np.abs(mu).max()))
-    for i in range(n):
-        shifted = mu.copy()
-        shifted[..., i] += t
-        if not np.all(cone.contains(shifted)):
-            return False
-    return True
+    projection = cone.projection()
+    ok = np.logical_and.reduce(
+        [projection.contains(np.delete(mu, i, axis=-1)) for i in range(mu.shape[-1])]
+    )
+    return ok if ok.ndim else bool(ok)

@@ -47,6 +47,8 @@ import configparser
 import re
 from dataclasses import dataclass
 
+from .operators import operator_from_name
+
 _KNOWN_KEYS = {
     "problem": {"mode", "dimension", "operator", "k", "l", "inner", "path",
                 "normalization"},
@@ -168,6 +170,7 @@ def parse_config(text: str) -> RunConfig:
         return default
 
     # [problem]
+    problem_start = len(errors)
     mode = get("problem", "mode", "complex")
     if mode not in ("complex", "real"):
         errors.append(f"problem.mode must be complex or real, got {mode!r}")
@@ -177,7 +180,7 @@ def parse_config(text: str) -> RunConfig:
         dimension = 0
     else:
         dimension = _parse_int(dimension_raw, "problem.dimension", errors)
-        if dimension < 1 or (mode == "complex" and dimension > 3) or dimension > 3:
+        if not 1 <= dimension <= 3:
             errors.append(f"problem.dimension must be 1..3, got {dimension_raw}")
     operator = get("problem", "operator", "monge_ampere")
     if operator not in _OPERATORS:
@@ -199,12 +202,19 @@ def parse_config(text: str) -> RunConfig:
         errors.append("operator composed_with_T requires problem.inner")
     if inner is not None and inner not in _OPERATORS - {"composed_with_T"}:
         errors.append(f"unknown inner operator {inner!r}")
+    if len(errors) == problem_start:
+        try:  # the operator's own parameter checks, against the dimension
+            operator_from_name(operator, dimension, k=k, l=l, inner=inner)
+        except ValueError as exc:
+            errors.append(f"operator {operator} at dimension {dimension}: {exc}")
     path = get("problem", "path", "fixed")
     if path not in _PATHS:
         errors.append(f"problem.path must be one of {sorted(_PATHS)}, got {path!r}")
     if path == "quotient":
-        if k is None or l is None or not (l is not None and k is not None and 1 <= l < k):
+        if k is None or l is None or not 1 <= l < k:
             errors.append("quotient path: require l < k (with l >= 1) in [problem]")
+        elif k > dimension >= 1:
+            errors.append(f"quotient path: require k <= problem.dimension, got k = {k}")
     normalization = get("problem", "normalization", "mean_zero")
     if normalization not in ("mean_zero", "sup_zero"):
         errors.append(f"problem.normalization must be mean_zero or sup_zero")

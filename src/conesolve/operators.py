@@ -32,10 +32,8 @@ from scipy.optimize import brentq
 
 from .cones import (
     Cone,
-    ConeViolation,
     GammaCone,
     PreimageCone,
-    in_projection,
     sigma_all,
     sigma_without,
     t_map,
@@ -120,8 +118,7 @@ class SymmetricOperator:
         mu_prime = np.asarray(mu_prime, dtype=float)
         if mu_prime.shape[-1] != self.n - 1:
             raise ValueError(f"mu' must have {self.n - 1} components")
-        if not np.all(in_projection(self.cone, mu_prime)):
-            raise ConeViolation(0, float("nan"), mu_prime)
+        _check_batch(self.cone.projection(), mu_prime)
         if self.limit_infinite:
             shape = mu_prime.shape[:-1]
             return math.inf if not shape else np.full(shape, math.inf)
@@ -361,10 +358,14 @@ class ComposedWithT(SymmetricOperator):
             raise ValueError("inner operator must share the dimension n")
         if self.n < 2:
             raise ValueError("composition with T requires n >= 2")
+        if isinstance(self.inner, ComposedWithT):
+            raise ValueError("the inner operator cannot itself be composed with T")
 
     @property
     def limit_infinite(self):  # type: ignore[override]
-        return self.inner.limit_infinite
+        # sigma_n / sigma_k of T(mu', R) grows like R^(n-1-k)
+        return self.inner.limit_infinite or (
+            isinstance(self.inner, InverseSigmaK) and self.inner.k < self.n - 1)
 
     @property
     def sup_boundary(self):  # type: ignore[override]

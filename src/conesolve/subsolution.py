@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import ConeViolation, in_gamma_tilde, sigma_all
-from .operators import NumericError, SymmetricOperator, sample_level_set
+from .cones import ConeViolation, GammaCone, in_gamma_tilde
+from .operators import HessianQuotientNeg, NumericError, SymmetricOperator, sample_level_set
 
 LEVEL_SET_TOL = 1e-8
 
@@ -48,16 +48,14 @@ def _distinct_subtuples(mu: np.ndarray) -> list[tuple[int, np.ndarray]]:
 
 
 def is_subsolution_point(op: SymmetricOperator, mu, sigma_level: float) -> bool:
-    """Whether (mu + Gamma_n) meets {f = sigma} in a bounded set."""
+    """Whether (mu + Gamma_n) meets {f = sigma} in a bounded set.
+
+    Raises the projection's ``ConeViolation`` when a subtuple of mu lies
+    outside the projection of the cone, before comparing any limit.
+    """
     mu = np.asarray(mu, dtype=float)
-    if not in_gamma_tilde(op.cone, mu):
-        raise ConeViolation(0, float("nan"), mu)
-    if op.limit_infinite:
-        return True
-    for _, reduced in _distinct_subtuples(mu):
-        if not op.limit_at_infinity(reduced) > sigma_level:
-            return False
-    return True
+    limits = [op.limit_at_infinity(reduced) for _, reduced in _distinct_subtuples(mu)]
+    return all(lim > sigma_level for lim in limits)
 
 
 def dichotomy_check(op: SymmetricOperator, mu, sigma_level: float, lam,
@@ -141,26 +139,20 @@ def quotient_cone_condition(chi_eigs, k: int, l: int, c: float) -> bool:
 
     For every (n-1)-subtuple mu' of the background eigenvalues the limit of
     the quotient operator, -(sigma_{l-1}(mu')/C(n,l)) / (sigma_{k-1}(mu')/C(n,k)),
-    must exceed -c.  The condition is monotone in c.  With l = 0 there is no
-    quotient term and the condition always holds on the k-positive cone.
+    must exceed -c: chi_eigs is a subsolution point of the quotient at level
+    -c.  The condition is monotone in c.  With l = 0 there is no quotient term
+    and the condition always holds on the k-positive cone.
     """
     chi_eigs = np.asarray(chi_eigs, dtype=float)
     n = chi_eigs.shape[-1]
     if not 0 <= l < k <= n:
         raise ValueError(f"need 0 <= l < k <= n, got l={l}, k={k}")
-    from .cones import GammaCone
-
     cone = GammaCone(n, k)
     if not cone.contains(chi_eigs):
         raise cone.violation(chi_eigs)
     if l == 0:
         return True
-    for _, reduced in _distinct_subtuples(chi_eigs):
-        sl = sigma_all(reduced, max(l - 1, 0))[..., l - 1] / math.comb(n, l)
-        sk = sigma_all(reduced, k - 1)[..., k - 1] / math.comb(n, k)
-        if not -float(sl) / float(sk) > -c:
-            return False
-    return True
+    return is_subsolution_point(HessianQuotientNeg(n, l, k), chi_eigs, -c)
 
 
 @dataclass(frozen=True)
@@ -206,25 +198,13 @@ class SubsolutionCertificate:
 
 def _bounded_pointwise(op: SymmetricOperator, mu: np.ndarray, sigmas: np.ndarray):
     """(valid, bounded) masks for a batch of shifted tuples; no exceptions."""
-    npts, n = mu.shape
-    valid = np.ones(npts, dtype=bool)
-    t = 1e8 * (1.0 + np.abs(mu).max())
-    for i in range(n):
-        shifted = mu.copy()
-        shifted[:, i] += t
-        valid &= np.asarray(op.cone.contains(shifted), dtype=bool)
+    valid = in_gamma_tilde(op.cone, mu)
     bounded = valid.copy()
-    if not op.limit_infinite:
-        from .cones import in_projection
-
-        for i in range(n):
-            reduced = np.delete(mu, i, axis=1)
-            ok = valid & np.asarray(in_projection(op.cone, reduced), dtype=bool)
-            lim = np.full(npts, -np.inf)
-            if ok.any():
-                lim_ok = op.limit_at_infinity(reduced[ok])
-                lim[ok] = np.atleast_1d(lim_ok)
-            bounded &= ok & (lim > sigmas)
+    if not op.limit_infinite and valid.any():
+        for i in range(mu.shape[1]):
+            lim = np.full(len(mu), -np.inf)
+            lim[valid] = op.limit_at_infinity(np.delete(mu[valid], i, axis=1))
+            bounded &= lim > sigmas
     return valid, bounded
 
 

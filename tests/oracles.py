@@ -1,12 +1,14 @@
 """Independent oracles used across the test suite.
 
-Everything here is deliberately dumb: subset enumeration, finite differences,
-geometric ray shooting and one supporting-plane test per candidate.  None of it shares code with the library paths it
-checks.
+Everything here is deliberately dumb: subset enumeration (in exact rational
+arithmetic where signs decide), finite differences, geometric ray shooting and
+one supporting-plane test per candidate.  None of it shares code with the
+library paths it checks.
 """
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -17,6 +19,46 @@ def sigma_bruteforce(k: int, lam) -> float:
     if k == 0:
         return 1.0
     return float(sum(math.prod(c) for c in itertools.combinations(lam, k)))
+
+
+def ray_polynomial(j: int, mu_prime, preimage: bool = False) -> list[Fraction]:
+    """Exact coefficients, constant term first, of t -> sigma_j(M(mu', t)).
+
+    M is the identity, so M(mu', t) = (mu', t), or with ``preimage`` the
+    averaging map T written out entrywise: the first n-1 entries are
+    (sum_{i != m} mu'_i + t)/(n-1), the last is sum_i mu'_i/(n-1).  Every
+    entry is a linear polynomial in t with Fraction coefficients, and sigma_j
+    is the sum of products over all j-subsets.  With |mu'| in place of mu'
+    the coefficients bound the magnitude of the terms that cancel in each.
+    """
+    mu = [Fraction(float(x)) for x in mu_prime]
+    if preimage:
+        d = len(mu)
+        entries = [((sum(mu) - x) / d, Fraction(1, d)) for x in mu]
+        entries.append((sum(mu) / d, Fraction(0)))
+    else:
+        entries = [(x, Fraction(0)) for x in mu] + [(Fraction(0), Fraction(1))]
+    coeffs = [Fraction(0)] * (j + 1)
+    for subset in itertools.combinations(entries, j):
+        product = [Fraction(1)]
+        for c0, c1 in subset:
+            times = [Fraction(0)] * (len(product) + 1)
+            for d, a in enumerate(product):
+                times[d] += a * c0
+                times[d + 1] += a * c1
+            product = times
+        for d, a in enumerate(product):
+            coeffs[d] += a
+    return coeffs
+
+
+def leading_sign(coeffs) -> int:
+    """Sign of the leading nonzero coefficient, i.e. of the polynomial at
+    large t; 0 for the zero polynomial."""
+    for a in reversed(coeffs):
+        if a:
+            return 1 if a > 0 else -1
+    return 0
 
 
 def fd_gradient(f, x, h=1e-6):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conesolve import (
     GammaCone,
@@ -7,11 +8,10 @@ from conesolve import (
     cone_contains,
     in_gamma_tilde,
     in_projection,
-    projected_cone,
     sigma,
     t_map,
 )
-from oracles import sigma_bruteforce
+from oracles import leading_sign, ray_polynomial, sigma_bruteforce
 
 
 def test_sigma_hand_values():
@@ -86,27 +86,6 @@ def test_margin_sign_matches_membership():
         assert (cone.margin(lam) > 0) == cone.contains(lam)
 
 
-def test_projected_cone():
-    g2, exact = projected_cone(GammaCone(3, 2))
-    assert exact
-    assert g2.contains([1, 1])       # sigma_1 = 2, sigma_2 = 1
-    assert not g2.contains([1, -1])  # sigma_2(1,-1,0) = -1
-    g1, exact = projected_cone(GammaCone(3, 1))
-    assert exact and g1.contains([3, -1])
-    # the positive orthant has an empty slice; the convention returns the
-    # next orthant down, flagged
-    gn, exact = projected_cone(GammaCone(3, 3))
-    assert not exact and gn.k == 2 and gn.n == 2
-
-    sliced, exact = projected_cone(PreimageCone(GammaCone(3, 2)))
-    assert exact
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        x = rng.normal(0, 2, 2)
-        full = np.array([x[0], x[1], 0.0])
-        assert sliced.contains(x) == PreimageCone(GammaCone(3, 2)).contains(full)
-
-
 def test_projection_membership():
     # Gamma_1 in n=2 projects onto all of R
     assert in_projection(GammaCone(2, 1), [-5.0])
@@ -119,3 +98,56 @@ def test_gamma_tilde():
     assert not in_gamma_tilde(GammaCone(2, 2), [-0.1, 0.4])
     # Gamma_1 is so wide that every mu works
     assert in_gamma_tilde(GammaCone(2, 1), [-50.0, -50.0])
+
+
+def test_projection_is_exact_near_the_boundary():
+    # sigma_1(1, -1 + 1e-10) = 1e-10 > 0: inside Gamma_1, the projection of
+    # Gamma_2, though sigma_2 = -1 + 1e-10 is O(1) negative
+    assert in_projection(GammaCone(3, 2), (1.0, -1.0 + 1e-10))
+    assert not in_projection(GammaCone(3, 2), (1.0, -1.0 - 1e-10))
+    assert in_gamma_tilde(GammaCone(3, 2), (1.0, 1.0, -1.0 + 1e-10))
+    # T^{-1} Gamma_3 projects onto sum(mu') > 0, T^{-1} Gamma_2 onto R^2
+    assert in_projection(PreimageCone(GammaCone(3, 3)), (1.0, -1.0 + 1e-10))
+    assert not in_projection(PreimageCone(GammaCone(3, 3)), (1.0, -1.0))
+    assert in_projection(PreimageCone(GammaCone(3, 2)), (-5.0, -5.0))
+
+
+def test_gamma_zero_is_everything():
+    cone = GammaCone(2, 0)
+    assert cone.contains([-3.0, -4.0]) and cone.margin([-3.0, -4.0]) == np.inf
+    assert GammaCone(3, 1).projection() == cone
+    with pytest.raises(ValueError):
+        GammaCone(2, -1)
+
+
+def _exact_in_projection(mu_prime, k, preimage):
+    """(member, fragile): the leading-sign test of every sigma_j, j <= k, on
+    the ray, and whether some coefficient is within 1e-12 of the terms that
+    cancel in it, where float sigma can round to either side of 0."""
+    member, fragile = True, False
+    for j in range(1, k + 1):
+        coeffs = ray_polynomial(j, mu_prime, preimage)
+        scales = ray_polynomial(j, np.abs(mu_prime), preimage)
+        member &= leading_sign(coeffs) > 0
+        fragile |= any(0 < s and abs(a) <= 1e-12 * s for a, s in zip(coeffs, scales))
+    return member, fragile
+
+
+coordinates = st.floats(-10.0, 10.0).map(lambda x: round(x, 6))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(2, 4), preimage=st.booleans(),
+       trace=st.one_of(st.none(), st.sampled_from([0.0, 1e-10, -1e-10])))
+def test_projection_matches_exact_leading_signs(data, n, preimage, trace):
+    k = data.draw(st.integers(1, n))
+    mu = np.array(data.draw(st.lists(coordinates, min_size=n, max_size=n)))
+    if trace is not None:  # sigma_1(mu[1:]) at or next to 0
+        mu[-1] = trace - mu[1:-1].sum()
+    cone = PreimageCone(GammaCone(n, k)) if preimage else GammaCone(n, k)
+    exact = [_exact_in_projection(np.delete(mu, i), k, preimage) for i in range(n)]
+    assume(not any(fragile for _, fragile in exact))
+    assert in_projection(cone, mu[1:]) == exact[0][0]
+    assert in_gamma_tilde(cone, mu) == all(member for member, _ in exact)
+    batch = np.stack([mu, mu[::-1]])
+    np.testing.assert_array_equal(in_gamma_tilde(cone, batch), in_gamma_tilde(cone, mu))

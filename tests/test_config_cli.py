@@ -143,6 +143,31 @@ def test_cli_check_only(tmp_path):
     assert report["check_only"] and "solve" not in report
 
 
+@pytest.mark.parametrize("problem, message", [
+    ("dimension = 2\noperator = hessian_quotient\nk = 3\nl = 1", "got l=1, k=3"),
+    ("dimension = 2\noperator = monge_ampere\nk = 3\nl = 1\npath = quotient",
+     "require k <= problem.dimension"),
+    ("dimension = 2\noperator = inverse_sigma_k\nk = 2", "need 1 <= k <= n-1"),
+    ("dimension = 2\noperator = composed_with_T\ninner = log_sigma_k\nk = 3",
+     "need 1 <= k <= n"),
+    ("dimension = 1\noperator = composed_with_T\ninner = monge_ampere",
+     "composition with T requires n >= 2"),
+])
+def test_operator_parameters_checked_against_dimension(problem, message):
+    text = MINIMAL.replace("dimension = 1\noperator = monge_ampere", problem)
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert any(message in e for e in err.value.errors)
+
+
+def test_cli_k_above_dimension_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(QUOTIENT_CFG.format(out=tmp_path / "out").replace("k = 2", "k = 3"))
+    assert main(["certify", "--config", str(cfg)]) == 4
+    assert "config error: operator hessian_quotient" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_bad_config_path(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "missing.cfg")]) == 4
 

@@ -217,3 +217,25 @@ def test_strong_concavity_flags():
 
     with pytest.raises(ValueError):
         strong_concavity_flags(ma, [])
+
+
+def test_supporting_plane_boundary_samples_decide():
+    # |x|^2 with a narrow well on the unit sphere: with an odd point count no
+    # grid point lies on the sphere, so the well, narrower than the gap, dips
+    # the sphere samples only, below the tangent planes near the rim
+    grid = BallGrid(2, 33)
+    coords = grid.coordinates()
+    width = 0.5 * float(np.abs(np.hypot(*coords) - 1.0).min())
+    v = BallFunction.from_callable(
+        grid, lambda x, y: x**2 + y**2
+        - 0.05 * np.maximum(0.0, 1.0 - np.abs(np.hypot(x, y) - 1.0) / width))
+    interior = grid.interior_mask(coords)
+    np.testing.assert_array_equal(v.values[interior], (coords[0]**2 + coords[1]**2)[interior])
+    grads = v.gradient()
+    mask = diagnostics._has_supporting_plane(v, grads, interior, interior, coords)
+    np.testing.assert_array_equal(mask, supporting_plane_bruteforce(v, grads, interior))
+    assert 0 < mask.sum() < interior.sum()
+    # against the undipped sphere samples every candidate passes
+    undipped = BallFunction(grid, v.values, np.ones_like(v.boundary_values))
+    np.testing.assert_array_equal(supporting_plane_bruteforce(undipped, grads, interior),
+                                  interior)

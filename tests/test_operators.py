@@ -121,6 +121,36 @@ def test_limit_outside_projection():
         HessianQuotientNeg(2, 1, 2).limit_at_infinity([-1.0])
 
 
+def test_limit_violation_is_the_projections():
+    # Gamma_3 projects onto Gamma_2: the first point outside it, with its
+    # first violated sigma_j and that value
+    with pytest.raises(ConeViolation) as err:
+        HessianQuotientNeg(3, 2, 3).limit_at_infinity([[1.0, 2.0], [3.0, -1.0]])
+    assert (err.value.index, err.value.value) == (2, -3.0)
+    np.testing.assert_array_equal(err.value.lam, [3.0, -1.0])
+
+
+def test_nested_composition_rejected():
+    # the preimage cone, and so its projection, assumes one T over a Gamma_k
+    with pytest.raises(ValueError):
+        ComposedWithT(3, ComposedWithT(3, MongeAmpere(3)))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_composed_finite_limits_closed_form(n):
+    # T(mu', R) = T(mu', 0) + R/(n-1) (1, ..., 1, 0): the limits are those of
+    # the last entry sum(mu')/(n-1) against the R^(n-1) growth of the rest
+    rng = np.random.default_rng(n)
+    quotient = ComposedWithT(n, HessianQuotientNeg(n, n - 1, n))
+    inverse = ComposedWithT(n, InverseSigmaK(n, n - 1))
+    for _ in range(20):
+        mu_prime = rng.uniform(0.3, 3.0, n - 1)
+        s = mu_prime.sum()
+        assert quotient.limit_at_infinity(mu_prime) == pytest.approx(
+            -(n - 1) / (n * s), rel=1e-12)
+        assert inverse.limit_at_infinity(mu_prime) == pytest.approx(s / (n - 1), rel=1e-12)
+
+
 FINITE_LIMIT_KINDS = [
     HessianQuotientNeg(3, 1, 2),
     HessianQuotientNeg(3, 2, 3),
@@ -141,7 +171,8 @@ def test_finite_limits_match_large_argument(op):
 
 
 def test_infinite_limits_grow():
-    for op in (MongeAmpere(3), LogSigmaK(3, 2), ComposedWithT(3, MongeAmpere(3))):
+    for op in (MongeAmpere(3), LogSigmaK(3, 2), ComposedWithT(3, MongeAmpere(3)),
+               ComposedWithT(3, InverseSigmaK(3, 1))):
         mu_prime = np.array([1.0, 2.0])
         assert op.limit_at_infinity(mu_prime) == math.inf
         assert op.value(np.append(mu_prime, 1e8), check=False) > op.value(

@@ -36,6 +36,16 @@ def test_subsolution_point_domain_error():
         is_subsolution_point(MongeAmpere(2), [-1.0, 1.0], 0.0)
 
 
+def test_subsolution_point_near_projection_boundary():
+    # the subtuple (1, -1 + 1e-10) lies in Gamma_1, the projection of Gamma_2,
+    # with the limit -sigma_0/sigma_1 = -1e10 far below the level
+    assert not is_subsolution_point(HessianQuotientNeg(3, 1, 2), [1.0, 1.0, -1.0 + 1e-10], -10.0)
+    # outside the projection the error names the violated sigma_j of the subtuple
+    with pytest.raises(ConeViolation) as err:
+        is_subsolution_point(HessianQuotientNeg(3, 1, 2), [1.0, 1.0, -1.0 - 1e-10], -10.0)
+    assert err.value.index == 1 and err.value.value == pytest.approx(-1e-10, rel=1e-5)
+
+
 def _random_cases(rng, count):
     """(op, mu, sigma) with a definite margin between the limit and sigma."""
     ops = [MongeAmpere(2), MongeAmpere(3), LogSigmaK(3, 2), LogSigmaK(2, 1),
