@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, parse_config, parse_generator
-from .operators import operator_from_name
+from .operators import HessianQuotientNeg, operator_from_name
 from .solver import (
     AdmissibilityError,
     PathKind,
@@ -112,10 +112,8 @@ def certify_problem(problem: TorusProblem, cfg: RunConfig) -> dict:
     endo = endomorphism_field(problem.alpha, problem.chi)
     eigs = np.linalg.eigvalsh(endo.values).reshape(-1, problem.grid.n)
     if problem.path is PathKind.QUOTIENT:
-        from .operators import BlendedQuotient
-
         c_class = compute_c(problem.chi, problem.alpha, cfg.l, cfg.k)
-        op = BlendedQuotient(problem.grid.n, cfg.l, cfg.k, 1.0)
+        op = HessianQuotientNeg(problem.grid.n, cfg.l, cfg.k)
         sigmas = np.full(eigs.shape[0], -c_class)
         cert = certify_field(op, eigs, sigmas, cfg.delta_grid,
                              kappa_samples=cfg.kappa_samples, seed=cfg.seed)
@@ -177,7 +175,7 @@ def run(cfg: RunConfig, check_only: bool = False, certify_only: bool = False) ->
             report["certificate"] = cert
             if cert["verdict"] != "certified":
                 _write_report(report, outdir)
-                print(f"subsolution refuted; witness {cert['witness']}", file=sys.stderr)
+                print(f"subsolution refuted; {_refutation(cert['witness'])}", file=sys.stderr)
                 return EXIT_REFUTED
         if certify_only:
             report["certify_only"] = True
@@ -223,6 +221,16 @@ def run(cfg: RunConfig, check_only: bool = False, certify_only: bool = False) ->
     _write_report(report, outdir)
     _write_summary(report, outdir)
     return EXIT_OK
+
+
+def _refutation(witness: dict) -> str:
+    if "violation" not in witness:
+        return f"witness {witness}"
+    violation = witness["violation"]
+    return (f"no delta was admissible: each of {witness['skipped_deltas']} leaves the"
+            f" natural domain; at delta {witness['delta']}, point {witness['point']}"
+            f" without entry {witness['subtuple']} has sigma_{violation['index']}"
+            f" = {violation['sigma']:.6g}, not > 0")
 
 
 def _write_report(report: dict, outdir: Path) -> None:

@@ -20,6 +20,13 @@ Values, gradients and Hessians accept batched ``lam`` of shape ``(..., n)``.
 The one-eigenvalue-to-infinity limit ``limit_at_infinity`` is the closed form
 per kind; it is an extended real (+inf is a legal return), since finiteness of
 the limit is a global property of the operator, not of the argument.
+
+Level crossings are closed forms too.  Along a ray t*d from the origin each
+kind scales, f(t d) = f(d) + h log t or t^h f(d) (``ray_crossing``).  Along a
+line x + t w every sigma_j is a polynomial in t, and each kind states f > sigma
+as one linear combination of the sigma_j being positive (``_level_weights``),
+so a coordinate ray meets the level at the largest root of a polynomial of
+degree at most n - 1 (``coordinate_crossing``).
 """
 
 from __future__ import annotations
@@ -28,7 +35,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .cones import (
     Cone,
@@ -41,7 +47,7 @@ from .cones import (
 
 
 class NumericError(RuntimeError):
-    """Bracketing or sampling failed to reach the requested target."""
+    """A level crossing or the sampling did not reach the requested target."""
 
 
 def _check_batch(cone: Cone, lam: np.ndarray) -> None:
@@ -73,6 +79,41 @@ def _sigma_hess(lam: np.ndarray, j: int) -> np.ndarray:
             h[..., i, l] = val
             h[..., l, i] = val
     return h
+
+
+def _line_sigmas(x: np.ndarray, w: np.ndarray, kmax: int) -> np.ndarray:
+    """Coefficients in t, constant first, of sigma_0..sigma_kmax(x + t w).
+
+    The ``sigma_all`` recurrence run on the linear entries x_m + t w_m; shape
+    ``x.shape[:-1] + (kmax + 1, kmax + 1)``, and the constant terms are
+    ``sigma_all(x, kmax)``.
+    """
+    e = np.zeros(x.shape[:-1] + (kmax + 1, kmax + 1))
+    e[..., 0, 0] = 1.0
+    for m in range(x.shape[-1]):
+        for j in range(min(m + 1, kmax), 0, -1):
+            e[..., j, :] += x[..., m, None] * e[..., j - 1, :]
+            e[..., j, 1:] += w[m] * e[..., j - 1, :-1]
+    return e
+
+
+def _top_root(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(largest real root, positive for large t) of sum_d c[..., d] t^d.
+
+    The root is -inf where there is none.  Degree at most two: a line with
+    one zero direction entry meets sigma_j in degree <= n - 1, and n <= 3.
+    """
+    if np.any(c[..., 3:]):
+        raise ValueError("a level crossing of degree above two has no closed form here")
+    c0, c1 = c[..., 0], c[..., 1]
+    c2 = c[..., 2] if c.shape[-1] > 2 else np.zeros_like(c0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        disc = c1 * c1 - 4.0 * c2 * c0
+        q = -0.5 * (c1 + np.copysign(np.sqrt(disc), c1))
+        quadratic = np.where(disc >= 0, np.fmax(q / c2, c0 / q), -np.inf)
+        root = np.where(c2 != 0, quadratic, np.where(c1 != 0, -c0 / c1, -np.inf))
+    lead = np.where(c2 != 0, c2, np.where(c1 != 0, c1, c0))
+    return root, lead > 0
 
 
 @dataclass(frozen=True)
@@ -125,6 +166,50 @@ class SymmetricOperator:
         v = self._limit(mu_prime)
         return v if np.ndim(v) else float(v)
 
+    def ray_crossing(self, dirs, sigma_level) -> np.ndarray:
+        """The t > 0 with f(t d) = sigma, per direction d (the rows of ``dirs``)
+        inside the cone."""
+        degree, logarithmic = self._scaling
+        f = np.asarray(self._value(np.asarray(dirs, dtype=float)))
+        with np.errstate(all="ignore"):
+            if logarithmic:  # f(t d) = f(d) + degree * log t
+                return np.exp((sigma_level - f) / degree)
+            return (sigma_level / f) ** (1.0 / degree)  # f(t d) = t^degree f(d)
+
+    def coordinate_crossing(self, mu, axis: int, sigma_level) -> np.ndarray:
+        """The least t >= 0 past which mu + t e_axis lies in the cone and above
+        the level, per row of ``mu``; ``sigma_level`` is a scalar or per row.
+
+        Raises ``NumericError`` if some ray never gets there.
+        """
+        mu = np.asarray(mu, dtype=float)
+        return self._line_crossing(mu, np.eye(self.n)[axis], sigma_level)
+
+    def _line_crossing(self, x, w, sigma_level) -> np.ndarray:
+        # On the cone f > sigma iff the residual sum_j w_j sigma_j is positive.
+        # A line that ends up in the cone (every sigma_j, j <= k, positive for
+        # large t) enters it where sigma_k last vanishes; the residual is <= 0
+        # there, as f falls to sup_boundary, and f increases beyond, so the
+        # crossing is the residual's last root.
+        k = self.cone.k
+        weights = self._level_weights(sigma_level)
+        e = _line_sigmas(x, w, max(k, *weights))
+        residual = sum(np.asarray(c)[..., None] * e[..., j, :] for j, c in weights.items())
+        root, above = _top_root(residual)
+        inside = [_top_root(e[..., j, :])[1] for j in range(1, k + 1)]
+        if not (np.all(inside) and np.all(above)):
+            raise NumericError(f"a coordinate ray of {self!r} never crosses the level set")
+        return np.maximum(root, 0.0)
+
+    @property
+    def _scaling(self) -> tuple[float, bool]:
+        """(h, logarithmic): f(t d) = f(d) + h log t if logarithmic, else t^h f(d)."""
+        raise NotImplementedError
+
+    def _level_weights(self, sigma_level) -> dict:
+        """{j: w_j} with f > sigma on the cone iff sum_j w_j sigma_j > 0."""
+        raise NotImplementedError
+
     def _value(self, lam):
         raise NotImplementedError
 
@@ -161,6 +246,13 @@ class MongeAmpere(SymmetricOperator):
         h[..., idx, idx] = -1.0 / lam**2
         return h
 
+    @property
+    def _scaling(self):
+        return self.n, True
+
+    def _level_weights(self, sigma_level):
+        return {0: -np.exp(sigma_level), self.n: 1.0}
+
 
 @dataclass(frozen=True)
 class LogSigmaK(SymmetricOperator):
@@ -189,6 +281,13 @@ class LogSigmaK(SymmetricOperator):
         g = _sigma_grad(lam, self.k)
         h2 = _sigma_hess(lam, self.k)
         return h2 / s - g[..., :, None] * g[..., None, :] / s**2
+
+    @property
+    def _scaling(self):
+        return self.k, True
+
+    def _level_weights(self, sigma_level):
+        return {0: -np.exp(sigma_level), self.k: 1.0}
 
 
 def _binom(n: int, j: int) -> float:
@@ -239,6 +338,21 @@ class HessianQuotientNeg(SymmetricOperator):
         el = sigma_all(mu_prime, max(self.l - 1, 0))[..., self.l - 1]
         ek = sigma_all(mu_prime, self.k - 1)[..., self.k - 1]
         return -(el / _binom(self.n, self.l)) / (ek / _binom(self.n, self.k))
+
+    def _limit_under_t(self, total):
+        # sigma_l/sigma_k of T(mu', R) has degrees l and min(k, n-1) in R; they
+        # agree only for (l, k) = (n-1, n), with leading coefficients in the
+        # ratio (n-1)/sum(mu')
+        if self.l == self.n - 1:
+            return -(self.n - 1) / (self.n * total)
+        return np.zeros_like(total)
+
+    @property
+    def _scaling(self):
+        return self.l - self.k, False
+
+    def _level_weights(self, sigma_level):
+        return {self.l: -self._ratio, self.k: -np.asarray(sigma_level)}
 
 
 @dataclass(frozen=True)
@@ -294,6 +408,20 @@ class InverseSigmaK(SymmetricOperator):
         ek = sigma_all(mu_prime, self.k - 1)[..., self.k - 1]
         return (en / ek) ** (1.0 / (self.n - self.k))
 
+    def _limit_under_t(self, total):
+        # finite only for k = n-1: sigma_n/sigma_{n-1} of T(mu', R) tends to
+        # the last entry of T(mu', 0), sum(mu')/(n-1)
+        return total / (self.n - 1)
+
+    @property
+    def _scaling(self):
+        return 1.0, False
+
+    def _level_weights(self, sigma_level):
+        # f > sigma iff sigma_n > sigma^(n-k) sigma_k; f > 0 >= sigma always
+        level = np.maximum(sigma_level, 0.0)
+        return {self.k: -level ** (self.n - self.k), self.n: 1.0}
+
 
 @dataclass(frozen=True)
 class BlendedQuotient(SymmetricOperator):
@@ -346,6 +474,24 @@ class BlendedQuotient(SymmetricOperator):
         # the pure-Hessian part decays like 1/sigma_k -> 0
         return self.t * self._quot._limit(mu_prime)
 
+    def _limit_under_t(self, total):
+        return self.t * self._quot._limit_under_t(total)
+
+    @property
+    def _scaling(self):
+        return self._crossing_quotient._scaling
+
+    def _level_weights(self, sigma_level):
+        return self._crossing_quotient._level_weights(sigma_level)
+
+    @property
+    def _crossing_quotient(self) -> HessianQuotientNeg:
+        # below t = 1, f(s d) mixes the degrees l-k and -k; nothing samples
+        # the blend's level sets there
+        if self.t != 1.0:
+            raise ValueError(f"{self!r} has no closed-form level crossing for t < 1")
+        return self._quot
+
 
 @dataclass(frozen=True)
 class ComposedWithT(SymmetricOperator):
@@ -393,17 +539,19 @@ class ComposedWithT(SymmetricOperator):
         return np.einsum("pi,...pq,ql->...il", j, h, j)
 
     def _limit(self, mu_prime):
-        # T maps (mu', R) to v + (R/(n-1)) * (1,...,1,0); the finite limit is
-        # evaluated along that ray with Richardson extrapolation in 1/R.
-        mu_prime = np.asarray(mu_prime, dtype=float)
-        v = t_map(np.concatenate([mu_prime, np.zeros(mu_prime.shape[:-1] + (1,))], axis=-1))
-        d = np.ones(self.n)
-        d[-1] = 0.0
-        scale = 1.0 + np.abs(mu_prime).max()
-        s1, s2 = 1e8 * scale, 1e10 * scale
-        f1 = self.inner._value(v + s1 / (self.n - 1) * d)
-        f2 = self.inner._value(v + s2 / (self.n - 1) * d)
-        return (s2 * f2 - s1 * f1) / (s2 - s1)
+        # T(mu', R) = T(mu', 0) + R/(n-1) (1, ..., 1, 0): in R, sigma_j has
+        # leading coefficient C(n-1, j)/(n-1)^j for j < n and sum(mu')/(n-1)^n
+        # at degree n-1 for j = n, so the limit is a ratio of those
+        return self.inner._limit_under_t(np.sum(mu_prime, axis=-1))
+
+    @property
+    def _scaling(self):
+        return self.inner._scaling  # T is linear
+
+    def coordinate_crossing(self, mu, axis: int, sigma_level) -> np.ndarray:
+        # T(mu + t e_i) = T(mu) + t (1 - e_i)/(n-1): a line for the inner operator
+        mu = np.asarray(mu, dtype=float)
+        return self.inner._line_crossing(t_map(mu), t_map(np.eye(self.n)[axis]), sigma_level)
 
 
 _KIND_NAMES = {
@@ -462,25 +610,9 @@ def level_set_constants(op: SymmetricOperator, sigma_level: float, samples: int 
         raise ValueError(
             f"sigma must lie in ({op.sup_boundary}, {op.sup_interior}), got {sigma_level}"
         )
-    ones = np.ones(op.n)
-
-    def g(t):
-        return op.value(t * ones, check=False) - sigma_level
-
-    lo = hi = 1.0
-    for _ in range(200):
-        if g(hi) > 0:
-            break
-        hi *= 2.0
-    else:
-        raise NumericError("could not bracket f(N*1) = sigma from above")
-    for _ in range(200):
-        if g(lo) < 0:
-            break
-        lo /= 2.0
-    else:
-        raise NumericError("could not bracket f(N*1) = sigma from below")
-    big_n = brentq(g, lo, hi, xtol=1e-14, rtol=1e-14)
+    big_n = float(op.ray_crossing(np.ones((1, op.n)), sigma_level)[0])
+    if not 0.0 < big_n < math.inf:
+        raise NumericError(f"f(N * 1) = {sigma_level} has no finite solution N, got {big_n}")
 
     pts = sample_level_set(op, sigma_level, samples, rng=np.random.default_rng(seed))
     tau = float(op.trace_gradient(pts).min())
@@ -496,7 +628,8 @@ def sample_level_set(op: SymmetricOperator, sigma_level: float, count: int,
     set exactly once in value terms: f -> below sigma near the vertex and
     above sigma far out.  Directions mix a positively-spread family (hits the
     far ends of the level set) and rejected Gaussians (hits the cone's
-    non-orthant sectors).  Bisection is vectorized across the batch.
+    non-orthant sectors).  Each ray meets the level at the operator's
+    closed-form ``ray_crossing``.
     """
     if count <= 0:
         raise ValueError("sample count must be positive")
@@ -534,38 +667,13 @@ def sample_level_set(op: SymmetricOperator, sigma_level: float, count: int,
     return np.concatenate(collected, axis=0)[:count]
 
 
-def _rays_to_level(op: SymmetricOperator, dirs: np.ndarray, sigma_level: float,
-                   iters: int = 60) -> np.ndarray:
-    """Bisect t on each ray t * d so that f(t*d) = sigma.  Drops failed rays."""
-    m = dirs.shape[0]
-    t_hi = np.ones(m)
-    val = op.value(dirs, check=False)
-    val = np.atleast_1d(val)
-    for _ in range(120):
-        below = val <= sigma_level
-        if not below.any():
-            break
-        t_hi[below] *= 2.0
-        val[below] = np.atleast_1d(op.value(t_hi[below, None] * dirs[below], check=False))
-        if t_hi.max() > 1e30:
-            break
-    t_lo = t_hi / 2.0
-    val = np.atleast_1d(op.value(t_lo[:, None] * dirs, check=False))
-    for _ in range(200):
-        above = val >= sigma_level
-        if not above.any():
-            break
-        t_lo[above] /= 2.0
-        val[above] = np.atleast_1d(op.value(t_lo[above, None] * dirs[above], check=False))
-        if t_lo.min() < 1e-30:
-            break
-    good = (np.atleast_1d(op.value(t_lo[:, None] * dirs, check=False)) < sigma_level) & (
-        np.atleast_1d(op.value(t_hi[:, None] * dirs, check=False)) > sigma_level
-    )
-    dirs, t_lo, t_hi = dirs[good], t_lo[good], t_hi[good]
-    for _ in range(iters):
-        t_mid = 0.5 * (t_lo + t_hi)
-        above = np.atleast_1d(op.value(t_mid[:, None] * dirs, check=False)) > sigma_level
-        t_hi = np.where(above, t_mid, t_hi)
-        t_lo = np.where(above, t_lo, t_mid)
-    return 0.5 * (t_lo + t_hi)[:, None] * dirs
+#: the crossings t of unit rays that are sampled; rays crossing the level
+#: outside (2^-100, 2^100), or nowhere, are dropped
+_RAY_REACH = (2.0**-100, 2.0**100)
+
+
+def _rays_to_level(op: SymmetricOperator, dirs: np.ndarray, sigma_level: float) -> np.ndarray:
+    """The points t * d on {f = sigma}, for the rays crossing within reach."""
+    t = op.ray_crossing(dirs, sigma_level)
+    keep = (t > _RAY_REACH[0]) & (t < _RAY_REACH[1])
+    return t[keep, None] * dirs[keep]

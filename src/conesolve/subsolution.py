@@ -161,9 +161,12 @@ class SubsolutionCertificate:
 
     When certified: for every checked point, the shifted eigenvalue tuple
     mu = lambda(B(x)) - 2*delta*ones keeps the level-set intersection at
-    level h(x) bounded, within the ball of radius R around the origin
-    (empirical, from coordinate-ray sampling).  kappa is the sampled
-    dichotomy floor at the tightest grid points.
+    level h(x) bounded, and R is the largest |mu + t e_i| over the points and
+    axes at the exact coordinate-ray crossings of the level.  kappa is the
+    sampled dichotomy floor at the tightest grid points.  When refuted, the
+    witness names the deltas skipped for leaving the natural domain, then
+    either an unbounded point or, if no delta was admissible, the first point
+    outside it with the violated constraint of its subtuple.
     """
 
     delta: float
@@ -216,8 +219,8 @@ def certify_field(op: SymmetricOperator, eigenvalue_field, rhs_field, delta_grid
     ``rhs_field`` the level h(x) per point.  For each candidate delta
     (largest first) the shifted tuples lambda(B) - 2*delta*ones must keep the
     level-set intersection bounded at every point; deltas that push any point
-    out of the natural domain are skipped.  The radius R is estimated by
-    shooting coordinate rays from the shifted tuples onto the level sets.
+    out of the natural domain are skipped.  The radius R comes from the
+    coordinate rays' crossings of the level sets.
     """
     mu_all = np.asarray(eigenvalue_field, dtype=float)
     sigmas = np.asarray(rhs_field, dtype=float).ravel()
@@ -229,11 +232,16 @@ def certify_field(op: SymmetricOperator, eigenvalue_field, rhs_field, delta_grid
     sigma_range = (float(sigmas.min()), float(sigmas.max()))
 
     last_failure: dict | None = None
+    skipped: list[float] = []
     for delta in deltas:
         mu = mu_all - 2.0 * delta
         valid, bounded = _bounded_pointwise(op, mu, sigmas)
-        if not valid.all():
-            continue  # this delta exits the natural domain somewhere
+        if not valid.all():  # this delta exits the natural domain somewhere
+            skipped.append(delta)
+            outside = int(np.argwhere(~valid)[0][0])
+            domain_failure = {"point": outside, "delta": delta,
+                              **_first_outside_subtuple(op, mu[outside])}
+            continue
         if bounded.all():
             radius = coordinate_ray_radius(op, mu, sigmas)
             kappa = _kappa_at_tightest(op, mu, sigmas, radius, kappa_samples, seed)
@@ -251,8 +259,17 @@ def certify_field(op: SymmetricOperator, eigenvalue_field, rhs_field, delta_grid
         }
     return SubsolutionCertificate(
         delta=deltas[-1], radius=math.nan, kappa=math.nan, sigma_range=sigma_range,
-        verdict="refuted", witness=last_failure,
+        verdict="refuted", witness={"skipped_deltas": skipped, **(last_failure or domain_failure)},
     )
+
+
+def _first_outside_subtuple(op: SymmetricOperator, mu: np.ndarray) -> dict:
+    """The first dropped entry i whose subtuple lies outside the projection of
+    the cone, with the constraint it violates there."""
+    projection = op.cone.projection()
+    i = next(i for i in range(mu.shape[-1]) if not projection.contains(np.delete(mu, i)))
+    violation = projection.violation(np.delete(mu, i))
+    return {"subtuple": i, "violation": {"index": violation.index, "sigma": violation.value}}
 
 
 def _first_failing_subtuple(op: SymmetricOperator, mu: np.ndarray, sigma_level: float):
@@ -266,42 +283,17 @@ def _first_failing_subtuple(op: SymmetricOperator, mu: np.ndarray, sigma_level: 
     return None
 
 
-def coordinate_ray_radius(op: SymmetricOperator, mu: np.ndarray, sigmas: np.ndarray,
-                          iters: int = 60) -> float:
-    """sup over points and axes of |mu + t* e_i| at the level crossing t*.
+def coordinate_ray_radius(op: SymmetricOperator, mu: np.ndarray, sigmas: np.ndarray) -> float:
+    """max over points and axes of |mu + t* e_i| at the level crossing t*.
 
-    Along +e_i both cone membership and f are monotone, so the crossing of
-    {f > sigma} is found by doubling and bisection on the indicator.
+    t* is the operator's closed-form ``coordinate_crossing``: the least t >= 0
+    past which mu + t e_i is in the cone and above the level.  Raises
+    ``NumericError`` if some ray never crosses.
     """
-    npts, n = mu.shape
     radius = 0.0
-    for i in range(n):
-        def above(ts: np.ndarray) -> np.ndarray:
-            pts = mu.copy()
-            pts[:, i] += ts
-            inside = np.asarray(op.cone.contains(pts), dtype=bool)
-            out = np.zeros(npts, dtype=bool)
-            if inside.any():
-                vals = np.atleast_1d(op.value(pts[inside], check=False))
-                out[inside] = vals > sigmas[inside]
-            return out
-
-        t_hi = np.ones(npts)
-        for _ in range(200):
-            mask = ~above(t_hi)
-            if not mask.any():
-                break
-            t_hi[mask] *= 2.0
-            if t_hi.max() > 1e30:
-                raise NumericError("coordinate ray never crossed the level set")
-        t_lo = np.zeros(npts)
-        for _ in range(iters):
-            t_mid = 0.5 * (t_lo + t_hi)
-            up = above(t_mid)
-            t_hi = np.where(up, t_mid, t_hi)
-            t_lo = np.where(up, t_lo, t_mid)
+    for i in range(mu.shape[1]):
         pts = mu.copy()
-        pts[:, i] += 0.5 * (t_lo + t_hi)
+        pts[:, i] += op.coordinate_crossing(mu, i, sigmas)
         radius = max(radius, float(np.linalg.norm(pts, axis=1).max()))
     return radius
 

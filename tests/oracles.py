@@ -1,9 +1,9 @@
 """Independent oracles used across the test suite.
 
 Everything here is deliberately dumb: subset enumeration (in exact rational
-arithmetic where signs decide), finite differences, geometric ray shooting and
-one supporting-plane test per candidate.  None of it shares code with the
-library paths it checks.
+arithmetic where signs decide), finite differences, geometric ray shooting,
+doubling and bisection onto level sets and one supporting-plane test per
+candidate.  None of it shares code with the library paths it checks.
 """
 
 import itertools
@@ -11,6 +11,8 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from conesolve import NumericError
 
 
 def sigma_bruteforce(k: int, lam) -> float:
@@ -179,3 +181,80 @@ def supporting_plane_bruteforce(v, grads, candidates: np.ndarray) -> np.ndarray:
         if np.all(test_vals >= support - slack):
             mask[key] = True
     return mask
+
+
+def rays_to_level_bisection(op, dirs: np.ndarray, sigma_level: float,
+                            iters: int = 60) -> np.ndarray:
+    """Bisect t on each ray t * d so that f(t*d) = sigma.  Drops failed rays."""
+    m = dirs.shape[0]
+    t_hi = np.ones(m)
+    val = op.value(dirs, check=False)
+    val = np.atleast_1d(val)
+    for _ in range(120):
+        below = val <= sigma_level
+        if not below.any():
+            break
+        t_hi[below] *= 2.0
+        val[below] = np.atleast_1d(op.value(t_hi[below, None] * dirs[below], check=False))
+        if t_hi.max() > 1e30:
+            break
+    t_lo = t_hi / 2.0
+    val = np.atleast_1d(op.value(t_lo[:, None] * dirs, check=False))
+    for _ in range(200):
+        above = val >= sigma_level
+        if not above.any():
+            break
+        t_lo[above] /= 2.0
+        val[above] = np.atleast_1d(op.value(t_lo[above, None] * dirs[above], check=False))
+        if t_lo.min() < 1e-30:
+            break
+    good = (np.atleast_1d(op.value(t_lo[:, None] * dirs, check=False)) < sigma_level) & (
+        np.atleast_1d(op.value(t_hi[:, None] * dirs, check=False)) > sigma_level
+    )
+    dirs, t_lo, t_hi = dirs[good], t_lo[good], t_hi[good]
+    for _ in range(iters):
+        t_mid = 0.5 * (t_lo + t_hi)
+        above = np.atleast_1d(op.value(t_mid[:, None] * dirs, check=False)) > sigma_level
+        t_hi = np.where(above, t_mid, t_hi)
+        t_lo = np.where(above, t_lo, t_mid)
+    return 0.5 * (t_lo + t_hi)[:, None] * dirs
+
+
+def coordinate_ray_radius_bisection(op, mu: np.ndarray, sigmas: np.ndarray,
+                                    iters: int = 60) -> float:
+    """sup over points and axes of |mu + t* e_i| at the level crossing t*.
+
+    Along +e_i both cone membership and f are monotone, so the crossing of
+    {f > sigma} is found by doubling and bisection on the indicator.
+    """
+    npts, n = mu.shape
+    radius = 0.0
+    for i in range(n):
+        def above(ts: np.ndarray) -> np.ndarray:
+            pts = mu.copy()
+            pts[:, i] += ts
+            inside = np.asarray(op.cone.contains(pts), dtype=bool)
+            out = np.zeros(npts, dtype=bool)
+            if inside.any():
+                vals = np.atleast_1d(op.value(pts[inside], check=False))
+                out[inside] = vals > sigmas[inside]
+            return out
+
+        t_hi = np.ones(npts)
+        for _ in range(200):
+            mask = ~above(t_hi)
+            if not mask.any():
+                break
+            t_hi[mask] *= 2.0
+            if t_hi.max() > 1e30:
+                raise NumericError("coordinate ray never crossed the level set")
+        t_lo = np.zeros(npts)
+        for _ in range(iters):
+            t_mid = 0.5 * (t_lo + t_hi)
+            up = above(t_mid)
+            t_hi = np.where(up, t_mid, t_hi)
+            t_lo = np.where(up, t_lo, t_mid)
+        pts = mu.copy()
+        pts[:, i] += 0.5 * (t_lo + t_hi)
+        radius = max(radius, float(np.linalg.norm(pts, axis=1).max()))
+    return radius

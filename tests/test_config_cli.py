@@ -135,6 +135,24 @@ def test_cli_refuted_exit_code(tmp_path):
     assert report["certificate"]["witness"] is not None
 
 
+def test_cli_refutation_without_an_admissible_delta(tmp_path, capsys):
+    # chi = 0.1 * alpha: every eigenvalue 0.1 - 2 delta is negative, so each
+    # delta pushes every point out of the natural domain
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        QUOTIENT_CFG.format(out=tmp_path / "out")
+        .replace("chi_perturbed(2, 0.1, 21)", "chi_scaled(0.1)")
+        .replace("kappa_samples = 200", "kappa_samples = 200\ndelta_grid = 0.4, 0.2")
+    )
+    assert main(["certify", "--config", str(cfg)]) == 5
+    witness = json.loads((tmp_path / "out" / "solve_report.json").read_text())[
+        "certificate"]["witness"]
+    assert witness["skipped_deltas"] == [0.4, 0.2] and witness["delta"] == 0.2
+    assert witness["point"] == 0 and witness["violation"]["index"] == 1
+    err = capsys.readouterr().err
+    assert "no delta was admissible" in err and "sigma_1 = -0.3" in err
+
+
 def test_cli_check_only(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(QUOTIENT_CFG.format(out=tmp_path / "out"))

@@ -151,6 +151,13 @@ def test_composed_finite_limits_closed_form(n):
         assert inverse.limit_at_infinity(mu_prime) == pytest.approx(s / (n - 1), rel=1e-12)
 
 
+def test_composed_limit_does_not_depend_on_the_batch():
+    # sigma_1/sigma_2 of T(mu', R) decays like 1/R: the limit is exactly 0
+    op = ComposedWithT(3, HessianQuotientNeg(3, 1, 2))
+    assert op.limit_at_infinity([1.0, 2.0]) == 0.0
+    np.testing.assert_array_equal(op.limit_at_infinity([[1.0, 2.0], [1e7, 1e7]]), [0.0, 0.0])
+
+
 FINITE_LIMIT_KINDS = [
     HessianQuotientNeg(3, 1, 2),
     HessianQuotientNeg(3, 2, 3),

@@ -180,3 +180,17 @@ def test_certify_field_refutes_with_witness():
 
     with pytest.raises(ValueError):
         certify_field(hq, b_eigs, sigmas, [])
+
+
+def test_refutation_without_an_admissible_delta_names_the_domain_failure():
+    # mu = (-1, 2) - 0.2 keeps (1.8) in Gamma_1, the projection of Gamma_2,
+    # but not (-1.2): dropping entry 1 violates sigma_1 > 0
+    cert = certify_field(HessianQuotientNeg(2, 1, 2), [[1, 1], [-1, 2]], [-0.6, -0.6], [0.1])
+    assert not cert.certified
+    assert cert.witness == {"skipped_deltas": [0.1], "delta": 0.1, "point": 1, "subtuple": 1,
+                            "violation": {"index": 1, "sigma": -1.2}}
+    # a refutation by an unbounded point still names the deltas skipped before it
+    cert = certify_field(HessianQuotientNeg(2, 1, 2), np.ones((4, 2)), np.full(4, -0.4),
+                         [0.6, 0.01])
+    assert cert.witness == {"skipped_deltas": [0.6], "point": 0, "delta": 0.01,
+                            "subtuple": 0, "sigma": -0.4}
