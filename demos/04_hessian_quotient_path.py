@@ -27,7 +27,7 @@ certified = all(cs.quotient_cone_condition(ev, k=2, l=1, c=c_class) for ev in ei
 print(f"pointwise cone condition for u=0: {certified}")
 
 problem = cs.TorusProblem(grid, cs.HessianQuotientNeg(2, 1, 2), alpha, chi,
-                          path=cs.PathKind.QUOTIENT, quotient_l=1, quotient_k=2)
+                          path=cs.PathKind.QUOTIENT)
 report = cs.run_continuity(problem, cs.uniform_schedule(11))
 
 print()

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, parse_config, parse_generator
-from .operators import HessianQuotientNeg, operator_from_name
+from .operators import operator_from_name
 from .solver import (
     AdmissibilityError,
     PathKind,
@@ -100,7 +100,6 @@ def build_problem(cfg: RunConfig) -> tuple[TorusProblem, dict]:
     problem = TorusProblem(
         grid=grid, op=op, alpha=alpha, chi=chi, h=h,
         path=PathKind(cfg.path),
-        quotient_l=cfg.l or 0, quotient_k=cfg.k or 0,
         normalization=cfg.normalization,
         newton_tol=cfg.newton_tol, max_newton=cfg.max_newton,
     )
@@ -111,23 +110,19 @@ def certify_problem(problem: TorusProblem, cfg: RunConfig) -> dict:
     """Certify the trivial comparison function for the configured path."""
     endo = endomorphism_field(problem.alpha, problem.chi)
     eigs = np.linalg.eigvalsh(endo.values).reshape(-1, problem.grid.n)
+    extra = {}
     if problem.path is PathKind.QUOTIENT:
-        c_class = compute_c(problem.chi, problem.alpha, cfg.l, cfg.k)
-        op = HessianQuotientNeg(problem.grid.n, cfg.l, cfg.k)
-        sigmas = np.full(eigs.shape[0], -c_class)
-        cert = certify_field(op, eigs, sigmas, cfg.delta_grid,
-                             kappa_samples=cfg.kappa_samples, seed=cfg.seed)
-        out = cert.to_dict()
-        out["class_constant"] = c_class
-        return out
-    if problem.path is PathKind.RIEMANNIAN:
+        extra["class_constant"] = compute_c(problem.chi, problem.alpha,
+                                            problem.op.l, problem.op.k)
+        sigmas = np.full(eigs.shape[0], -extra["class_constant"])
+    elif problem.path is PathKind.RIEMANNIAN:
         h0 = background_value(problem, 0.0)
         sigmas = np.full(eigs.shape[0], float(h0.max()))
     else:
         sigmas = np.asarray(problem.h.values).ravel()
     cert = certify_field(problem.op, eigs, sigmas, cfg.delta_grid,
                          kappa_samples=cfg.kappa_samples, seed=cfg.seed)
-    return cert.to_dict()
+    return {**cert.to_dict(), **extra}
 
 
 def _diagnostics(problem: TorusProblem, state) -> dict:

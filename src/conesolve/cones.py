@@ -78,13 +78,14 @@ def sigma_without(k: int, lam, drop: int) -> np.ndarray:
 
 
 def t_map(lam) -> np.ndarray:
-    """The averaging map T(lam)_k = (sigma_1(lam) - lam_k) / (n - 1)."""
+    """The averaging map T(lam)_k = (sum_{i != k} lam_i) / (n - 1), summing the
+    other entries directly: sigma_1(lam) - lam_k cancels where lam_k dominates."""
     lam = np.asarray(lam, dtype=float)
     n = lam.shape[-1]
     if n < 2:
         raise ValueError("t_map requires dimension n >= 2")
-    s1 = lam.sum(axis=-1, keepdims=True)
-    return (s1 - lam) / (n - 1)
+    others = [np.delete(lam, k, axis=-1).sum(axis=-1) for k in range(n)]
+    return np.stack(others, axis=-1) / (n - 1)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ The format is INI-style (configparser).  Sections and keys:
                | inverse_sigma_k | composed_with_T
     k = <int>          l = <int>      operator parameters where applicable
     inner = <operator name>           composed_with_T only
-    path = hessian | quotient | riemannian | fixed
+    path = hessian | quotient | riemannian | fixed    quotient: hessian_quotient only
     normalization = mean_zero | sup_zero
 
     [grid]
@@ -215,6 +215,8 @@ def parse_config(text: str) -> RunConfig:
             errors.append("quotient path: require l < k (with l >= 1) in [problem]")
         elif k > dimension >= 1:
             errors.append(f"quotient path: require k <= problem.dimension, got k = {k}")
+        if operator != "hessian_quotient":
+            errors.append(f"quotient path: requires operator hessian_quotient, got {operator}")
     normalization = get("problem", "normalization", "mean_zero")
     if normalization not in ("mean_zero", "sup_zero"):
         errors.append(f"problem.normalization must be mean_zero or sup_zero")

@@ -1,31 +1,33 @@
 """Catalog of concave symmetric eigenvalue operators f on cones.
 
 Each operator is a smooth symmetric function f on an open symmetric cone
-Gamma containing the positive orthant, with
+Gamma containing the positive orthant, with strictly positive partial
+derivatives, a negative semidefinite Hessian, and f(t*lam) eventually
+exceeding any level below sup f along every ray.  Each kind states f once, as
+a short sum of ``terms`` c*log(sigma_j) or c*prod_j sigma_j^(a_j) in the
+elementary symmetric polynomials of lam:
 
-  * strictly positive partial derivatives f_i on the cone,
-  * concavity (negative semidefinite Hessian),
-  * f(t*lam) eventually exceeding any level below sup f along every ray.
+  ``MongeAmpere``          log sigma_n                                   on Gamma_n
+  ``LogSigmaK(k)``         log sigma_k                                   on Gamma_k
+  ``HessianQuotientNeg``   -(C(n,k)/C(n,l)) sigma_l sigma_k^-1            on Gamma_k
+  ``InverseSigmaK(k)``     sigma_n^(1/(n-k)) sigma_k^(-1/(n-k))           on Gamma_n
+  ``BlendedQuotient``      t*(quotient term) - (1-t) C(n,k) sigma_k^-1    on Gamma_k
+  ``ComposedWithT``        the inner kind's terms in the sigma_j of T(lam)
 
-The catalog:
+One calculus on ``SymmetricOperator`` derives the rest from the terms: value,
+gradient and Hessian by the chain rule over the sigma_j (batched over
+``lam`` of shape ``(..., n)``); the scaling along rays from the origin; and
+the limit as one eigenvalue tends to +inf.  Along that escaping line sigma_j
+grows like lead_j R^(d_j): a log term or a positive degree sum_j a_j d_j
+sends f to +inf, a negative degree tends to 0 and degree 0 to
+c prod_j lead_j^(a_j).  The limit is an extended real, since finiteness is a
+global property of the operator, not of the argument.
 
-  ``MongeAmpere``          f = sum_i log(lam_i)                 on Gamma_n
-  ``LogSigmaK(k)``         f = log sigma_k                      on Gamma_k
-  ``HessianQuotientNeg``   f = -(sigma_l/C(n,l))/(sigma_k/C(n,k))  on Gamma_k
-  ``InverseSigmaK(k)``     f = (sigma_n/sigma_k)^(1/(n-k))      on Gamma_n
-  ``BlendedQuotient``      t*quotient + (1-t)*(-C(n,k)/sigma_k) on Gamma_k
-  ``ComposedWithT``        f(lam) = f_inner(T(lam))             on T^{-1}(cone)
-
-Values, gradients and Hessians accept batched ``lam`` of shape ``(..., n)``.
-The one-eigenvalue-to-infinity limit ``limit_at_infinity`` is the closed form
-per kind; it is an extended real (+inf is a legal return), since finiteness of
-the limit is a global property of the operator, not of the argument.
-
-Level crossings are closed forms too.  Along a ray t*d from the origin each
-kind scales, f(t d) = f(d) + h log t or t^h f(d) (``ray_crossing``).  Along a
-line x + t w every sigma_j is a polynomial in t, and each kind states f > sigma
-as one linear combination of the sigma_j being positive (``_level_weights``),
-so a coordinate ray meets the level at the largest root of a polynomial of
+Level crossings are closed forms.  Along a ray t*d from the origin each kind
+scales, f(t d) = f(d) + h log t or t^h f(d) (``ray_crossing``).  Along a line
+x + t w every sigma_j is a polynomial in t, and each kind states f > sigma as
+one linear combination of the sigma_j being positive (``_level_weights``), so
+a coordinate ray meets the level at the largest root of a polynomial of
 degree at most n - 1 (``coordinate_crossing``).
 """
 
@@ -41,7 +43,6 @@ from .cones import (
     GammaCone,
     PreimageCone,
     sigma_all,
-    sigma_without,
     t_map,
 )
 
@@ -57,28 +58,49 @@ def _check_batch(cone: Cone, lam: np.ndarray) -> None:
         raise cone.violation(bad)
 
 
-def _sigma_grad(lam: np.ndarray, j: int) -> np.ndarray:
-    """d sigma_j / d lam_i = sigma_{j-1} of the other components."""
-    n = lam.shape[-1]
-    g = np.empty(lam.shape)
-    for i in range(n):
-        g[..., i] = sigma_without(j - 1, lam, i)
-    return g
+def _sigma_jets(lam: np.ndarray, js, second: bool):
+    """sigma_0..sigma_max(js) of lam; for each j in ``js`` the gradient of
+    sigma_j, shape ``(..., n)``; and if ``second`` its Hessian, ``(..., n, n)``.
+
+    d sigma_j / d lam_i is sigma_{j-1} without entry i, and
+    d^2 sigma_j / d lam_i d lam_m is sigma_{j-2} without both (zero for i = m).
+    """
+    n, kmax = lam.shape[-1], max(js)
+    without = [sigma_all(np.delete(lam, i, axis=-1), kmax - 1) for i in range(n)]
+    de = {j: np.stack([s[..., j - 1] for s in without], axis=-1) for j in js}
+    d2e = {}
+    for j in js if second else ():
+        d2e[j] = np.zeros(lam.shape + (n,))
+        for i in range(n if j >= 2 else 0):
+            for m in range(i + 1, n):
+                d2e[j][..., i, m] = d2e[j][..., m, i] = sigma_all(
+                    np.delete(lam, (i, m), axis=-1), j - 2)[..., j - 2]
+    return sigma_all(lam, kmax), de, d2e
 
 
-def _sigma_hess(lam: np.ndarray, j: int) -> np.ndarray:
-    """d^2 sigma_j / d lam_i d lam_l: sigma_{j-2} without both, zero diagonal."""
-    n = lam.shape[-1]
-    h = np.zeros(lam.shape + (n,))
-    if j < 2:
-        return h
-    for i in range(n):
-        reduced = np.delete(lam, i, axis=-1)
-        for l in range(i + 1, n):
-            val = sigma_without(j - 2, reduced, l - 1)
-            h[..., i, l] = val
-            h[..., l, i] = val
-    return h
+def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return u[..., :, None] * v[..., None, :]
+
+
+@dataclass(frozen=True)
+class Term:
+    """c * log sigma_j if ``log`` (``powers`` is then the one pair (j, 1)), else
+    c * prod_j sigma_j^a_j over the pairs (j, a_j) of ``powers``."""
+
+    c: float
+    powers: tuple[tuple[int, float], ...]
+    log: bool = False
+
+    def at(self, s: np.ndarray) -> np.ndarray:
+        """The term with s[..., j] in place of sigma_j."""
+        if self.log:
+            ((j, _),) = self.powers
+            return self.c * np.log(s[..., j])
+        return self.c * math.prod(s[..., j] ** a for j, a in self.powers)
+
+    def degree(self, degrees) -> float:
+        """sum_j a_j d_j: the degree of the product when sigma_j has degree d_j."""
+        return sum(a * degrees[j] for j, a in self.powers)
 
 
 def _line_sigmas(x: np.ndarray, w: np.ndarray, kmax: int) -> np.ndarray:
@@ -118,12 +140,10 @@ def _top_root(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class SymmetricOperator:
-    """Base class: common plumbing for the concrete kinds below."""
+    """Base class: the calculus every kind derives from its ``terms``."""
 
     n: int
 
-    #: does f(mu', R) -> +inf as R -> inf (global per kind)?
-    limit_infinite = False
     sup_boundary = -math.inf
     sup_interior = math.inf
 
@@ -131,28 +151,32 @@ class SymmetricOperator:
     def cone(self) -> Cone:
         raise NotImplementedError
 
-    def value(self, lam, check: bool = True):
+    @property
+    def terms(self) -> tuple[Term, ...]:
+        """f as a sum of terms in the sigma_j of its argument."""
+        raise NotImplementedError
+
+    def _checked(self, lam, check: bool) -> np.ndarray:
         lam = np.asarray(lam, dtype=float)
         if check:
             _check_batch(self.cone, lam)
-        v = self._value(lam)
+        return lam
+
+    def value(self, lam, check: bool = True):
+        v = self._value(self._checked(lam, check))
         return v if np.ndim(v) else float(v)
 
     def gradient(self, lam, check: bool = True) -> np.ndarray:
-        lam = np.asarray(lam, dtype=float)
-        if check:
-            _check_batch(self.cone, lam)
-        return self._gradient(lam)
+        return self._gradient(self._checked(lam, check))
 
     def hessian(self, lam, check: bool = True) -> np.ndarray:
-        lam = np.asarray(lam, dtype=float)
-        if check:
-            _check_batch(self.cone, lam)
-        return self._hessian(lam)
+        return self._hessian(self._checked(lam, check))
 
-    def trace_gradient(self, lam, check: bool = True):
-        """sum_i f_i(lam), the trace of the linearized coefficient matrix."""
-        return self.gradient(lam, check=check).sum(axis=-1)
+    @property
+    def limit_infinite(self) -> bool:
+        """Does f(mu', R) -> +inf as R -> inf (global per kind)?"""
+        degrees = self._escape_degrees
+        return any(term.log or term.degree(degrees) > 0 for term in self.terms)
 
     def limit_at_infinity(self, mu_prime):
         """lim of f as one extra eigenvalue tends to +inf, at mu' in R^{n-1}."""
@@ -160,11 +184,80 @@ class SymmetricOperator:
         if mu_prime.shape[-1] != self.n - 1:
             raise ValueError(f"mu' must have {self.n - 1} components")
         _check_batch(self.cone.projection(), mu_prime)
+        shape = mu_prime.shape[:-1]
         if self.limit_infinite:
-            shape = mu_prime.shape[:-1]
             return math.inf if not shape else np.full(shape, math.inf)
-        v = self._limit(mu_prime)
+        # every term has degree <= 0: those of degree 0 keep their leading terms
+        lead, degrees = self._escape_leads(mu_prime), self._escape_degrees
+        v = sum((term.at(lead) for term in self.terms if term.degree(degrees) == 0),
+                np.zeros(shape))
         return v if np.ndim(v) else float(v)
+
+    @property
+    def _escape_degrees(self) -> tuple:
+        """Degree in R of sigma_0, ..., sigma_n along the line (mu', R)."""
+        return (0,) + (1,) * self.n
+
+    def _escape_leads(self, mu_prime: np.ndarray) -> np.ndarray:
+        """Leading coefficients in R of sigma_j(mu', R) = sigma_j(mu') + R
+        sigma_{j-1}(mu'), j = 0..top, each positive on the projection."""
+        lead = np.ones(mu_prime.shape[:-1] + (self._top + 1,))
+        lead[..., 1:] = sigma_all(mu_prime, self._top - 1)
+        return lead
+
+    @property
+    def _top(self) -> int:
+        return max(j for term in self.terms for j, _ in term.powers)
+
+    def _value(self, lam):
+        e = sigma_all(lam, self._top)
+        return sum(term.at(e) for term in self.terms)
+
+    def _gradient(self, lam):
+        return self._derivatives(lam, second=False)[0]
+
+    def _hessian(self, lam):
+        return self._derivatives(lam, second=True)[1]
+
+    def _derivatives(self, lam, second: bool):
+        # l_j = grad sigma_j / sigma_j.  A term c log sigma_j has gradient c l_j, a
+        # monomial P has P sum_j a_j l_j; their Hessians are c (or P) times
+        # sum_j a_j H_j / sigma_j + sum_{j,i} w_ji l_j l_i^T, w_ji = -a_j [j = i]
+        # (+ a_j a_i for a monomial), each pair {j, i} added once, symmetrized
+        js = {j for term in self.terms for j, _ in term.powers}
+        e, de, d2e = _sigma_jets(lam, js, second)
+        dlog = {j: de[j] / e[..., j, None] for j in js}
+        grad = hess = 0.0
+        for term in self.terms:
+            factor = np.asarray(term.c if term.log else term.at(e))[..., None]
+            d2 = 0.0
+            for x, (j, a) in enumerate(term.powers):
+                grad = grad + factor * a * dlog[j]
+                if not second:
+                    continue
+                d2 = (d2 + a * d2e[j] / e[..., j, None, None]
+                      + ((0 if term.log else a * a) - a) * _outer(dlog[j], dlog[j]))
+                for i, b in term.powers[x + 1:]:
+                    d2 = d2 + a * b * (_outer(dlog[j], dlog[i]) + _outer(dlog[i], dlog[j]))
+            hess = hess + factor[..., None] * d2
+        return grad, hess
+
+    @property
+    def _scaling(self) -> tuple[float, bool]:
+        """(h, logarithmic): f(t d) = f(d) + h log t if logarithmic, else t^h f(d).
+
+        sigma_j(t d) = t^j sigma_j(d): a log term adds c j to h, a monomial
+        has degree sum_j j a_j.
+        """
+        ray = range(self._top + 1)
+        logs = [term.c * term.degree(ray) for term in self.terms if term.log]
+        degrees = {term.degree(ray) for term in self.terms if not term.log}
+        if not degrees:
+            return sum(logs), True
+        if len(degrees) == 1 and not logs:
+            return degrees.pop(), False
+        raise ValueError(f"{self!r} has no closed-form level crossing: its terms"
+                         " scale with different degrees along rays")
 
     def ray_crossing(self, dirs, sigma_level) -> np.ndarray:
         """The t > 0 with f(t d) = sigma, per direction d (the rows of ``dirs``)
@@ -201,54 +294,22 @@ class SymmetricOperator:
             raise NumericError(f"a coordinate ray of {self!r} never crosses the level set")
         return np.maximum(root, 0.0)
 
-    @property
-    def _scaling(self) -> tuple[float, bool]:
-        """(h, logarithmic): f(t d) = f(d) + h log t if logarithmic, else t^h f(d)."""
-        raise NotImplementedError
-
     def _level_weights(self, sigma_level) -> dict:
         """{j: w_j} with f > sigma on the cone iff sum_j w_j sigma_j > 0."""
-        raise NotImplementedError
-
-    def _value(self, lam):
-        raise NotImplementedError
-
-    def _gradient(self, lam):
-        raise NotImplementedError
-
-    def _hessian(self, lam):
-        raise NotImplementedError
-
-    def _limit(self, mu_prime):
         raise NotImplementedError
 
 
 @dataclass(frozen=True)
 class MongeAmpere(SymmetricOperator):
-    """f = sum_i log(lam_i) on the positive orthant."""
-
-    limit_infinite = True
+    """f = log sigma_n = sum_i log(lam_i) on the positive orthant."""
 
     @property
     def cone(self) -> Cone:
         return GammaCone(self.n, self.n)
 
-    def _value(self, lam):
-        return np.log(lam).sum(axis=-1)
-
-    def _gradient(self, lam):
-        return 1.0 / lam
-
-    def _hessian(self, lam):
-        n = self.n
-        h = np.zeros(lam.shape + (n,))
-        idx = np.arange(n)
-        h[..., idx, idx] = -1.0 / lam**2
-        return h
-
     @property
-    def _scaling(self):
-        return self.n, True
+    def terms(self):
+        return (Term(1.0, ((self.n, 1),), log=True),)
 
     def _level_weights(self, sigma_level):
         return {0: -np.exp(sigma_level), self.n: 1.0}
@@ -259,7 +320,6 @@ class LogSigmaK(SymmetricOperator):
     """f = log sigma_k on the k-positive cone."""
 
     k: int = 1
-    limit_infinite = True
 
     def __post_init__(self):
         if not 1 <= self.k <= self.n:
@@ -269,29 +329,12 @@ class LogSigmaK(SymmetricOperator):
     def cone(self) -> Cone:
         return GammaCone(self.n, self.k)
 
-    def _value(self, lam):
-        return np.log(sigma_all(lam, self.k)[..., self.k])
-
-    def _gradient(self, lam):
-        s = sigma_all(lam, self.k)[..., self.k]
-        return _sigma_grad(lam, self.k) / s[..., None]
-
-    def _hessian(self, lam):
-        s = sigma_all(lam, self.k)[..., self.k][..., None, None]
-        g = _sigma_grad(lam, self.k)
-        h2 = _sigma_hess(lam, self.k)
-        return h2 / s - g[..., :, None] * g[..., None, :] / s**2
-
     @property
-    def _scaling(self):
-        return self.k, True
+    def terms(self):
+        return (Term(1.0, ((self.k, 1),), log=True),)
 
     def _level_weights(self, sigma_level):
         return {0: -np.exp(sigma_level), self.k: 1.0}
-
-
-def _binom(n: int, j: int) -> float:
-    return float(math.comb(n, j))
 
 
 @dataclass(frozen=True)
@@ -313,43 +356,11 @@ class HessianQuotientNeg(SymmetricOperator):
 
     @property
     def _ratio(self) -> float:
-        return _binom(self.n, self.k) / _binom(self.n, self.l)
-
-    def _value(self, lam):
-        e = sigma_all(lam, self.k)
-        return -self._ratio * e[..., self.l] / e[..., self.k]
-
-    def _gradient(self, lam):
-        e = sigma_all(lam, self.k)
-        a, b = e[..., self.l, None], e[..., self.k, None]
-        ag, bg = _sigma_grad(lam, self.l), _sigma_grad(lam, self.k)
-        return -self._ratio * (ag * b - a * bg) / b**2
-
-    def _hessian(self, lam):
-        e = sigma_all(lam, self.k)
-        a, b = e[..., self.l, None, None], e[..., self.k, None, None]
-        ag, bg = _sigma_grad(lam, self.l), _sigma_grad(lam, self.k)
-        ah, bh = _sigma_hess(lam, self.l), _sigma_hess(lam, self.k)
-        cross = ag[..., :, None] * bg[..., None, :] + ag[..., None, :] * bg[..., :, None]
-        bb = bg[..., :, None] * bg[..., None, :]
-        return -self._ratio * (ah / b - cross / b**2 - a * bh / b**2 + 2 * a * bb / b**3)
-
-    def _limit(self, mu_prime):
-        el = sigma_all(mu_prime, max(self.l - 1, 0))[..., self.l - 1]
-        ek = sigma_all(mu_prime, self.k - 1)[..., self.k - 1]
-        return -(el / _binom(self.n, self.l)) / (ek / _binom(self.n, self.k))
-
-    def _limit_under_t(self, total):
-        # sigma_l/sigma_k of T(mu', R) has degrees l and min(k, n-1) in R; they
-        # agree only for (l, k) = (n-1, n), with leading coefficients in the
-        # ratio (n-1)/sum(mu')
-        if self.l == self.n - 1:
-            return -(self.n - 1) / (self.n * total)
-        return np.zeros_like(total)
+        return math.comb(self.n, self.k) / math.comb(self.n, self.l)
 
     @property
-    def _scaling(self):
-        return self.l - self.k, False
+    def terms(self):
+        return (Term(-self._ratio, ((self.l, 1), (self.k, -1))),)
 
     def _level_weights(self, sigma_level):
         return {self.l: -self._ratio, self.k: -np.asarray(sigma_level)}
@@ -371,51 +382,10 @@ class InverseSigmaK(SymmetricOperator):
     def cone(self) -> Cone:
         return GammaCone(self.n, self.n)
 
-    def _parts(self, lam):
-        e = sigma_all(lam, self.n)
-        return e[..., self.n], e[..., self.k]
-
-    def _value(self, lam):
-        an, ak = self._parts(lam)
-        return (an / ak) ** (1.0 / (self.n - self.k))
-
-    def _log_parts(self, lam):
-        m = self.n - self.k
-        an, ak = self._parts(lam)
-        ang, akg = _sigma_grad(lam, self.n), _sigma_grad(lam, self.k)
-        wg = (ang / an[..., None] - akg / ak[..., None]) / m
-        anh, akh = _sigma_hess(lam, self.n), _sigma_hess(lam, self.k)
-        def outer(g):
-            return g[..., :, None] * g[..., None, :]
-        wh = (
-            (anh / an[..., None, None] - outer(ang) / an[..., None, None] ** 2)
-            - (akh / ak[..., None, None] - outer(akg) / ak[..., None, None] ** 2)
-        ) / m
-        return wg, wh
-
-    def _gradient(self, lam):
-        f = self._value(lam)
-        wg, _ = self._log_parts(lam)
-        return f[..., None] * wg
-
-    def _hessian(self, lam):
-        f = self._value(lam)
-        wg, wh = self._log_parts(lam)
-        return f[..., None, None] * (wg[..., :, None] * wg[..., None, :] + wh)
-
-    def _limit(self, mu_prime):
-        en = sigma_all(mu_prime, self.n - 1)[..., self.n - 1]
-        ek = sigma_all(mu_prime, self.k - 1)[..., self.k - 1]
-        return (en / ek) ** (1.0 / (self.n - self.k))
-
-    def _limit_under_t(self, total):
-        # finite only for k = n-1: sigma_n/sigma_{n-1} of T(mu', R) tends to
-        # the last entry of T(mu', 0), sum(mu')/(n-1)
-        return total / (self.n - 1)
-
     @property
-    def _scaling(self):
-        return 1.0, False
+    def terms(self):
+        m = self.n - self.k
+        return (Term(1.0, ((self.n, 1 / m), (self.k, -1 / m))),)
 
     def _level_weights(self, sigma_level):
         # f > sigma iff sigma_n > sigma^(n-k) sigma_k; f > 0 >= sigma always
@@ -428,8 +398,8 @@ class BlendedQuotient(SymmetricOperator):
     """Interpolant t*f_quotient + (1-t)*(-C(n,k)/sigma_k) on Gamma_k.
 
     At t=1 this is ``HessianQuotientNeg(l, k)``; at t=0 it is the pure
-    k-Hessian member written with the same normalization, so one cone and one
-    set of derivative formulas serve the whole interpolation family.
+    k-Hessian member written with the same normalization, so one cone serves
+    the whole interpolation family.
     """
 
     l: int = 1
@@ -449,53 +419,28 @@ class BlendedQuotient(SymmetricOperator):
         return GammaCone(self.n, self.k)
 
     @property
-    def _quot(self) -> HessianQuotientNeg:
-        return HessianQuotientNeg(self.n, self.l, self.k)
-
-    def _value(self, lam):
-        b = sigma_all(lam, self.k)[..., self.k]
-        return self.t * self._quot._value(lam) - (1 - self.t) * _binom(self.n, self.k) / b
-
-    def _gradient(self, lam):
-        b = sigma_all(lam, self.k)[..., self.k, None]
-        bg = _sigma_grad(lam, self.k)
-        hess0 = _binom(self.n, self.k) * bg / b**2
-        return self.t * self._quot._gradient(lam) + (1 - self.t) * hess0
-
-    def _hessian(self, lam):
-        b = sigma_all(lam, self.k)[..., self.k, None, None]
-        bg = _sigma_grad(lam, self.k)
-        bh = _sigma_hess(lam, self.k)
-        bb = bg[..., :, None] * bg[..., None, :]
-        hess0 = _binom(self.n, self.k) * (bh / b**2 - 2 * bb / b**3)
-        return self.t * self._quot._hessian(lam) + (1 - self.t) * hess0
-
-    def _limit(self, mu_prime):
-        # the pure-Hessian part decays like 1/sigma_k -> 0
-        return self.t * self._quot._limit(mu_prime)
-
-    def _limit_under_t(self, total):
-        return self.t * self._quot._limit_under_t(total)
-
-    @property
-    def _scaling(self):
-        return self._crossing_quotient._scaling
+    def terms(self):
+        (q,) = HessianQuotientNeg(self.n, self.l, self.k).terms
+        if self.t == 1.0:
+            return (q,)
+        return (Term(self.t * q.c, q.powers),
+                Term(-(1 - self.t) * math.comb(self.n, self.k), ((self.k, -1),)))
 
     def _level_weights(self, sigma_level):
-        return self._crossing_quotient._level_weights(sigma_level)
-
-    @property
-    def _crossing_quotient(self) -> HessianQuotientNeg:
-        # below t = 1, f(s d) mixes the degrees l-k and -k; nothing samples
+        # below t = 1 the terms mix the ray degrees l-k and -k; nothing samples
         # the blend's level sets there
         if self.t != 1.0:
             raise ValueError(f"{self!r} has no closed-form level crossing for t < 1")
-        return self._quot
+        return HessianQuotientNeg(self.n, self.l, self.k)._level_weights(sigma_level)
 
 
 @dataclass(frozen=True)
 class ComposedWithT(SymmetricOperator):
-    """f(lam) = f_inner(T(lam)) with T(lam)_k = (sum_{i != k} lam_i)/(n-1)."""
+    """f(lam) = f_inner(T(lam)) with T(lam)_k = (sum_{i != k} lam_i)/(n-1).
+
+    The terms are the inner kind's, read in the sigma_j of T(lam); T is
+    linear, so the ray scaling is the inner kind's too.
+    """
 
     inner: SymmetricOperator = field(default=None)  # type: ignore[assignment]
 
@@ -508,12 +453,6 @@ class ComposedWithT(SymmetricOperator):
             raise ValueError("the inner operator cannot itself be composed with T")
 
     @property
-    def limit_infinite(self):  # type: ignore[override]
-        # sigma_n / sigma_k of T(mu', R) grows like R^(n-1-k)
-        return self.inner.limit_infinite or (
-            isinstance(self.inner, InverseSigmaK) and self.inner.k < self.n - 1)
-
-    @property
     def sup_boundary(self):  # type: ignore[override]
         return self.inner.sup_boundary
 
@@ -524,6 +463,10 @@ class ComposedWithT(SymmetricOperator):
     @property
     def cone(self) -> Cone:
         return PreimageCone(self.inner.cone)
+
+    @property
+    def terms(self):
+        return self.inner.terms
 
     def _value(self, lam):
         return self.inner._value(t_map(lam))
@@ -538,15 +481,16 @@ class ComposedWithT(SymmetricOperator):
         h = self.inner._hessian(t_map(lam))
         return np.einsum("pi,...pq,ql->...il", j, h, j)
 
-    def _limit(self, mu_prime):
-        # T(mu', R) = T(mu', 0) + R/(n-1) (1, ..., 1, 0): in R, sigma_j has
-        # leading coefficient C(n-1, j)/(n-1)^j for j < n and sum(mu')/(n-1)^n
-        # at degree n-1 for j = n, so the limit is a ratio of those
-        return self.inner._limit_under_t(np.sum(mu_prime, axis=-1))
-
     @property
-    def _scaling(self):
-        return self.inner._scaling  # T is linear
+    def _escape_degrees(self):
+        # T(mu', R) = T(mu', 0) + R/(n-1) (1, ..., 1, 0): degree j for j < n, n-1 for n
+        return tuple(range(self.n)) + (self.n - 1,)
+
+    def _escape_leads(self, mu_prime):
+        # leading coefficients C(n-1, j)/(n-1)^j for j < n, sum(mu')/(n-1)^n for j = n
+        n, shape = self.n, mu_prime.shape[:-1]
+        lead = [np.full(shape, math.comb(n - 1, j) / (n - 1) ** j) for j in range(n)]
+        return np.stack(lead + [mu_prime.sum(axis=-1) / (n - 1) ** n], axis=-1)
 
     def coordinate_crossing(self, mu, axis: int, sigma_level) -> np.ndarray:
         # T(mu + t e_i) = T(mu) + t (1 - e_i)/(n-1): a line for the inner operator
@@ -564,7 +508,7 @@ _KIND_NAMES = {
 
 
 def operator_from_name(name: str, n: int, k: int | None = None, l: int | None = None,
-                       inner: str | None = None, inner_k: int | None = None) -> SymmetricOperator:
+                       inner: str | None = None) -> SymmetricOperator:
     """Build a catalog operator from its config-file name."""
     if name not in _KIND_NAMES:
         raise ValueError(f"unknown operator kind {name!r}; known: {sorted(_KIND_NAMES)}")
@@ -584,7 +528,7 @@ def operator_from_name(name: str, n: int, k: int | None = None, l: int | None = 
         return InverseSigmaK(n, k)
     if inner is None:
         raise ValueError("composed_with_T requires an inner operator name")
-    return ComposedWithT(n, operator_from_name(inner, n, k=inner_k if inner_k else k, l=l))
+    return ComposedWithT(n, operator_from_name(inner, n, k=k, l=l))
 
 
 @dataclass(frozen=True)
@@ -615,7 +559,7 @@ def level_set_constants(op: SymmetricOperator, sigma_level: float, samples: int 
         raise NumericError(f"f(N * 1) = {sigma_level} has no finite solution N, got {big_n}")
 
     pts = sample_level_set(op, sigma_level, samples, rng=np.random.default_rng(seed))
-    tau = float(op.trace_gradient(pts).min())
+    tau = float(op.gradient(pts).sum(axis=-1).min())
     return LevelSetConstants(float(sigma_level), float(big_n), tau, samples)
 
 
@@ -638,11 +582,10 @@ def sample_level_set(op: SymmetricOperator, sigma_level: float, count: int,
     n = op.n
     cone = op.cone
     collected: list[np.ndarray] = []
-    have = 0
     tried = accepted = 0
     for _ in range(max_rounds):
         rate = accepted / tried if tried else 0.25
-        m = int(min(max(1.5 * (count - have) / max(rate, 0.02), 256), 400_000))
+        m = int(min(max(1.5 * (count - accepted) / max(rate, 0.02), 256), 400_000))
         half = m // 2
         beta = rng.uniform(0.0, 5.0, size=(half, 1))
         d_pos = 10.0 ** (-beta * rng.uniform(0.0, 1.0, size=(half, n)))
@@ -651,18 +594,14 @@ def sample_level_set(op: SymmetricOperator, sigma_level: float, count: int,
         dirs = np.concatenate([d_pos, d_gauss[keep]], axis=0)
         dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
         lam = _rays_to_level(op, dirs, sigma_level)
-        if lam.size:
-            lam = lam[np.linalg.norm(lam, axis=-1) > min_radius]
+        collected.append(lam[np.linalg.norm(lam, axis=-1) > min_radius])
         tried += m
-        if lam.size:
-            accepted += lam.shape[0]
-            collected.append(lam)
-            have += lam.shape[0]
-        if have >= count:
+        accepted += collected[-1].shape[0]
+        if accepted >= count:
             break
     else:
         raise NumericError(
-            f"level-set sampling got {have}/{count} points at radius > {min_radius}"
+            f"level-set sampling got {accepted}/{count} points at radius > {min_radius}"
         )
     return np.concatenate(collected, axis=0)[:count]
 

@@ -16,10 +16,16 @@ def _fd_gradient(op, lam, h=1e-6):
 
 
 def check_operator_derivatives() -> bool:
-    from .operators import HessianQuotientNeg, LogSigmaK, MongeAmpere
+    from .operators import (BlendedQuotient, ComposedWithT, HessianQuotientNeg, InverseSigmaK,
+                            LogSigmaK, MongeAmpere)
 
+    # every catalog kind at n = 3, the blend at t = 0, 1/2, 1, each composed with T
+    kinds = [MongeAmpere(3), *(LogSigmaK(3, k) for k in (1, 2, 3)),
+             *(HessianQuotientNeg(3, l, k) for l, k in ((1, 2), (1, 3), (2, 3))),
+             InverseSigmaK(3, 1), InverseSigmaK(3, 2),
+             *(BlendedQuotient(3, 1, 2, t) for t in (0.0, 0.5, 1.0))]
     rng = np.random.default_rng(7)
-    for op in (MongeAmpere(3), LogSigmaK(3, 2), HessianQuotientNeg(3, 1, 2)):
+    for op in kinds + [ComposedWithT(3, inner) for inner in kinds]:
         for _ in range(20):
             lam = rng.uniform(0.3, 3.0, 3)
             g = op.gradient(lam)
@@ -95,7 +101,7 @@ def check_abp_quadratic() -> bool:
 
 
 CHECKS = [
-    ("operator derivative formulas vs finite differences", check_operator_derivatives),
+    ("catalog derivatives vs finite differences, monotone, concave", check_operator_derivatives),
     ("gradient norm <= trace <= sqrt(n) * norm", check_gradient_trace_bounds),
     ("eigendecomposition determinism and ordering", check_eigen_determinism),
     ("spectral derivative exactness on band-limited data", check_spectral_exactness),

@@ -29,11 +29,12 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, lgmres
 
 from .eigencalc import contract, eigen_decompose, frame_product
-from .operators import BlendedQuotient, SymmetricOperator
+from .operators import BlendedQuotient, HessianQuotientNeg, SymmetricOperator
 from .torus import (
     MatrixField,
     PeriodicGrid,
     ScalarField,
+    compute_c,
     congruence,
     endomorphism_field,
     hessian,
@@ -83,8 +84,6 @@ class TorusProblem:
     chi: MatrixField
     h: ScalarField | None = None
     path: PathKind = PathKind.FIXED
-    quotient_l: int = 0
-    quotient_k: int = 0
     normalization: str = "mean_zero"
     newton_tol: float = 1e-10
     max_newton: int = 50
@@ -102,10 +101,8 @@ class TorusProblem:
         if self.path in (PathKind.HESSIAN, PathKind.FIXED, PathKind.RIEMANNIAN):
             if self.path is not PathKind.RIEMANNIAN and self.h is None:
                 raise ValueError(f"{self.path.value} path requires an rhs field h")
-        if self.path is PathKind.QUOTIENT and not (
-            1 <= self.quotient_l < self.quotient_k <= self.grid.n
-        ):
-            raise ValueError("quotient path requires 1 <= l < k <= n")
+        if self.path is PathKind.QUOTIENT and not isinstance(self.op, HessianQuotientNeg):
+            raise ValueError(f"quotient path requires a HessianQuotientNeg, got {self.op!r}")
 
 
 @dataclass
@@ -170,7 +167,7 @@ def normalize(u: ScalarField, mode: str) -> ScalarField:
 
 def path_operator(problem: TorusProblem, t: float) -> SymmetricOperator:
     if problem.path is PathKind.QUOTIENT:
-        return BlendedQuotient(problem.grid.n, problem.quotient_l, problem.quotient_k, t)
+        return BlendedQuotient(problem.grid.n, problem.op.l, problem.op.k, t)
     return problem.op
 
 
@@ -392,10 +389,7 @@ def run_continuity(problem: TorusProblem, t_schedule, bound_slack: float = 1e-8,
         h0 = background_value(problem, 0.0)
         h0_bounds = (float(h0.min()), float(h0.max()))
     if problem.path is PathKind.QUOTIENT:
-        from .torus import compute_c
-
-        quotient_floor = compute_c(problem.chi, problem.alpha,
-                                   problem.quotient_l, problem.quotient_k)
+        quotient_floor = compute_c(problem.chi, problem.alpha, problem.op.l, problem.op.k)
 
     report = SolveReport()
     state: SolveState | None = None

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import ConeViolation, GammaCone, in_gamma_tilde
+from .eigencalc import require_hermitian
 from .operators import HessianQuotientNeg, NumericError, SymmetricOperator, sample_level_set
 
 LEVEL_SET_TOL = 1e-8
@@ -125,9 +126,7 @@ def schur_horn_pairing(f_diag, b) -> bool:
     f_diag = np.asarray(f_diag, dtype=float)
     if np.any(np.diff(f_diag) < 0):
         raise ValueError("f_diag must be sorted ascending")
-    b = np.asarray(b)
-    if np.abs(b - np.conj(b.T)).max() > 1e-12 * (1.0 + np.abs(b).max()):
-        raise ValueError("b must be Hermitian")
+    b = require_hermitian(b)
     mu = np.linalg.eigvalsh(b)[::-1]
     lhs = float(f_diag @ np.real(np.diag(b)))
     rhs = float(f_diag @ mu)

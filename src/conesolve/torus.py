@@ -30,6 +30,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .cones import sigma_all
+from .eigencalc import hermitian_defect, require_hermitian
+
 
 class DegenerateClassError(ValueError):
     """The denominator class integral is not positive."""
@@ -129,15 +132,8 @@ class ScalarField:
     def constant(grid: PeriodicGrid, value: float) -> "ScalarField":
         return ScalarField(grid, np.full(grid.shape, float(value)))
 
-    @staticmethod
-    def from_function(grid: PeriodicGrid, fn) -> "ScalarField":
-        return ScalarField(grid, np.asarray(fn(*grid.coordinates()), dtype=float))
-
     def mean(self) -> float:
         return float(self.values.mean())
-
-    def is_mean_zero(self, tol: float = 1e-12) -> bool:
-        return abs(self.values.mean()) <= tol * (1.0 + np.abs(self.values).max())
 
     def copy(self) -> "ScalarField":
         return ScalarField(self.grid, self.values.copy())
@@ -167,8 +163,7 @@ class MatrixField:
         return MatrixField(grid, vals)
 
     def hermitian_defect(self) -> float:
-        v = self.values
-        return float(np.abs(v - np.conj(np.swapaxes(v, -1, -2))).max())
+        return hermitian_defect(self.values)
 
 
 def derivative(f: ScalarField, axes) -> ScalarField:
@@ -302,8 +297,7 @@ def _as_matrix(alpha, dim: int) -> np.ndarray:
     alpha = np.asarray(alpha)
     if alpha.shape != (dim, dim):
         raise ValueError(f"metric must be {dim}x{dim}")
-    if np.abs(alpha - np.conj(alpha.T)).max() > 1e-12 * (1.0 + np.abs(alpha).max()):
-        raise ValueError("metric must be Hermitian/symmetric")
+    require_hermitian(alpha)
     if np.linalg.eigvalsh(alpha).min() <= 0:
         raise ValueError("metric must be positive definite")
     return alpha
@@ -361,24 +355,23 @@ def form_ratio(chi: MatrixField, alpha, j: int) -> ScalarField:
     Normalized so chi = alpha gives the constant 1; this is the pointwise
     density of the degree-j wedge combination of chi against the background.
     """
-    grid = chi.grid
-    n = chi.dim
-    if not 0 <= j <= n:
-        raise ValueError(f"j must be in 0..{n}, got {j}")
-    if j == 0:
-        return ScalarField(grid, np.ones(grid.shape))
-    endo = endomorphism_field(alpha, chi)
-    lam = np.linalg.eigvalsh(endo.values)
-    from .cones import sigma_all
+    return _form_ratios(chi, alpha, (j,))[0]
 
-    s = sigma_all(lam, j)[..., j]
-    return ScalarField(grid, s / math.comb(n, j))
+
+def _form_ratios(chi: MatrixField, alpha, degrees) -> list[ScalarField]:
+    """``form_ratio`` at each of ``degrees``, from one eigensolve."""
+    n = chi.dim
+    for j in degrees:
+        if not 0 <= j <= n:
+            raise ValueError(f"j must be in 0..{n}, got {j}")
+    lam = np.linalg.eigvalsh(endomorphism_field(alpha, chi).values)
+    e = sigma_all(lam, max(degrees))
+    return [ScalarField(chi.grid, e[..., j] / math.comb(n, j)) for j in degrees]
 
 
 def compute_c(chi: MatrixField, alpha, l: int, k: int) -> float:
     """The class constant: ratio of integrated degree-l and degree-k densities."""
-    num = integral(form_ratio(chi, alpha, l))
-    den = integral(form_ratio(chi, alpha, k))
+    num, den = (integral(ratio) for ratio in _form_ratios(chi, alpha, (l, k)))
     if den <= 0:
         raise DegenerateClassError(f"degree-{k} class integral is {den:.6g}, not positive")
     return num / den

@@ -2,8 +2,9 @@
 
 Everything here is deliberately dumb: subset enumeration (in exact rational
 arithmetic where signs decide), finite differences, geometric ray shooting,
-doubling and bisection onto level sets and one supporting-plane test per
-candidate.  None of it shares code with the library paths it checks.
+doubling and bisection onto level sets, one supporting-plane test per
+candidate and each operator kind's value, derivatives and limit written out
+by hand.  None of it shares code with the library paths it checks.
 """
 
 import itertools
@@ -12,7 +13,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from conesolve import NumericError
+from conesolve import (
+    BlendedQuotient,
+    ComposedWithT,
+    HessianQuotientNeg,
+    InverseSigmaK,
+    LogSigmaK,
+    MongeAmpere,
+    NumericError,
+)
 
 
 def sigma_bruteforce(k: int, lam) -> float:
@@ -258,3 +267,178 @@ def coordinate_ray_radius_bisection(op, mu: np.ndarray, sigmas: np.ndarray,
         pts[:, i] += 0.5 * (t_lo + t_hi)
         radius = max(radius, float(np.linalg.norm(pts, axis=1).max()))
     return radius
+
+
+# ---------------------------------------------------------------------------
+# each catalog kind's value, gradient, Hessian and limit, by hand
+
+
+def sigma_subsets(j: int, lam, drop=()) -> np.ndarray:
+    """sigma_j of the last axis of ``lam`` without the entries ``drop``, by
+    subset enumeration; batched, and 0 for j < 0 or j above the entries left."""
+    lam = np.asarray(lam, dtype=float)
+    keep = [i for i in range(lam.shape[-1]) if i not in drop]
+    out = np.zeros(lam.shape[:-1])
+    if j < 0:
+        return out
+    for subset in itertools.combinations(keep, j):
+        out = out + np.prod(lam[..., list(subset)], axis=-1)
+    return out
+
+
+def t_map_subsets(lam) -> np.ndarray:
+    """T(lam)_m: the sum of the entries other than m, over n - 1."""
+    lam = np.asarray(lam, dtype=float)
+    n = lam.shape[-1]
+    return np.stack([sigma_subsets(1, lam, (m,)) for m in range(n)], axis=-1) / (n - 1)
+
+
+def _sigma_grad(j, lam):
+    n = lam.shape[-1]
+    return np.stack([sigma_subsets(j - 1, lam, (i,)) for i in range(n)], axis=-1)
+
+
+def _sigma_hess(j, lam):
+    n = lam.shape[-1]
+    h = np.zeros(lam.shape + (n,))
+    for i in range(n):
+        for m in range(n):
+            if i != m:
+                h[..., i, m] = sigma_subsets(j - 2, lam, (i, m))
+    return h
+
+
+def _outer(g):
+    return g[..., :, None] * g[..., None, :]
+
+
+def _ratio_jets(l, k, lam):
+    """q = sigma_l/sigma_k with its gradient and Hessian, by the quotient rule."""
+    a, b = sigma_subsets(l, lam)[..., None], sigma_subsets(k, lam)[..., None]
+    ag, bg = _sigma_grad(l, lam), _sigma_grad(k, lam)
+    ah, bh = _sigma_hess(l, lam), _sigma_hess(k, lam)
+    dq = (ag * b - a * bg) / b**2
+    a, b = a[..., None], b[..., None]
+    cross = ag[..., :, None] * bg[..., None, :] + ag[..., None, :] * bg[..., :, None]
+    d2q = ah / b - cross / b**2 - a * bh / b**2 + 2 * a * _outer(bg) / b**3
+    return (a / b)[..., 0, 0], dq, d2q
+
+
+def reference_value(op, lam) -> np.ndarray:
+    lam = np.asarray(lam, dtype=float)
+    n = op.n
+    if isinstance(op, ComposedWithT):
+        return reference_value(op.inner, t_map_subsets(lam))
+    if isinstance(op, MongeAmpere):
+        return np.log(lam).sum(axis=-1)
+    if isinstance(op, LogSigmaK):
+        return np.log(sigma_subsets(op.k, lam))
+    if isinstance(op, HessianQuotientNeg):
+        return -(sigma_subsets(op.l, lam) / math.comb(n, op.l)) / (
+            sigma_subsets(op.k, lam) / math.comb(n, op.k))
+    if isinstance(op, InverseSigmaK):
+        return (sigma_subsets(n, lam) / sigma_subsets(op.k, lam)) ** (1.0 / (n - op.k))
+    if isinstance(op, BlendedQuotient):
+        quotient = reference_value(HessianQuotientNeg(n, op.l, op.k), lam)
+        return op.t * quotient - (1 - op.t) * math.comb(n, op.k) / sigma_subsets(op.k, lam)
+    raise TypeError(op)
+
+
+def reference_gradient(op, lam) -> np.ndarray:
+    lam = np.asarray(lam, dtype=float)
+    n = op.n
+    if isinstance(op, ComposedWithT):
+        # T is linear and symmetric: the gradient pulls back through T itself
+        return t_map_subsets(reference_gradient(op.inner, t_map_subsets(lam)))
+    if isinstance(op, MongeAmpere):
+        return 1.0 / lam
+    if isinstance(op, LogSigmaK):
+        return _sigma_grad(op.k, lam) / sigma_subsets(op.k, lam)[..., None]
+    if isinstance(op, HessianQuotientNeg):
+        return -math.comb(n, op.k) / math.comb(n, op.l) * _ratio_jets(op.l, op.k, lam)[1]
+    if isinstance(op, InverseSigmaK):
+        # f = q^(1/m), q = sigma_n/sigma_k, m = n-k: f' = f q' / (m q)
+        q, dq, _ = _ratio_jets(n, op.k, lam)
+        return (reference_value(op, lam) / ((n - op.k) * q))[..., None] * dq
+    if isinstance(op, BlendedQuotient):
+        b = sigma_subsets(op.k, lam)[..., None]
+        pure = math.comb(n, op.k) * _sigma_grad(op.k, lam) / b**2
+        quotient = reference_gradient(HessianQuotientNeg(n, op.l, op.k), lam)
+        return op.t * quotient + (1 - op.t) * pure
+    raise TypeError(op)
+
+
+def reference_hessian(op, lam) -> np.ndarray:
+    lam = np.asarray(lam, dtype=float)
+    n = op.n
+    if isinstance(op, ComposedWithT):
+        jac = (np.ones((n, n)) - np.eye(n)) / (n - 1)
+        return jac @ reference_hessian(op.inner, t_map_subsets(lam)) @ jac
+    if isinstance(op, MongeAmpere):
+        h = np.zeros(lam.shape + (n,))
+        h[..., range(n), range(n)] = -1.0 / lam**2
+        return h
+    if isinstance(op, LogSigmaK):
+        s = sigma_subsets(op.k, lam)[..., None, None]
+        g = _sigma_grad(op.k, lam)
+        return _sigma_hess(op.k, lam) / s - _outer(g) / s**2
+    if isinstance(op, HessianQuotientNeg):
+        return -math.comb(n, op.k) / math.comb(n, op.l) * _ratio_jets(op.l, op.k, lam)[2]
+    if isinstance(op, InverseSigmaK):
+        # f'' = f / (m q) (q'' + (1/m - 1) q' q'^T / q)
+        m = n - op.k
+        q, dq, d2q = _ratio_jets(n, op.k, lam)
+        scale = (reference_value(op, lam) / (m * q))[..., None, None]
+        return scale * (d2q + (1 / m - 1) * _outer(dq) / q[..., None, None])
+    if isinstance(op, BlendedQuotient):
+        b = sigma_subsets(op.k, lam)[..., None, None]
+        bg = _sigma_grad(op.k, lam)
+        pure = math.comb(n, op.k) * (_sigma_hess(op.k, lam) / b**2 - 2 * _outer(bg) / b**3)
+        quotient = reference_hessian(HessianQuotientNeg(n, op.l, op.k), lam)
+        return op.t * quotient + (1 - op.t) * pure
+    raise TypeError(op)
+
+
+def reference_limit(op, mu_prime) -> np.ndarray:
+    """lim f(mu', R) as R -> inf, per row of mu'; +inf where f grows without
+    bound."""
+    mu_prime = np.asarray(mu_prime, dtype=float)
+    n = op.n
+    if isinstance(op, ComposedWithT):
+        return _reference_limit_under_t(op.inner, mu_prime.sum(axis=-1))
+    if isinstance(op, (MongeAmpere, LogSigmaK)):
+        return np.full(mu_prime.shape[:-1], math.inf)
+    if isinstance(op, HessianQuotientNeg):
+        el, ek = sigma_subsets(op.l - 1, mu_prime), sigma_subsets(op.k - 1, mu_prime)
+        return -(el / math.comb(n, op.l)) / (ek / math.comb(n, op.k))
+    if isinstance(op, InverseSigmaK):
+        en, ek = sigma_subsets(n - 1, mu_prime), sigma_subsets(op.k - 1, mu_prime)
+        return (en / ek) ** (1.0 / (n - op.k))
+    if isinstance(op, BlendedQuotient):
+        # the pure-Hessian part decays like 1/sigma_k -> 0
+        return op.t * reference_limit(HessianQuotientNeg(n, op.l, op.k), mu_prime)
+    raise TypeError(op)
+
+
+def _reference_limit_under_t(inner, total):
+    """The limit along T(mu', R) = T(mu', 0) + R/(n-1) (1, ..., 1, 0), where
+    sigma_j has leading coefficient C(n-1, j)/(n-1)^j for j < n and
+    sum(mu')/(n-1)^n at degree n-1 for j = n."""
+    n = inner.n
+    if isinstance(inner, (MongeAmpere, LogSigmaK)):
+        return np.full(total.shape, math.inf)
+    if isinstance(inner, HessianQuotientNeg):
+        # degrees l and min(k, n-1) in R agree only for (l, k) = (n-1, n)
+        if inner.l == n - 1:
+            return -(n - 1) / (n * total)
+        return np.zeros_like(total)
+    if isinstance(inner, InverseSigmaK):
+        # sigma_n/sigma_k grows like R^(n-1-k): finite only for k = n-1, where
+        # it tends to the last entry of T(mu', 0), sum(mu')/(n-1)
+        if inner.k < n - 1:
+            return np.full(total.shape, math.inf)
+        return total / (n - 1)
+    if isinstance(inner, BlendedQuotient):
+        return inner.t * _reference_limit_under_t(
+            HessianQuotientNeg(n, inner.l, inner.k), total)
+    raise TypeError(inner)

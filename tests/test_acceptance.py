@@ -255,7 +255,7 @@ def test_criterion_7_hessian_quotient():
     certified = all(cs.quotient_cone_condition(ev, 2, 1, c_class) for ev in eigs)
 
     prob = cs.TorusProblem(grid, cs.HessianQuotientNeg(2, 1, 2), alpha, chi,
-                           path=cs.PathKind.QUOTIENT, quotient_l=1, quotient_k=2)
+                           path=cs.PathKind.QUOTIENT)
     report = cs.run_continuity(prob, cs.uniform_schedule(11))
     c_err = abs(report.final.c - c_class)
     monotone = all(s["c"] >= s["t"] * c_class - 1e-8 for s in report.steps)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -151,3 +153,11 @@ def test_projection_matches_exact_leading_signs(data, n, preimage, trace):
     assert in_gamma_tilde(cone, mu) == all(member for member, _ in exact)
     batch = np.stack([mu, mu[::-1]])
     np.testing.assert_array_equal(in_gamma_tilde(cone, batch), in_gamma_tilde(cone, mu))
+
+
+def test_t_map_sums_the_other_entries():
+    # (sum - lam_1)/2 loses 2.3e-12 relative in T(mu)_1 = 0.001 here; the sum
+    # of the other two entries is the correctly rounded value
+    mu = [63.241, 0.001, 0.001]
+    exact = [(sum(Fraction(x) for x in mu) - Fraction(x)) / 2 for x in mu]
+    assert t_map(mu).tolist() == [float(x) for x in exact]

@@ -216,3 +216,19 @@ def test_field_generators_deterministic(tmp_path):
     u1 = (out1 / "u_final.bin").read_bytes()
     u2 = (out2 / "u_final.bin").read_bytes()
     assert u1 == u2
+
+
+def test_quotient_path_takes_its_operator(tmp_path, capsys):
+    # the path solves and certifies the quotient of the configured operator:
+    # any other operator there is a config error, exit 4
+    text = QUOTIENT_CFG.format(out=tmp_path / "out").replace(
+        "operator = hessian_quotient", "operator = log_sigma_k")
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert any("quotient path: requires operator hessian_quotient, got log_sigma_k" in e
+               for e in err.value.errors)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert main(["certify", "--config", str(cfg)]) == 4
+    assert "config error: quotient path" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

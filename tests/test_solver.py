@@ -73,7 +73,7 @@ def test_residual_anchors_at_zero():
     assert np.abs(residual(riem, zero, 0.0, 0.0).values).max() < 1e-14
 
     quot = TorusProblem(g, HessianQuotientNeg(2, 1, 2), alpha, chi,
-                        path=PathKind.QUOTIENT, quotient_l=1, quotient_k=2)
+                        path=PathKind.QUOTIENT)
     # blended member at t=0 equals -1/S_2 = -1/4 pointwise: c = 1/4
     assert np.abs(residual(quot, zero, 0.25, 0.0).values).max() < 1e-14
 
@@ -279,7 +279,7 @@ def test_quotient_path_constants():
     chi = MatrixField(g, 2 * np.eye(2) + pert.values)
     c_class = compute_c(chi, alpha, 1, 2)
     prob = TorusProblem(g, HessianQuotientNeg(2, 1, 2), alpha, chi,
-                        path=PathKind.QUOTIENT, quotient_l=1, quotient_k=2)
+                        path=PathKind.QUOTIENT)
     report = run_continuity(prob, uniform_schedule(6))
     assert report.complete
     assert report.final.c == pytest.approx(c_class, abs=1e-8)
@@ -321,3 +321,15 @@ def test_report_serialization():
     assert len(parsed["steps"]) == 3
     assert {"t", "c", "residual_norm", "admissibility_margin",
             "newton_iterations"} <= set(parsed["steps"][0])
+
+
+def test_quotient_path_requires_a_quotient_operator():
+    from conesolve import BlendedQuotient
+    from conesolve.solver import path_operator
+
+    g = PeriodicGrid.make("complex", 2, 8, 1.0, reduced=True)
+    chi = MatrixField.constant(g, 2 * np.eye(2))
+    with pytest.raises(ValueError, match="HessianQuotientNeg"):
+        TorusProblem(g, LogSigmaK(2, 2), np.eye(2), chi, path=PathKind.QUOTIENT)
+    prob = TorusProblem(g, HessianQuotientNeg(2, 1, 2), np.eye(2), chi, path=PathKind.QUOTIENT)
+    assert path_operator(prob, 0.5) == BlendedQuotient(2, 1, 2, 0.5)
