@@ -67,14 +67,12 @@ def sigma_all(lam, kmax: int | None = None) -> np.ndarray:
     return e
 
 
-def sigma_without(k: int, lam, drop: int) -> np.ndarray:
-    """sigma_k of ``lam`` with component ``drop`` removed."""
+def without_each(lam) -> np.ndarray:
+    """Every tuple ``lam`` with one entry dropped: shape ``(..., n, n - 1)``,
+    row i holding the entries other than i in their order."""
     lam = np.asarray(lam, dtype=float)
-    reduced = np.delete(lam, drop, axis=-1)
-    n = reduced.shape[-1]
-    if k > n:
-        return np.zeros(lam.shape[:-1])
-    return sigma_all(reduced, k)[..., k]
+    cols = np.arange(lam.shape[-1] - 1)
+    return lam[..., cols + (cols >= np.arange(lam.shape[-1])[:, None])]
 
 
 def t_map(lam) -> np.ndarray:
@@ -84,8 +82,7 @@ def t_map(lam) -> np.ndarray:
     n = lam.shape[-1]
     if n < 2:
         raise ValueError("t_map requires dimension n >= 2")
-    others = [np.delete(lam, k, axis=-1).sum(axis=-1) for k in range(n)]
-    return np.stack(others, axis=-1) / (n - 1)
+    return without_each(lam).sum(axis=-1) / (n - 1)
 
 
 @dataclass(frozen=True)
@@ -188,9 +185,5 @@ def in_gamma_tilde(cone: Cone, mu) -> np.ndarray | bool:
     intersection (mu + Gamma_n) for f = const can be decided.  By symmetry of
     the cone it holds iff mu with any one entry dropped lies in the projection.
     """
-    mu = np.asarray(mu, dtype=float)
-    projection = cone.projection()
-    ok = np.logical_and.reduce(
-        [projection.contains(np.delete(mu, i, axis=-1)) for i in range(mu.shape[-1])]
-    )
+    ok = np.all(cone.projection().contains(without_each(mu)), axis=-1)
     return ok if ok.ndim else bool(ok)

@@ -18,11 +18,11 @@ The format is INI-style (configparser).  Sections and keys:
     reduced = true | false            complex mode: store x-axes only
 
     [background]
-    alpha = alpha_scaled(<s>)
-    chi = chi_scaled(<s>) | chi_perturbed(<s>, <amplitude>, <seed>) | file:<path>
+    alpha = alpha_scaled(<s > 0>)
+    chi = chi_scaled(<s>) | chi_perturbed(<s>, <amplitude>[, <seed>]) | file:<path>
 
     [rhs]
-    h = zero | constant(<v>) | random_smooth(<amplitude>, <seed>) | file:<path>
+    h = zero | constant(<v>) | random_smooth(<amplitude>[, <seed>]) | file:<path>
 
     [solve]
     schedule = <int count> | <comma list of t values>
@@ -44,10 +44,11 @@ Validation is collecting: every problem found is reported, not just the first.
 from __future__ import annotations
 
 import configparser
+import math
 import re
 from dataclasses import dataclass
 
-from .operators import operator_from_name
+from .operators import OPERATOR_KINDS, operator_from_name
 
 _KNOWN_KEYS = {
     "problem": {"mode", "dimension", "operator", "k", "l", "inner", "path",
@@ -60,8 +61,6 @@ _KNOWN_KEYS = {
     "output": {"directory", "save_fields"},
 }
 
-_OPERATORS = {"monge_ampere", "log_sigma_k", "hessian_quotient",
-              "inverse_sigma_k", "composed_with_T"}
 _PATHS = {"hessian", "quotient", "riemannian", "fixed"}
 
 
@@ -136,7 +135,10 @@ _GENERATOR_RE = re.compile(r"^([a-zA-Z_][a-zA-Z0-9_]*)\((.*)\)$")
 
 
 def parse_generator(spec: str) -> tuple[str, list[float]]:
-    """Split 'name(a, b, ...)' into the name and its numeric arguments."""
+    """Split 'name(a, b, ...)' into the name and its numeric arguments.
+
+    Raises ValueError if an argument is not a number.
+    """
     spec = spec.strip()
     if spec.startswith("file:"):
         return "file", []
@@ -145,6 +147,42 @@ def parse_generator(spec: str) -> tuple[str, list[float]]:
         return spec, []
     args = [float(a) for a in match.group(2).split(",") if a.strip()]
     return match.group(1), args
+
+
+#: (fewest, most) arguments of each generator, and the index of its seed argument
+_GENERATORS = {"alpha_scaled": (1, 1, None), "chi_scaled": (1, 1, None),
+               "chi_perturbed": (2, 3, 2), "zero": (0, 0, None), "constant": (1, 1, None),
+               "random_smooth": (1, 2, 1)}
+
+
+def _check_generator(where: str, spec: str, kinds: set[str], errors: list[str]) -> None:
+    """Collect the problems of one generator spec: arguments that are not
+    finite numbers, an unknown name, a wrong argument count, a seed that is not
+    a non-negative integer, or an alpha scale that is not positive."""
+    try:
+        kind, args = parse_generator(spec)
+        finite = all(map(math.isfinite, args))
+    except ValueError:
+        finite = False
+    if not finite:
+        errors.append(f"{where}: generator arguments must be finite numbers, got {spec!r}")
+        return
+    if kind == "file":
+        return
+    if kind not in kinds:
+        errors.append(f"{where}: unknown generator {spec!r}")
+        return
+    fewest, most, seed = _GENERATORS[kind]
+    if not fewest <= len(args) <= most:
+        count = fewest if fewest == most else f"{fewest} to {most}"
+        errors.append(f"{where}: {kind} takes {count} argument(s), got {len(args)} in {spec!r}")
+        return
+    if seed is not None and seed < len(args) and not (
+            args[seed] >= 0 and args[seed].is_integer()):
+        errors.append(f"{where}: the seed of {kind} must be a non-negative integer,"
+                      f" got {spec!r}")
+    if kind == "alpha_scaled" and not args[0] > 0:
+        errors.append(f"{where}: the alpha scale must be > 0, got {spec!r}")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -183,8 +221,8 @@ def parse_config(text: str) -> RunConfig:
         if not 1 <= dimension <= 3:
             errors.append(f"problem.dimension must be 1..3, got {dimension_raw}")
     operator = get("problem", "operator", "monge_ampere")
-    if operator not in _OPERATORS:
-        errors.append(f"unknown operator {operator!r}; known: {sorted(_OPERATORS)}")
+    if operator not in OPERATOR_KINDS:
+        errors.append(f"unknown operator {operator!r}; known: {sorted(OPERATOR_KINDS)}")
     k_raw, l_raw = get("problem", "k"), get("problem", "l")
     k = _parse_int(k_raw, "problem.k", errors) if k_raw is not None else None
     l = _parse_int(l_raw, "problem.l", errors) if l_raw is not None else None
@@ -200,7 +238,7 @@ def parse_config(text: str) -> RunConfig:
             errors.append("operator hessian_quotient: require l < k (with l >= 1)")
     if operator == "composed_with_T" and inner is None:
         errors.append("operator composed_with_T requires problem.inner")
-    if inner is not None and inner not in _OPERATORS - {"composed_with_T"}:
+    if inner is not None and inner not in OPERATOR_KINDS.keys() - {"composed_with_T"}:
         errors.append(f"unknown inner operator {inner!r}")
     if len(errors) == problem_start:
         try:  # the operator's own parameter checks, against the dimension
@@ -249,18 +287,12 @@ def parse_config(text: str) -> RunConfig:
     # [background]
     alpha_spec = get("background", "alpha", "alpha_scaled(1)")
     chi_spec = get("background", "chi", "chi_scaled(1)")
-    for name, spec in (("alpha", alpha_spec), ("chi", chi_spec)):
-        kind, _ = parse_generator(spec)
-        allowed = {"alpha": {"alpha_scaled", "file"},
-                   "chi": {"chi_scaled", "chi_perturbed", "file"}}[name]
-        if kind not in allowed:
-            errors.append(f"background.{name}: unknown generator {spec!r}")
+    _check_generator("background.alpha", alpha_spec, {"alpha_scaled"}, errors)
+    _check_generator("background.chi", chi_spec, {"chi_scaled", "chi_perturbed"}, errors)
 
     # [rhs]
     rhs_spec = get("rhs", "h", "zero")
-    kind, _ = parse_generator(rhs_spec)
-    if kind not in {"zero", "constant", "random_smooth", "file"}:
-        errors.append(f"rhs.h: unknown generator {rhs_spec!r}")
+    _check_generator("rhs.h", rhs_spec, {"zero", "constant", "random_smooth"}, errors)
 
     # [solve]
     schedule_raw = get("solve", "schedule", "21")

@@ -188,7 +188,6 @@ class AbpReport:
     integral_det: float
     lower_bound: float
     passed: bool
-    grid_tolerance: float = 0.05
 
 
 def unit_ball_volume(m: int) -> float:
@@ -236,7 +235,7 @@ def abp_check(v: BallFunction, epsilon: float) -> AbpReport:
     lower = c0 * epsilon**m
     fraction = float(weight.sum()) * cell / (unit_ball_volume(m) * grid.radius**m)
     passed = integral_det >= lower * (1.0 - ABP_GRID_TOLERANCE)
-    return AbpReport(epsilon, fraction, integral_det, lower, passed, ABP_GRID_TOLERANCE)
+    return AbpReport(epsilon, fraction, integral_det, lower, passed)
 
 
 @dataclass(frozen=True)
@@ -255,7 +254,11 @@ class HmwReport:
     psi_params: dict
 
 
-def hmw_ratio(u: ScalarField, alpha, a_const: float = 1.0) -> HmwReport:
+#: the constant A of the test function psi recorded by ``hmw_ratio``
+HMW_PSI_A = 1.0
+
+
+def hmw_ratio(u: ScalarField, alpha) -> HmwReport:
     if u.grid.mode != "complex":
         raise ValueError("the second-order/gradient monitor applies in complex mode")
     n = u.grid.n
@@ -277,7 +280,7 @@ def hmw_ratio(u: ScalarField, alpha, a_const: float = 1.0) -> HmwReport:
         ratio=sup_dd / (1.0 + sup_grad_sq),
         phi_params={"K": big_k, "phi_prime_low": 1.0 / (4.0 * big_k),
                     "phi_prime_high": 1.0 / (2.0 * big_k)},
-        psi_params={"A": float(a_const), "tau": tau},
+        psi_params={"A": HMW_PSI_A, "tau": tau},
     )
 
 

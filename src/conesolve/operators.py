@@ -44,6 +44,7 @@ from .cones import (
     PreimageCone,
     sigma_all,
     t_map,
+    without_each,
 )
 
 
@@ -66,16 +67,17 @@ def _sigma_jets(lam: np.ndarray, js, second: bool):
     d^2 sigma_j / d lam_i d lam_m is sigma_{j-2} without both (zero for i = m).
     """
     n, kmax = lam.shape[-1], max(js)
-    without = [sigma_all(np.delete(lam, i, axis=-1), kmax - 1) for i in range(n)]
-    de = {j: np.stack([s[..., j - 1] for s in without], axis=-1) for j in js}
-    d2e = {}
-    for j in js if second else ():
-        d2e[j] = np.zeros(lam.shape + (n,))
-        for i in range(n if j >= 2 else 0):
-            for m in range(i + 1, n):
-                d2e[j][..., i, m] = d2e[j][..., m, i] = sigma_all(
-                    np.delete(lam, (i, m), axis=-1), j - 2)[..., j - 2]
-    return sigma_all(lam, kmax), de, d2e
+    without = without_each(lam)
+    de = sigma_all(without, kmax - 1)
+    d2e = {j: np.zeros(lam.shape + (n,)) for j in js} if second else {}
+    if second and kmax >= 2:
+        # row i, entry p of the pairs drops entry i of lam, then entry p of the
+        # rest: the off-diagonal (i, m) in row-major order
+        pairs = sigma_all(without_each(without), kmax - 2)
+        pairs = pairs.reshape(lam.shape[:-1] + (n * (n - 1), kmax - 1))
+        for j in js - {1}:
+            d2e[j][..., ~np.eye(n, dtype=bool)] = pairs[..., j - 2]
+    return sigma_all(lam, kmax), {j: de[..., j - 1] for j in js}, d2e
 
 
 def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -498,7 +500,8 @@ class ComposedWithT(SymmetricOperator):
         return self.inner._line_crossing(t_map(mu), t_map(np.eye(self.n)[axis]), sigma_level)
 
 
-_KIND_NAMES = {
+#: the catalog's kinds by config-file name
+OPERATOR_KINDS = {
     "monge_ampere": MongeAmpere,
     "log_sigma_k": LogSigmaK,
     "hessian_quotient": HessianQuotientNeg,
@@ -510,8 +513,8 @@ _KIND_NAMES = {
 def operator_from_name(name: str, n: int, k: int | None = None, l: int | None = None,
                        inner: str | None = None) -> SymmetricOperator:
     """Build a catalog operator from its config-file name."""
-    if name not in _KIND_NAMES:
-        raise ValueError(f"unknown operator kind {name!r}; known: {sorted(_KIND_NAMES)}")
+    if name not in OPERATOR_KINDS:
+        raise ValueError(f"unknown operator kind {name!r}; known: {sorted(OPERATOR_KINDS)}")
     if name == "monge_ampere":
         return MongeAmpere(n)
     if name == "log_sigma_k":

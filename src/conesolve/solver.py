@@ -43,6 +43,12 @@ from .torus import (
 )
 
 
+#: step halvings the Newton line search tries before it stagnates
+MAX_HALVINGS = 30
+#: slack of the monotone bounds on the recorded path constants c_t
+PATH_BOUND_SLACK = 1e-8
+
+
 class AdmissibilityError(ValueError):
     """Eigenvalues of A[u] left the operator cone somewhere on the grid."""
 
@@ -87,7 +93,6 @@ class TorusProblem:
     normalization: str = "mean_zero"
     newton_tol: float = 1e-10
     max_newton: int = 50
-    max_halvings: int = 30
 
     def __post_init__(self):
         if self.normalization not in ("mean_zero", "sup_zero"):
@@ -305,7 +310,7 @@ def newton_solve(problem: TorusProblem, t: float,
     """Damped Newton on (u, c) at fixed t.
 
     Accepts a step only when the iterate stays strictly admissible and the
-    sup-norm residual decreases; halves the step up to ``max_halvings`` times
+    sup-norm residual decreases; halves the step up to ``MAX_HALVINGS`` times
     and raises StagnationError with the last state when exhausted, or when a
     Krylov solve does not converge.  Each iterate is evaluated once.
     """
@@ -338,7 +343,7 @@ def newton_solve(problem: TorusProblem, t: float,
         if info != 0:
             raise stagnated(f"Krylov solve did not converge (lgmres info {info})")
         step = 1.0
-        for _ in range(problem.max_halvings + 1):
+        for _ in range(MAX_HALVINGS + 1):
             u_try = ScalarField(grid, u.values + step * dv.values)
             ev_try = evaluate_pointwise(problem, u_try, t)
             if ev_try.margin > 0.0:
@@ -364,16 +369,15 @@ def uniform_schedule(steps: int = 21) -> np.ndarray:
     return np.linspace(0.0, 1.0, steps)
 
 
-def run_continuity(problem: TorusProblem, t_schedule, bound_slack: float = 1e-8,
-                   min_step: float = 1e-4) -> SolveReport:
+def run_continuity(problem: TorusProblem, t_schedule, min_step: float = 1e-4) -> SolveReport:
     """March the continuity parameter from 0 to 1 with warm starts.
 
     On Newton stagnation the t-step is bisected, down to ``min_step`` before
     aborting with a partial report.  Recorded path constants are checked
     against their monotone bounds:
 
-      riemannian:  t*min(h0) <= c_t <= t*max(h0)   (within slack),
-      quotient:    c_t >= t * (class constant)      (within slack).
+      riemannian:  t*min(h0) <= c_t <= t*max(h0)   (within PATH_BOUND_SLACK),
+      quotient:    c_t >= t * (class constant)      (within PATH_BOUND_SLACK).
     """
     schedule = np.asarray(list(t_schedule), dtype=float)
     if schedule.ndim != 1 or schedule.size < 2:
@@ -408,14 +412,13 @@ def run_continuity(problem: TorusProblem, t_schedule, bound_slack: float = 1e-8,
             continue
         pending.pop(0)
         t_done = t_next
-        _check_path_bounds(problem, state, h0_bounds, quotient_floor, bound_slack)
+        _check_path_bounds(state, h0_bounds, quotient_floor)
         report.record(state, problem.normalization)
     return report
 
 
-def _check_path_bounds(problem: TorusProblem, state: SolveState, h0_bounds,
-                       quotient_floor, slack: float) -> None:
-    t, c = state.t, state.c
+def _check_path_bounds(state: SolveState, h0_bounds, quotient_floor) -> None:
+    t, c, slack = state.t, state.c, PATH_BOUND_SLACK
     if h0_bounds is not None:
         lo, hi = t * h0_bounds[0], t * h0_bounds[1]
         if not (lo - slack <= c <= hi + slack):

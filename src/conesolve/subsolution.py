@@ -3,8 +3,9 @@
 A comparison tuple mu admits the subsolution property at level sigma when the
 set (mu + Gamma_n) intersected with {f = sigma} is bounded.  Boundedness is
 decided exactly through the one-eigenvalue-to-infinity limit: the set is
-bounded iff f at infinity exceeds sigma on every (n-1)-subtuple of mu, and is
-always bounded for operators whose limit is +infinity.
+bounded iff every (n-1)-subtuple of mu lies in the projection of the cone and
+f at infinity exceeds sigma there.  ``subtuple_limits`` tabulates both per
+dropped entry; verdicts and witnesses read that one table.
 
 The quantitative side is the dichotomy: for level-set points lambda far from
 the origin, either the gradient pairing sum_i f_i (mu_i - lambda_i) exceeds
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import ConeViolation, GammaCone, in_gamma_tilde
+from .cones import GammaCone, without_each
 from .eigencalc import require_hermitian
 from .operators import HessianQuotientNeg, NumericError, SymmetricOperator, sample_level_set
 
@@ -35,17 +36,15 @@ class DichotomyBranch(enum.Enum):
     VIOLATION = "violation"
 
 
-def _distinct_subtuples(mu: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """The n tuples with one entry dropped, deduplicated up to reordering."""
-    seen = set()
-    out = []
-    for i in range(mu.shape[-1]):
-        reduced = np.delete(mu, i)
-        key = tuple(np.sort(reduced))
-        if key not in seen:
-            seen.add(key)
-            out.append((i, reduced))
-    return out
+def subtuple_limits(op: SymmetricOperator, mu) -> tuple[np.ndarray, np.ndarray]:
+    """(inside, limits), each shaped like ``mu`` ``(..., n)``: at [..., i],
+    whether mu without entry i lies in the projection of the cone, and the
+    limit of f there as entry i tends to +inf (-inf outside)."""
+    sub = without_each(mu)
+    inside = np.asarray(op.cone.projection().contains(sub))
+    limits = np.full(inside.shape, -np.inf)
+    limits[inside] = op.limit_at_infinity(sub[inside])
+    return inside, limits
 
 
 def is_subsolution_point(op: SymmetricOperator, mu, sigma_level: float) -> bool:
@@ -54,9 +53,10 @@ def is_subsolution_point(op: SymmetricOperator, mu, sigma_level: float) -> bool:
     Raises the projection's ``ConeViolation`` when a subtuple of mu lies
     outside the projection of the cone, before comparing any limit.
     """
-    mu = np.asarray(mu, dtype=float)
-    limits = [op.limit_at_infinity(reduced) for _, reduced in _distinct_subtuples(mu)]
-    return all(lim > sigma_level for lim in limits)
+    inside, limits = subtuple_limits(op, mu)
+    if not inside.all():
+        raise op.cone.projection().violation(without_each(mu)[np.argmin(inside)])
+    return bool(np.all(limits > sigma_level))
 
 
 def dichotomy_check(op: SymmetricOperator, mu, sigma_level: float, lam,
@@ -198,18 +198,6 @@ class SubsolutionCertificate:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def _bounded_pointwise(op: SymmetricOperator, mu: np.ndarray, sigmas: np.ndarray):
-    """(valid, bounded) masks for a batch of shifted tuples; no exceptions."""
-    valid = in_gamma_tilde(op.cone, mu)
-    bounded = valid.copy()
-    if not op.limit_infinite and valid.any():
-        for i in range(mu.shape[1]):
-            lim = np.full(len(mu), -np.inf)
-            lim[valid] = op.limit_at_infinity(np.delete(mu[valid], i, axis=1))
-            bounded &= lim > sigmas
-    return valid, bounded
-
-
 def certify_field(op: SymmetricOperator, eigenvalue_field, rhs_field, delta_grid,
                   kappa_samples: int = 2000, seed: int = 0) -> SubsolutionCertificate:
     """Certify the comparison data over a grid, at the largest workable delta.
@@ -234,13 +222,15 @@ def certify_field(op: SymmetricOperator, eigenvalue_field, rhs_field, delta_grid
     skipped: list[float] = []
     for delta in deltas:
         mu = mu_all - 2.0 * delta
-        valid, bounded = _bounded_pointwise(op, mu, sigmas)
-        if not valid.all():  # this delta exits the natural domain somewhere
+        inside, limits = subtuple_limits(op, mu)
+        if not inside.all():  # this delta exits the natural domain somewhere
             skipped.append(delta)
-            outside = int(np.argwhere(~valid)[0][0])
-            domain_failure = {"point": outside, "delta": delta,
-                              **_first_outside_subtuple(op, mu[outside])}
+            point, i = (int(x) for x in np.argwhere(~inside)[0])
+            violation = op.cone.projection().violation(without_each(mu[point])[i])
+            domain_failure = {"point": point, "delta": delta, "subtuple": i, "violation": {
+                "index": violation.index, "sigma": violation.value}}
             continue
+        bounded = limits > sigmas[:, None]
         if bounded.all():
             radius = coordinate_ray_radius(op, mu, sigmas)
             kappa = _kappa_at_tightest(op, mu, sigmas, radius, kappa_samples, seed)
@@ -248,38 +238,13 @@ def certify_field(op: SymmetricOperator, eigenvalue_field, rhs_field, delta_grid
                 delta=delta, radius=radius, kappa=kappa, sigma_range=sigma_range,
                 verdict="certified", kappa_samples=kappa_samples,
             )
-        bad = int(np.argwhere(~bounded)[0][0])
-        sub = _first_failing_subtuple(op, mu[bad], float(sigmas[bad]))
-        last_failure = {
-            "point": bad,
-            "delta": delta,
-            "subtuple": sub,
-            "sigma": float(sigmas[bad]),
-        }
+        point, i = (int(x) for x in np.argwhere(~bounded)[0])
+        last_failure = {"point": point, "delta": delta, "subtuple": i,
+                        "sigma": float(sigmas[point])}
     return SubsolutionCertificate(
         delta=deltas[-1], radius=math.nan, kappa=math.nan, sigma_range=sigma_range,
         verdict="refuted", witness={"skipped_deltas": skipped, **(last_failure or domain_failure)},
     )
-
-
-def _first_outside_subtuple(op: SymmetricOperator, mu: np.ndarray) -> dict:
-    """The first dropped entry i whose subtuple lies outside the projection of
-    the cone, with the constraint it violates there."""
-    projection = op.cone.projection()
-    i = next(i for i in range(mu.shape[-1]) if not projection.contains(np.delete(mu, i)))
-    violation = projection.violation(np.delete(mu, i))
-    return {"subtuple": i, "violation": {"index": violation.index, "sigma": violation.value}}
-
-
-def _first_failing_subtuple(op: SymmetricOperator, mu: np.ndarray, sigma_level: float):
-    for i, reduced in _distinct_subtuples(mu):
-        try:
-            lim = op.limit_at_infinity(reduced)
-        except ConeViolation:
-            return i
-        if not lim > sigma_level:
-            return i
-    return None
 
 
 def coordinate_ray_radius(op: SymmetricOperator, mu: np.ndarray, sigmas: np.ndarray) -> float:

@@ -13,6 +13,7 @@ from conesolve import (
     sigma,
     t_map,
 )
+from conesolve.cones import without_each
 from oracles import leading_sign, ray_polynomial, sigma_bruteforce
 
 
@@ -43,6 +44,16 @@ def test_sigma_matches_bruteforce():
 def test_sigma_batched():
     lam = np.array([[1.0, 2.0, 3.0], [1.0, 1.0, 1.0]])
     np.testing.assert_allclose(sigma(2, lam), [11.0, 3.0])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("batch", [(), (5,), (2, 3)])
+def test_without_each_drops_one_entry_per_row(n, batch):
+    lam = np.random.default_rng(n).normal(size=batch + (n,))
+    got = without_each(lam)
+    assert got.shape == batch + (n, n - 1)  # n = 1: one empty row
+    np.testing.assert_array_equal(
+        got, np.stack([np.delete(lam, i, axis=-1) for i in range(n)], axis=-2))
 
 
 def test_t_map_hand_values():

@@ -186,6 +186,28 @@ def test_cli_k_above_dimension_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("line, message", [
+    ("chi = chi_perturbed(2)", "chi_perturbed takes 2 to 3 argument(s), got 1"),
+    ("alpha = alpha_scaled()", "alpha_scaled takes 1 argument(s), got 0"),
+    ("h = constant()", "constant takes 1 argument(s), got 0"),
+    ("chi = chi_scaled(abc)", "generator arguments must be finite numbers"),
+    ("h = constant(nan)", "generator arguments must be finite numbers"),
+    ("alpha = alpha_scaled(-1)", "the alpha scale must be > 0"),
+    ("chi = chi_perturbed(1, 0.1, 2.5)", "seed of chi_perturbed must be a non-negative integer"),
+    ("h = random_smooth(0.1, -3)", "seed of random_smooth must be a non-negative integer"),
+])
+def test_cli_malformed_generator_is_a_config_error(tmp_path, capsys, line, message):
+    section = "rhs" if line.startswith("h ") else "background"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(QUOTIENT_CFG.format(out=tmp_path / "out")
+                   .replace("[background]\nchi = chi_perturbed(2, 0.1, 21)", "")
+                   + f"\n[{section}]\n{line}\n")
+    assert main(["certify", "--config", str(cfg)]) == 4
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_bad_config_path(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "missing.cfg")]) == 4
 

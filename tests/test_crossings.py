@@ -17,7 +17,7 @@ from conesolve import (
     in_gamma_tilde,
     level_set_constants,
 )
-from conesolve.cones import sigma_all, sigma_without, t_map
+from conesolve.cones import sigma_all, t_map, without_each
 from conesolve.operators import _rays_to_level
 from conesolve.subsolution import coordinate_ray_radius
 from oracles import coordinate_ray_radius_bisection, rays_to_level_bisection
@@ -74,8 +74,8 @@ def _rtol(op, x):
         y, dy = x, np.abs(x)
     cond = np.zeros(x.shape[:-1])
     for j in range(1, op.cone.k + 1):
-        spread = sigma_all(np.abs(y), j)[..., j] + sum(
-            sigma_without(j - 1, np.abs(y), m) * dy[..., m] for m in range(op.n))
+        spread = sigma_all(np.abs(y), j)[..., j] + (
+            sigma_all(without_each(np.abs(y)), j - 1)[..., j - 1] * dy).sum(axis=-1)
         cond = np.maximum(cond, spread / np.abs(sigma_all(y, j)[..., j]))
     assert np.all(np.isfinite(cond))
     return 1e-12 + 4e-15 * cond

@@ -19,8 +19,9 @@ from conesolve import (
     sample_level_set,
     schur_horn_pairing,
 )
-from conesolve.subsolution import dichotomy_margins
+from conesolve.subsolution import dichotomy_margins, subtuple_limits
 from oracles import ray_boundedness_oracle, sigma_bruteforce
+from test_crossings import KINDS
 
 
 def test_subsolution_point_hand_cases():
@@ -194,3 +195,26 @@ def test_refutation_without_an_admissible_delta_names_the_domain_failure():
                          [0.6, 0.01])
     assert cert.witness == {"skipped_deltas": [0.6], "point": 0, "delta": 0.01,
                             "subtuple": 0, "sigma": -0.4}
+
+
+def test_unbounded_witness_names_the_failing_entry():
+    # the limit at mu' is -1/(2 mu'): point 0 gives -1/6 twice, point 1 gives
+    # -1/8 without entry 0 but -1/2 < -0.3 without entry 1
+    cert = certify_field(HessianQuotientNeg(2, 1, 2), [[3, 3], [1, 4]], [-0.3, -0.3], [0.0])
+    assert cert.witness == {"skipped_deltas": [], "point": 1, "delta": 0.0,
+                            "subtuple": 1, "sigma": -0.3}
+
+
+@pytest.mark.parametrize("op", KINDS, ids=repr)
+def test_subtuple_limits_match_each_subtuple(op):
+    mu = np.random.default_rng(op.n).uniform(-2.0, 3.0, (40, op.n))
+    inside, limits = subtuple_limits(op, mu)
+    projection = op.cone.projection()
+    assert inside.shape == limits.shape == (40, op.n)
+    # points outside the natural domain are in the sample wherever there are any
+    assert inside.all() == (projection.k == 0)
+    for p in range(len(mu)):
+        for i in range(op.n):
+            rest = np.delete(mu[p], i)
+            assert inside[p, i] == projection.contains(rest)
+            assert limits[p, i] == (op.limit_at_infinity(rest) if inside[p, i] else -math.inf)
