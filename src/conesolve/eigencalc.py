@@ -1,7 +1,14 @@
-"""Operators on Hermitian/symmetric endomorphisms via eigenvalue calculus.
+"""Operators on Hermitian/symmetric endomorphisms, F(A) = f(lambda(A)).
 
-For F(A) = f(lambda(A)) with f smooth and symmetric, at an eigendecomposition
-A = U diag(lam) U* the derivatives in matrix directions are
+The Newton path needs no eigenvalues.  Every catalog kind states f in the
+sigma_j of the spectrum, and those are read straight from the matrix by the
+Faddeev-LeVerrier recursion (``matrix_sigmas``), which also gives each
+derivative P_{j-1} = d sigma_j / dA; so the cone margin, F and the matrix of
+dF, sum_j (df/d sigma_j) P_{j-1}, come from one table (``SigmaTable``).
+
+The eigenframe calculus below is the independent reference.  For smooth
+symmetric f, at an eigendecomposition A = U diag(lam) U* the derivatives in
+matrix directions are
 
     dF(A)[H]   = sum_i f_i * Htilde_ii,
     d2F(A)[H]  = sum_ij f_ij Htilde_ii Htilde_jj
@@ -66,6 +73,64 @@ def eigen_decompose(a, tol: float = 1e-12) -> EigenSystem:
     phase = np.where(np.abs(lead) > 0, lead / np.abs(lead), 1.0)
     vecs = vecs / phase[..., None, :]
     return EigenSystem(np.ascontiguousarray(vals), np.ascontiguousarray(vecs))
+
+
+def matrix_sigmas(a, kmax: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """sigma_0..sigma_kmax (kmax >= 1) of the spectrum of each Hermitian matrix
+    in ``a``, shape (..., n, n), stacked on a trailing axis; and the matrices
+    P_0..P_{kmax-1}, P_{j-1} = d sigma_j / dA: d sigma_j(A)[H] = <P_{j-1}, H>.
+
+    The Faddeev-LeVerrier (Newton identity) recursion
+
+        P_0 = I,   sigma_j = tr(A P_{j-1}) / j,   P_j = sigma_j I - A P_{j-1}
+
+    takes one batched matrix product for each P_j with j >= 2, none below.
+    P_0 is the unbatched identity.
+    """
+    a = np.asarray(a)
+    eye = np.eye(a.shape[-1])
+    e = np.ones(a.shape[:-2] + (kmax + 1,))
+    derivatives = [eye]
+    e[..., 1] = np.real(np.einsum("...ii->...", a))
+    for j in range(2, kmax + 1):
+        product = a if j == 2 else a @ derivatives[-1]
+        derivatives.append(e[..., j - 1, None, None] * eye - product)
+        e[..., j] = np.real(np.einsum("...ij,...ji->...", a, derivatives[-1])) / j
+    return e, derivatives
+
+
+@dataclass(frozen=True)
+class SigmaTable:
+    """The sigma_j an operator reads at matrices A, without eigenvalues.
+
+    ``sigmas`` holds sigma_0..sigma_K of the spectrum of the operator's
+    argument X (A, or T(A) under ``ComposedWithT``), K = ``op.sigma_order``;
+    ``derivatives`` holds P_0..P_{K-1}, P_{j-1} = d sigma_j / dX.
+    """
+
+    op: SymmetricOperator
+    sigmas: np.ndarray
+    derivatives: list
+
+    @classmethod
+    def at(cls, op: SymmetricOperator, a) -> "SigmaTable":
+        return cls(op, *matrix_sigmas(op.matrix_argument(a), op.sigma_order))
+
+    def margin(self) -> np.ndarray:
+        """The cone margin of lambda(A): min_{j<=k} sigma_j of the argument,
+        for a Gamma cone and its preimage under T alike."""
+        return self.sigmas[..., 1:self.op.cone.k + 1].min(axis=-1)
+
+    def value(self) -> np.ndarray:
+        """F(A); meaningful only where the margin is positive."""
+        return np.asarray(self.op.sigma_value(self.sigmas))
+
+    def derivative(self) -> np.ndarray:
+        """The matrix D of dF at A, as ``first_derivative``: sum_j (df/d
+        sigma_j) P_{j-1}, pulled back through the self-adjoint argument map."""
+        partials = self.op.sigma_partials(self.sigmas)
+        d = sum(p[..., None, None] * self.derivatives[j - 1] for j, p in partials.items())
+        return self.op.matrix_argument(d)
 
 
 def _admissible_eigenvalues(op: SymmetricOperator, a) -> EigenSystem:

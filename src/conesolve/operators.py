@@ -100,6 +100,14 @@ class Term:
             return self.c * np.log(s[..., j])
         return self.c * math.prod(s[..., j] ** a for j, a in self.powers)
 
+    def partials(self, s: np.ndarray) -> dict:
+        """{j: d(term)/d sigma_j} with s[..., j] in place of sigma_j."""
+        if self.log:
+            ((j, _),) = self.powers
+            return {j: self.c / s[..., j]}
+        value = self.at(s)
+        return {j: a * value / s[..., j] for j, a in self.powers}
+
     def degree(self, degrees) -> float:
         """sum_j a_j d_j: the degree of the product when sigma_j has degree d_j."""
         return sum(a * degrees[j] for j, a in self.powers)
@@ -186,6 +194,10 @@ class SymmetricOperator:
         if mu_prime.shape[-1] != self.n - 1:
             raise ValueError(f"mu' must have {self.n - 1} components")
         _check_batch(self.cone.projection(), mu_prime)
+        return self._limit_at_infinity(mu_prime)
+
+    def _limit_at_infinity(self, mu_prime: np.ndarray):
+        """``limit_at_infinity`` at rows the caller knows lie in the projection."""
         shape = mu_prime.shape[:-1]
         if self.limit_infinite:
             return math.inf if not shape else np.full(shape, math.inf)
@@ -211,9 +223,33 @@ class SymmetricOperator:
     def _top(self) -> int:
         return max(j for term in self.terms for j, _ in term.powers)
 
-    def _value(self, lam):
-        e = sigma_all(lam, self._top)
+    @property
+    def sigma_order(self) -> int:
+        """The highest sigma_j the terms and the cone margin read."""
+        return max(self.cone.k, self._top)
+
+    def sigma_value(self, e: np.ndarray):
+        """f with e[..., j] in place of sigma_j (of T(lam) under ComposedWithT)."""
         return sum(term.at(e) for term in self.terms)
+
+    def sigma_partials(self, e: np.ndarray) -> dict:
+        """{j: df/d sigma_j} at e, read as in ``sigma_value``.  Both the
+        gradient in lam and the matrix derivative of F(A) read this one
+        statement of the first derivative."""
+        partials: dict = {}
+        for term in self.terms:
+            for j, p in term.partials(e).items():
+                partials[j] = partials[j] + p if j in partials else p
+        return partials
+
+    def matrix_argument(self, a):
+        """The matrix whose spectrum the terms read: A itself (``ComposedWithT``
+        reads T(A)).  Self-adjoint under the trace pairing, so it also pulls a
+        derivative in the argument back to A."""
+        return a
+
+    def _value(self, lam):
+        return self.sigma_value(sigma_all(lam, self._top))
 
     def _gradient(self, lam):
         return self._derivatives(lam, second=False)[0]
@@ -222,21 +258,22 @@ class SymmetricOperator:
         return self._derivatives(lam, second=True)[1]
 
     def _derivatives(self, lam, second: bool):
-        # l_j = grad sigma_j / sigma_j.  A term c log sigma_j has gradient c l_j, a
-        # monomial P has P sum_j a_j l_j; their Hessians are c (or P) times
-        # sum_j a_j H_j / sigma_j + sum_{j,i} w_ji l_j l_i^T, w_ji = -a_j [j = i]
-        # (+ a_j a_i for a monomial), each pair {j, i} added once, symmetrized
+        # The gradient is sum_j (df/d sigma_j) grad sigma_j.  With l_j = grad
+        # sigma_j / sigma_j, the Hessian of a term c log sigma_j or a monomial P
+        # is c (or P) times sum_j a_j H_j / sigma_j + sum_{j,i} w_ji l_j l_i^T,
+        # w_ji = -a_j [j = i] (+ a_j a_i for a monomial), each pair {j, i} added
+        # once, symmetrized
         js = {j for term in self.terms for j, _ in term.powers}
         e, de, d2e = _sigma_jets(lam, js, second)
+        grad = sum(p[..., None] * de[j] for j, p in self.sigma_partials(e).items())
+        if not second:
+            return grad, None
         dlog = {j: de[j] / e[..., j, None] for j in js}
-        grad = hess = 0.0
+        hess = 0.0
         for term in self.terms:
             factor = np.asarray(term.c if term.log else term.at(e))[..., None]
             d2 = 0.0
             for x, (j, a) in enumerate(term.powers):
-                grad = grad + factor * a * dlog[j]
-                if not second:
-                    continue
                 d2 = (d2 + a * d2e[j] / e[..., j, None, None]
                       + ((0 if term.log else a * a) - a) * _outer(dlog[j], dlog[j]))
                 for i, b in term.powers[x + 1:]:
@@ -482,6 +519,11 @@ class ComposedWithT(SymmetricOperator):
         j = (np.ones((n, n)) - np.eye(n)) / (n - 1)
         h = self.inner._hessian(t_map(lam))
         return np.einsum("pi,...pq,ql->...il", j, h, j)
+
+    def matrix_argument(self, a):
+        # T(A) = (tr A I - A)/(n-1): A's eigenvectors, eigenvalues T(lam)
+        a = np.asarray(a)
+        return (np.einsum("...ii->...", a)[..., None, None] * np.eye(self.n) - a) / (self.n - 1)
 
     @property
     def _escape_degrees(self):

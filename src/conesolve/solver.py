@@ -4,6 +4,9 @@ constant c solved simultaneously.
 The unknown pair is (u mean-zero, c); constants span the cokernel of the
 linearization on a closed manifold, so the Newton system is bordered: the
 pointwise linearized equation plus the mean-zero constraint make it square.
+Each iterate is evaluated once, from the sigma_j of A[u] read straight from
+the matrix (``eigencalc.SigmaTable``): the cone margin, F and the matrix of
+dF need no eigenvalues or eigenvectors.
 The linear solves are matrix-free Krylov (lgmres) with a constant-coefficient
 spectral preconditioner: the inverse of (mean trace of the first-derivative
 matrix / n) times the metric Laplacian.
@@ -28,7 +31,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, lgmres
 
-from .eigencalc import contract, eigen_decompose, frame_product
+from .eigencalc import SigmaTable, contract, require_hermitian
+# unused here; the benchmark's tracer binds its span at this name
+from .eigencalc import eigen_decompose  # noqa: F401
 from .operators import BlendedQuotient, HessianQuotientNeg, SymmetricOperator
 from .torus import (
     MatrixField,
@@ -185,13 +190,14 @@ def constant_sign(problem: TorusProblem) -> float:
 class PointwiseEvaluation:
     """A[u] at one (u, t) and the pointwise data every Newton step reads from it.
 
-    ``value`` is F(lambda(A[u])) for the operator in force at t; it is only
-    computed when the iterate is admissible (``margin > 0``).
+    ``table`` holds the sigma_j the operator in force at t reads at A[u], and
+    their matrix derivatives; ``margin`` is the smallest cone margin on the
+    grid, at ``worst_index``.  ``value`` is F(A[u]); it is only computed when
+    the iterate is admissible (``margin > 0``).
     """
 
-    op: SymmetricOperator
     endomorphism: np.ndarray
-    eigenvalues: np.ndarray
+    table: SigmaTable
     margin: float
     worst_index: tuple
     value: np.ndarray | None
@@ -204,15 +210,15 @@ class PointwiseEvaluation:
 
 def evaluate_pointwise(problem: TorusProblem, u: ScalarField | None,
                        t: float) -> PointwiseEvaluation:
-    """Evaluate A[u] (A[0] when ``u`` is None), its eigenvalues, cone margin and F."""
-    op = path_operator(problem, t)
+    """Evaluate A[u] (A[0] when ``u`` is None), the sigma table of the operator
+    in force at t, the cone margin and F, without an eigendecomposition."""
     endo = endomorphism_field(problem.alpha, problem.chi, u).values
-    lam = np.linalg.eigvalsh(endo)
-    margins = np.asarray(op.cone.margin(lam))
+    table = SigmaTable.at(path_operator(problem, t), endo)
+    margins = table.margin()
     worst = int(np.argmin(margins))
     margin = float(margins.flat[worst])
-    value = np.asarray(op.value(lam, check=False)) if margin > 0.0 else None
-    return PointwiseEvaluation(op, endo, lam, margin,
+    value = table.value() if margin > 0.0 else None
+    return PointwiseEvaluation(endo, table, margin,
                                np.unravel_index(worst, margins.shape), value)
 
 
@@ -252,8 +258,8 @@ class Linearization:
         self.problem = problem
         self.grid = problem.grid
         ev.require_admissible()
-        eig = eigen_decompose(ev.endomorphism)
-        d = frame_product(eig.frame, ev.op.gradient(eig.values, check=False))
+        require_hermitian(ev.endomorphism)
+        d = ev.table.derivative()
         self.mean_trace = float(np.real(np.einsum("...ii->...", d)).mean()) / self.grid.n
         self.sign = constant_sign(problem)
         # <D, L^-1 H L^-*> = <L^-* D L^-1, H>: pull D back once, not H per matvec

@@ -43,7 +43,7 @@ def subtuple_limits(op: SymmetricOperator, mu) -> tuple[np.ndarray, np.ndarray]:
     sub = without_each(mu)
     inside = np.asarray(op.cone.projection().contains(sub))
     limits = np.full(inside.shape, -np.inf)
-    limits[inside] = op.limit_at_infinity(sub[inside])
+    limits[inside] = op._limit_at_infinity(sub[inside])  # membership checked above
     return inside, limits
 
 

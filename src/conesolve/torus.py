@@ -298,8 +298,10 @@ def _as_matrix(alpha, dim: int) -> np.ndarray:
     if alpha.shape != (dim, dim):
         raise ValueError(f"metric must be {dim}x{dim}")
     require_hermitian(alpha)
-    if np.linalg.eigvalsh(alpha).min() <= 0:
-        raise ValueError("metric must be positive definite")
+    try:
+        np.linalg.cholesky(alpha)
+    except np.linalg.LinAlgError:
+        raise ValueError("metric must be positive definite") from None
     return alpha
 
 
@@ -495,8 +497,9 @@ def load_field(path_base: str | Path) -> ScalarField | MatrixField:
     raw = np.fromfile(path_base.with_suffix(".bin"), dtype="<f8")
     shape = tuple(sidecar["shape"])
     if sidecar["dtype"] == "complex128":
-        raw = raw.reshape(shape + (2,))
-        vals = raw[..., 0] + 1j * raw[..., 1]
+        # (real, imag) pairs are the complex layout; x + 1j*y would turn -0.0
+        # into 0.0 and a real part beside an infinite imaginary part into nan
+        vals = raw.view("<c16").reshape(shape)
     else:
         vals = raw.reshape(shape)
     if sidecar["kind"] == "matrix":

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conesolve import (
     AdmissibilityError,
@@ -55,6 +57,21 @@ def test_normalize():
     assert np.abs(normalize(s, "mean_zero").values - s.values).max() < 1e-14
     twice = normalize(normalize(s, "sup_zero"), "sup_zero")
     assert np.array_equal(twice.values, normalize(s, "sup_zero").values)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), mode=st.sampled_from(["mean_zero", "sup_zero"]),
+       n=st.integers(1, 3), points=st.sampled_from([4, 6]))
+def test_normalize_is_idempotent(data, mode, n, points):
+    g = PeriodicGrid.make("real", n, points, 1.0)
+    u = ScalarField(g, data.draw(arrays(float, g.shape, elements=st.floats(-1e6, 1e6))))
+    once = normalize(u, mode)
+    twice = normalize(once, mode)
+    if mode == "sup_zero":  # max(u - max u) is exactly 0
+        assert np.array_equal(twice.values, once.values)
+    else:  # the mean of u - mean(u) is 0 up to the rounding of mean(u)
+        bound = u.values.size * np.finfo(float).eps * np.abs(u.values).max()
+        assert np.abs(twice.values - once.values).max() <= bound
 
 
 def test_residual_anchors_at_zero():
@@ -186,6 +203,24 @@ def test_newton_evaluates_each_iterate_once(monkeypatch):
     # evaluation per full Newton step
     assert state.iterations >= 3
     assert len(calls) == 2 + state.iterations
+
+
+def test_newton_reads_no_eigenvalues(monkeypatch):
+    # the cone margin, F and dF come from the sigma_j of A[u] itself
+    g = PeriodicGrid.make("real", 3, 8, 1.0)
+    real3 = TorusProblem(g, LogSigmaK(3, 2), np.eye(3), MatrixField.constant(g, np.eye(3)),
+                         random_band_limited(g, 0.2, seed=1), path=PathKind.HESSIAN)
+    complex2, _ = manufactured_problem(n=2, points=8)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eigendecomposition inside newton_solve")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    for problem, t in ((real3, 0.5), (complex2, 1.0)):
+        state = newton_solve(problem, t)
+        assert state.iterations >= 2
+        assert state.residual_norm < problem.newton_tol
 
 
 def test_newton_krylov_nonconvergence_stagnates(monkeypatch):

@@ -1,7 +1,11 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conesolve import (
     DegenerateClassError,
@@ -260,6 +264,31 @@ def test_complex_gradient():
     w = complex_gradient(u)
     expected = -np.pi * np.sin(2 * np.pi * x)  # (d_x - i d_y)/2 of cos
     assert np.abs(w[..., 0] - expected).max() < 1e-11
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data(), mode=st.sampled_from(["real", "complex"]), matrix=st.booleans(),
+       n=st.integers(1, 2))
+def test_field_io_round_trip_is_bit_exact(data, mode, matrix, n):
+    reduced = mode == "complex" and data.draw(st.booleans())
+    periods = data.draw(st.floats(0.1, 10.0))
+    g = PeriodicGrid.make(mode, n, 4, periods, reduced=reduced)
+    # every float a field can hold: signed zeros, subnormals, and for
+    # matrix fields infinities; complex entries from their (real, imag) bits
+    complex_ = matrix and mode == "complex"
+    shape = g.shape + ((n, n) if matrix else ()) + ((2,) if complex_ else ())
+    values = data.draw(arrays(np.float64, shape, elements=st.floats(
+        allow_nan=False, allow_infinity=matrix)))
+    field = (MatrixField(g, values.view(np.complex128)[..., 0] if complex_ else values)
+             if matrix else ScalarField(g, values))
+    with tempfile.TemporaryDirectory() as tmp:
+        save_field(field, Path(tmp) / "f")
+        back = load_field(Path(tmp) / "f")
+    assert type(back) is type(field)
+    assert back.grid == g
+    assert back.values.dtype == field.values.dtype
+    assert back.values.shape == field.values.shape
+    assert back.values.tobytes() == field.values.tobytes()
 
 
 def test_field_io_roundtrip(tmp_path):
