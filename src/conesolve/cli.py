@@ -130,8 +130,8 @@ def _diagnostics(problem: TorusProblem, state) -> dict:
 
     out: dict = {}
     endo = endomorphism_field(problem.alpha, problem.chi, state.u)
-    lam = np.linalg.eigvalsh(endo.values).reshape(-1, problem.grid.n)
-    take = lam[:: max(1, lam.shape[0] // 512)]
+    mats = endo.values.reshape(-1, problem.grid.n, problem.grid.n)
+    take = np.linalg.eigvalsh(mats[:: max(1, mats.shape[0] // 512)])
     flag_a, flag_b = strong_concavity_flags(problem.op, take)
     out["strong_concavity_flags"] = {"f11_plus_f1_over_lam1": flag_a,
                                      "lam1_f1_smallest": flag_b}

@@ -31,9 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, lgmres
 
-from .eigencalc import SigmaTable, contract, require_hermitian
-# unused here; the benchmark's tracer binds its span at this name
-from .eigencalc import eigen_decompose  # noqa: F401
+from .eigencalc import SigmaTable, require_hermitian
 from .operators import BlendedQuotient, HessianQuotientNeg, SymmetricOperator
 from .torus import (
     MatrixField,
@@ -42,10 +40,14 @@ from .torus import (
     compute_c,
     congruence,
     endomorphism_field,
-    hessian,
+    hessian_components,
+    hessian_weights,
     laplacian_symbol,
     metric_root_inverse,
 )
+# unused here; the benchmark's tracer binds its spans at these names
+from .eigencalc import eigen_decompose  # noqa: F401
+from .torus import hessian  # noqa: F401
 
 
 #: step halvings the Newton line search tries before it stagnates
@@ -262,13 +264,14 @@ class Linearization:
         d = ev.table.derivative()
         self.mean_trace = float(np.real(np.einsum("...ii->...", d)).mean()) / self.grid.n
         self.sign = constant_sign(problem)
-        # <D, L^-1 H L^-*> = <L^-* D L^-1, H>: pull D back once, not H per matvec
+        # <D, L^-1 H L^-*> = <L^-* D L^-1, H>: pull D back once, not H per
+        # matvec, and pair it with H's components as one weight per component
         linv = metric_root_inverse(problem.alpha, self.grid.n)
-        self.pulled_back = congruence(np.conj(linv).T, d)
+        self.weights = hessian_weights(congruence(np.conj(linv).T, d), self.grid)
 
     def apply(self, v: ScalarField, dc: float) -> ScalarField:
         """Directional derivative: <D, alpha-orthonormal Hess v> - s*dc."""
-        out = contract(self.pulled_back, hessian(v).values)
+        out = np.einsum("e...,e...->...", self.weights, hessian_components(v.values, self.grid))
         return ScalarField(self.grid, out - self.sign * dc)
 
 
@@ -284,8 +287,7 @@ def _solve_newton_system(lin: Linearization, r: np.ndarray, forcing: float):
     npts = int(np.prod(grid.shape))
     sign = lin.sign
     axes = tuple(range(grid.stored_axes))
-    half = grid.points_per_axis // 2 + 1
-    symbol = laplacian_symbol(grid, lin.problem.alpha)[..., :half] * lin.mean_trace
+    symbol = laplacian_symbol(grid, lin.problem.alpha) * lin.mean_trace
     zero_mode = (0,) * grid.stored_axes
     symbol[zero_mode] = 1.0  # the zero mode is handled by the constant block
 

@@ -22,6 +22,7 @@ complex data is stored as interleaved (real, imag) pairs.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections import Counter
@@ -215,62 +216,98 @@ def _second_derivative_symbol(grid: PeriodicGrid, ax_a: int | None,
     return -wavenumbers(ax_a) * wavenumbers(ax_b)
 
 
-def _spectral_hessian(u: ScalarField, entries, dtype) -> np.ndarray:
-    """A Hessian-type matrix field from one forward rfftn of u.
+@dataclass(frozen=True, eq=False)
+class HessianSymbols:
+    """The mode's Hessian as real components, each with its half-spectrum symbol.
 
-    ``entries`` lists (i, j, real symbol, imaginary symbol or None) for the
-    upper triangle, each symbol on the half spectrum; every symbol costs one
-    irfftn, and the lower triangle is filled by Hermitian symmetry.
+    ``components`` lists the upper triangle as (i, j, imaginary): the real
+    part of H_ij, and for i < j on a full complex grid its imaginary part too
+    (a reduced grid has none).  ``symbols`` stacks their symbols on the rfftn
+    half spectrum, shape ``(len(components),) + half spectrum``, read-only.
     """
+
+    components: tuple[tuple[int, int, bool], ...]
+    symbols: np.ndarray
+
+
+@functools.lru_cache(maxsize=16)
+def hessian_symbols(grid: PeriodicGrid) -> HessianSymbols:
+    """The grid's Hessian symbol table, built once per grid."""
+    entries = []
+    for i in range(grid.n):
+        for j in range(i, grid.n):
+            if grid.mode == "real":
+                entries.append(((i, j, False), _second_derivative_symbol(grid, i, j)))
+                continue
+            xi, yi = grid.axis_pair(i)
+            xj, yj = grid.axis_pair(j)
+            entries.append(((i, j, False), 0.25 * (_second_derivative_symbol(grid, xi, xj)
+                                                   + _second_derivative_symbol(grid, yi, yj))))
+            if not grid.reduced and i != j:
+                entries.append(((i, j, True), 0.25 * (_second_derivative_symbol(grid, xi, yj)
+                                                      - _second_derivative_symbol(grid, yi, xj))))
+    half = grid.shape[:-1] + (grid.points_per_axis // 2 + 1,)
+    symbols = np.stack([np.broadcast_to(sym, half) for _, sym in entries])
+    symbols.setflags(write=False)
+    return HessianSymbols(tuple(c for c, _ in entries), symbols)
+
+
+def hessian_components(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
+    """The Hessian's components (``hessian_symbols(grid).components``) of the
+    field ``values``: one forward rfftn and one batched irfftn, shape
+    ``(len(components),) + grid.shape``."""
+    spec = np.fft.rfftn(values)
+    axes = tuple(range(1, grid.stored_axes + 1))
+    return np.fft.irfftn(spec * hessian_symbols(grid).symbols, s=grid.shape, axes=axes)
+
+
+def hessian_weights(d: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
+    """Weights w with <D, Hess v> = sum_e w_e * (component e of Hess v).
+
+    ``d`` has shape (..., n, n); the pairing is ``eigencalc.contract``'s
+    Re sum_ij D_ij conj(H_ij).  For Hermitian D the weights are D_ii,
+    2 Re D_ij and 2 Im D_ij; they are formed from both triangles of D, so
+    they equal the pairing's own sum.  Shape ``(len(components),) + d.shape[:-2]``.
+    """
+    comps = hessian_symbols(grid).components
+    out = np.empty((len(comps),) + d.shape[:-2])
+    for e, (i, j, imaginary) in enumerate(comps):
+        if i == j:
+            out[e] = np.real(d[..., i, i])
+        elif imaginary:
+            out[e] = np.imag(d[..., i, j] - d[..., j, i])
+        else:
+            out[e] = np.real(d[..., i, j] + d[..., j, i])
+    return out
+
+
+def hessian(u: ScalarField) -> MatrixField:
+    """The mode's Hessian field: mixed complex (1/4 convention) or full real."""
     grid = u.grid
-    axes = tuple(range(grid.stored_axes))
-    spec = np.fft.rfftn(u.values)
+    dtype = complex if grid.mode == "complex" and not grid.reduced else float
     out = np.zeros(grid.shape + (grid.n, grid.n), dtype=dtype)
-    for i, j, real_symbol, imag_symbol in entries:
-        d2 = np.fft.irfftn(spec * real_symbol, s=grid.shape, axes=axes)
-        out.real[..., i, j] = d2
-        out.real[..., j, i] = d2
-        if imag_symbol is not None:
-            d2 = np.fft.irfftn(spec * imag_symbol, s=grid.shape, axes=axes)
+    components = hessian_symbols(grid).components
+    for (i, j, imaginary), d2 in zip(components, hessian_components(u.values, grid)):
+        if imaginary:
             out.imag[..., i, j] = d2
             out.imag[..., j, i] = -d2
-    return out
+        else:
+            out.real[..., i, j] = d2
+            out.real[..., j, i] = d2
+    return MatrixField(grid, out)
 
 
 def complex_hessian(u: ScalarField) -> MatrixField:
     """The mixed complex Hessian u_{i jbar} in the 1/4 convention."""
-    grid = u.grid
-    if grid.mode != "complex":
+    if u.grid.mode != "complex":
         raise ValueError("complex_hessian requires a complex-mode grid")
-    entries = []
-    for i in range(grid.n):
-        xi, yi = grid.axis_pair(i)
-        for j in range(i, grid.n):
-            xj, yj = grid.axis_pair(j)
-            real_symbol = 0.25 * (_second_derivative_symbol(grid, xi, xj)
-                                  + _second_derivative_symbol(grid, yi, yj))
-            imag_symbol = None if grid.reduced or i == j else 0.25 * (
-                _second_derivative_symbol(grid, xi, yj)
-                - _second_derivative_symbol(grid, yi, xj)
-            )
-            entries.append((i, j, real_symbol, imag_symbol))
-    dtype = float if grid.reduced else complex
-    return MatrixField(grid, _spectral_hessian(u, entries, dtype))
+    return hessian(u)
 
 
 def real_hessian(u: ScalarField) -> MatrixField:
-    grid = u.grid
-    if grid.mode != "real":
+    if u.grid.mode != "real":
         raise ValueError("real_hessian requires a real-mode grid")
-    entries = [
-        (i, j, _second_derivative_symbol(grid, i, j), None)
-        for i in range(grid.n) for j in range(i, grid.n)
-    ]
-    return MatrixField(grid, _spectral_hessian(u, entries, float))
-
-
-def hessian(u: ScalarField) -> MatrixField:
-    return complex_hessian(u) if u.grid.mode == "complex" else real_hessian(u)
+    return hessian(u)
 
 
 def complex_gradient(u: ScalarField) -> np.ndarray:
@@ -436,27 +473,15 @@ def hessian_perturbation(grid: PeriodicGrid, amplitude: float, seed: int,
 
 
 def laplacian_symbol(grid: PeriodicGrid, alpha) -> np.ndarray:
-    """Fourier symbol of v -> tr(alpha^{-1} Hess v) for the mode's Hessian.
+    """Fourier symbol of v -> tr(alpha^{-1} Hess v) on the rfftn half spectrum.
 
-    Negative everywhere except the zero mode.  In complex mode the Hessian is
-    the mixed 1/4-convention one; in real mode the full real Hessian.
+    tr(alpha^{-1} H) is the pairing <alpha^{-1}, H>, so the symbol is the
+    Hessian's own component symbols weighted by alpha^{-1}, Nyquist rule
+    included.  Negative everywhere except the zero mode.
     """
-    dim = grid.n
-    ainv = np.linalg.inv(_as_matrix(alpha, dim))
-    ks = [grid.wavenumbers(a) for a in range(grid.stored_axes)]
-    mesh = np.meshgrid(*ks, indexing="ij")
-    if grid.mode == "real":
-        sym = np.zeros(grid.shape)
-        for p in range(dim):
-            for q in range(dim):
-                sym -= np.real(ainv[p, q]) * mesh[p] * mesh[q]
-        return sym
-    w = np.zeros(grid.shape + (dim,), dtype=complex)
-    for p in range(dim):
-        xp, yp = grid.axis_pair(p)
-        w[..., p] = mesh[xp] - (0.0 if yp is None else 1j * mesh[yp])
-    sym = -0.25 * np.real(np.einsum("...p,pq,...q->...", np.conj(w), ainv, w))
-    return sym
+    ainv = np.linalg.inv(_as_matrix(alpha, grid.n))
+    return np.einsum("e,e...->...", hessian_weights(ainv, grid),
+                     hessian_symbols(grid).symbols)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Independent oracles used across the test suite.
 
 Everything here is deliberately dumb: subset enumeration (in exact rational
-arithmetic where signs decide), finite differences, geometric ray shooting,
-doubling and bisection onto level sets, one supporting-plane test per
-candidate and each operator kind's value, derivatives and limit written out
-by hand.  None of it shares code with the library paths it checks.
+arithmetic where signs decide), finite differences, a Fourier symbol written
+out on the full FFT mesh, geometric ray shooting, doubling and bisection onto
+level sets, one supporting-plane test per candidate and each operator kind's
+value, derivatives and limit written out by hand.  None of it shares code with the library paths it checks.
 """
 
 import itertools
@@ -267,6 +267,30 @@ def coordinate_ray_radius_bisection(op, mu: np.ndarray, sigmas: np.ndarray,
         pts[:, i] += 0.5 * (t_lo + t_hi)
         radius = max(radius, float(np.linalg.norm(pts, axis=1).max()))
     return radius
+
+
+def laplacian_symbol_full_mesh(grid, alpha) -> np.ndarray:
+    """Fourier symbol of v -> tr(alpha^{-1} Hess v) on the full FFT mesh.
+
+    Written out from the wavenumbers with no Nyquist rule: -sum a_pq k_p k_q
+    in real mode, -1/4 Re(w* alpha^{-1} w) with w_p = k_{x_p} - i k_{y_p} in
+    complex mode.
+    """
+    dim = grid.n
+    ainv = np.linalg.inv(np.asarray(alpha))
+    ks = [grid.wavenumbers(a) for a in range(grid.stored_axes)]
+    mesh = np.meshgrid(*ks, indexing="ij")
+    if grid.mode == "real":
+        sym = np.zeros(grid.shape)
+        for p in range(dim):
+            for q in range(dim):
+                sym -= np.real(ainv[p, q]) * mesh[p] * mesh[q]
+        return sym
+    w = np.zeros(grid.shape + (dim,), dtype=complex)
+    for p in range(dim):
+        xp, yp = grid.axis_pair(p)
+        w[..., p] = mesh[xp] - (0.0 if yp is None else 1j * mesh[yp])
+    return -0.25 * np.real(np.einsum("...p,pq,...q->...", np.conj(w), ainv, w))
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,19 @@ from conesolve import (
     run_continuity,
     uniform_schedule,
 )
-from conesolve.eigencalc import first_derivative
+from conesolve.eigencalc import contract, first_derivative
 from conesolve.solver import Linearization, evaluate_pointwise, rhs_base
-from conesolve.torus import compute_c, hessian, hessian_perturbation
+from conesolve.torus import (
+    compute_c,
+    congruence,
+    hessian,
+    hessian_perturbation,
+    metric_root_inverse,
+)
+
+#: metrics with off-diagonal entries, complex ones in the Hermitian case
+REAL_METRIC = np.array([[2.0, 0.5, 0.2], [0.5, 1.5, 0.3], [0.2, 0.3, 1.2]])
+COMPLEX_METRIC = np.array([[2.0, 0.5 + 0.3j], [0.5 - 0.3j, 1.5]])
 
 
 def manufactured_problem(n=1, amplitude=0.5, points=32, reduced=False, seed=0):
@@ -130,8 +140,8 @@ def test_linearized_apply_consistency():
 
 
 @pytest.mark.parametrize("mode,n,alpha", [
-    ("real", 3, np.array([[2.0, 0.5, 0.2], [0.5, 1.5, 0.3], [0.2, 0.3, 1.2]])),
-    ("complex", 2, np.array([[2.0, 0.5 + 0.3j], [0.5 - 0.3j, 1.5]])),
+    ("real", 3, REAL_METRIC),
+    ("complex", 2, COMPLEX_METRIC),
 ])
 def test_linearization_general_metric(mode, n, alpha):
     # a metric that is not a multiple of the identity tells L^-* D L^-1 from
@@ -157,6 +167,37 @@ def test_linearization_general_metric(mode, n, alpha):
     ht = np.einsum("ab,...bc,dc->...ad", linv, hessian(v).values, np.conj(linv))
     explicit = np.real(np.einsum("...ij,...ij->...", d, np.conj(ht))) - dc
     assert np.abs(explicit - out).max() < 1e-12 * np.abs(out).max()
+
+
+@pytest.mark.parametrize("mode,n,reduced,alpha", [
+    ("real", 3, False, np.eye(3)),
+    ("complex", 3, True, np.eye(3)),
+    ("complex", 2, False, np.eye(2)),
+    ("complex", 2, False, COMPLEX_METRIC),
+])
+def test_linearization_apply_is_the_hessian_contraction(monkeypatch, mode, n, reduced, alpha):
+    import conesolve.solver as solver
+    import conesolve.torus as torus
+
+    g = PeriodicGrid.make(mode, n, 8, 1.0, reduced)
+    chi = MatrixField.constant(g, alpha)
+    prob = TorusProblem(g, LogSigmaK(n, 2), alpha, chi, ScalarField.zeros(g))
+    u0, _ = hessian_perturbation(g, 0.3, seed=5)
+    v = random_band_limited(g, 1.0, seed=6)
+    ev = evaluate_pointwise(prob, u0, 1.0)
+    linv = metric_root_inverse(alpha, n)
+    pulled_back = congruence(np.conj(linv).T, ev.table.derivative())
+    expected = contract(pulled_back, hessian(v).values) - 0.7
+
+    # the matvec reads the Hessian's components, never the n x n field
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Hessian field inside the matvec")
+
+    lin = Linearization(prob, ev)
+    monkeypatch.setattr(torus, "hessian", refuse)
+    monkeypatch.setattr(solver, "hessian", refuse)
+    out = lin.apply(v, 0.7).values
+    assert np.abs(out - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 def test_manufactured_monge_ampere_n1():
@@ -305,6 +346,25 @@ def test_hessian_path_matches_direct_solve():
     state = newton_solve(direct, 1.0)
     assert np.abs(state.u.values - final.u.values).max() < 1e-8
     assert state.c == pytest.approx(final.c, abs=1e-9)
+
+
+@pytest.mark.parametrize("mode,n,alpha", [
+    ("complex", 2, COMPLEX_METRIC),
+    ("real", 3, REAL_METRIC),
+])
+def test_hessian_path_under_a_general_metric(mode, n, alpha):
+    # no benchmark workload uses a metric other than the identity; the
+    # pull-back of dF and the preconditioner's symbol both read its entries
+    g = PeriodicGrid.make(mode, n, 8, 1.0)
+    _, pert = hessian_perturbation(g, 0.2, seed=12)
+    chi = MatrixField(g, alpha + pert.values)
+    h = random_band_limited(g, 0.25, seed=13)
+    prob = TorusProblem(g, LogSigmaK(n, 2), alpha, chi, h, path=PathKind.HESSIAN)
+    report = run_continuity(prob, uniform_schedule(5))
+    assert report.complete
+    assert [step["newton_iterations"] for step in report.steps] == [0, 3, 3, 3, 3]
+    final = report.final
+    assert np.abs(residual(prob, final.u, final.c, 1.0).values).max() < prob.newton_tol
 
 
 def test_quotient_path_constants():

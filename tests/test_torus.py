@@ -27,7 +27,13 @@ from conesolve import (
     real_hessian,
     save_field,
 )
-from conesolve.torus import hessian_perturbation
+from conesolve.torus import (
+    hessian_components,
+    hessian_perturbation,
+    hessian_symbols,
+    laplacian_symbol,
+)
+from oracles import laplacian_symbol_full_mesh
 
 
 def test_grid_validation():
@@ -138,6 +144,68 @@ def test_hessian_matches_per_entry_derivatives(mode, n, reduced, points):
     h = hessian(u).values
     ref = _per_entry_hessian(u)
     assert np.abs(h - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("mode,n,reduced,count", [
+    ("real", 3, False, 6), ("complex", 3, True, 6), ("complex", 2, False, 4),
+])
+def test_hessian_symbol_table(mode, n, reduced, count):
+    g = PeriodicGrid.make(mode, n, 8, 1.0, reduced)
+    table = hessian_symbols(g)
+    assert len(table.components) == count
+    assert table.symbols.shape == (count,) + g.shape[:-1] + (5,)
+    # one table per grid: an equal grid built anew gets the same object
+    assert hessian_symbols(PeriodicGrid.make(mode, n, 8, 1.0, reduced)) is table
+    assert not table.symbols.flags.writeable
+    with pytest.raises(ValueError):
+        table.symbols[0] = 0.0
+
+    # the components, scattered by Hermitian symmetry, are the Hessian
+    u = random_band_limited(g, 1.0, seed=7)
+    h = hessian(u).values
+    for (i, j, imaginary), d2 in zip(table.components, hessian_components(u.values, g)):
+        part = h.imag if imaginary else h.real
+        assert np.array_equal(part[..., i, j], d2)
+        assert np.array_equal(part[..., j, i], -d2 if imaginary else d2)
+
+
+def _touches_nyquist(grid):
+    """Half-spectrum mask of the indices with a Nyquist wavenumber on some axis."""
+    ng = grid.points_per_axis
+    idx = np.indices(grid.shape[:-1] + (ng // 2 + 1,))
+    return np.any(idx == ng // 2, axis=0)
+
+
+@pytest.mark.parametrize("mode,n,reduced", [
+    ("real", 3, False), ("complex", 2, True), ("complex", 2, False),
+])
+def test_laplacian_symbol_matches_full_mesh_oracle(mode, n, reduced):
+    rng = np.random.default_rng(n + 3 * reduced)
+    axes = n if mode == "real" or reduced else 2 * n
+    g = PeriodicGrid.make(mode, n, 8, tuple(rng.uniform(0.5, 2.0, axes)), reduced)
+    half = g.points_per_axis // 2 + 1
+
+    def oracle(alpha):
+        return laplacian_symbol_full_mesh(g, alpha)[..., :half]
+
+    # identity: bit for bit; another diagonal metric: to rounding
+    assert np.array_equal(laplacian_symbol(g, np.eye(n)), oracle(np.eye(n)))
+    diag = np.diag(rng.uniform(0.5, 2.0, n))
+    ref = oracle(diag)
+    assert np.all(np.abs(laplacian_symbol(g, diag) - ref) <= 4e-16 * np.abs(ref))
+
+    # off-diagonal entries: the mixed symbols follow the Hessian's Nyquist rule,
+    # so the two differ, but only at indices touching a Nyquist mode
+    a = rng.standard_normal((n, n))
+    if mode == "complex":
+        a = a + 1j * rng.standard_normal((n, n))
+    alpha = a @ np.conj(a).T + n * np.eye(n)
+    sym, ref = laplacian_symbol(g, alpha), oracle(alpha)
+    close = np.abs(sym - ref) <= 1e-14 * np.abs(ref).max()
+    nyquist = _touches_nyquist(g)
+    assert np.all(close[~nyquist])
+    assert not np.all(close[nyquist])
+    assert np.all(sym.flat[1:] < 0) and sym.flat[0] == 0.0
 
 
 def test_integral_values():
