@@ -1,23 +1,18 @@
 """Operators on Hermitian/symmetric endomorphisms, F(A) = f(lambda(A)).
 
-The Newton path needs no eigenvalues.  Every catalog kind states f in the
-sigma_j of the spectrum, and those are read straight from the matrix by the
+F needs no eigenvalues.  Every catalog kind states f in the sigma_j of the
+spectrum, and those are read straight from the matrix by the
 Faddeev-LeVerrier recursion (``matrix_sigmas``), which also gives each
-derivative P_{j-1} = d sigma_j / dA; so the cone margin, F and the matrix of
-dF, sum_j (df/d sigma_j) P_{j-1}, come from one table (``SigmaTable``).
+derivative P_{j-1} = d sigma_j / dA.  So the cone margin, F and the matrix of
+dF, sum_j (df/d sigma_j) P_{j-1}, come from one table (``SigmaTable``), and
+d2F[H, H] from one forward-mode sweep of the same recursion in the direction
+H (``second_form``), exact at eigenvalue collisions.  The Newton path and the
+public ``evaluate``, ``first_derivative`` and ``second_form`` read this one
+calculus; the eigenframe form with its divided differences is the test
+suite's oracle.
 
-The eigenframe calculus below is the independent reference.  For smooth
-symmetric f, at an eigendecomposition A = U diag(lam) U* the derivatives in
-matrix directions are
-
-    dF(A)[H]   = sum_i f_i * Htilde_ii,
-    d2F(A)[H]  = sum_ij f_ij Htilde_ii Htilde_jj
-                 + sum_{p != q} (f_p - f_q)/(lam_p - lam_q) |Htilde_pq|^2,
-
-with Htilde = U* H U.  The divided difference extends continuously across
-eigenvalue collisions; near a collision the analytic limit f_pp - f_pq is used
-instead of the catastrophically cancelling quotient.  These formulas hold at
-non-simple spectra because F itself is smooth on matrix space.
+``eigen_decompose`` and ``frame_product`` serve the perturbation device
+``spectrum_separator`` and the self-test.
 """
 
 from __future__ import annotations
@@ -27,11 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .cones import ConeViolation
 from .operators import SymmetricOperator
-
-#: relative spectral-gap threshold below which the divided difference
-#: switches to its analytic limit
-DEGENERATE_GAP = 1e-8
 
 
 class EigenSystem(NamedTuple):
@@ -133,21 +125,25 @@ class SigmaTable:
         return self.op.matrix_argument(d)
 
 
-def _admissible_eigenvalues(op: SymmetricOperator, a) -> EigenSystem:
-    eig = eigen_decompose(a)
-    ok = op.cone.contains(eig.values)
-    if not np.all(ok):
-        lam = eig.values if eig.values.ndim == 1 else eig.values[np.argwhere(~np.asarray(ok))[0][0]]
-        err = op.cone.violation(lam)
-        err.args = (f"{err.args[0]}; margin {op.cone.margin(lam):.6g}",)
+def _admissible_table(op: SymmetricOperator, a) -> SigmaTable:
+    """The sigma table at Hermitian A; raises ``ConeViolation`` naming the
+    first sigma_j <= 0 of the argument at the first inadmissible matrix."""
+    table = SigmaTable.at(op, require_hermitian(a))
+    margins = np.reshape(table.margin(), -1)
+    bad = np.flatnonzero(~(margins > 0.0))
+    if bad.size:
+        sigmas = np.reshape(table.sigmas, (-1, table.sigmas.shape[-1]))[bad[0]]
+        j = 1 + int(np.argmin(sigmas[1:op.cone.k + 1] > 0.0))
+        err = ConeViolation(j, float(sigmas[j]))
+        err.args = (f"{err.args[0]}; margin {margins[bad[0]]:.6g}",)
         raise err
-    return eig
+    return table
 
 
 def evaluate(op: SymmetricOperator, a):
     """F(A) = f(eigenvalues of A); basis invariant."""
-    eig = _admissible_eigenvalues(op, a)
-    return op.value(eig.values, check=False)
+    v = _admissible_table(op, a).value()
+    return v if v.ndim else float(v)
 
 
 def frame_product(frame, weights) -> np.ndarray:
@@ -156,13 +152,12 @@ def frame_product(frame, weights) -> np.ndarray:
 
 
 def first_derivative(op: SymmetricOperator, a) -> np.ndarray:
-    """The matrix of dF at A, reconstructed in the original basis.
+    """The matrix of dF at A.
 
     Contracting against a Hermitian direction H gives dF(A)[H] as the real
     trace pairing sum_ij D_ij conj(H_ij).  Positive definite on admissible A.
     """
-    eig = _admissible_eigenvalues(op, a)
-    return frame_product(eig.frame, op.gradient(eig.values, check=False))
+    return _admissible_table(op, a).derivative()
 
 
 def contract(d, h) -> float | np.ndarray:
@@ -172,49 +167,29 @@ def contract(d, h) -> float | np.ndarray:
     return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
-class SecondDerivativeForm:
-    """Pieces of the second derivative of F at a fixed admissible A.
-
-    ``diag_block`` is the Hessian f_ij at the sorted eigenvalues;
-    ``offdiag_weights`` holds (f_p - f_q)/(lam_p - lam_q), the analytic limit
-    being substituted on nearly coincident pairs.  For concave symmetric f the
-    off-diagonal weights are <= 0.
-    """
-
-    diag_block: np.ndarray
-    offdiag_weights: np.ndarray
-
-
-def second_derivative_form(op: SymmetricOperator, lam) -> SecondDerivativeForm:
-    lam = np.asarray(lam, dtype=float)
-    g = op.gradient(lam, check=False)
-    h = op.hessian(lam, check=False)
-    dl = lam[..., :, None] - lam[..., None, :]
-    df = g[..., :, None] - g[..., None, :]
-    near = np.abs(dl) < DEGENERATE_GAP * (1.0 + np.abs(lam[..., :, None]))
-    safe = np.where(near, 1.0, dl)
-    quotient = df / safe
-    # analytic limit of the divided difference as lam_q -> lam_p
-    diag_h = np.einsum("...ii->...i", h)
-    limit = diag_h[..., :, None] - h
-    w = np.where(near, limit, quotient)
-    n = lam.shape[-1]
-    w = w * (1.0 - np.eye(n))
-    return SecondDerivativeForm(h, w)
-
-
 def second_form(op: SymmetricOperator, a, h):
-    """The quadratic form d2F(A)[H, H]; <= 0 by concavity of F."""
-    eig = _admissible_eigenvalues(op, a)
-    h = require_hermitian(h)
-    u = eig.frame
-    ht = np.einsum("...pi,...pq,...qj->...ij", np.conj(u), h, u)
-    form = second_derivative_form(op, eig.values)
-    d = np.real(np.einsum("...ii->...i", ht))
-    term1 = np.einsum("...i,...ij,...j->...", d, form.diag_block, d)
-    term2 = np.einsum("...pq,...pq->...", form.offdiag_weights, np.abs(ht) ** 2)
-    out = term1 + term2
+    """The quadratic form d2F(A)[H, H]; <= 0 by concavity of F.
+
+    One forward-mode sweep of the ``matrix_sigmas`` recursion at the argument
+    X in the direction H_X (T(A) and T(H) under ``ComposedWithT``):
+
+        sigma_j' = <P_{j-1}, H_X>,  P_0' = 0,  P_j' = sigma_j' I - H_X P_{j-1} - X P_{j-1}',
+        sigma_j'' = <P_{j-1}', H_X>,
+        d2F[H, H] = sum_jl f_jl sigma_j' sigma_l' + sum_j f_j sigma_j''.
+    """
+    table = _admissible_table(op, a)
+    x = op.matrix_argument(np.asarray(a))
+    hx = op.matrix_argument(require_hermitian(h))
+    eye = np.eye(x.shape[-1])
+    d1, d2 = {}, {}  # sigma_j', sigma_j''
+    dp = np.zeros_like(hx)  # P_{j-1}'
+    for j, p in enumerate(table.derivatives, start=1):
+        d1[j] = np.real(np.einsum("...ij,...ji->...", p, hx))
+        d2[j] = np.real(np.einsum("...ij,...ji->...", dp, hx))
+        dp = d1[j][..., None, None] * eye - hx @ p - x @ dp
+    out = sum(f * d2[j] for j, f in op.sigma_partials(table.sigmas).items())
+    for (j, l), f in op.sigma_second_partials(table.sigmas).items():
+        out = out + (1 if j == l else 2) * f * d1[j] * d1[l]
     return out if np.ndim(out) else float(out)
 
 

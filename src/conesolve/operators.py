@@ -80,8 +80,13 @@ def _sigma_jets(lam: np.ndarray, js, second: bool):
     return sigma_all(lam, kmax), {j: de[..., j - 1] for j in js}, d2e
 
 
-def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return u[..., :, None] * v[..., None, :]
+def _summed(dicts) -> dict:
+    """The key-wise sum of dicts of arrays."""
+    out: dict = {}
+    for d in dicts:
+        for key, p in d.items():
+            out[key] = out[key] + p if key in out else p
+    return out
 
 
 @dataclass(frozen=True)
@@ -107,6 +112,17 @@ class Term:
             return {j: self.c / s[..., j]}
         value = self.at(s)
         return {j: a * value / s[..., j] for j, a in self.powers}
+
+    def second_partials(self, s: np.ndarray) -> dict:
+        """{(j, l): d^2(term)/d sigma_j d sigma_l}, one key j <= l per unordered
+        pair, read as in ``partials``: -c/sigma_j^2 for a log term; a_j (a_l -
+        [j = l]) v/(sigma_j sigma_l) for a monomial v."""
+        if self.log:
+            ((j, _),) = self.powers
+            return {(j, j): -self.c / s[..., j] ** 2}
+        value = self.at(s)
+        return {(min(j, l), max(j, l)): a * (b - (j == l)) * value / (s[..., j] * s[..., l])
+                for x, (j, a) in enumerate(self.powers) for l, b in self.powers[x:]}
 
     def degree(self, degrees) -> float:
         """sum_j a_j d_j: the degree of the product when sigma_j has degree d_j."""
@@ -236,11 +252,13 @@ class SymmetricOperator:
         """{j: df/d sigma_j} at e, read as in ``sigma_value``.  Both the
         gradient in lam and the matrix derivative of F(A) read this one
         statement of the first derivative."""
-        partials: dict = {}
-        for term in self.terms:
-            for j, p in term.partials(e).items():
-                partials[j] = partials[j] + p if j in partials else p
-        return partials
+        return _summed(term.partials(e) for term in self.terms)
+
+    def sigma_second_partials(self, e: np.ndarray) -> dict:
+        """{(j, l): d^2 f/d sigma_j d sigma_l} at e, one key j <= l per
+        unordered pair, read as in ``sigma_value``.  The Hessian in lam and the
+        second form of F(A) read this one statement of the second derivative."""
+        return _summed(term.second_partials(e) for term in self.terms)
 
     def matrix_argument(self, a):
         """The matrix whose spectrum the terms read: A itself (``ComposedWithT``
@@ -258,27 +276,19 @@ class SymmetricOperator:
         return self._derivatives(lam, second=True)[1]
 
     def _derivatives(self, lam, second: bool):
-        # The gradient is sum_j (df/d sigma_j) grad sigma_j.  With l_j = grad
-        # sigma_j / sigma_j, the Hessian of a term c log sigma_j or a monomial P
-        # is c (or P) times sum_j a_j H_j / sigma_j + sum_{j,i} w_ji l_j l_i^T,
-        # w_ji = -a_j [j = i] (+ a_j a_i for a monomial), each pair {j, i} added
-        # once, symmetrized
+        # The gradient is sum_j f_j grad sigma_j, the Hessian sum_j f_j Hess
+        # sigma_j + sum_jl f_jl grad sigma_j grad sigma_l^T, each pair {j, l}
+        # added once, symmetrized, so that it is exactly symmetric
         js = {j for term in self.terms for j, _ in term.powers}
         e, de, d2e = _sigma_jets(lam, js, second)
-        grad = sum(p[..., None] * de[j] for j, p in self.sigma_partials(e).items())
+        partials = self.sigma_partials(e)
+        grad = sum(p[..., None] * de[j] for j, p in partials.items())
         if not second:
             return grad, None
-        dlog = {j: de[j] / e[..., j, None] for j in js}
-        hess = 0.0
-        for term in self.terms:
-            factor = np.asarray(term.c if term.log else term.at(e))[..., None]
-            d2 = 0.0
-            for x, (j, a) in enumerate(term.powers):
-                d2 = (d2 + a * d2e[j] / e[..., j, None, None]
-                      + ((0 if term.log else a * a) - a) * _outer(dlog[j], dlog[j]))
-                for i, b in term.powers[x + 1:]:
-                    d2 = d2 + a * b * (_outer(dlog[j], dlog[i]) + _outer(dlog[i], dlog[j]))
-            hess = hess + factor[..., None] * d2
+        hess = sum(p[..., None, None] * d2e[j] for j, p in partials.items())
+        for (j, l), p in self.sigma_second_partials(e).items():
+            pair = de[j][..., :, None] * de[l][..., None, :]
+            hess = hess + p[..., None, None] * (pair if j == l else pair + np.swapaxes(pair, -1, -2))
         return grad, hess
 
     @property

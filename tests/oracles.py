@@ -3,12 +3,14 @@
 Everything here is deliberately dumb: subset enumeration (in exact rational
 arithmetic where signs decide), finite differences, a Fourier symbol written
 out on the full FFT mesh, geometric ray shooting, doubling and bisection onto
-level sets, one supporting-plane test per candidate and each operator kind's
-value, derivatives and limit written out by hand.  None of it shares code with the library paths it checks.
+level sets, one supporting-plane test per candidate, each operator kind's
+value, derivatives and limit written out by hand, and F(A) = f(lambda(A))
+with its derivatives in an eigenframe.  None of it shares code with the library paths it checks.
 """
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +24,7 @@ from conesolve import (
     MongeAmpere,
     NumericError,
 )
+from conesolve.eigencalc import eigen_decompose, frame_product, require_hermitian
 
 
 def sigma_bruteforce(k: int, lam) -> float:
@@ -466,3 +469,72 @@ def _reference_limit_under_t(inner, total):
         return inner.t * _reference_limit_under_t(
             HessianQuotientNeg(n, inner.l, inner.k), total)
     raise TypeError(inner)
+
+
+# ---------------------------------------------------------------------------
+# F(A) = f(lambda(A)) and its derivatives in an eigenframe
+#
+# At A = U diag(lam) U* and Htilde = U* H U, for smooth symmetric f,
+#
+#     dF(A)[H]  = sum_i f_i Htilde_ii,
+#     d2F(A)[H] = sum_ij f_ij Htilde_ii Htilde_jj
+#                 + sum_{p != q} (f_p - f_q)/(lam_p - lam_q) |Htilde_pq|^2.
+#
+# The divided difference extends continuously across eigenvalue collisions;
+# near one the analytic limit f_pp - f_pq replaces the cancelling quotient.
+
+#: relative spectral-gap threshold below which the divided difference
+#: switches to its analytic limit
+DEGENERATE_GAP = 1e-8
+
+
+def eigenframe_value(op, a):
+    """F(A) = f(eigenvalues of A); raises ``ConeViolation`` outside the cone."""
+    return op.value(eigen_decompose(a).values)
+
+
+def eigenframe_first_derivative(op, a) -> np.ndarray:
+    """The matrix of dF at A: U diag(grad f(lam)) U*."""
+    eig = eigen_decompose(a)
+    return frame_product(eig.frame, op.gradient(eig.values))
+
+
+@dataclass(frozen=True)
+class SecondDerivativeForm:
+    """Pieces of the second derivative of F at a fixed admissible A.
+
+    ``diag_block`` is the Hessian f_ij at the sorted eigenvalues;
+    ``offdiag_weights`` holds (f_p - f_q)/(lam_p - lam_q), the analytic limit
+    being substituted on nearly coincident pairs.  For concave symmetric f the
+    off-diagonal weights are <= 0.
+    """
+
+    diag_block: np.ndarray
+    offdiag_weights: np.ndarray
+
+
+def second_derivative_form(op, lam) -> SecondDerivativeForm:
+    lam = np.asarray(lam, dtype=float)
+    g = op.gradient(lam, check=False)
+    h = op.hessian(lam, check=False)
+    dl = lam[..., :, None] - lam[..., None, :]
+    df = g[..., :, None] - g[..., None, :]
+    near = np.abs(dl) < DEGENERATE_GAP * (1.0 + np.abs(lam[..., :, None]))
+    quotient = df / np.where(near, 1.0, dl)
+    # analytic limit of the divided difference as lam_q -> lam_p
+    limit = np.einsum("...ii->...i", h)[..., :, None] - h
+    w = np.where(near, limit, quotient) * (1.0 - np.eye(lam.shape[-1]))
+    return SecondDerivativeForm(h, w)
+
+
+def eigenframe_second_form(op, a, h):
+    """d2F(A)[H, H] from the eigenframe form above."""
+    eig = eigen_decompose(a)
+    op.value(eig.values)  # raises outside the cone
+    u = eig.frame
+    ht = np.einsum("...pi,...pq,...qj->...ij", np.conj(u), require_hermitian(h), u)
+    form = second_derivative_form(op, eig.values)
+    d = np.real(np.einsum("...ii->...i", ht))
+    out = (np.einsum("...i,...ij,...j->...", d, form.diag_block, d)
+           + np.einsum("...pq,...pq->...", form.offdiag_weights, np.abs(ht) ** 2))
+    return out if np.ndim(out) else float(out)

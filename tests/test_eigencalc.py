@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conesolve import (
+    ComposedWithT,
     ConeViolation,
     HessianQuotientNeg,
     InverseSigmaK,
@@ -13,11 +14,12 @@ from conesolve import (
     eigen_decompose,
     evaluate,
     first_derivative,
-    second_derivative_form,
     second_form,
     spectrum_separator,
 )
-from oracles import second_difference
+from oracles import second_derivative_form, second_difference
+from test_crossings import _pushed
+from test_term_calculus import KINDS
 
 
 def rand_hermitian(rng, n, complex_=True):
@@ -81,6 +83,51 @@ def test_value_domain_error_reports_margin():
     assert "margin" in str(err.value)
 
 
+def test_domain_error_names_the_sigma_of_the_argument():
+    # T(diag(-0.5, -0.5, 4.5)) = diag(2, 2, -0.5): sigma_3 < 0 < sigma_1, sigma_2
+    # there, while sigma_2(-0.5, -0.5, 4.5) < 0 already
+    op = ComposedWithT(3, MongeAmpere(3))
+    for call in (evaluate, first_derivative, lambda op, a: second_form(op, a, np.eye(3))):
+        with pytest.raises(ConeViolation) as err:
+            call(op, np.diag([-0.5, -0.5, 4.5]))
+        assert err.value.index == 3
+        assert err.value.value == pytest.approx(-2.0)
+        assert "margin -2" in str(err.value)
+
+
+def test_domain_error_names_the_first_inadmissible_matrix():
+    # sigma(-5, 3, 3) = (1, -21, -45) and sigma(-I) = (-3, 3, -1): the second
+    # matrix fails at sigma_2, the third already at sigma_1
+    op = LogSigmaK(3, 2)
+    q, _ = np.linalg.qr(rand_hermitian(np.random.default_rng(15), 3))
+    bad = (q * np.array([-5.0, 3.0, 3.0])) @ q.conj().T
+    stack = np.stack([np.eye(3), (bad + bad.conj().T) / 2, -np.eye(3)])
+    with pytest.raises(ConeViolation) as err:
+        evaluate(op, stack)
+    assert err.value.index == 2
+    assert err.value.value == pytest.approx(-21.0)
+    assert "margin -21" in str(err.value)
+
+
+def test_public_calculus_runs_no_eigensolve(monkeypatch):
+    rng = np.random.default_rng(14)
+    cases = []
+    for op in KINDS:
+        q, _ = np.linalg.qr(rand_hermitian(rng, op.n))
+        a = (q * _pushed(op.cone, rng.uniform(-3.0, 3.0, op.n), 0.5)) @ q.conj().T
+        cases.append((op, (a + a.conj().T) / 2))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eigendecomposition in the public calculus")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    for op, a in cases:
+        assert np.isfinite(evaluate(op, a))
+        assert np.all(np.isfinite(first_derivative(op, a)))
+        assert np.isfinite(second_form(op, a, np.eye(op.n)))
+
+
 def test_first_derivative_hand_cases():
     ma = MongeAmpere(2)
     np.testing.assert_allclose(first_derivative(ma, np.diag([1.0, 2.0])),
@@ -124,8 +171,8 @@ def test_derivatives_match_finite_differences(op, complex_):
 
 @pytest.mark.parametrize("op", OPS, ids=lambda o: repr(o))
 def test_degenerate_spectra(op):
-    # the divided-difference weights switch to their analytic limit at
-    # eigenvalue collisions; finite differences must still agree
+    # the sigma recursion needs no eigenvalue gaps, so at exact eigenvalue
+    # collisions finite differences must still agree
     rng = np.random.default_rng(zlib.crc32(repr(op).encode()) + 7)
     for _ in range(10):
         q, _ = np.linalg.qr(rand_hermitian(rng, op.n))

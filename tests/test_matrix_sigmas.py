@@ -28,8 +28,9 @@ from conesolve import (
     TorusProblem,
 )
 from conesolve.cones import sigma_all, t_map, without_each
-from conesolve.eigencalc import SigmaTable, first_derivative, frame_product, matrix_sigmas
+from conesolve.eigencalc import SigmaTable, frame_product, matrix_sigmas
 from conesolve.solver import evaluate_pointwise
+from oracles import eigenframe_first_derivative as first_derivative
 from test_crossings import _config_kinds, _pushed
 
 KINDS = _config_kinds(1) + _config_kinds(2) + _config_kinds(3) + [

@@ -25,7 +25,7 @@ from conesolve import (
     run_continuity,
     uniform_schedule,
 )
-from conesolve.eigencalc import contract, first_derivative
+from conesolve.eigencalc import contract
 from conesolve.solver import Linearization, evaluate_pointwise, rhs_base
 from conesolve.torus import (
     compute_c,
@@ -34,6 +34,7 @@ from conesolve.torus import (
     hessian_perturbation,
     metric_root_inverse,
 )
+from oracles import eigenframe_first_derivative as first_derivative
 
 #: metrics with off-diagonal entries, complex ones in the Hermitian case
 REAL_METRIC = np.array([[2.0, 0.5, 0.2], [0.5, 1.5, 0.3], [0.2, 0.3, 1.2]])
