@@ -7,9 +7,11 @@ pointwise linearized equation plus the mean-zero constraint make it square.
 Each iterate is evaluated once, from the sigma_j of A[u] read straight from
 the matrix (``eigencalc.SigmaTable``): the cone margin, F and the matrix of
 dF need no eigenvalues or eigenvectors.
-The linear solves are matrix-free Krylov (lgmres) with a constant-coefficient
-spectral preconditioner: the inverse of (mean trace of the first-derivative
-matrix / n) times the metric Laplacian.
+The linear solves are matrix-free restarted GMRES (``gmres``, right-
+preconditioned, Saad & Schultz 1986) with a constant-coefficient spectral
+preconditioner: the inverse of (mean trace of the first-derivative matrix / n)
+times the metric Laplacian.  Its inner products are einsum and pairwise sums,
+not BLAS level-1 calls, so the iterates do not depend on the BLAS thread count.
 
 Continuity paths, each anchored at a member solvable from u = 0:
 
@@ -29,7 +31,6 @@ import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, lgmres
 
 from .eigencalc import SigmaTable, require_hermitian
 from .operators import BlendedQuotient, HessianQuotientNeg, SymmetricOperator
@@ -54,6 +55,10 @@ from .torus import hessian  # noqa: F401
 MAX_HALVINGS = 30
 #: slack of the monotone bounds on the recorded path constants c_t
 PATH_BOUND_SLACK = 1e-8
+#: Arnoldi steps between GMRES restarts
+GMRES_RESTART = 30
+#: restarts GMRES makes before it reports failure
+GMRES_MAX_RESTARTS = 200
 
 
 class AdmissibilityError(ValueError):
@@ -281,8 +286,79 @@ def linearized_apply(problem: TorusProblem, state: SolveState, v: ScalarField,
     return Linearization(problem, ev).apply(v, dc)
 
 
+def _norm(w: np.ndarray) -> float:
+    return float(np.sqrt(np.sum(w * w)))
+
+
+def gmres(matvec, b: np.ndarray, *, M, rtol: float) -> tuple[np.ndarray, int]:
+    """Solve A x = b by right-preconditioned restarted GMRES (Saad & Schultz 1986).
+
+    ``matvec`` applies A and ``M`` the preconditioner.  Starts from x = 0, so
+    no product is spent on a zero vector.  Each cycle takes up to
+    ``GMRES_RESTART`` Arnoldi steps, orthogonalized by classical Gram-Schmidt
+    applied twice, and minimizes the residual by Givens rotations; it ends
+    with one product for the true residual.  Returns (x, info): info is 0 once
+    |b - A x| <= rtol |b|, else the number of cycles run (``GMRES_MAX_RESTARTS``,
+    or fewer if A M is singular on the Krylov space).  Projections are einsum
+    sums and norms pairwise sums, never a BLAS dot or nrm2, whose bits change
+    with the thread count.
+    """
+    m = GMRES_RESTART
+    x = np.zeros_like(b)
+    beta = _norm(b)
+    tol = rtol * beta
+    if beta == 0.0:
+        return x, 0
+    basis = np.empty((m + 1, b.size))
+    search = np.empty((m, b.size))
+    r = b
+    for cycle in range(1, GMRES_MAX_RESTARTS + 1):
+        hess = np.zeros((m + 1, m))
+        cs, sn = np.zeros(m), np.zeros(m)
+        g = np.zeros(m + 1)
+        g[0] = beta
+        basis[0] = r / beta
+        for j in range(m):
+            search[j] = M(basis[j])
+            w = matvec(search[j])
+            for _ in range(2):
+                h = np.einsum("ij,j->i", basis[:j + 1], w)
+                w = w - np.einsum("ij,i->j", basis[:j + 1], h)
+                hess[:j + 1, j] += h
+            w_norm = _norm(w)
+            col = hess[:j + 2, j]
+            col[j + 1] = w_norm
+            for i in range(j):
+                col[i], col[i + 1] = (cs[i] * col[i] + sn[i] * col[i + 1],
+                                      cs[i] * col[i + 1] - sn[i] * col[i])
+            rho = float(np.hypot(col[j], w_norm))
+            if rho == 0.0:
+                return x, cycle
+            cs[j], sn[j] = col[j] / rho, w_norm / rho
+            col[j], col[j + 1] = rho, 0.0
+            g[j + 1] = -sn[j] * g[j]
+            g[j] *= cs[j]
+            if abs(g[j + 1]) <= tol:
+                break
+            basis[j + 1] = w / w_norm
+        k = j + 1
+        y = np.linalg.solve(hess[:k, :k], g[:k])
+        x = x + np.einsum("i,ij->j", y, search[:k])
+        r = b - matvec(x)
+        beta = _norm(r)
+        if beta <= tol:
+            return x, 0
+    return x, GMRES_MAX_RESTARTS
+
+
+# the benchmark's tracer times the Krylov layer at this name
+lgmres = gmres
+
+
 def _solve_newton_system(lin: Linearization, r: np.ndarray, forcing: float):
-    """Solve [dF - s*dc = -r ; mean(v) = 0] by preconditioned lgmres."""
+    """Solve [dF - s*dc = -r ; mean(v) = 0] by ``gmres`` preconditioned with
+    the inverse constant-coefficient Laplacian, to relative residual
+    ``forcing``; the call goes through ``lgmres`` so the benchmark times it."""
     grid = lin.grid
     npts = int(np.prod(grid.shape))
     sign = lin.sign
@@ -304,10 +380,8 @@ def _solve_newton_system(lin: Linearization, r: np.ndarray, forcing: float):
         v = np.fft.irfftn(spec, s=grid.shape, axes=axes)
         return np.concatenate([v.ravel(), [-sign * gbar]])
 
-    a_op = LinearOperator((npts + 1, npts + 1), matvec=matvec, dtype=float)
-    m_op = LinearOperator((npts + 1, npts + 1), matvec=precondition, dtype=float)
     b = np.concatenate([-r.ravel(), [0.0]])
-    sol, info = lgmres(a_op, b, M=m_op, rtol=forcing, atol=0.0, maxiter=200)
+    sol, info = lgmres(matvec, b, M=precondition, rtol=forcing)
     dv = sol[:npts].reshape(grid.shape)
     dv = dv - dv.mean()
     return ScalarField(grid, dv), float(sol[npts]), info
@@ -349,7 +423,7 @@ def newton_solve(problem: TorusProblem, t: float,
         forcing = max(min(1e-4, 0.1 * r_sup), 1e-12)
         dv, dc, info = _solve_newton_system(Linearization(problem, ev), r, forcing)
         if info != 0:
-            raise stagnated(f"Krylov solve did not converge (lgmres info {info})")
+            raise stagnated(f"Krylov solve did not converge (gmres info {info})")
         step = 1.0
         for _ in range(MAX_HALVINGS + 1):
             u_try = ScalarField(grid, u.values + step * dv.values)
