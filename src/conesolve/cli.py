@@ -44,6 +44,7 @@ from .torus import (
     PeriodicGrid,
     ScalarField,
     compute_c,
+    constant_metric,
     endomorphism_field,
     hessian_perturbation,
     load_field,
@@ -60,17 +61,17 @@ EXIT_REFUTED = 5
 
 
 def build_problem(cfg: RunConfig) -> tuple[TorusProblem, dict]:
-    """Materialize grid, backgrounds, rhs and operator from a config."""
+    """Materialize grid, backgrounds, rhs and operator from a config.
+
+    Raises ValueError when the data the config names cannot make the problem.
+    """
     grid = PeriodicGrid.make(cfg.mode, cfg.dimension, cfg.points_per_axis,
                              cfg.periods, cfg.reduced)
     extras: dict = {}
 
     kind, args = parse_generator(cfg.alpha_spec)
-    if kind == "file":
-        alpha_field = load_field(cfg.alpha_spec[len("file:"):])
-        alpha = np.asarray(alpha_field.values.reshape(-1, grid.n, grid.n)[0])
-    else:
-        alpha = args[0] * np.eye(grid.n)
+    alpha = constant_metric(load_field(cfg.alpha_spec[len("file:"):]) if kind == "file"
+                            else args[0] * np.eye(grid.n), grid.n)
 
     kind, args = parse_generator(cfg.chi_spec)
     if kind == "chi_scaled":
@@ -164,7 +165,17 @@ def run(cfg: RunConfig, check_only: bool = False, certify_only: bool = False) ->
 
     try:
         problem, extras = build_problem(cfg)
-        report["generators"] = extras
+    except ValueError as exc:
+        report["error"] = {"kind": "config", "message": str(exc)}
+        _write_report(report, outdir)
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except OSError as exc:
+        print(f"I/O failure: {exc}", file=sys.stderr)
+        return EXIT_IO
+    report["generators"] = extras
+
+    try:
         if cfg.certify_enabled or certify_only:
             cert = certify_problem(problem, cfg)
             report["certificate"] = cert

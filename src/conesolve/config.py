@@ -18,7 +18,7 @@ The format is INI-style (configparser).  Sections and keys:
     reduced = true | false            complex mode: store x-axes only
 
     [background]
-    alpha = alpha_scaled(<s > 0>)
+    alpha = alpha_scaled(<s > 0>) | file:<path>     file: a constant, positive definite metric
     chi = chi_scaled(<s>) | chi_perturbed(<s>, <amplitude>[, <seed>]) | file:<path>
 
     [rhs]

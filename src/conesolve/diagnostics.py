@@ -18,9 +18,9 @@ from .torus import (
     MatrixField,
     ScalarField,
     complex_gradient,
-    complex_hessian,
-    congruence,
+    metric_hessian,
     metric_root_inverse,
+    sup_operator_norm,
 )
 
 
@@ -261,14 +261,9 @@ HMW_PSI_A = 1.0
 def hmw_ratio(u: ScalarField, alpha) -> HmwReport:
     if u.grid.mode != "complex":
         raise ValueError("the second-order/gradient monitor applies in complex mode")
-    n = u.grid.n
-    linv = metric_root_inverse(alpha, n)
-    dd = complex_hessian(u).values
-    ddo = congruence(linv, dd)
-    opnorm = np.abs(np.linalg.eigvalsh(ddo)).max(axis=-1)
-    sup_dd = float(opnorm.max())
+    sup_dd = sup_operator_norm(metric_hessian(u, alpha).values)
     grad = complex_gradient(u)
-    w = np.einsum("ab,...b->...a", linv, grad)
+    w = np.einsum("ab,...b->...a", metric_root_inverse(alpha, u.grid.n), grad)
     grad_sq = np.real(np.einsum("...a,...a->...", np.conj(w), w))
     sup_grad_sq = float(grad_sq.max())
     big_k = sup_grad_sq + 1.0

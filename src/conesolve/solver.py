@@ -39,12 +39,11 @@ from .torus import (
     PeriodicGrid,
     ScalarField,
     compute_c,
-    congruence,
     endomorphism_field,
     hessian_components,
     hessian_weights,
     laplacian_symbol,
-    metric_root_inverse,
+    metric_basis,
 )
 # unused here; the benchmark's tracer binds its spans at these names
 from .eigencalc import eigen_decompose  # noqa: F401
@@ -109,6 +108,10 @@ class TorusProblem:
     def __post_init__(self):
         if self.normalization not in ("mean_zero", "sup_zero"):
             raise ValueError("normalization must be 'mean_zero' or 'sup_zero'")
+        if not isinstance(self.chi, MatrixField) or self.chi.dim != self.grid.n:
+            raise ValueError(f"chi must be a field of {self.grid.n}x{self.grid.n} matrices")
+        if self.h is not None and not isinstance(self.h, ScalarField):
+            raise ValueError("the rhs h must be a scalar field")
         if self.chi.grid != self.grid:
             raise ValueError("fields must share one grid")
         if self.h is not None and self.h.grid != self.grid:
@@ -269,10 +272,9 @@ class Linearization:
         d = ev.table.derivative()
         self.mean_trace = float(np.real(np.einsum("...ii->...", d)).mean()) / self.grid.n
         self.sign = constant_sign(problem)
-        # <D, L^-1 H L^-*> = <L^-* D L^-1, H>: pull D back once, not H per
-        # matvec, and pair it with H's components as one weight per component
-        linv = metric_root_inverse(problem.alpha, self.grid.n)
-        self.weights = hessian_weights(congruence(np.conj(linv).T, d), self.grid)
+        # <D, sum_e c_e B_e> = sum_e <D, B_e> c_e: one weight per Hessian
+        # component, so a matvec never forms the n x n Hessian field
+        self.weights = hessian_weights(d, metric_basis(self.grid, problem.alpha))
 
     def apply(self, v: ScalarField, dc: float) -> ScalarField:
         """Directional derivative: <D, alpha-orthonormal Hess v> - s*dc."""

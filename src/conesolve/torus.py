@@ -31,8 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cones import sigma_all
-from .eigencalc import hermitian_defect, require_hermitian
+from .eigencalc import hermitian_defect, matrix_sigmas, require_hermitian
 
 
 class DegenerateClassError(ValueError):
@@ -167,53 +166,37 @@ class MatrixField:
         return hermitian_defect(self.values)
 
 
-def derivative(f: ScalarField, axes) -> ScalarField:
-    """Spectral derivative of the trigonometric interpolant along stored axes.
-
-    ``axes`` is a stored-axis index or a sequence of them; repeats mean higher
-    order.  The Nyquist mode is zeroed on axes differentiated an odd number of
-    times.
+def _symbol(grid: PeriodicGrid, axes) -> np.ndarray:
+    """Symbol prod_a (i k_a)^count of d^axes on the rfftn half spectrum,
+    broadcastable to it; repeated axes mean higher order.  The Nyquist rule:
+    the Nyquist mode is zeroed on an axis differentiated an odd number of times.
     """
-    if isinstance(axes, (int, np.integer)):
-        axes = (int(axes),)
-    grid = f.grid
-    spec = np.fft.fftn(f.values)
-    ng = grid.points_per_axis
-    for ax, cnt in Counter(axes).items():
-        k = grid.wavenumbers(ax).copy()
-        if cnt % 2 == 1:
-            k[ng // 2] = 0.0
-        shape = [1] * grid.stored_axes
-        shape[ax] = ng
-        spec = spec * (1j * k.reshape(shape)) ** cnt
-    return ScalarField(grid, np.real(np.fft.ifftn(spec)))
-
-
-def _second_derivative_symbol(grid: PeriodicGrid, ax_a: int | None,
-                              ax_b: int | None) -> np.ndarray | float:
-    """Symbol of d_a d_b on the rfftn half spectrum, broadcastable to it.
-
-    Follows ``derivative``'s Nyquist rule: the Nyquist mode is zeroed on an
-    axis differentiated once, kept on an axis differentiated twice.  An axis
-    of None (a y axis of a reduced grid) gives the symbol 0.
-    """
-    if ax_a is None or ax_b is None:
-        return 0.0
     ng = grid.points_per_axis
     last = grid.stored_axes - 1
-
-    def wavenumbers(ax: int) -> np.ndarray:
+    sym = 1.0
+    for ax, cnt in Counter(axes).items():
         k = grid.wavenumbers(ax)
-        if ax_a != ax_b:
-            k = k.copy()
+        if cnt % 2 == 1:
             k[ng // 2] = 0.0
         if ax == last:
             k = k[: ng // 2 + 1]
         shape = [1] * grid.stored_axes
         shape[ax] = k.size
-        return k.reshape(shape)
+        sym = sym * k.reshape(shape) ** cnt
+    return sym * 1j ** len(axes)
 
-    return -wavenumbers(ax_a) * wavenumbers(ax_b)
+
+def derivative(f: ScalarField, axes) -> ScalarField:
+    """Spectral derivative of the trigonometric interpolant along stored axes.
+
+    ``axes`` is a stored-axis index or a sequence of them; repeats mean higher
+    order.  One rfftn, times ``_symbol``, and one irfftn.
+    """
+    if isinstance(axes, (int, np.integer)):
+        axes = (int(axes),)
+    grid = f.grid
+    spec = np.fft.rfftn(f.values) * _symbol(grid, axes)
+    return ScalarField(grid, np.fft.irfftn(spec, s=grid.shape, axes=range(grid.stored_axes)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,33 +206,45 @@ class HessianSymbols:
     ``components`` lists the upper triangle as (i, j, imaginary): the real
     part of H_ij, and for i < j on a full complex grid its imaginary part too
     (a reduced grid has none).  ``symbols`` stacks their symbols on the rfftn
-    half spectrum, shape ``(len(components),) + half spectrum``, read-only.
+    half spectrum, shape ``(len(components),) + half spectrum``; ``units``
+    stacks their unit matrices U_e, shape ``(len(components), n, n)``, so
+    Hess u = sum_e c_e U_e for the components c_e.  Both are read-only.
     """
 
     components: tuple[tuple[int, int, bool], ...]
     symbols: np.ndarray
+    units: np.ndarray
 
 
 @functools.lru_cache(maxsize=16)
 def hessian_symbols(grid: PeriodicGrid) -> HessianSymbols:
     """The grid's Hessian symbol table, built once per grid."""
+
+    def d2(a: int | None, b: int | None):
+        # an axis of None (a y axis of a reduced grid) gives the symbol 0
+        return 0.0 if a is None or b is None else _symbol(grid, (a, b)).real
+
     entries = []
     for i in range(grid.n):
         for j in range(i, grid.n):
             if grid.mode == "real":
-                entries.append(((i, j, False), _second_derivative_symbol(grid, i, j)))
+                entries.append(((i, j, False), d2(i, j)))
                 continue
             xi, yi = grid.axis_pair(i)
             xj, yj = grid.axis_pair(j)
-            entries.append(((i, j, False), 0.25 * (_second_derivative_symbol(grid, xi, xj)
-                                                   + _second_derivative_symbol(grid, yi, yj))))
+            entries.append(((i, j, False), 0.25 * (d2(xi, xj) + d2(yi, yj))))
             if not grid.reduced and i != j:
-                entries.append(((i, j, True), 0.25 * (_second_derivative_symbol(grid, xi, yj)
-                                                      - _second_derivative_symbol(grid, yi, xj))))
+                entries.append(((i, j, True), 0.25 * (d2(xi, yj) - d2(yi, xj))))
     half = grid.shape[:-1] + (grid.points_per_axis // 2 + 1,)
     symbols = np.stack([np.broadcast_to(sym, half) for _, sym in entries])
+    full_complex = grid.mode == "complex" and not grid.reduced
+    units = np.zeros((len(entries), grid.n, grid.n), complex if full_complex else float)
+    for e, ((i, j, imaginary), _) in enumerate(entries):
+        units[e, i, j] = 1j if imaginary else 1.0
+        units[e, j, i] = np.conj(units[e, i, j])
     symbols.setflags(write=False)
-    return HessianSymbols(tuple(c for c, _ in entries), symbols)
+    units.setflags(write=False)
+    return HessianSymbols(tuple(c for c, _ in entries), symbols, units)
 
 
 def hessian_components(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
@@ -261,40 +256,21 @@ def hessian_components(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     return np.fft.irfftn(spec * hessian_symbols(grid).symbols, s=grid.shape, axes=axes)
 
 
-def hessian_weights(d: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
-    """Weights w with <D, Hess v> = sum_e w_e * (component e of Hess v).
+def hessian_weights(d: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Weights w_e = Re <D, B_e> (``eigencalc.contract``'s pairing) of D, shape
+    (..., n, n), against a basis (E, n, n) such as ``units`` or ``metric_basis``,
+    so <D, sum_e c_e B_e> = sum_e w_e c_e.  Shape ``(E,) + d.shape[:-2]``."""
+    return np.real(np.tensordot(np.conj(basis), d, axes=((1, 2), (-2, -1))))
 
-    ``d`` has shape (..., n, n); the pairing is ``eigencalc.contract``'s
-    Re sum_ij D_ij conj(H_ij).  For Hermitian D the weights are D_ii,
-    2 Re D_ij and 2 Im D_ij; they are formed from both triangles of D, so
-    they equal the pairing's own sum.  Shape ``(len(components),) + d.shape[:-2]``.
-    """
-    comps = hessian_symbols(grid).components
-    out = np.empty((len(comps),) + d.shape[:-2])
-    for e, (i, j, imaginary) in enumerate(comps):
-        if i == j:
-            out[e] = np.real(d[..., i, i])
-        elif imaginary:
-            out[e] = np.imag(d[..., i, j] - d[..., j, i])
-        else:
-            out[e] = np.real(d[..., i, j] + d[..., j, i])
-    return out
+
+def _combine(u: ScalarField, basis: np.ndarray) -> np.ndarray:
+    """sum_e c_e(u) B_e over the Hessian's components c_e(u)."""
+    return np.tensordot(hessian_components(u.values, u.grid), basis, axes=(0, 0))
 
 
 def hessian(u: ScalarField) -> MatrixField:
     """The mode's Hessian field: mixed complex (1/4 convention) or full real."""
-    grid = u.grid
-    dtype = complex if grid.mode == "complex" and not grid.reduced else float
-    out = np.zeros(grid.shape + (grid.n, grid.n), dtype=dtype)
-    components = hessian_symbols(grid).components
-    for (i, j, imaginary), d2 in zip(components, hessian_components(u.values, grid)):
-        if imaginary:
-            out.imag[..., i, j] = d2
-            out.imag[..., j, i] = -d2
-        else:
-            out.real[..., i, j] = d2
-            out.real[..., j, i] = d2
-    return MatrixField(grid, out)
+    return MatrixField(u.grid, _combine(u, hessian_symbols(u.grid).units))
 
 
 def complex_hessian(u: ScalarField) -> MatrixField:
@@ -324,8 +300,10 @@ def complex_gradient(u: ScalarField) -> np.ndarray:
     return out
 
 
-def _as_matrix(alpha, dim: int) -> np.ndarray:
-    """Accept a constant matrix or a constant MatrixField for the metric."""
+def constant_metric(alpha, dim: int) -> np.ndarray:
+    """The background metric as a d x d matrix, checked: a matrix or a
+    MatrixField constant on its grid, Hermitian and positive definite.
+    Raises ValueError otherwise."""
     if isinstance(alpha, MatrixField):
         vals = alpha.values.reshape(-1, alpha.dim, alpha.dim)
         if np.abs(vals - vals[0]).max() > 1e-12 * (1.0 + np.abs(vals[0]).max()):
@@ -344,7 +322,7 @@ def _as_matrix(alpha, dim: int) -> np.ndarray:
 
 def metric_root_inverse(alpha, dim: int) -> np.ndarray:
     """L^{-1} for the Cholesky factor alpha = L L*."""
-    return np.linalg.inv(np.linalg.cholesky(_as_matrix(alpha, dim)))
+    return np.linalg.inv(np.linalg.cholesky(constant_metric(alpha, dim)))
 
 
 def congruence(l: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -357,21 +335,42 @@ def congruence(l: np.ndarray, g: np.ndarray) -> np.ndarray:
     return flat.reshape(np.shape(g))
 
 
-def endomorphism_field(alpha, chi: MatrixField, u: ScalarField | None = None) -> MatrixField:
-    """A = alpha^{-1} (chi + Hess u), in alpha-orthonormalized coordinates.
+def metric_basis(grid: PeriodicGrid, alpha) -> np.ndarray:
+    """The Hessian basis in alpha-orthonormal coordinates: B_e = L^{-1} U_e L^{-*}
+    with alpha = L L* and U_e the ``hessian_symbols(grid).units``, so that
+    L^{-1} Hess u L^{-*} = sum_e c_e(u) B_e.  Shape (E, n, n)."""
+    return congruence(metric_root_inverse(alpha, grid.n), hessian_symbols(grid).units)
 
-    Returned as L^{-1} (chi + Hess u) L^{-*} with alpha = L L*, which is
-    literally Hermitian/symmetric and has the same eigenvalues as
-    alpha^{-1} (chi + Hess u).
+
+def metric_hessian(u: ScalarField, alpha) -> MatrixField:
+    """L^{-1} Hess u L^{-*}: the Hessian in alpha-orthonormal coordinates."""
+    return MatrixField(u.grid, _combine(u, metric_basis(u.grid, alpha)))
+
+
+def endomorphism_field(alpha, chi: MatrixField, u: ScalarField | None = None) -> MatrixField:
+    """A = alpha^{-1} (chi + Hess u), in alpha-orthonormalized coordinates:
+    L^{-1} chi L^{-*} + ``metric_hessian(u, alpha)`` with alpha = L L*, which is
+    literally Hermitian/symmetric with the eigenvalues of alpha^{-1} (chi + Hess u).
     """
     grid = chi.grid
-    g = chi.values
+    a = congruence(metric_root_inverse(alpha, chi.dim), chi.values)
     if u is not None:
         if u.grid is not grid and u.grid != grid:
             raise ValueError("fields must share one grid")
-        g = g + hessian(u).values
-    linv = metric_root_inverse(alpha, chi.dim)
-    return MatrixField(grid, congruence(linv, g))
+        a = a + metric_hessian(u, alpha).values
+    return MatrixField(grid, a)
+
+
+def sup_operator_norm(h: np.ndarray) -> float:
+    """max |H|_2 over Hermitian matrices h, shape (..., n, n).  As |H|_F / sqrt(n)
+    <= |H|_2 <= |H|_F, only matrices with |H|_F >= max |H|_F / sqrt(n) (less a
+    rounding slack) can attain it, and ``eigvalsh`` runs on those alone; it
+    works per matrix, so the result is the full eigensolve's bit for bit."""
+    n = h.shape[-1]
+    mats = np.reshape(h, (-1, n, n))
+    fro = np.sqrt(np.sum(np.abs(mats) ** 2, axis=(-2, -1)))
+    keep = fro >= (1.0 - 1e-12) * fro.max() / math.sqrt(n)
+    return float(np.abs(np.linalg.eigvalsh(mats[keep])).max())
 
 
 def integral(f: ScalarField, weight: ScalarField | None = None) -> float:
@@ -398,13 +397,12 @@ def form_ratio(chi: MatrixField, alpha, j: int) -> ScalarField:
 
 
 def _form_ratios(chi: MatrixField, alpha, degrees) -> list[ScalarField]:
-    """``form_ratio`` at each of ``degrees``, from one eigensolve."""
+    """``form_ratio`` at each of ``degrees``, from one sigma recursion."""
     n = chi.dim
     for j in degrees:
         if not 0 <= j <= n:
             raise ValueError(f"j must be in 0..{n}, got {j}")
-    lam = np.linalg.eigvalsh(endomorphism_field(alpha, chi).values)
-    e = sigma_all(lam, max(degrees))
+    e, _ = matrix_sigmas(endomorphism_field(alpha, chi).values, max(1, *degrees))
     return [ScalarField(chi.grid, e[..., j] / math.comb(n, j)) for j in degrees]
 
 
@@ -424,7 +422,7 @@ def nminus1_background(eta: MatrixField, alpha) -> MatrixField:
     n = eta.dim
     if n < 2:
         raise ValueError("nminus1_background requires n >= 2")
-    a = _as_matrix(alpha, n)
+    a = constant_metric(alpha, n)
     ainv = np.linalg.inv(a)
     tr = np.real(np.einsum("ab,...ba->...", ainv, eta.values))
     vals = tr[..., None, None] * a - (n - 1) * eta.values
@@ -464,7 +462,7 @@ def hessian_perturbation(grid: PeriodicGrid, amplitude: float, seed: int,
     """
     phi = random_band_limited(grid, 1.0, seed, max_harmonic, terms)
     h = hessian(phi)
-    opnorm = float(np.abs(np.linalg.eigvalsh(h.values)).max())
+    opnorm = sup_operator_norm(h.values)
     scale = amplitude / opnorm if opnorm > 0 else 0.0
     return (
         ScalarField(grid, phi.values * scale),
@@ -479,9 +477,9 @@ def laplacian_symbol(grid: PeriodicGrid, alpha) -> np.ndarray:
     Hessian's own component symbols weighted by alpha^{-1}, Nyquist rule
     included.  Negative everywhere except the zero mode.
     """
-    ainv = np.linalg.inv(_as_matrix(alpha, grid.n))
-    return np.einsum("e,e...->...", hessian_weights(ainv, grid),
-                     hessian_symbols(grid).symbols)
+    table = hessian_symbols(grid)
+    ainv = np.linalg.inv(constant_metric(alpha, grid.n))
+    return np.einsum("e,e...->...", hessian_weights(ainv, table.units), table.symbols)
 
 
 # ---------------------------------------------------------------------------

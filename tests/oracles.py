@@ -2,7 +2,8 @@
 
 Everything here is deliberately dumb: subset enumeration (in exact rational
 arithmetic where signs decide), finite differences, a Fourier symbol written
-out on the full FFT mesh, geometric ray shooting, doubling and bisection onto
+out on the full FFT mesh, a spectral derivative on the full complex FFT
+mesh, geometric ray shooting, doubling and bisection onto
 level sets, one supporting-plane test per candidate, each operator kind's
 value, derivatives and limit written out by hand, and F(A) = f(lambda(A))
 with its derivatives in an eigenframe.  None of it shares code with the library paths it checks.
@@ -10,6 +11,7 @@ with its derivatives in an eigenframe.  None of it shares code with the library 
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -270,6 +272,23 @@ def coordinate_ray_radius_bisection(op, mu: np.ndarray, sigmas: np.ndarray,
         pts[:, i] += 0.5 * (t_lo + t_hi)
         radius = max(radius, float(np.linalg.norm(pts, axis=1).max()))
     return radius
+
+
+def derivative_full_mesh(f, axes) -> np.ndarray:
+    """Spectral derivative of a ScalarField along stored ``axes`` (repeats mean
+    higher order) by the full complex fftn: each axis's (i k)^count, with the
+    Nyquist mode zeroed on axes differentiated an odd number of times."""
+    grid = f.grid
+    spec = np.fft.fftn(f.values)
+    ng = grid.points_per_axis
+    for ax, cnt in Counter(axes).items():
+        k = grid.wavenumbers(ax).copy()
+        if cnt % 2 == 1:
+            k[ng // 2] = 0.0
+        shape = [1] * grid.stored_axes
+        shape[ax] = ng
+        spec = spec * (1j * k.reshape(shape)) ** cnt
+    return np.real(np.fft.ifftn(spec))
 
 
 def laplacian_symbol_full_mesh(grid, alpha) -> np.ndarray:

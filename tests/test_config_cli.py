@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from conesolve import MatrixField, PeriodicGrid, ScalarField, save_field
 from conesolve.cli import main
 from conesolve.config import ConfigError, parse_config
 
@@ -254,3 +255,56 @@ def test_quotient_path_takes_its_operator(tmp_path, capsys):
     assert main(["certify", "--config", str(cfg)]) == 4
     assert "config error: quotient path" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def _background_files(tmp_path, case):
+    """A [background] section naming a metric file, and for some cases a chi or
+    an h file, that cannot make QUOTIENT_CFG's problem (complex n = 2, reduced 16^2)."""
+    grid = PeriodicGrid.make("complex", 2, 16, 1.0, reduced=True)
+    alpha = MatrixField.constant(grid, np.eye(2))
+    chi, rhs = "chi_perturbed(2, 0.1, 21)", ""
+    if case == "non-constant metric":
+        alpha.values[3, 5] = np.diag([2.0, 1.0])
+    elif case == "negative-definite metric":
+        alpha = MatrixField.constant(grid, -np.eye(2))
+    elif case == "chi on another grid":
+        coarse = PeriodicGrid.make("complex", 2, 8, 1.0, reduced=True)
+        save_field(MatrixField.constant(coarse, 2.0 * np.eye(2)), tmp_path / "chi")
+        chi = f"file:{tmp_path / 'chi'}"
+    elif case == "scalar chi":
+        save_field(ScalarField.constant(grid, 2.0), tmp_path / "chi")
+        chi = f"file:{tmp_path / 'chi'}"
+    else:
+        save_field(MatrixField.constant(grid, np.eye(2)), tmp_path / "h")
+        rhs = f"\n[rhs]\nh = file:{tmp_path / 'h'}\n"
+    save_field(alpha, tmp_path / "alpha")
+    return f"[background]\nalpha = file:{tmp_path / 'alpha'}\nchi = {chi}{rhs}"
+
+
+@pytest.mark.parametrize("case, message", [
+    ("non-constant metric", "the background metric must be constant on the grid"),
+    ("negative-definite metric", "metric must be positive definite"),
+    ("chi on another grid", "fields must share one grid"),
+    ("scalar chi", "chi must be a field of 2x2 matrices"),
+    ("matrix rhs", "the rhs h must be a scalar field"),
+])
+def test_cli_bad_metric_or_field_file_is_a_config_error(tmp_path, capsys, case, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(QUOTIENT_CFG.format(out=tmp_path / "out").replace(
+        "[background]\nchi = chi_perturbed(2, 0.1, 21)", _background_files(tmp_path, case)))
+    assert main(["solve", "--config", str(cfg)]) == 4
+    report = json.loads((tmp_path / "out" / "solve_report.json").read_text())
+    assert report["error"] == {"kind": "config", "message": message}
+    assert "solve" not in report and "certificate" not in report
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
+def test_cli_constant_metric_file(tmp_path):
+    grid = PeriodicGrid.make("complex", 2, 16, 1.0, reduced=True)
+    save_field(MatrixField.constant(grid, 2.0 * np.eye(2)), tmp_path / "alpha")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(QUOTIENT_CFG.format(out=tmp_path / "out").replace(
+        "[background]\n", f"[background]\nalpha = file:{tmp_path / 'alpha'}\n"))
+    assert main(["certify", "--config", str(cfg)]) == 0
+    report = json.loads((tmp_path / "out" / "solve_report.json").read_text())
+    assert report["certificate"]["verdict"] == "certified" and "error" not in report

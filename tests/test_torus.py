@@ -1,3 +1,4 @@
+import itertools
 import math
 import tempfile
 from pathlib import Path
@@ -28,12 +29,18 @@ from conesolve import (
     save_field,
 )
 from conesolve.torus import (
+    congruence,
     hessian_components,
     hessian_perturbation,
     hessian_symbols,
+    hessian_weights,
     laplacian_symbol,
+    metric_basis,
+    metric_hessian,
+    metric_root_inverse,
+    sup_operator_norm,
 )
-from oracles import laplacian_symbol_full_mesh
+from oracles import derivative_full_mesh, laplacian_symbol_full_mesh
 
 
 def test_grid_validation():
@@ -108,11 +115,11 @@ def test_real_hessian_symmetry():
 
 
 def _per_entry_hessian(u):
-    """The Hessian composed entry by entry from ``derivative``: the reference."""
+    """The Hessian composed entry by entry from the full-mesh derivative oracle."""
     g = u.grid
 
     def d2(a, b):
-        return np.zeros(g.shape) if a is None or b is None else derivative(u, (a, b)).values
+        return np.zeros(g.shape) if a is None or b is None else derivative_full_mesh(u, (a, b))
 
     if g.mode == "real":
         out = np.zeros(g.shape + (g.n, g.n))
@@ -144,6 +151,72 @@ def test_hessian_matches_per_entry_derivatives(mode, n, reduced, points):
     h = hessian(u).values
     ref = _per_entry_hessian(u)
     assert np.abs(h - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("points", [8, 10])  # N/2 even and odd
+@pytest.mark.parametrize("mode,n,reduced", [
+    ("real", 1, False), ("real", 3, False), ("complex", 2, True), ("complex", 1, False),
+])
+def test_derivative_matches_full_mesh_oracle(mode, n, reduced, points):
+    # orders 1 to 3 along every multiset of stored axes; random normal values
+    # carry energy at the Nyquist modes, where odd orders differ from even ones
+    rng = np.random.default_rng(points + 7 * n)
+    axes = n if mode == "real" or reduced else 2 * n
+    g = PeriodicGrid.make(mode, n, points, tuple(rng.uniform(0.5, 2.0, axes)), reduced)
+    u = ScalarField(g, rng.normal(size=g.shape))
+    for order in (1, 2, 3):
+        for combo in itertools.combinations_with_replacement(range(axes), order):
+            ref = derivative_full_mesh(u, combo)
+            got = derivative(u, combo).values
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max(), combo
+    assert np.array_equal(derivative(u, 0).values, derivative(u, (0,)).values)
+
+
+@pytest.mark.parametrize("mode,n,reduced", [
+    ("real", 3, False), ("complex", 3, True), ("complex", 2, False),
+])
+def test_hessian_units(mode, n, reduced):
+    g = PeriodicGrid.make(mode, n, 8, 1.0, reduced)
+    table = hessian_symbols(g)
+    units = table.units
+    assert units.shape == (len(table.components), n, n)
+    assert not units.flags.writeable
+    with pytest.raises(ValueError):
+        units[0, 0, 0] = 2.0
+    assert np.array_equal(units, np.conj(np.swapaxes(units, -1, -2)))
+    # the Hessian is sum_e c_e U_e, and the U_e are orthogonal: |U_e|^2 is 1
+    # on the diagonal, 2 off it
+    u = random_band_limited(g, 1.0, seed=11)
+    comps = hessian_components(u.values, g)
+    assert np.array_equal(hessian(u).values,
+                          sum(c[..., None, None] * unit for c, unit in zip(comps, units)))
+    gram = np.diag([1.0 if i == j else 2.0 for i, j, _ in table.components])
+    assert np.array_equal(hessian_weights(units, units), gram)
+
+
+@pytest.mark.parametrize("mode,n,reduced", [
+    ("real", 3, False), ("complex", 2, True), ("complex", 2, False),
+])
+def test_metric_basis_is_the_congruent_unit_basis(mode, n, reduced):
+    rng = np.random.default_rng(n + reduced)
+    g = PeriodicGrid.make(mode, n, 8, 1.0, reduced)
+    a = rng.standard_normal((n, n))
+    if mode == "complex":
+        a = a + 1j * rng.standard_normal((n, n))
+    alpha = a @ np.conj(a).T + n * np.eye(n)
+    linv = metric_root_inverse(alpha, n)
+    basis = metric_basis(g, alpha)
+    units = hessian_symbols(g).units
+    assert np.allclose(basis, linv @ units @ np.conj(linv).T, rtol=0, atol=1e-15)
+    u = random_band_limited(g, 1.0, seed=12)
+    ref = congruence(linv, hessian(u).values)
+    assert np.abs(metric_hessian(u, alpha).values - ref).max() <= 1e-14 * np.abs(ref).max()
+    # weights against B_e pair D with L^-1 H L^-*: those of L^-* D L^-1 against U_e
+    d = rng.standard_normal(g.shape + (n, n))
+    d = d + np.swapaxes(d, -1, -2)
+    pulled = congruence(np.conj(linv).T, d)
+    assert np.allclose(hessian_weights(d, basis), hessian_weights(pulled, units),
+                       rtol=0, atol=1e-14 * np.abs(d).max())
 
 
 @pytest.mark.parametrize("mode,n,reduced,count", [
@@ -206,6 +279,48 @@ def test_laplacian_symbol_matches_full_mesh_oracle(mode, n, reduced):
     assert np.all(close[~nyquist])
     assert not np.all(close[nyquist])
     assert np.all(sym.flat[1:] < 0) and sym.flat[0] == 0.0
+
+
+def _sup_by_full_eigensolve(h):
+    return float(np.abs(np.linalg.eigvalsh(h)).max())
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sup_operator_norm_is_the_full_eigensolve(monkeypatch, complex_, n):
+    rng = np.random.default_rng(n + 5 * complex_)
+    h = rng.standard_normal((6, 7, n, n))
+    if complex_:
+        h = h + 1j * rng.standard_normal((6, 7, n, n))
+    h = h + np.conj(np.swapaxes(h, -1, -2))
+    assert sup_operator_norm(h) == _sup_by_full_eigensolve(h)
+
+    # a field with one dominant matrix: eigvalsh sees that matrix alone
+    h[2, 3] *= 10.0 * np.sqrt(n)
+    seen, eigvalsh = [], np.linalg.eigvalsh
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        seen.append(len(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    assert sup_operator_norm(h) == _sup_by_full_eigensolve(h)
+    assert seen[0] == 1
+
+
+def test_sup_operator_norm_equal_frobenius_and_zero_fields():
+    # every matrix has Frobenius norm 1, so every one is a candidate
+    rng = np.random.default_rng(9)
+    q, _ = np.linalg.qr(rng.standard_normal((40, 3, 3)) + 1j * rng.standard_normal((40, 3, 3)))
+    lam = rng.standard_normal((40, 3))
+    lam /= np.linalg.norm(lam, axis=-1, keepdims=True)
+    h = np.einsum("pij,pj,pkj->pik", q, lam, np.conj(q))
+    assert sup_operator_norm(h) == _sup_by_full_eigensolve(h)
+    # scalar matrices attain |H|_F / sqrt(n) exactly
+    scalar = np.einsum("p,ij->pij", rng.uniform(0.5, 1.0, 40), np.eye(3))
+    scalar[7] = np.eye(3)
+    assert sup_operator_norm(scalar) == _sup_by_full_eigensolve(scalar) == 1.0
+    assert sup_operator_norm(np.zeros((4, 4, 2, 2))) == 0.0
 
 
 def test_integral_values():
