@@ -102,12 +102,14 @@ class BallFunction:
         """Centered second differences; ``grads`` reuses a ``gradient()``."""
         g = self.gradient() if grads is None else grads
         m = self.grid.m
-        hess = np.zeros(self.values.shape + (m, m))
+        rows = [np.gradient(gi, self.grid.spacing) for gi in g]
+        if m == 1:
+            rows = [[rows[0]]]
+        hess = np.empty(self.values.shape + (m, m))
         for i in range(m):
-            gi = np.gradient(g[i], self.grid.spacing)
             for j in range(m):
-                hess[..., i, j] = gi[j] if m > 1 else gi
-        return 0.5 * (hess + np.swapaxes(hess, -1, -2))
+                hess[..., i, j] = 0.5 * (rows[i][j] + rows[j][i])
+        return hess
 
 
 @dataclass(frozen=True)
@@ -120,9 +122,9 @@ class ContactSet:
         return int(self.mask.sum())
 
 
-#: bytes of one block of the supporting-plane product: 2 candidates against
-#: the ~13.4k test points of a 128^2 ball.  Twice this budget runs no faster
-#: and raises the peak RSS of ``conesolve abp --grid 128`` by about 0.5 MB.
+#: bytes of one block of the supporting-plane product.  On the fuzz wells of
+#: ``conesolve abp --grid 128`` the 13 361 ball samples prune to 4-33% of
+#: themselves, so a block holds about 7 to 60 candidates.
 _PLANE_BLOCK_BYTES = 1 << 18
 
 
@@ -135,7 +137,17 @@ def _has_supporting_plane(v: BallFunction, grads, candidates: np.ndarray,
     min_p (v(p) - p.g) >= v(x) - x.g: the left side is the discrete Legendre
     transform of the samples at g, one row of the product of the candidates'
     [-g, 1] rows with the lifted samples [p, v(p)], taken a block at a time.
+
+    Only samples that could refute some plane enter the product: with G the
+    largest candidate slope |g|, sample p is kept iff
+    v(p) - |p| G < max(offsets) + slack.  The pruning is exact, since a dropped
+    sample has v(p) - p.g >= v(p) - |p| G >= max(offsets) + slack for every
+    candidate g, above every candidate's offset - slack; the margin keeps each
+    candidate's own sample, so at least one sample is always kept.
     """
+    mask = np.zeros_like(candidates)
+    if not candidates.any():
+        return mask
     fields = list(coords) + [v.values]
     edges = list(v.grid.boundary_points().T) + [v.boundary_values]
     lifted = np.empty((len(fields), int(interior.sum()) + len(edges[0])))  # (m + 1, points)
@@ -146,6 +158,9 @@ def _has_supporting_plane(v: BallFunction, grads, candidates: np.ndarray,
                       axis=1)
     lifted_x = np.stack([c[candidates] for c in coords] + [v.values[candidates]], axis=1)
     offsets = np.einsum("ij,ij->i", planes, lifted_x)
+    slope = float(np.sqrt(np.einsum("ij,ij->i", planes[:, :-1], planes[:, :-1]).max()))
+    reach = lifted[-1] - slope * np.sqrt(np.einsum("ij,ij->j", lifted[:-1], lifted[:-1]))
+    lifted = lifted[:, reach < offsets.max() + slack]
     chunk = max(1, _PLANE_BLOCK_BYTES // lifted[0].nbytes)
     block = np.empty((min(chunk, len(planes)), lifted.shape[1]))
     legendre = np.empty(len(planes))
@@ -153,7 +168,6 @@ def _has_supporting_plane(v: BallFunction, grads, candidates: np.ndarray,
         rows = planes[lo:lo + chunk]
         products = np.matmul(rows, lifted, out=block[:len(rows)])
         legendre[lo:lo + len(rows)] = products.min(axis=1)
-    mask = np.zeros_like(candidates)
     mask[candidates] = legendre >= offsets - slack
     return mask
 
@@ -222,7 +236,8 @@ def abp_check(v: BallFunction, epsilon: float) -> AbpReport:
     hess = v.fd_hessian(grads)
     # spatial rate of change of |grad v| along its own direction
     gdir = np.stack(grads, axis=-1) / np.maximum(gnorm, 1e-300)[..., None]
-    rate = np.abs(np.einsum("...ij,...i,...j->...", hess, gdir, gdir))
+    rate = np.abs(sum(hess[..., i, j] * gdir[..., i] * gdir[..., j]
+                      for i in range(m) for j in range(m)))
     weight = np.clip(0.5 + (0.5 * epsilon - gnorm) / np.maximum(rate * h, 1e-300), 0.0, 1.0)
     weight[~interior] = 0.0
     candidates = weight > 0.0

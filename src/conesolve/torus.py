@@ -287,16 +287,20 @@ def real_hessian(u: ScalarField) -> MatrixField:
 
 
 def complex_gradient(u: ScalarField) -> np.ndarray:
-    """Holomorphic derivatives u_p = (d_x - i d_y) u / 2, shape grid + (n,)."""
+    """Holomorphic derivatives u_p = (d_x - i d_y) u / 2, shape grid + (n,):
+    one forward rfftn and one batched irfftn over every stored axis's symbol."""
     grid = u.grid
     if grid.mode != "complex":
         raise ValueError("complex_gradient requires a complex-mode grid")
-    out = np.zeros(grid.shape + (grid.n,), dtype=complex)
+    axes = range(grid.stored_axes)
+    half = grid.shape[:-1] + (grid.points_per_axis // 2 + 1,)
+    symbols = np.stack([np.broadcast_to(_symbol(grid, (a,)), half) for a in axes])
+    d = np.fft.irfftn(np.fft.rfftn(u.values) * symbols, s=grid.shape,
+                      axes=tuple(a + 1 for a in axes))
+    out = np.empty(grid.shape + (grid.n,), dtype=complex)
     for p in range(grid.n):
         xp, yp = grid.axis_pair(p)
-        dx = derivative(u, xp).values
-        dy = derivative(u, yp).values if yp is not None else 0.0
-        out[..., p] = 0.5 * (dx - 1j * dy)
+        out[..., p] = 0.5 * (d[xp] - 1j * (d[yp] if yp is not None else 0.0))
     return out
 
 

@@ -156,6 +156,32 @@ def test_supporting_plane_no_candidates():
     assert contact_set(v, 0.2).points.shape == (0, 2)
 
 
+def test_supporting_plane_single_candidate():
+    # the centre is the only candidate: g = 0, so its own sample's reach equals
+    # the largest offset and only the slack margin keeps it in the product
+    v = quadratic_well(0.4)
+    assert assert_contact_mask_matches_bruteforce(v, 0.04) == (1, 1)
+    assert contact_set(v, 0.04).count == 1
+    assert abp_check(v, 0.04).passed
+
+
+def test_supporting_plane_far_refuter():
+    # a narrow dip at |x| = 0.7, below every plane of small slope through the
+    # centre: the samples that refute the central candidates lie far from them
+    v = BallFunction.from_callable(
+        BallGrid(2, 64),
+        lambda x, y: x**2 + y**2 - 0.6 * np.exp(-((x - 0.7)**2 + y**2) / 0.01))
+    x, y = v.grid.coordinates()
+    central = np.hypot(x, y) < 0.3
+    grads = v.gradient()
+    candidates = v.grid.interior_mask() & (np.hypot(*grads) < 0.1)
+    assert candidates[central].sum() > 0
+    assert assert_contact_mask_matches_bruteforce(v, 0.2) == (10, 1)
+    mask = contact_set(v, 0.2).mask
+    assert not mask[central].any()
+    assert v.values[mask] == v.values.min()
+
+
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(depth=st.floats(0.1, 0.5), tilt=st.floats(-0.3, 0.3), scale=st.floats(0.5, 2.0),
        points=st.sampled_from([16, 25, 32]))
