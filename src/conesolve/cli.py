@@ -109,8 +109,7 @@ def build_problem(cfg: RunConfig) -> tuple[TorusProblem, dict]:
 
 def certify_problem(problem: TorusProblem, cfg: RunConfig) -> dict:
     """Certify the trivial comparison function for the configured path."""
-    endo = endomorphism_field(problem.alpha, problem.chi)
-    eigs = np.linalg.eigvalsh(endo.values).reshape(-1, problem.grid.n)
+    eigs = np.linalg.eigvalsh(problem.background).reshape(-1, problem.grid.n)
     extra = {}
     if problem.path is PathKind.QUOTIENT:
         extra["class_constant"] = compute_c(problem.chi, problem.alpha,

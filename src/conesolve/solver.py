@@ -39,6 +39,7 @@ from .torus import (
     PeriodicGrid,
     ScalarField,
     compute_c,
+    constant_metric,
     endomorphism_field,
     hessian_components,
     hessian_weights,
@@ -93,7 +94,9 @@ class PathKind(enum.Enum):
 
 @dataclass
 class TorusProblem:
-    """Problem data: operator, backgrounds, right-hand side and path choice."""
+    """Problem data: operator, backgrounds, right-hand side and path choice.
+    alpha and chi are checked and read once, at construction, into read-only
+    A[0] (``background``), B_e (``basis``) and the ``laplacian_symbol``."""
 
     grid: PeriodicGrid
     op: SymmetricOperator
@@ -104,6 +107,9 @@ class TorusProblem:
     normalization: str = "mean_zero"
     newton_tol: float = 1e-10
     max_newton: int = 50
+    background: np.ndarray = field(init=False, repr=False, compare=False)
+    basis: np.ndarray = field(init=False, repr=False, compare=False)
+    laplacian: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.normalization not in ("mean_zero", "sup_zero"):
@@ -112,17 +118,24 @@ class TorusProblem:
             raise ValueError(f"chi must be a field of {self.grid.n}x{self.grid.n} matrices")
         if self.h is not None and not isinstance(self.h, ScalarField):
             raise ValueError("the rhs h must be a scalar field")
-        if self.chi.grid != self.grid:
-            raise ValueError("fields must share one grid")
-        if self.h is not None and self.h.grid != self.grid:
+        if self.chi.grid != self.grid or (self.h is not None and self.h.grid != self.grid):
             raise ValueError("fields must share one grid")
         if self.op.n != self.grid.n:
             raise ValueError("operator cone dimension must match the mode dimension")
-        if self.path in (PathKind.HESSIAN, PathKind.FIXED, PathKind.RIEMANNIAN):
-            if self.path is not PathKind.RIEMANNIAN and self.h is None:
-                raise ValueError(f"{self.path.value} path requires an rhs field h")
+        if self.path in (PathKind.HESSIAN, PathKind.FIXED) and self.h is None:
+            raise ValueError(f"{self.path.value} path requires an rhs field h")
         if self.path is PathKind.QUOTIENT and not isinstance(self.op, HessianQuotientNeg):
             raise ValueError(f"quotient path requires a HessianQuotientNeg, got {self.op!r}")
+        self.alpha = constant_metric(self.alpha, self.grid.n)
+        try:
+            require_hermitian(self.chi.values)
+        except ValueError as exc:
+            raise ValueError(f"chi: {exc}") from None
+        self.background = endomorphism_field(self.alpha, self.chi).values
+        self.basis = metric_basis(self.grid, self.alpha)
+        self.laplacian = laplacian_symbol(self.grid, self.alpha)
+        for held in (self.background, self.basis, self.laplacian):
+            held.setflags(write=False)
 
 
 @dataclass
@@ -198,7 +211,7 @@ def constant_sign(problem: TorusProblem) -> float:
 
 @dataclass(frozen=True)
 class PointwiseEvaluation:
-    """A[u] at one (u, t) and the pointwise data every Newton step reads from it.
+    """The pointwise data every Newton step reads from A[u] at one (u, t).
 
     ``table`` holds the sigma_j the operator in force at t reads at A[u], and
     their matrix derivatives; ``margin`` is the smallest cone margin on the
@@ -206,7 +219,6 @@ class PointwiseEvaluation:
     the iterate is admissible (``margin > 0``).
     """
 
-    endomorphism: np.ndarray
     table: SigmaTable
     margin: float
     worst_index: tuple
@@ -221,14 +233,18 @@ class PointwiseEvaluation:
 def evaluate_pointwise(problem: TorusProblem, u: ScalarField | None,
                        t: float) -> PointwiseEvaluation:
     """Evaluate A[u] (A[0] when ``u`` is None), the sigma table of the operator
-    in force at t, the cone margin and F, without an eigendecomposition."""
-    endo = endomorphism_field(problem.alpha, problem.chi, u).values
+    in force at t, the cone margin and F, from the problem's held arrays."""
+    endo = problem.background
+    if u is not None:
+        if u.grid != problem.grid:
+            raise ValueError("fields must share one grid")
+        endo = endo + np.tensordot(hessian_components(u.values, u.grid), problem.basis, (0, 0))
     table = SigmaTable.at(path_operator(problem, t), endo)
     margins = table.margin()
     worst = int(np.argmin(margins))
     margin = float(margins.flat[worst])
     value = table.value() if margin > 0.0 else None
-    return PointwiseEvaluation(endo, table, margin,
+    return PointwiseEvaluation(table, margin,
                                np.unravel_index(worst, margins.shape), value)
 
 
@@ -268,13 +284,12 @@ class Linearization:
         self.problem = problem
         self.grid = problem.grid
         ev.require_admissible()
-        require_hermitian(ev.endomorphism)
         d = ev.table.derivative()
         self.mean_trace = float(np.real(np.einsum("...ii->...", d)).mean()) / self.grid.n
         self.sign = constant_sign(problem)
         # <D, sum_e c_e B_e> = sum_e <D, B_e> c_e: one weight per Hessian
         # component, so a matvec never forms the n x n Hessian field
-        self.weights = hessian_weights(d, metric_basis(self.grid, problem.alpha))
+        self.weights = hessian_weights(d, problem.basis)
 
     def apply(self, v: ScalarField, dc: float) -> ScalarField:
         """Directional derivative: <D, alpha-orthonormal Hess v> - s*dc."""
@@ -365,7 +380,7 @@ def _solve_newton_system(lin: Linearization, r: np.ndarray, forcing: float):
     npts = int(np.prod(grid.shape))
     sign = lin.sign
     axes = tuple(range(grid.stored_axes))
-    symbol = laplacian_symbol(grid, lin.problem.alpha) * lin.mean_trace
+    symbol = lin.problem.laplacian * lin.mean_trace
     zero_mode = (0,) * grid.stored_axes
     symbol[zero_mode] = 1.0  # the zero mode is handled by the constant block
 
@@ -401,14 +416,9 @@ def newton_solve(problem: TorusProblem, t: float,
     grid = problem.grid
     sign = constant_sign(problem)
     base = rhs_base(problem, t)
-    if warm is None:
-        u = ScalarField.zeros(grid)
-        c = sign * float((background_value(problem, t) - base).mean())
-    else:
-        u = normalize(warm.u, "mean_zero")
-        c = warm.c
-
+    u = ScalarField.zeros(grid) if warm is None else normalize(warm.u, "mean_zero")
     ev = evaluate_pointwise(problem, u, t).require_admissible()
+    c = sign * float((ev.value - base).mean()) if warm is None else warm.c
     r = ev.value - (base + sign * c)
     r_sup = float(np.abs(r).max())
     trace: list[dict] = []

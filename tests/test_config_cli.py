@@ -267,9 +267,15 @@ def _background_files(tmp_path, case):
         alpha.values[3, 5] = np.diag([2.0, 1.0])
     elif case == "negative-definite metric":
         alpha = MatrixField.constant(grid, -np.eye(2))
+    elif case == "indefinite metric":
+        alpha = MatrixField.constant(grid, np.diag([1.0, -1.0]))
     elif case == "chi on another grid":
         coarse = PeriodicGrid.make("complex", 2, 8, 1.0, reduced=True)
         save_field(MatrixField.constant(coarse, 2.0 * np.eye(2)), tmp_path / "chi")
+        chi = f"file:{tmp_path / 'chi'}"
+    elif case == "non-Hermitian chi":
+        save_field(MatrixField.constant(grid, np.array([[1.0, 0.3], [0.0, 1.0]])),
+                   tmp_path / "chi")
         chi = f"file:{tmp_path / 'chi'}"
     elif case == "scalar chi":
         save_field(ScalarField.constant(grid, 2.0), tmp_path / "chi")
@@ -284,7 +290,9 @@ def _background_files(tmp_path, case):
 @pytest.mark.parametrize("case, message", [
     ("non-constant metric", "the background metric must be constant on the grid"),
     ("negative-definite metric", "metric must be positive definite"),
+    ("indefinite metric", "metric must be positive definite"),
     ("chi on another grid", "fields must share one grid"),
+    ("non-Hermitian chi", "chi: matrix is not Hermitian: defect 3.000e-01 > 1e-12 * scale"),
     ("scalar chi", "chi must be a field of 2x2 matrices"),
     ("matrix rhs", "the rhs h must be a scalar field"),
 ])

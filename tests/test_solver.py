@@ -25,7 +25,7 @@ from conesolve import (
     run_continuity,
     uniform_schedule,
 )
-from conesolve.eigencalc import contract
+from conesolve.eigencalc import SigmaTable, contract
 from conesolve.solver import Linearization, evaluate_pointwise, rhs_base
 from conesolve.torus import (
     compute_c,
@@ -233,18 +233,77 @@ def test_newton_evaluates_each_iterate_once(monkeypatch):
 
     prob, _ = manufactured_problem(n=1, points=32)
     calls = []
-    original = solver.endomorphism_field
+    original = solver.evaluate_pointwise
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "endomorphism_field", counting)
+    monkeypatch.setattr(solver, "evaluate_pointwise", counting)
     state = newton_solve(prob, 1.0)
-    # A[0] for the cold-start constant, A[u] at the start, then one
-    # evaluation per full Newton step
+    # the cold start, whose A[0] also gives c, then one evaluation per full
+    # Newton step
     assert state.iterations >= 3
-    assert len(calls) == 2 + state.iterations
+    assert len(calls) == 1 + state.iterations
+
+
+def test_newton_reads_the_frame_the_problem_holds(monkeypatch):
+    # alpha and chi are checked and transformed once, when the problem is made
+    import conesolve.solver as solver
+    import conesolve.torus as torus
+
+    prob, _ = manufactured_problem(n=2, points=16, reduced=True, seed=5)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the frame rebuilt inside newton_solve")
+
+    for module in (solver, torus):
+        for name in ("constant_metric", "metric_root_inverse", "metric_basis",
+                     "endomorphism_field", "require_hermitian", "laplacian_symbol"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    state = newton_solve(prob, 1.0)
+    assert state.iterations >= 2 and state.residual_norm < prob.newton_tol
+
+
+@pytest.mark.parametrize("mode,n,reduced,alpha", [
+    ("real", 3, False, REAL_METRIC),
+    ("complex", 3, True, REAL_METRIC),
+    ("complex", 2, False, COMPLEX_METRIC),
+])
+def test_evaluation_reads_the_endomorphism_field(mode, n, reduced, alpha):
+    # the held A[0] plus the held basis is A[u] bit for bit
+    g = PeriodicGrid.make(mode, n, 8, 1.0, reduced)
+    _, pert = hessian_perturbation(g, 0.2, seed=14)
+    chi = MatrixField(g, alpha + pert.values)
+    op = LogSigmaK(n, 2)
+    prob = TorusProblem(g, op, alpha, chi, ScalarField.zeros(g))
+    u, _ = hessian_perturbation(g, 0.3, seed=15)
+    for w in (None, u):
+        expected = SigmaTable.at(op, endomorphism_field(alpha, chi, w).values)
+        assert np.array_equal(evaluate_pointwise(prob, w, 1.0).table.sigmas,
+                              expected.sigmas)
+
+
+def test_problem_frame_is_read_only():
+    prob, _ = manufactured_problem(n=2, points=8)
+    assert np.array_equal(prob.background, endomorphism_field(prob.alpha, prob.chi).values)
+    for held in (prob.background, prob.basis, prob.laplacian):
+        with pytest.raises(ValueError, match="read-only"):
+            held[(0,) * held.ndim] = 1.0
+
+
+def test_problem_checks_alpha_and_chi_at_construction():
+    g = PeriodicGrid.make("complex", 2, 8, 1.0, reduced=True)
+    lower = MatrixField.constant(g, np.array([[1.0, 0.3], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="chi: matrix is not Hermitian"):
+        TorusProblem(g, MongeAmpere(2), np.eye(2), lower, ScalarField.zeros(g))
+    chi = MatrixField.constant(g, np.eye(2))
+    with pytest.raises(ValueError, match="positive definite"):
+        TorusProblem(g, MongeAmpere(2), np.diag([1.0, -1.0]), chi, ScalarField.zeros(g))
+    field_alpha = TorusProblem(g, MongeAmpere(2), MatrixField.constant(g, 2.0 * np.eye(2)),
+                               chi, ScalarField.zeros(g))
+    assert np.array_equal(field_alpha.alpha, 2.0 * np.eye(2))
 
 
 def test_newton_reads_no_eigenvalues(monkeypatch):
