@@ -43,7 +43,6 @@ from .torus import (
     MatrixField,
     PeriodicGrid,
     ScalarField,
-    compute_c,
     constant_metric,
     endomorphism_field,
     hessian_perturbation,
@@ -112,8 +111,7 @@ def certify_problem(problem: TorusProblem, cfg: RunConfig) -> dict:
     eigs = np.linalg.eigvalsh(problem.background).reshape(-1, problem.grid.n)
     extra = {}
     if problem.path is PathKind.QUOTIENT:
-        extra["class_constant"] = compute_c(problem.chi, problem.alpha,
-                                            problem.op.l, problem.op.k)
+        extra["class_constant"] = problem.class_constant
         sigmas = np.full(eigs.shape[0], -extra["class_constant"])
     elif problem.path is PathKind.RIEMANNIAN:
         h0 = background_value(problem, 0.0)

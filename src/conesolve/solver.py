@@ -12,6 +12,11 @@ preconditioned, Saad & Schultz 1986) with a constant-coefficient spectral
 preconditioner: the inverse of (mean trace of the first-derivative matrix / n)
 times the metric Laplacian.  Its inner products are einsum and pairwise sums,
 not BLAS level-1 calls, so the iterates do not depend on the BLAS thread count.
+The search directions are kept as rfftn half spectra, the preconditioner's
+output, so an Arnoldi step costs one forward transform and E inverse ones (E
+Hessian components), and a Newton step one more inverse transform.  Newton
+carries the Hessian components of its iterate, so line-search trials
+transform nothing.
 
 Continuity paths, each anchored at a member solvable from u = 0:
 
@@ -27,6 +32,7 @@ on Newton stagnation down to 1e-4 before giving up with a partial report.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 from dataclasses import dataclass, field, replace
 
@@ -38,13 +44,14 @@ from .torus import (
     MatrixField,
     PeriodicGrid,
     ScalarField,
-    compute_c,
+    class_constant,
     constant_metric,
     endomorphism_field,
     hessian_components,
     hessian_weights,
     laplacian_symbol,
     metric_basis,
+    spectral_hessian_components,
 )
 # unused here; the benchmark's tracer binds its spans at these names
 from .eigencalc import eigen_decompose  # noqa: F401
@@ -136,6 +143,21 @@ class TorusProblem:
         self.laplacian = laplacian_symbol(self.grid, self.alpha)
         for held in (self.background, self.basis, self.laplacian):
             held.setflags(write=False)
+
+    @functools.cached_property
+    def background_value(self) -> np.ndarray:
+        """F(A[0]) for ``op``, held read-only.  Computed on first use, not at
+        construction, so an inadmissible A[0] is an error of the solve (exit
+        3), not of the config (exit 4)."""
+        value = evaluate_pointwise(self, None, 1.0).require_admissible().value
+        value.setflags(write=False)
+        return value
+
+    @functools.cached_property
+    def class_constant(self) -> float:
+        """The quotient operator's class constant: ``torus.class_constant`` of
+        the held A[0]."""
+        return class_constant(self.background, self.grid, self.op.l, self.op.k)
 
 
 @dataclass
@@ -230,15 +252,18 @@ class PointwiseEvaluation:
         return self
 
 
-def evaluate_pointwise(problem: TorusProblem, u: ScalarField | None,
-                       t: float) -> PointwiseEvaluation:
+def evaluate_pointwise(problem: TorusProblem, u: ScalarField | None, t: float,
+                       comps: np.ndarray | None = None) -> PointwiseEvaluation:
     """Evaluate A[u] (A[0] when ``u`` is None), the sigma table of the operator
-    in force at t, the cone margin and F, from the problem's held arrays."""
+    in force at t, the cone margin and F, from the problem's held arrays.
+    ``comps``, if given, are u's ``hessian_components``, and u is not transformed."""
     endo = problem.background
     if u is not None:
         if u.grid != problem.grid:
             raise ValueError("fields must share one grid")
-        endo = endo + np.tensordot(hessian_components(u.values, u.grid), problem.basis, (0, 0))
+        if comps is None:
+            comps = hessian_components(u.values, u.grid)
+        endo = endo + np.tensordot(comps, problem.basis, (0, 0))
     table = SigmaTable.at(path_operator(problem, t), endo)
     margins = table.margin()
     worst = int(np.argmin(margins))
@@ -249,8 +274,11 @@ def evaluate_pointwise(problem: TorusProblem, u: ScalarField | None,
 
 
 def background_value(problem: TorusProblem, t: float) -> np.ndarray:
-    """F(A[0]) for the operator in force at parameter t."""
-    return evaluate_pointwise(problem, None, t).require_admissible().value
+    """F(A[0]) for the operator in force at parameter t.  Off the quotient
+    path that operator does not depend on t, and the problem holds its value."""
+    if problem.path is PathKind.QUOTIENT:
+        return evaluate_pointwise(problem, None, t).require_admissible().value
+    return problem.background_value
 
 
 def rhs_base(problem: TorusProblem, t: float) -> np.ndarray:
@@ -278,7 +306,8 @@ def residual(problem: TorusProblem, u: ScalarField, c: float, t: float) -> Scala
 
 
 class Linearization:
-    """Matrix-free derivative of the residual at a fixed admissible iterate."""
+    """Matrix-free derivative of the residual at a fixed admissible iterate.
+    ``components`` holds the Hessian components of the last direction applied."""
 
     def __init__(self, problem: TorusProblem, ev: PointwiseEvaluation):
         self.problem = problem
@@ -290,10 +319,19 @@ class Linearization:
         # <D, sum_e c_e B_e> = sum_e <D, B_e> c_e: one weight per Hessian
         # component, so a matvec never forms the n x n Hessian field
         self.weights = hessian_weights(d, problem.basis)
+        self.components = None
 
-    def apply(self, v: ScalarField, dc: float) -> ScalarField:
-        """Directional derivative: <D, alpha-orthonormal Hess v> - s*dc."""
-        out = np.einsum("e...,e...->...", self.weights, hessian_components(v.values, self.grid))
+    def apply(self, v: ScalarField | np.ndarray, dc: float) -> ScalarField:
+        """Directional derivative: <D, alpha-orthonormal Hess v> - s*dc.
+
+        ``v`` is a field or its rfftn half spectrum.  From a spectrum, as in
+        the Krylov solve, the Hessian components take E inverse transforms
+        and no forward one.
+        """
+        spec = np.fft.rfftn(v.values) if isinstance(v, ScalarField) else v
+        self.components = None  # free the last direction's before forming these
+        self.components = spectral_hessian_components(spec, self.grid)
+        out = np.einsum("e...,e...->...", self.weights, self.components)
         return ScalarField(self.grid, out - self.sign * dc)
 
 
@@ -310,24 +348,28 @@ def _norm(w: np.ndarray) -> float:
 def gmres(matvec, b: np.ndarray, *, M, rtol: float) -> tuple[np.ndarray, int]:
     """Solve A x = b by right-preconditioned restarted GMRES (Saad & Schultz 1986).
 
-    ``matvec`` applies A and ``M`` the preconditioner.  Starts from x = 0, so
-    no product is spent on a zero vector.  Each cycle takes up to
-    ``GMRES_RESTART`` Arnoldi steps, orthogonalized by classical Gram-Schmidt
-    applied twice, and minimizes the residual by Givens rotations; it ends
-    with one product for the true residual.  Returns (x, info): info is 0 once
-    |b - A x| <= rtol |b|, else the number of cycles run (``GMRES_MAX_RESTARTS``,
-    or fewer if A M is singular on the Krylov space).  Projections are einsum
-    sums and norms pairwise sums, never a BLAS dot or nrm2, whose bits change
-    with the thread count.
+    ``M`` maps a vector of b's space into a search space of its own, such as
+    a complex half spectrum, and ``matvec`` applies A to a vector of that
+    space, returning one of b's.  The orthonormal Arnoldi basis lives in b's
+    space; the search directions z_j = M v_j and the solution x = sum_j y_j z_j
+    live in M's.  Starts from x = 0, so no product is spent on a zero vector.
+    Each cycle takes up to ``GMRES_RESTART`` Arnoldi steps (one M and one
+    matvec each), orthogonalized by classical Gram-Schmidt applied twice, and
+    minimizes the residual by Givens rotations; it ends with one product for
+    the true residual, and the last product of a converged solve is A x.
+    Returns (x, info): info is 0 once |b - A x| <= rtol |b|, else the number
+    of cycles run (``GMRES_MAX_RESTARTS``, or fewer if A M is singular on the
+    Krylov space).  For b = 0 it returns x = 0 of M's space (M(0)) and takes
+    no product.  Projections are einsum sums and norms pairwise sums, never a
+    BLAS dot or nrm2, whose bits change with the thread count.
     """
     m = GMRES_RESTART
-    x = np.zeros_like(b)
     beta = _norm(b)
     tol = rtol * beta
     if beta == 0.0:
-        return x, 0
-    basis = np.empty((m + 1, b.size))
-    search = np.empty((m, b.size))
+        return M(b), 0
+    basis = np.empty((1, b.size))
+    x = None
     r = b
     for cycle in range(1, GMRES_MAX_RESTARTS + 1):
         hess = np.zeros((m + 1, m))
@@ -335,9 +377,13 @@ def gmres(matvec, b: np.ndarray, *, M, rtol: float) -> tuple[np.ndarray, int]:
         g = np.zeros(m + 1)
         g[0] = beta
         basis[0] = r / beta
+        search = []
         for j in range(m):
-            search[j] = M(basis[j])
-            w = matvec(search[j])
+            z = M(basis[j])
+            if x is None:
+                x = np.zeros_like(z)
+            search.append(z)
+            w = matvec(z)
             for _ in range(2):
                 h = np.einsum("ij,j->i", basis[:j + 1], w)
                 w = w - np.einsum("ij,i->j", basis[:j + 1], h)
@@ -357,10 +403,15 @@ def gmres(matvec, b: np.ndarray, *, M, rtol: float) -> tuple[np.ndarray, int]:
             g[j] *= cs[j]
             if abs(g[j + 1]) <= tol:
                 break
+            if j + 1 == len(basis):
+                # rows are added by doubling: an up-front block of m + 1 rows
+                # lands on the heap and stays resident, though most solves
+                # take a few Arnoldi steps
+                basis = np.concatenate([basis, np.empty_like(basis)])
             basis[j + 1] = w / w_norm
         k = j + 1
         y = np.linalg.solve(hess[:k, :k], g[:k])
-        x = x + np.einsum("i,ij->j", y, search[:k])
+        x = x + np.einsum("i,i...->...", y, search)
         r = b - matvec(x)
         beta = _norm(r)
         if beta <= tol:
@@ -375,33 +426,44 @@ lgmres = gmres
 def _solve_newton_system(lin: Linearization, r: np.ndarray, forcing: float):
     """Solve [dF - s*dc = -r ; mean(v) = 0] by ``gmres`` preconditioned with
     the inverse constant-coefficient Laplacian, to relative residual
-    ``forcing``; the call goes through ``lgmres`` so the benchmark times it."""
+    ``forcing``; the call goes through ``lgmres`` so the benchmark times it.
+
+    The search space is the rfftn half spectrum of v, with dc appended: the
+    preconditioner returns rfftn(g - mean g) / symbol and never inverts it,
+    and the matvec reads the Hessian components of v straight from it.  An
+    Arnoldi step costs one forward transform and E inverse ones (E Hessian
+    components); one inverse transform of the solution then gives dv.  The
+    zero mode of every search direction is 0, so the mean row, zero mode / N,
+    is exactly 0.
+    """
     grid = lin.grid
     npts = int(np.prod(grid.shape))
     sign = lin.sign
     axes = tuple(range(grid.stored_axes))
     symbol = lin.problem.laplacian * lin.mean_trace
+    half, modes = symbol.shape, symbol.size
     zero_mode = (0,) * grid.stored_axes
     symbol[zero_mode] = 1.0  # the zero mode is handled by the constant block
 
-    def matvec(w):
-        v = ScalarField(grid, w[:npts].reshape(grid.shape))
-        out = lin.apply(v, float(w[npts]))
-        return np.concatenate([out.values.ravel(), [v.values.mean()]])
+    def matvec(z):
+        spec = z[:modes].reshape(half)
+        out = lin.apply(spec, float(z[modes].real))
+        return np.concatenate([out.values.ravel(), [spec[zero_mode].real / npts]])
 
     def precondition(w):
         g = w[:npts].reshape(grid.shape)
         gbar = g.mean()
         spec = np.fft.rfftn(g - gbar) / symbol
         spec[zero_mode] = 0.0
-        v = np.fft.irfftn(spec, s=grid.shape, axes=axes)
-        return np.concatenate([v.ravel(), [-sign * gbar]])
+        return np.concatenate([spec.ravel(), [-sign * gbar]])
 
     b = np.concatenate([-r.ravel(), [0.0]])
     sol, info = lgmres(matvec, b, M=precondition, rtol=forcing)
-    dv = sol[:npts].reshape(grid.shape)
-    dv = dv - dv.mean()
-    return ScalarField(grid, dv), float(sol[npts]), info
+    dv = np.fft.irfftn(sol[:modes].reshape(half), s=grid.shape, axes=axes)
+    # a converged solve's last product is the true residual's, at sol; only a
+    # zero rhs takes no product
+    comps = lin.components if lin.components is not None else hessian_components(dv, grid)
+    return ScalarField(grid, dv - dv.mean()), float(sol[modes].real), comps, info
 
 
 def newton_solve(problem: TorusProblem, t: float,
@@ -411,50 +473,61 @@ def newton_solve(problem: TorusProblem, t: float,
     Accepts a step only when the iterate stays strictly admissible and the
     sup-norm residual decreases; halves the step up to ``MAX_HALVINGS`` times
     and raises StagnationError with the last state when exhausted, or when a
-    Krylov solve does not converge.  Each iterate is evaluated once.
+    Krylov solve does not converge.  Each iterate is evaluated once.  The
+    Hessian components of u are carried with it: the start transforms u once,
+    and a trial u + step*dv reads comp(u) + step*comp(dv), with comp(dv) from
+    the Krylov solve's last product, so no trial transforms.
     """
     grid = problem.grid
     sign = constant_sign(problem)
     base = rhs_base(problem, t)
     u = ScalarField.zeros(grid) if warm is None else normalize(warm.u, "mean_zero")
-    ev = evaluate_pointwise(problem, u, t).require_admissible()
+    comps = hessian_components(u.values, grid)
+    ev = evaluate_pointwise(problem, u, t, comps).require_admissible()
     c = sign * float((ev.value - base).mean()) if warm is None else warm.c
     r = ev.value - (base + sign * c)
     r_sup = float(np.abs(r).max())
+    margin = ev.margin
     trace: list[dict] = []
     iterations = 0
 
     def stagnated(message: str) -> StagnationError:
-        state = SolveState(u, c, t, r_sup, ev.margin, iterations, tuple(trace))
+        state = SolveState(u, c, t, r_sup, margin, iterations, tuple(trace))
         return StagnationError(f"{message} at t={t:.6g}, residual {r_sup:.3e}", state)
 
     for _ in range(problem.max_newton):
-        trace.append({"residual_sup": r_sup, "margin": ev.margin})
+        trace.append({"residual_sup": r_sup, "margin": margin})
         if r_sup < problem.newton_tol:
             break
         forcing = max(min(1e-4, 0.1 * r_sup), 1e-12)
-        dv, dc, info = _solve_newton_system(Linearization(problem, ev), r, forcing)
+        lin = Linearization(problem, ev)
+        ev = None  # the sigma table is not read again: free it before the Krylov solve
+        dv, dc, dv_comps, info = _solve_newton_system(lin, r, forcing)
+        del lin
         if info != 0:
             raise stagnated(f"Krylov solve did not converge (gmres info {info})")
         step = 1.0
         for _ in range(MAX_HALVINGS + 1):
             u_try = ScalarField(grid, u.values + step * dv.values)
-            ev_try = evaluate_pointwise(problem, u_try, t)
-            if ev_try.margin > 0.0:
+            comps_try = comps + step * dv_comps
+            ev = evaluate_pointwise(problem, u_try, t, comps_try)
+            if ev.margin > 0.0:
                 c_try = c + step * dc
-                r_try = ev_try.value - (base + sign * c_try)
+                r_try = ev.value - (base + sign * c_try)
                 r_try_sup = float(np.abs(r_try).max())
                 if r_try_sup < r_sup:
-                    u, c, ev, r, r_sup = u_try, c_try, ev_try, r_try, r_try_sup
+                    u, comps, c, r, r_sup = u_try, comps_try, c_try, r_try, r_try_sup
+                    margin = ev.margin
                     break
             step *= 0.5
         else:
             raise stagnated("line search stagnated")
+        del dv, dv_comps  # free them before the next Krylov solve
         iterations += 1
     else:
         if r_sup >= problem.newton_tol:
             raise stagnated(f"Newton did not converge in {problem.max_newton} iterations")
-    return SolveState(u, c, t, r_sup, ev.margin, iterations, tuple(trace))
+    return SolveState(u, c, t, r_sup, margin, iterations, tuple(trace))
 
 
 def uniform_schedule(steps: int = 21) -> np.ndarray:
@@ -487,7 +560,7 @@ def run_continuity(problem: TorusProblem, t_schedule, min_step: float = 1e-4) ->
         h0 = background_value(problem, 0.0)
         h0_bounds = (float(h0.min()), float(h0.max()))
     if problem.path is PathKind.QUOTIENT:
-        quotient_floor = compute_c(problem.chi, problem.alpha, problem.op.l, problem.op.k)
+        quotient_floor = problem.class_constant
 
     report = SolveReport()
     state: SolveState | None = None

@@ -249,9 +249,13 @@ def hessian_symbols(grid: PeriodicGrid) -> HessianSymbols:
 
 def hessian_components(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     """The Hessian's components (``hessian_symbols(grid).components``) of the
-    field ``values``: one forward rfftn and one batched irfftn, shape
-    ``(len(components),) + grid.shape``."""
-    spec = np.fft.rfftn(values)
+    field ``values``: one forward rfftn, then ``spectral_hessian_components``."""
+    return spectral_hessian_components(np.fft.rfftn(values), grid)
+
+
+def spectral_hessian_components(spec: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
+    """The Hessian's components of the field whose rfftn half spectrum is
+    ``spec``: one batched irfftn, shape ``(len(components),) + grid.shape``."""
     axes = tuple(range(1, grid.stored_axes + 1))
     return np.fft.irfftn(spec * hessian_symbols(grid).symbols, s=grid.shape, axes=axes)
 
@@ -397,25 +401,34 @@ def form_ratio(chi: MatrixField, alpha, j: int) -> ScalarField:
     Normalized so chi = alpha gives the constant 1; this is the pointwise
     density of the degree-j wedge combination of chi against the background.
     """
-    return _form_ratios(chi, alpha, (j,))[0]
+    return _form_ratios(endomorphism_field(alpha, chi).values, chi.grid, (j,))[0]
 
 
-def _form_ratios(chi: MatrixField, alpha, degrees) -> list[ScalarField]:
-    """``form_ratio`` at each of ``degrees``, from one sigma recursion."""
-    n = chi.dim
+def _form_ratios(a: np.ndarray, grid: PeriodicGrid, degrees) -> list[ScalarField]:
+    """``form_ratio`` at each of ``degrees`` of the endomorphism field with
+    values ``a`` (A = alpha^{-1} chi in orthonormal coordinates), from one
+    sigma recursion."""
+    n = a.shape[-1]
     for j in degrees:
         if not 0 <= j <= n:
             raise ValueError(f"j must be in 0..{n}, got {j}")
-    e, _ = matrix_sigmas(endomorphism_field(alpha, chi).values, max(1, *degrees))
-    return [ScalarField(chi.grid, e[..., j] / math.comb(n, j)) for j in degrees]
+    e, _ = matrix_sigmas(a, max(1, *degrees))
+    return [ScalarField(grid, e[..., j] / math.comb(n, j)) for j in degrees]
 
 
-def compute_c(chi: MatrixField, alpha, l: int, k: int) -> float:
-    """The class constant: ratio of integrated degree-l and degree-k densities."""
-    num, den = (integral(ratio) for ratio in _form_ratios(chi, alpha, (l, k)))
+def class_constant(a: np.ndarray, grid: PeriodicGrid, l: int, k: int) -> float:
+    """The class constant of the endomorphism field with values ``a``, such as
+    a problem's held A[0]: ratio of integrated degree-l and degree-k densities."""
+    num, den = (integral(ratio) for ratio in _form_ratios(a, grid, (l, k)))
     if den <= 0:
         raise DegenerateClassError(f"degree-{k} class integral is {den:.6g}, not positive")
     return num / den
+
+
+def compute_c(chi: MatrixField, alpha, l: int, k: int) -> float:
+    """The class constant of chi against alpha: ``class_constant`` of
+    A[0] = ``endomorphism_field(alpha, chi)``."""
+    return class_constant(endomorphism_field(alpha, chi).values, chi.grid, l, k)
 
 
 def nminus1_background(eta: MatrixField, alpha) -> MatrixField:

@@ -179,6 +179,21 @@ def test_operator_parameters_checked_against_dimension(problem, message):
     assert any(message in e for e in err.value.errors)
 
 
+def test_cli_inadmissible_background_is_a_domain_error(tmp_path, capsys):
+    # F(A[0]) is computed when the solve first needs it, not when the problem
+    # is built, so A[0] outside the cone stays a domain error (exit 3)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "[problem]\nmode = real\ndimension = 2\noperator = log_sigma_k\nk = 2\n"
+        "path = hessian\n[grid]\npoints_per_axis = 8\n"
+        "[background]\nchi = chi_scaled(-1)\n[rhs]\nh = constant(0.1)\n"
+        f"[certify]\nenabled = false\n[output]\ndirectory = {tmp_path / 'out'}\n")
+    assert main(["solve", "--config", str(cfg)]) == 3
+    report = json.loads((tmp_path / "out" / "solve_report.json").read_text())
+    assert report["error"]["kind"] == "domain"
+    assert "domain error: inadmissible data" in capsys.readouterr().err
+
+
 def test_cli_k_above_dimension_is_a_config_error(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(QUOTIENT_CFG.format(out=tmp_path / "out").replace("k = 2", "k = 3"))

@@ -103,3 +103,48 @@ def test_gmres_reports_a_singular_operator_at_once():
     assert info != 0
     assert matvec.calls == 1
     assert not np.any(x)
+
+
+class HalfSpectrumPreconditioner:
+    """M v = rfft(v): a preconditioner whose space is a complex half spectrum,
+    with the matvec A irfft(z) reading vectors of that space."""
+
+    def __init__(self, a):
+        self.size = a.shape[0]
+        self.matvec = CountingMatvec(a)
+        self.inputs = []
+
+    def __call__(self, v):
+        return np.fft.rfft(v)
+
+    def apply(self, z):
+        assert z.dtype == complex and z.shape == (self.size // 2 + 1,)
+        self.inputs.append(z)
+        return self.matvec(np.fft.irfft(z, self.size))
+
+
+@pytest.mark.parametrize("size", [6, 24, 3 * GMRES_RESTART])
+def test_gmres_returns_x_in_the_preconditioner_space(size):
+    a, b = nonsymmetric_system(size, seed=size + 1)
+    m = HalfSpectrumPreconditioner(a)
+    x, info = gmres(m.apply, b, M=m, rtol=1e-10)
+    assert info == 0
+    assert x.dtype == complex and x.shape == (size // 2 + 1,)
+    assert _norm(b - a @ np.fft.irfft(x, size)) <= 1e-10 * _norm(b)
+    assert np.allclose(np.fft.irfft(x, size), np.linalg.solve(a, b), atol=1e-8)
+    # the last product is the true residual's, at the returned x
+    assert m.inputs[-1] is x
+    assert m.matvec.zero_inputs == 0
+
+
+def test_gmres_in_another_space_keeps_the_zero_and_singular_contracts():
+    a, _ = nonsymmetric_system(6, seed=3)
+    m = HalfSpectrumPreconditioner(a)
+    x, info = gmres(m.apply, np.zeros(6), M=m, rtol=1e-8)
+    assert info == 0 and m.matvec.calls == 0
+    assert x.shape == (4,) and not np.any(x)
+
+    m = HalfSpectrumPreconditioner(np.zeros((6, 6)))
+    x, info = gmres(m.apply, np.ones(6), M=m, rtol=1e-8)
+    assert info != 0 and m.matvec.calls == 1
+    assert x.dtype == complex and x.shape == (4,) and not np.any(x)

@@ -31,6 +31,7 @@ from conesolve.torus import (
     compute_c,
     congruence,
     hessian,
+    hessian_components,
     hessian_perturbation,
     metric_root_inverse,
 )
@@ -201,6 +202,86 @@ def test_linearization_apply_is_the_hessian_contraction(monkeypatch, mode, n, re
     assert np.abs(out - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
+def _linearized(mode, n, reduced, alpha):
+    g = PeriodicGrid.make(mode, n, 8, 1.0, reduced)
+    _, pert = hessian_perturbation(g, 0.2, seed=16)
+    prob = TorusProblem(g, LogSigmaK(n, 2), alpha, MatrixField(g, alpha + pert.values),
+                        ScalarField.zeros(g))
+    u0, _ = hessian_perturbation(g, 0.3, seed=5)
+    return prob, Linearization(prob, evaluate_pointwise(prob, u0, 1.0))
+
+
+SPECTRAL_CASES = [
+    ("real", 3, False, REAL_METRIC),
+    ("complex", 3, True, REAL_METRIC),
+    ("complex", 2, False, COMPLEX_METRIC),
+    ("complex", 2, False, np.eye(2)),
+]
+
+
+@pytest.mark.parametrize("mode,n,reduced,alpha", SPECTRAL_CASES)
+def test_spectral_matvec_matches_the_physical_apply(mode, n, reduced, alpha):
+    # the Krylov solve applies dF to half spectra as the preconditioner makes
+    # them; applied to the field such a spectrum transforms to, it must agree
+    prob, lin = _linearized(mode, n, reduced, alpha)
+    g = prob.grid
+    zero_mode = (0,) * g.stored_axes
+    symbol = prob.laplacian.copy()
+    symbol[zero_mode] = 1.0
+    spec = np.fft.rfftn(random_band_limited(g, 1.0, seed=7, max_harmonic=3).values) / symbol
+    spec[zero_mode] = 0.0
+    v = ScalarField(g, np.fft.irfftn(spec, s=g.shape, axes=range(g.stored_axes)))
+    expected = lin.apply(v, 0.7).values
+    out = lin.apply(spec, 0.7).values
+    assert np.abs(out - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("mode,n,reduced,alpha", SPECTRAL_CASES)
+def test_newton_system_solves_the_bordered_system(mode, n, reduced, alpha):
+    # the Krylov solve in spectral coordinates, checked with the physical
+    # apply; the components it returns are dv's
+    from conesolve.solver import _solve_newton_system
+
+    prob, lin = _linearized(mode, n, reduced, alpha)
+    g = prob.grid
+    r = random_band_limited(g, 0.1, seed=8).values + 0.02
+    dv, dc, comps, info = _solve_newton_system(lin, r, 1e-10)
+    assert info == 0
+    assert abs(dv.values.mean()) < 1e-15
+    bordered = np.concatenate([(lin.apply(dv, dc).values + r).ravel(), [dv.values.mean()]])
+    assert np.sqrt(np.sum(bordered ** 2)) <= 1.01e-10 * np.sqrt(np.sum(r ** 2))
+    fresh = hessian_components(dv.values, g)
+    assert np.abs(comps - fresh).max() <= 1e-13 * np.abs(fresh).max()
+
+
+def test_carried_components_match_a_fresh_transform(monkeypatch):
+    # a line-search trial reads comp(u) + step*comp(dv) in place of
+    # transforming u; after several accepted steps that is still comp(u)
+    import conesolve.solver as solver
+
+    g = PeriodicGrid.make("real", 3, 8, 1.0)
+    _, pert = hessian_perturbation(g, 0.1, seed=21)
+    prob = TorusProblem(g, LogSigmaK(3, 2), np.eye(3), MatrixField(g, np.eye(3) + pert.values),
+                        random_band_limited(g, 0.3, seed=11), path=PathKind.HESSIAN)
+    carried = []
+    original = solver.evaluate_pointwise
+
+    def recording(problem, u, t, comps=None):
+        if comps is not None:
+            carried.append((u.values.copy(), comps.copy()))
+        return original(problem, u, t, comps)
+
+    monkeypatch.setattr(solver, "evaluate_pointwise", recording)
+    report = run_continuity(prob, uniform_schedule(3))
+    # each t-step's start and each accepted step read carried components
+    iterations = sum(step["newton_iterations"] for step in report.steps)
+    assert iterations >= 5
+    assert len(carried) == len(report.steps) + iterations
+    for values, comps in carried:
+        fresh = hessian_components(values, g)
+        assert np.abs(comps - fresh).max() <= 1e-14 * max(np.abs(fresh).max(), 1.0)
+
+
 def test_manufactured_monge_ampere_n1():
     prob, ustar = manufactured_problem(n=1, points=32)
     state = newton_solve(prob, 1.0)
@@ -245,6 +326,35 @@ def test_newton_evaluates_each_iterate_once(monkeypatch):
     # Newton step
     assert state.iterations >= 3
     assert len(calls) == 1 + state.iterations
+
+
+def test_continuity_evaluates_the_background_once(monkeypatch):
+    # F(A[0]) does not depend on t: a real3-hessian-shaped solve (6 t-steps,
+    # 15 Newton steps) evaluates A[0] once, 22 evaluations in all (27 when
+    # every t-step evaluated F(A[0]) again)
+    import conesolve.solver as solver
+    from conesolve.cli import build_problem
+    from conesolve.config import parse_config
+
+    prob, _ = build_problem(parse_config(
+        "[problem]\nmode = real\ndimension = 3\noperator = log_sigma_k\nk = 2\n"
+        "path = hessian\n[grid]\npoints_per_axis = 16\n"
+        "[background]\nchi = chi_perturbed(1, 0.1, 21)\n"
+        "[rhs]\nh = random_smooth(0.3, 11)\n[solve]\nschedule = 6\n"))
+    calls = []
+    original = solver.evaluate_pointwise
+
+    def counting(problem, u, t, comps=None):
+        calls.append(u is None)
+        return original(problem, u, t, comps)
+
+    monkeypatch.setattr(solver, "evaluate_pointwise", counting)
+    report = run_continuity(prob, uniform_schedule(6))
+    iterations = sum(step["newton_iterations"] for step in report.steps)
+    assert report.complete and iterations == 15
+    assert calls.count(True) == 1
+    assert len(calls) == 1 + len(report.steps) + iterations == 22
+    assert solver.background_value(prob, 0.5) is solver.background_value(prob, 1.0)
 
 
 def test_newton_reads_the_frame_the_problem_holds(monkeypatch):
@@ -437,20 +547,31 @@ def test_quotient_path_constants():
                         path=PathKind.QUOTIENT)
     report = run_continuity(prob, uniform_schedule(6))
     assert report.complete
+    # the class constant reads the held A[0], bit for bit compute_c's
+    assert prob.class_constant == c_class
     assert report.final.c == pytest.approx(c_class, abs=1e-8)
     for step in report.steps:
         assert step["c"] >= step["t"] * c_class - 1e-8
 
 
-def test_riemannian_path_bounds_enforced():
+def test_riemannian_path_bounds_enforced(monkeypatch):
     g = PeriodicGrid.make("real", 2, 16, 1.0)
     _, pert = hessian_perturbation(g, 0.25, seed=11)
     chi = MatrixField(g, 2 * np.eye(2) + pert.values)
     prob = TorusProblem(g, LogSigmaK(2, 2), np.eye(2), chi, path=PathKind.RIEMANNIAN)
+    import conesolve.solver as solver
+    background_calls = []
+    original = solver.evaluate_pointwise
+
+    def counting(problem, u, t, comps=None):
+        background_calls.extend([t] if u is None else [])
+        return original(problem, u, t, comps)
+
+    monkeypatch.setattr(solver, "evaluate_pointwise", counting)
     report = run_continuity(prob, uniform_schedule(6))
     assert report.complete
-    from conesolve.solver import background_value
-    h0 = background_value(prob, 0.0)
+    h0 = solver.background_value(prob, 0.0)
+    assert len(background_calls) == 1  # h0 = F(A[0]) once per problem, not per t-step
     for step in report.steps:
         assert step["t"] * h0.min() - 1e-8 <= step["c"] <= step["t"] * h0.max() + 1e-8
 
