@@ -12,7 +12,6 @@
 import numpy as np
 
 import conesolve as cs
-from conesolve.solver import background_value
 from conesolve.torus import hessian_perturbation
 
 # --- real torus, m = 3 -----------------------------------------------------
@@ -22,7 +21,7 @@ chi = cs.MatrixField(grid, 2.0 * np.eye(3) + pert.values)
 problem = cs.TorusProblem(grid, cs.LogSigmaK(3, 2), np.eye(3), chi,
                           path=cs.PathKind.RIEMANNIAN)
 report = cs.run_continuity(problem, cs.uniform_schedule(11))
-h0 = background_value(problem, 0.0)
+h0 = problem.background_value
 print(f"real m=3 path, h0 range [{h0.min():.4f}, {h0.max():.4f}]")
 print("   t        c_t        in [t*min, t*max]?")
 for s in report.steps:

@@ -25,13 +25,13 @@ The format is INI-style (configparser).  Sections and keys:
     h = zero | constant(<v>) | random_smooth(<amplitude>[, <seed>]) | file:<path>
 
     [solve]
-    schedule = <int count> | <comma list of t values>
-    newton_tol = <float>
-    max_newton = <int>
+    schedule = <int count >= 2> | <comma list of t values, 0 first, 1 last, increasing>
+    newton_tol = <float > 0>
+    max_newton = <int >= 1>
 
     [certify]
     enabled = true | false
-    delta_grid = <comma list of floats>
+    delta_grid = <non-empty comma list of finite floats > 0>
     kappa_samples = <int>
 
     [output]
@@ -49,6 +49,7 @@ import re
 from dataclasses import dataclass
 
 from .operators import OPERATOR_KINDS, operator_from_name
+from .solver import check_schedule
 
 _KNOWN_KEYS = {
     "problem": {"mode", "dimension", "operator", "k", "l", "inner", "path",
@@ -296,16 +297,27 @@ def parse_config(text: str) -> RunConfig:
 
     # [solve]
     schedule_raw = get("solve", "schedule", "21")
+    schedule_start = len(errors)
     if "," in schedule_raw:
         schedule: list[float] | int = [
             _parse_float(p, "solve.schedule", errors) for p in schedule_raw.split(",")
         ]
+        if len(errors) == schedule_start:
+            try:
+                check_schedule(schedule)
+            except ValueError as exc:
+                errors.append(f"solve.schedule: {exc}")
     else:
         schedule = _parse_int(schedule_raw, "solve.schedule", errors, default=21)
         if isinstance(schedule, int) and schedule < 2:
             errors.append("solve.schedule must have at least 2 steps")
-    newton_tol = _parse_float(get("solve", "newton_tol", "1e-10"), "solve.newton_tol", errors)
-    max_newton = _parse_int(get("solve", "max_newton", "50"), "solve.max_newton", errors)
+    newton_tol = _parse_float(get("solve", "newton_tol", "1e-10"), "solve.newton_tol",
+                              errors, 1e-10)
+    if not 0.0 < newton_tol < math.inf:
+        errors.append(f"solve.newton_tol must be a finite number > 0, got {newton_tol}")
+    max_newton = _parse_int(get("solve", "max_newton", "50"), "solve.max_newton", errors, 50)
+    if max_newton < 1:
+        errors.append(f"solve.max_newton must be >= 1, got {max_newton}")
 
     # [certify]
     certify_enabled = _parse_bool(get("certify", "enabled", "true"), "certify.enabled", errors)
@@ -313,6 +325,8 @@ def parse_config(text: str) -> RunConfig:
     delta_grid = tuple(
         _parse_float(p, "certify.delta_grid", errors) for p in delta_raw.split(",") if p.strip()
     )
+    if not delta_grid or not all(0.0 < d < math.inf for d in delta_grid):
+        errors.append(f"certify.delta_grid must list finite deltas > 0, got {delta_raw!r}")
     kappa_samples = _parse_int(get("certify", "kappa_samples", "2000"),
                                "certify.kappa_samples", errors)
 

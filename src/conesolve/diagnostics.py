@@ -14,12 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import SymmetricOperator
+from .solver import TorusProblem
 from .torus import (
     MatrixField,
     ScalarField,
     complex_gradient,
-    metric_hessian,
-    metric_root_inverse,
+    hessian_components,
     sup_operator_norm,
 )
 
@@ -273,12 +273,15 @@ class HmwReport:
 HMW_PSI_A = 1.0
 
 
-def hmw_ratio(u: ScalarField, alpha) -> HmwReport:
+def hmw_ratio(problem: TorusProblem, u: ScalarField) -> HmwReport:
+    """The monitor of u on the problem's complex grid, in its held frame:
+    |dd u|_alpha is the operator norm of sum_e c_e(u) B_e (``problem.basis``) and
+    |du|^2_alpha is |L^{-1} du|^2 (``problem.root_inverse``, alpha = L L*)."""
     if u.grid.mode != "complex":
         raise ValueError("the second-order/gradient monitor applies in complex mode")
-    sup_dd = sup_operator_norm(metric_hessian(u, alpha).values)
-    grad = complex_gradient(u)
-    w = np.einsum("ab,...b->...a", metric_root_inverse(alpha, u.grid.n), grad)
+    dd = np.tensordot(hessian_components(u.values, u.grid), problem.basis, (0, 0))
+    sup_dd = sup_operator_norm(dd)
+    w = np.einsum("ab,...b->...a", problem.root_inverse, complex_gradient(u))
     grad_sq = np.real(np.einsum("...a,...a->...", np.conj(w), w))
     sup_grad_sq = float(grad_sq.max())
     big_k = sup_grad_sq + 1.0
@@ -307,9 +310,7 @@ class TraceEstimate:
 def trace_estimate_check(u: ScalarField, g: MatrixField, alpha, a_const: float,
                          threshold: float) -> TraceEstimate:
     """Fit the smallest C with tr_alpha(g) <= C exp(A (u - inf u)) pointwise."""
-    ainv = np.linalg.inv(np.asarray(alpha, dtype=complex)
-                         if np.iscomplexobj(g.values) else np.asarray(alpha, dtype=float))
-    tr = np.real(np.einsum("ab,...ba->...", ainv, g.values))
+    tr = np.real(np.einsum("ab,...ba->...", np.linalg.inv(alpha), g.values))
     shifted = u.values - u.values.min()
     c_fit = float((tr * np.exp(-a_const * shifted)).max())
     return TraceEstimate(c_fit, threshold, c_fit <= threshold)

@@ -45,12 +45,14 @@ from .torus import (
     PeriodicGrid,
     ScalarField,
     class_constant,
+    congruence,
     constant_metric,
     endomorphism_field,
     hessian_components,
+    hessian_symbols,
     hessian_weights,
     laplacian_symbol,
-    metric_basis,
+    metric_root_inverse,
     spectral_hessian_components,
 )
 # unused here; the benchmark's tracer binds its spans at these names
@@ -102,8 +104,9 @@ class PathKind(enum.Enum):
 @dataclass
 class TorusProblem:
     """Problem data: operator, backgrounds, right-hand side and path choice.
-    alpha and chi are checked and read once, at construction, into read-only
-    A[0] (``background``), B_e (``basis``) and the ``laplacian_symbol``."""
+    alpha and chi are checked and read once, at construction, into read-only L^{-1}
+    (``root_inverse``, alpha = L L*), A[0] (``background``), B_e = L^{-1} U_e L^{-*}
+    (``basis``) and the ``laplacian_symbol``; ``endomorphism`` assembles every A[u]."""
 
     grid: PeriodicGrid
     op: SymmetricOperator
@@ -114,6 +117,7 @@ class TorusProblem:
     normalization: str = "mean_zero"
     newton_tol: float = 1e-10
     max_newton: int = 50
+    root_inverse: np.ndarray = field(init=False, repr=False, compare=False)
     background: np.ndarray = field(init=False, repr=False, compare=False)
     basis: np.ndarray = field(init=False, repr=False, compare=False)
     laplacian: np.ndarray = field(init=False, repr=False, compare=False)
@@ -138,11 +142,19 @@ class TorusProblem:
             require_hermitian(self.chi.values)
         except ValueError as exc:
             raise ValueError(f"chi: {exc}") from None
+        self.root_inverse = metric_root_inverse(self.alpha, self.grid.n)
         self.background = endomorphism_field(self.alpha, self.chi).values
-        self.basis = metric_basis(self.grid, self.alpha)
+        self.basis = congruence(self.root_inverse, hessian_symbols(self.grid).units)
         self.laplacian = laplacian_symbol(self.grid, self.alpha)
-        for held in (self.background, self.basis, self.laplacian):
+        for held in (self.root_inverse, self.background, self.basis, self.laplacian):
             held.setflags(write=False)
+
+    def endomorphism(self, comps: np.ndarray | None) -> np.ndarray:
+        """A[u] = A[0] + sum_e c_e B_e from u's ``hessian_components`` ``comps``;
+        the held A[0] itself for None."""
+        if comps is None:
+            return self.background
+        return self.background + np.tensordot(comps, self.basis, (0, 0))
 
     @functools.cached_property
     def background_value(self) -> np.ndarray:
@@ -257,14 +269,12 @@ def evaluate_pointwise(problem: TorusProblem, u: ScalarField | None, t: float,
     """Evaluate A[u] (A[0] when ``u`` is None), the sigma table of the operator
     in force at t, the cone margin and F, from the problem's held arrays.
     ``comps``, if given, are u's ``hessian_components``, and u is not transformed."""
-    endo = problem.background
     if u is not None:
         if u.grid != problem.grid:
             raise ValueError("fields must share one grid")
         if comps is None:
             comps = hessian_components(u.values, u.grid)
-        endo = endo + np.tensordot(comps, problem.basis, (0, 0))
-    table = SigmaTable.at(path_operator(problem, t), endo)
+    table = SigmaTable.at(path_operator(problem, t), problem.endomorphism(comps))
     margins = table.margin()
     worst = int(np.argmin(margins))
     margin = float(margins.flat[worst])
@@ -273,23 +283,14 @@ def evaluate_pointwise(problem: TorusProblem, u: ScalarField | None, t: float,
                                np.unravel_index(worst, margins.shape), value)
 
 
-def background_value(problem: TorusProblem, t: float) -> np.ndarray:
-    """F(A[0]) for the operator in force at parameter t.  Off the quotient
-    path that operator does not depend on t, and the problem holds its value."""
-    if problem.path is PathKind.QUOTIENT:
-        return evaluate_pointwise(problem, None, t).require_admissible().value
-    return problem.background_value
-
-
 def rhs_base(problem: TorusProblem, t: float) -> np.ndarray:
     """The c-independent part of the right-hand side at parameter t."""
     if problem.path is PathKind.HESSIAN:
-        h0 = background_value(problem, t)
-        return t * problem.h.values + (1.0 - t) * h0
+        return t * problem.h.values + (1.0 - t) * problem.background_value
     if problem.path is PathKind.QUOTIENT:
         return np.zeros(problem.grid.shape)
     if problem.path is PathKind.RIEMANNIAN:
-        return (1.0 - t) * background_value(problem, t)
+        return (1.0 - t) * problem.background_value
     return problem.h.values
 
 
@@ -536,6 +537,18 @@ def uniform_schedule(steps: int = 21) -> np.ndarray:
     return np.linspace(0.0, 1.0, steps)
 
 
+def check_schedule(t_schedule) -> np.ndarray:
+    """The t values as a float array: at least two, from 0 to 1, increasing; else ValueError."""
+    schedule = np.asarray(list(t_schedule), dtype=float)
+    if schedule.ndim != 1 or schedule.size < 2:
+        raise ValueError("the t values must be a 1-D list of at least two")
+    if not (schedule[0] == 0.0 and schedule[-1] == 1.0):
+        raise ValueError("the t values must start at 0 and end at 1")
+    if not np.all(np.diff(schedule) > 0):
+        raise ValueError("the t values must be strictly increasing")
+    return schedule
+
+
 def run_continuity(problem: TorusProblem, t_schedule, min_step: float = 1e-4) -> SolveReport:
     """March the continuity parameter from 0 to 1 with warm starts.
 
@@ -546,18 +559,12 @@ def run_continuity(problem: TorusProblem, t_schedule, min_step: float = 1e-4) ->
       riemannian:  t*min(h0) <= c_t <= t*max(h0)   (within PATH_BOUND_SLACK),
       quotient:    c_t >= t * (class constant)      (within PATH_BOUND_SLACK).
     """
-    schedule = np.asarray(list(t_schedule), dtype=float)
-    if schedule.ndim != 1 or schedule.size < 2:
-        raise ValueError("t_schedule must be a 1-D list of at least two values")
-    if not (schedule[0] == 0.0 and schedule[-1] == 1.0):
-        raise ValueError("t_schedule must start at 0 and end at 1")
-    if np.any(np.diff(schedule) <= 0):
-        raise ValueError("t_schedule must be strictly increasing")
+    schedule = check_schedule(t_schedule)
 
     h0_bounds = None
     quotient_floor = None
     if problem.path is PathKind.RIEMANNIAN:
-        h0 = background_value(problem, 0.0)
+        h0 = problem.background_value
         h0_bounds = (float(h0.min()), float(h0.max()))
     if problem.path is PathKind.QUOTIENT:
         quotient_floor = problem.class_constant

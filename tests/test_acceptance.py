@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 import conesolve as cs
-from conesolve.solver import background_value
 from conesolve.subsolution import coordinate_ray_radius, dichotomy_margins
 from conesolve.torus import hessian_perturbation
 from oracles import ray_boundedness_oracle, second_difference, sigma_bruteforce
@@ -299,7 +298,7 @@ def test_criterion_9_riemannian_path():
     prob = cs.TorusProblem(grid, cs.LogSigmaK(3, 2), alpha, chi,
                            path=cs.PathKind.RIEMANNIAN)
     report = cs.run_continuity(prob, cs.uniform_schedule(11))
-    h0 = background_value(prob, 0.0)
+    h0 = prob.background_value
     lo, hi = float(h0.min()), float(h0.max())
     bounds_ok = all(
         s["t"] * lo - 1e-8 <= s["c"] <= s["t"] * hi + 1e-8 for s in report.steps

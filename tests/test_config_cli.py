@@ -3,9 +3,20 @@ import json
 import numpy as np
 import pytest
 
-from conesolve import MatrixField, PeriodicGrid, ScalarField, save_field
+from conesolve import (
+    LogSigmaK,
+    MatrixField,
+    MongeAmpere,
+    PeriodicGrid,
+    ScalarField,
+    endomorphism_field,
+    load_field,
+    save_field,
+    strong_concavity_flags,
+)
 from conesolve.cli import main
 from conesolve.config import ConfigError, parse_config
+from conesolve.torus import metric_hessian, sup_operator_norm
 
 MINIMAL = """
 [problem]
@@ -224,6 +235,30 @@ def test_cli_malformed_generator_is_a_config_error(tmp_path, capsys, line, messa
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("line, message", [
+    ("delta_grid = ,", "certify.delta_grid must list finite deltas > 0, got ','"),
+    ("delta_grid = 0.2, -0.5", "certify.delta_grid must list finite deltas > 0, got '0.2, -0.5'"),
+    ("delta_grid = nan", "certify.delta_grid must list finite deltas > 0, got 'nan'"),
+    ("schedule = 0.5, 1", "solve.schedule: the t values must start at 0 and end at 1"),
+    ("schedule = 0, 0.5", "solve.schedule: the t values must start at 0 and end at 1"),
+    ("schedule = 0, 0.5, 0.5, 1", "solve.schedule: the t values must be strictly increasing"),
+    ("schedule = 0, nan, 1", "solve.schedule: the t values must be strictly increasing"),
+    ("newton_tol = -1", "solve.newton_tol must be a finite number > 0, got -1.0"),
+    ("newton_tol = nan", "solve.newton_tol must be a finite number > 0, got nan"),
+    ("max_newton = 0", "solve.max_newton must be >= 1, got 0"),
+])
+def test_cli_bad_solve_or_certify_value_is_a_config_error(tmp_path, capsys, line, message):
+    # values the library would reject mid-run are config errors (exit 4)
+    section = "certify" if line.startswith("delta_grid") else "solve"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(QUOTIENT_CFG.format(out=tmp_path / "out").replace("schedule = 6\n", "")
+                   .replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
+    assert main(["solve", "--config", str(cfg)]) == 4
+    err = capsys.readouterr().err
+    assert f"config error: {message}" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_bad_config_path(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "missing.cfg")]) == 4
 
@@ -331,3 +366,114 @@ def test_cli_constant_metric_file(tmp_path):
     assert main(["certify", "--config", str(cfg)]) == 0
     report = json.loads((tmp_path / "out" / "solve_report.json").read_text())
     assert report["certificate"]["verdict"] == "certified" and "error" not in report
+
+
+#: metrics with off-diagonal entries, the complex one with imaginary entries
+REAL_METRIC = np.array([[2.0, 0.5, 0.2], [0.5, 1.5, 0.3], [0.2, 0.3, 1.2]])
+COMPLEX_METRIC = np.array([[2.0, 0.5 + 0.3j], [0.5 - 0.3j, 1.5]])
+
+#: the benchmark's quotient-c3 shape, with chi from its generator
+QUOTIENT_C3_CFG = """
+[problem]
+mode = complex
+dimension = 3
+operator = hessian_quotient
+k = 2
+l = 1
+path = quotient
+
+[grid]
+points_per_axis = 20
+reduced = true
+
+[background]
+chi = chi_perturbed(2, 0.1, 21)
+
+[solve]
+schedule = 11
+
+[output]
+directory = {out}
+"""
+
+
+def metric_config(tmp_path, shape):
+    """A solve under a non-diagonal constant metric file: Monge-Ampere on the
+    full complex 2-torus (fixed path), or log sigma_2 on the real 3-torus
+    (hessian path); the quotient-c3 shape under the flat metric otherwise."""
+    out = tmp_path / "out"
+    if shape == "quotient":
+        return QUOTIENT_C3_CFG.format(out=out)
+    if shape == "complex":
+        grid, alpha = PeriodicGrid.make("complex", 2, 8), COMPLEX_METRIC
+        problem = "mode = complex\ndimension = 2\noperator = monge_ampere\npath = fixed"
+        chi, rhs = "chi_perturbed(1, 0.05, 21)", "random_smooth(0.12, 11)"
+    else:
+        grid, alpha = PeriodicGrid.make("real", 3, 12), REAL_METRIC
+        problem = "mode = real\ndimension = 3\noperator = log_sigma_k\nk = 2\npath = hessian"
+        chi, rhs = "chi_perturbed(1, 0.1, 21)", "random_smooth(0.3, 11)"
+    save_field(MatrixField.constant(grid, alpha), tmp_path / "alpha")
+    return (f"[problem]\n{problem}\n[grid]\npoints_per_axis = {grid.points_per_axis}\n"
+            f"[background]\nalpha = file:{tmp_path / 'alpha'}\nchi = {chi}\n[rhs]\nh = {rhs}\n"
+            f"[solve]\nschedule = 4\n[certify]\nkappa_samples = 300\n"
+            f"[output]\ndirectory = {out}\nsave_fields = true\n")
+
+
+@pytest.mark.parametrize("shape, op, alpha", [
+    ("complex", MongeAmpere(2), COMPLEX_METRIC),
+    ("real", LogSigmaK(3, 2), REAL_METRIC),
+])
+def test_cli_diagnostics_under_a_non_identity_metric(tmp_path, shape, op, alpha):
+    # the report's diagnostics are those of the reference pull-back of the
+    # saved u_final and chi through alpha
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(metric_config(tmp_path, shape))
+    assert main(["solve", "--config", str(cfg)]) == 0
+    out = tmp_path / "out"
+    diagnostics = json.loads((out / "solve_report.json").read_text())["diagnostics"]
+    u, chi = load_field(out / "u_final"), load_field(out / "chi")
+    mats = endomorphism_field(alpha, chi, u).values.reshape(-1, op.n, op.n)
+    flag_a, flag_b = strong_concavity_flags(op, np.linalg.eigvalsh(
+        mats[:: max(1, mats.shape[0] // 512)]))
+    assert diagnostics["strong_concavity_flags"] == {"f11_plus_f1_over_lam1": flag_a,
+                                                     "lam1_f1_smallest": flag_b}
+    monitor = diagnostics.get("second_order_gradient_monitor")
+    if shape == "real":
+        assert monitor is None
+    else:
+        assert monitor["sup_dd_u"] == sup_operator_norm(metric_hessian(u, alpha).values)
+
+
+#: the functions that check alpha or rebuild the frame from it
+FRAME_BUILDERS = ("constant_metric", "metric_root_inverse", "metric_basis", "metric_hessian",
+                  "endomorphism_field", "laplacian_symbol")
+
+
+@pytest.mark.parametrize("shape", ["complex", "real", "quotient"])
+def test_run_reads_the_frame_build_problem_made(tmp_path, monkeypatch, shape):
+    # certify, solve and diagnostics read the problem's held frame: once
+    # build_problem returns, no module rebuilds it from alpha
+    import conesolve.cli as cli
+    import conesolve.diagnostics as diagnostics
+    import conesolve.solver as solver
+    import conesolve.torus as torus
+
+    cfg = parse_config(metric_config(tmp_path, shape))
+    build = cli.build_problem
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the frame was rebuilt after build_problem")
+
+    def build_then_refuse(config):
+        built = build(config)
+        for module in (solver, torus, cli, diagnostics):
+            for name in FRAME_BUILDERS:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        return built
+
+    monkeypatch.setattr(cli, "build_problem", build_then_refuse)
+    assert cli.run(cfg) == 0
+    report = json.loads((tmp_path / "out" / "solve_report.json").read_text())
+    assert report["certificate"]["verdict"] == "certified"
+    assert report["solve"]["complete"] and report["diagnostics"]

@@ -11,6 +11,7 @@ from conesolve import (
     MongeAmpere,
     PeriodicGrid,
     ScalarField,
+    TorusProblem,
     abp_check,
     contact_set,
     hmw_ratio,
@@ -194,14 +195,21 @@ def test_supporting_plane_property(depth, tilt, scale, points):
     assert_contact_mask_matches_bruteforce(v, min(0.45, 0.9 * room))
 
 
+def flat_problem(grid, alpha):
+    """A problem on ``grid`` with background chi = alpha, for the monitor."""
+    return TorusProblem(grid, MongeAmpere(grid.n), alpha, MatrixField.constant(grid, alpha),
+                        ScalarField.zeros(grid))
+
+
 def test_hmw_ratio_values():
     g = PeriodicGrid.make("complex", 1, 64, 1.0)
-    assert hmw_ratio(ScalarField.zeros(g), np.eye(1)).ratio == 0.0
+    prob = flat_problem(g, np.eye(1))
+    assert hmw_ratio(prob, ScalarField.zeros(g)).ratio == 0.0
 
     a = 0.3
     x, _ = g.coordinates()
     u = ScalarField(g, a * np.cos(2 * np.pi * x))
-    rep = hmw_ratio(u, np.eye(1))
+    rep = hmw_ratio(prob, u)
     assert rep.sup_dd_u == pytest.approx(a * np.pi**2, rel=1e-10)
     assert rep.sup_grad_sq == pytest.approx(a**2 * np.pi**2, rel=1e-10)
     k = rep.sup_grad_sq + 1.0
@@ -211,8 +219,28 @@ def test_hmw_ratio_values():
     assert rep.phi_params["phi_prime_high"] == pytest.approx(1 / (2 * k))
     assert 0 < rep.psi_params["tau"] <= 1
 
+    real = PeriodicGrid.make("real", 2, 8, 1.0)
     with pytest.raises(ValueError):
-        hmw_ratio(ScalarField.zeros(PeriodicGrid.make("real", 2, 8, 1.0)), np.eye(2))
+        hmw_ratio(flat_problem(real, np.eye(2)), ScalarField.zeros(real))
+
+
+def test_hmw_ratio_under_a_non_diagonal_complex_metric():
+    # u = a cos Re(c^T z) with c = 2 pi (1, -i), i.e. a cos(2 pi (x_1 + y_2)):
+    # du = -(a/2) sin(.) c and dd u = -(a/4) cos(.) c c*, so both sups read the
+    # form q = v* alpha^{-1} v at v = (1, -i), attained on the grid
+    alpha = np.array([[2.0, 0.5 + 0.3j], [0.5 - 0.3j, 1.5]])
+    g = PeriodicGrid.make("complex", 2, 8, 1.0)
+    a = 0.3
+    x1, _, _, y2 = g.coordinates()
+    rep = hmw_ratio(flat_problem(g, alpha), ScalarField(g, a * np.cos(2 * np.pi * (x1 + y2))))
+    v = np.array([1.0, -1.0j])
+    q = np.real(np.conj(v) @ np.linalg.inv(alpha) @ v)
+    assert rep.sup_grad_sq == pytest.approx(a**2 * np.pi**2 * q, rel=1e-12)
+    assert rep.sup_dd_u == pytest.approx(a * np.pi**2 * q, rel=1e-12)
+    # a transposed or an unconjugated L^{-1} would read another form
+    linv = np.linalg.inv(np.linalg.cholesky(alpha))
+    for wrong in (linv.T, np.conj(linv)):
+        assert abs(np.linalg.norm(wrong @ v) ** 2 / q - 1.0) > 0.3
 
 
 def test_trace_estimate():
@@ -223,6 +251,11 @@ def test_trace_estimate():
     assert rep.c_fit == pytest.approx(2.0)
     assert rep.passed and bool(rep)
     assert not trace_estimate_check(u, gfield, np.eye(2), 1.0, threshold=1.5)
+    # a Hermitian alpha with imaginary entries against a real field g
+    alpha = np.array([[2.0, 0.5 + 0.3j], [0.5 - 0.3j, 1.5]])
+    real_g = np.array([[1.0, 0.2], [0.2, 1.0]])
+    rep = trace_estimate_check(u, MatrixField.constant(g, real_g), alpha, 1.0, threshold=2.0)
+    assert rep.c_fit == pytest.approx(np.trace(np.linalg.inv(alpha) @ real_g).real, rel=1e-14)
 
 
 def test_strong_concavity_flags():

@@ -352,9 +352,9 @@ def test_continuity_evaluates_the_background_once(monkeypatch):
     report = run_continuity(prob, uniform_schedule(6))
     iterations = sum(step["newton_iterations"] for step in report.steps)
     assert report.complete and iterations == 15
+    assert prob.background_value is prob.background_value
     assert calls.count(True) == 1
     assert len(calls) == 1 + len(report.steps) + iterations == 22
-    assert solver.background_value(prob, 0.5) is solver.background_value(prob, 1.0)
 
 
 def test_newton_reads_the_frame_the_problem_holds(monkeypatch):
@@ -570,7 +570,7 @@ def test_riemannian_path_bounds_enforced(monkeypatch):
     monkeypatch.setattr(solver, "evaluate_pointwise", counting)
     report = run_continuity(prob, uniform_schedule(6))
     assert report.complete
-    h0 = solver.background_value(prob, 0.0)
+    h0 = prob.background_value
     assert len(background_calls) == 1  # h0 = F(A[0]) once per problem, not per t-step
     for step in report.steps:
         assert step["t"] * h0.min() - 1e-8 <= step["c"] <= step["t"] * h0.max() + 1e-8
