@@ -128,14 +128,15 @@ def _diagnostics(problem: TorusProblem, state) -> dict:
     from .diagnostics import hmw_ratio, strong_concavity_flags
 
     out: dict = {}
-    endo = problem.endomorphism(hessian_components(state.u.values, problem.grid))
+    comps = hessian_components(state.u.values, problem.grid)
+    endo = problem.endomorphism(comps)
     mats = endo.reshape(-1, problem.grid.n, problem.grid.n)
     take = np.linalg.eigvalsh(mats[:: max(1, mats.shape[0] // 512)])
     flag_a, flag_b = strong_concavity_flags(problem.op, take)
     out["strong_concavity_flags"] = {"f11_plus_f1_over_lam1": flag_a,
                                      "lam1_f1_smallest": flag_b}
     if problem.grid.mode == "complex":
-        out["second_order_gradient_monitor"] = asdict(hmw_ratio(problem, state.u))
+        out["second_order_gradient_monitor"] = asdict(hmw_ratio(problem, state.u, comps))
     return out
 
 

@@ -19,7 +19,6 @@ from .torus import (
     MatrixField,
     ScalarField,
     complex_gradient,
-    hessian_components,
     sup_operator_norm,
 )
 
@@ -273,13 +272,14 @@ class HmwReport:
 HMW_PSI_A = 1.0
 
 
-def hmw_ratio(problem: TorusProblem, u: ScalarField) -> HmwReport:
+def hmw_ratio(problem: TorusProblem, u: ScalarField, comps: np.ndarray) -> HmwReport:
     """The monitor of u on the problem's complex grid, in its held frame:
-    |dd u|_alpha is the operator norm of sum_e c_e(u) B_e (``problem.basis``) and
-    |du|^2_alpha is |L^{-1} du|^2 (``problem.root_inverse``, alpha = L L*)."""
+    |dd u|_alpha is the operator norm of sum_e c_e(u) B_e (``problem.basis``),
+    with ``comps`` u's ``hessian_components`` c_e(u), and |du|^2_alpha is
+    |L^{-1} du|^2 (``problem.root_inverse``, alpha = L L*)."""
     if u.grid.mode != "complex":
         raise ValueError("the second-order/gradient monitor applies in complex mode")
-    dd = np.tensordot(hessian_components(u.values, u.grid), problem.basis, (0, 0))
+    dd = np.tensordot(comps, problem.basis, (0, 0))
     sup_dd = sup_operator_norm(dd)
     w = np.einsum("ab,...b->...a", problem.root_inverse, complex_gradient(u))
     grad_sq = np.real(np.einsum("...a,...a->...", np.conj(w), w))

@@ -18,6 +18,15 @@ Hessian components), and a Newton step one more inverse transform.  Newton
 carries the Hessian components of its iterate, so line-search trials
 transform nothing.
 
+A t-step hands the next one its accepted iterate's Hessian components and
+sigma table (``SolveState.components`` and ``SolveState.table``).  The sigma_j
+and P_{j-1} of A[u] do not depend on t: every ``path_operator`` of a problem
+shares its cone, its matrix argument and its sigma order.  So a warm start
+transforms nothing and runs no sigma recursion; it recomputes only F at the
+new t and the cone margin (``reevaluate``).  The start releases the carried
+table once it is read, before the first Krylov solve, and a report keeps
+neither.  The cold start u = 0 reads zero components and transforms nothing.
+
 Continuity paths, each anchored at a member solvable from u = 0:
 
   ``hessian``     F(A[u]) = t*H + (1-t)*H0 + c,     H0 = F(A[0]),
@@ -174,6 +183,17 @@ class TorusProblem:
 
 @dataclass
 class SolveState:
+    """A converged (or, in a StagnationError, the last) Newton iterate at t.
+
+    ``newton_solve`` also returns the evaluation of its final u for the next
+    t-step's warm start: ``components``, the Hessian components of u, and
+    ``table``, the sigma table of A[u].  The warm start takes the table and sets
+    it to None, so it is freed before that step's Krylov solve and a retry
+    from the same state evaluates once from ``components``.  A state without
+    ``components``, as a caller may build, is transformed at the start.
+    ``SolveReport.record`` keeps neither.
+    """
+
     u: ScalarField
     c: float
     t: float
@@ -181,6 +201,8 @@ class SolveState:
     admissibility_margin: float
     iterations: int = 0
     trace: tuple = ()
+    components: np.ndarray | None = field(default=None, repr=False, compare=False)
+    table: SigmaTable | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -200,7 +222,8 @@ class SolveReport:
             "admissibility_margin": float(state.admissibility_margin),
             "newton_iterations": int(state.iterations),
         })
-        self.final = replace(state, u=normalize(state.u, normalization))
+        self.final = replace(state, u=normalize(state.u, normalization),
+                             components=None, table=None)
 
     def to_dict(self) -> dict:
         out = {
@@ -258,6 +281,15 @@ class PointwiseEvaluation:
     worst_index: tuple
     value: np.ndarray | None
 
+    @classmethod
+    def of(cls, table: SigmaTable) -> "PointwiseEvaluation":
+        """The margin, its worst point and, if admissible, F, read from ``table``."""
+        margins = table.margin()
+        worst = int(np.argmin(margins))
+        margin = float(margins.flat[worst])
+        value = table.value() if margin > 0.0 else None
+        return cls(table, margin, np.unravel_index(worst, margins.shape), value)
+
     def require_admissible(self) -> "PointwiseEvaluation":
         if self.margin <= 0.0:
             raise AdmissibilityError(self.worst_index, self.margin)
@@ -274,13 +306,16 @@ def evaluate_pointwise(problem: TorusProblem, u: ScalarField | None, t: float,
             raise ValueError("fields must share one grid")
         if comps is None:
             comps = hessian_components(u.values, u.grid)
-    table = SigmaTable.at(path_operator(problem, t), problem.endomorphism(comps))
-    margins = table.margin()
-    worst = int(np.argmin(margins))
-    margin = float(margins.flat[worst])
-    value = table.value() if margin > 0.0 else None
-    return PointwiseEvaluation(table, margin,
-                               np.unravel_index(worst, margins.shape), value)
+    return PointwiseEvaluation.of(
+        SigmaTable.at(path_operator(problem, t), problem.endomorphism(comps)))
+
+
+def reevaluate(problem: TorusProblem, table: SigmaTable, t: float) -> PointwiseEvaluation:
+    """The evaluation at t of the A[u] whose sigma table, at any t of the path,
+    is ``table``: every ``path_operator`` shares the sigma order, the matrix
+    argument and the cone, so the sigma_j and P_{j-1} are kept and only F and
+    the margin are recomputed, with the same bits as ``evaluate_pointwise``."""
+    return PointwiseEvaluation.of(replace(table, op=path_operator(problem, t)))
 
 
 def rhs_base(problem: TorusProblem, t: float) -> np.ndarray:
@@ -475,16 +510,31 @@ def newton_solve(problem: TorusProblem, t: float,
     sup-norm residual decreases; halves the step up to ``MAX_HALVINGS`` times
     and raises StagnationError with the last state when exhausted, or when a
     Krylov solve does not converge.  Each iterate is evaluated once.  The
-    Hessian components of u are carried with it: the start transforms u once,
-    and a trial u + step*dv reads comp(u) + step*comp(dv), with comp(dv) from
-    the Krylov solve's last product, so no trial transforms.
+    Hessian components of u are carried with it: a trial u + step*dv reads
+    comp(u) + step*comp(dv), with comp(dv) from the Krylov solve's last
+    product, so no trial transforms.  The start reads zero components for
+    u = 0 and ``warm``'s carried ones otherwise (transforming u only when it
+    carries none), and takes ``warm``'s sigma table (see ``SolveState``).
+    The returned state carries the final iterate's components and table.
     """
     grid = problem.grid
     sign = constant_sign(problem)
     base = rhs_base(problem, t)
-    u = ScalarField.zeros(grid) if warm is None else normalize(warm.u, "mean_zero")
-    comps = hessian_components(u.values, grid)
-    ev = evaluate_pointwise(problem, u, t, comps).require_admissible()
+    if warm is None:
+        u = ScalarField.zeros(grid)
+        comps = np.zeros((len(problem.basis),) + grid.shape)
+        ev = evaluate_pointwise(problem, u, t, comps)
+    else:
+        u = normalize(warm.u, "mean_zero")
+        comps = warm.components
+        if comps is None:
+            comps = hessian_components(u.values, grid)
+        if warm.table is None:
+            ev = evaluate_pointwise(problem, u, t, comps)
+        else:
+            ev = reevaluate(problem, warm.table, t)
+            warm.table = None  # ev holds it until the first linearization has read it
+    ev.require_admissible()
     c = sign * float((ev.value - base).mean()) if warm is None else warm.c
     r = ev.value - (base + sign * c)
     r_sup = float(np.abs(r).max())
@@ -528,7 +578,7 @@ def newton_solve(problem: TorusProblem, t: float,
     else:
         if r_sup >= problem.newton_tol:
             raise stagnated(f"Newton did not converge in {problem.max_newton} iterations")
-    return SolveState(u, c, t, r_sup, margin, iterations, tuple(trace))
+    return SolveState(u, c, t, r_sup, margin, iterations, tuple(trace), comps, ev.table)
 
 
 def uniform_schedule(steps: int = 21) -> np.ndarray:

@@ -216,6 +216,8 @@ def certify_field(op: SymmetricOperator, eigenvalue_field, rhs_field, delta_grid
     deltas = sorted(set(float(d) for d in delta_grid), reverse=True)
     if not deltas:
         raise ValueError("delta_grid must be non-empty")
+    if not all(0.0 < d < math.inf for d in deltas):
+        raise ValueError(f"delta_grid must hold finite deltas > 0, got {list(delta_grid)!r}")
     sigma_range = (float(sigmas.min()), float(sigmas.max()))
 
     last_failure: dict | None = None

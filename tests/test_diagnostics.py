@@ -18,6 +18,7 @@ from conesolve import (
     strong_concavity_flags,
     trace_estimate_check,
 )
+from conesolve.torus import hessian_components
 from oracles import supporting_plane_bruteforce
 
 
@@ -204,12 +205,13 @@ def flat_problem(grid, alpha):
 def test_hmw_ratio_values():
     g = PeriodicGrid.make("complex", 1, 64, 1.0)
     prob = flat_problem(g, np.eye(1))
-    assert hmw_ratio(prob, ScalarField.zeros(g)).ratio == 0.0
+    zero = ScalarField.zeros(g)
+    assert hmw_ratio(prob, zero, hessian_components(zero.values, g)).ratio == 0.0
 
     a = 0.3
     x, _ = g.coordinates()
     u = ScalarField(g, a * np.cos(2 * np.pi * x))
-    rep = hmw_ratio(prob, u)
+    rep = hmw_ratio(prob, u, hessian_components(u.values, g))
     assert rep.sup_dd_u == pytest.approx(a * np.pi**2, rel=1e-10)
     assert rep.sup_grad_sq == pytest.approx(a**2 * np.pi**2, rel=1e-10)
     k = rep.sup_grad_sq + 1.0
@@ -221,7 +223,8 @@ def test_hmw_ratio_values():
 
     real = PeriodicGrid.make("real", 2, 8, 1.0)
     with pytest.raises(ValueError):
-        hmw_ratio(flat_problem(real, np.eye(2)), ScalarField.zeros(real))
+        hmw_ratio(flat_problem(real, np.eye(2)), ScalarField.zeros(real),
+                  hessian_components(np.zeros(real.shape), real))
 
 
 def test_hmw_ratio_under_a_non_diagonal_complex_metric():
@@ -232,7 +235,8 @@ def test_hmw_ratio_under_a_non_diagonal_complex_metric():
     g = PeriodicGrid.make("complex", 2, 8, 1.0)
     a = 0.3
     x1, _, _, y2 = g.coordinates()
-    rep = hmw_ratio(flat_problem(g, alpha), ScalarField(g, a * np.cos(2 * np.pi * (x1 + y2))))
+    u = ScalarField(g, a * np.cos(2 * np.pi * (x1 + y2)))
+    rep = hmw_ratio(flat_problem(g, alpha), u, hessian_components(u.values, g))
     v = np.array([1.0, -1.0j])
     q = np.real(np.conj(v) @ np.linalg.inv(alpha) @ v)
     assert rep.sup_grad_sq == pytest.approx(a**2 * np.pi**2 * q, rel=1e-12)

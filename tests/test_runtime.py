@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import conesolve
 
 SRC = Path(conesolve.__file__).resolve().parents[1]
@@ -28,6 +30,32 @@ chi = chi_perturbed(1, 0.05, 21)
 
 [rhs]
 h = random_smooth(0.12, 11)
+
+[output]
+directory = {out}
+save_fields = false
+"""
+
+#: a quotient-path continuity on complex n = 3, reduced 16^3: each t-step
+#: starts from the evaluation the last one carried
+QUOTIENT_C3_CFG = """
+[problem]
+mode = complex
+dimension = 3
+operator = hessian_quotient
+k = 2
+l = 1
+path = quotient
+
+[grid]
+points_per_axis = 16
+reduced = true
+
+[background]
+chi = chi_perturbed(2, 0.1, 21)
+
+[solve]
+schedule = 6
 
 [output]
 directory = {out}
@@ -64,9 +92,11 @@ def run_python(args, threads=None):
                           text=True, check=True)
 
 
-def test_report_bytes_do_not_depend_on_blas_threads(tmp_path):
+@pytest.mark.parametrize("config", [FULL_C2_CFG, QUOTIENT_C3_CFG],
+                         ids=["fixed-c2-full", "quotient-c3"])
+def test_report_bytes_do_not_depend_on_blas_threads(tmp_path, config):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(FULL_C2_CFG.format(out=tmp_path / "out"))
+    cfg.write_text(config.format(out=tmp_path / "out"))
     report = tmp_path / "out" / "solve_report.json"
     reports = []
     for threads in (1, 2):

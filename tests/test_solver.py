@@ -256,28 +256,39 @@ def test_newton_system_solves_the_bordered_system(mode, n, reduced, alpha):
 
 def test_carried_components_match_a_fresh_transform(monkeypatch):
     # a line-search trial reads comp(u) + step*comp(dv) in place of
-    # transforming u; after several accepted steps that is still comp(u)
+    # transforming u; after several accepted steps that is still comp(u), and
+    # the components a t-step hands the next one are those of the normalized u
     import conesolve.solver as solver
 
     g = PeriodicGrid.make("real", 3, 8, 1.0)
     _, pert = hessian_perturbation(g, 0.1, seed=21)
     prob = TorusProblem(g, LogSigmaK(3, 2), np.eye(3), MatrixField(g, np.eye(3) + pert.values),
                         random_band_limited(g, 0.3, seed=11), path=PathKind.HESSIAN)
-    carried = []
-    original = solver.evaluate_pointwise
+    carried, handed = [], []
+    original, original_solve = solver.evaluate_pointwise, solver.newton_solve
 
     def recording(problem, u, t, comps=None):
         if comps is not None:
             carried.append((u.values.copy(), comps.copy()))
         return original(problem, u, t, comps)
 
+    def handing(problem, t, warm=None):
+        state = original_solve(problem, t, warm)
+        handed.append((normalize(state.u, "mean_zero").values, state.components.copy()))
+        return state
+
     monkeypatch.setattr(solver, "evaluate_pointwise", recording)
+    monkeypatch.setattr(solver, "newton_solve", handing)
     report = run_continuity(prob, uniform_schedule(3))
-    # each t-step's start and each accepted step read carried components
+    # the cold start and each accepted step read carried components; a warm
+    # start reads the last t-step's evaluation and evaluates nothing
     iterations = sum(step["newton_iterations"] for step in report.steps)
     assert iterations >= 5
-    assert len(carried) == len(report.steps) + iterations
-    for values, comps in carried:
+    assert len(carried) == 1 + iterations
+    assert len(handed) == len(report.steps)
+    # the cold start's zero components are hessian_components(0), untransformed
+    assert np.array_equal(carried[0][1], hessian_components(np.zeros(g.shape), g))
+    for values, comps in carried + handed:
         fresh = hessian_components(values, g)
         assert np.abs(comps - fresh).max() <= 1e-14 * max(np.abs(fresh).max(), 1.0)
 
@@ -330,8 +341,9 @@ def test_newton_evaluates_each_iterate_once(monkeypatch):
 
 def test_continuity_evaluates_the_background_once(monkeypatch):
     # F(A[0]) does not depend on t: a real3-hessian-shaped solve (6 t-steps,
-    # 15 Newton steps) evaluates A[0] once, 22 evaluations in all (27 when
-    # every t-step evaluated F(A[0]) again)
+    # 15 Newton steps) evaluates A[0] once, the cold start once and each
+    # Newton step once, 17 evaluations in all (22 when each warm start
+    # evaluated its iterate again, 27 when each t-step evaluated F(A[0]) too)
     import conesolve.solver as solver
     from conesolve.cli import build_problem
     from conesolve.config import parse_config
@@ -354,7 +366,153 @@ def test_continuity_evaluates_the_background_once(monkeypatch):
     assert report.complete and iterations == 15
     assert prob.background_value is prob.background_value
     assert calls.count(True) == 1
-    assert len(calls) == 1 + len(report.steps) + iterations == 22
+    assert len(calls) == 1 + 1 + iterations == 17
+
+
+QUOTIENT_C3_CFG = (
+    "[problem]\nmode = complex\ndimension = 3\noperator = hessian_quotient\nk = 2\nl = 1\n"
+    "path = quotient\n[grid]\npoints_per_axis = 20\nreduced = true\n"
+    "[background]\nchi = chi_perturbed(2, 0.1, 21)\n[solve]\nschedule = 11\n")
+
+
+def test_warm_starts_transform_nothing_and_run_no_sigma_recursion(monkeypatch):
+    # a quotient-c3-shaped solve (11 t-steps of one Newton step each): every
+    # warm start reads the last t-step's components and sigma table, so
+    # between its entry and its first linearization nothing is transformed
+    # and no sigma_j is computed
+    import conesolve.eigencalc as eigencalc
+    import conesolve.solver as solver
+    from conesolve.cli import build_problem
+    from conesolve.config import parse_config
+
+    prob, _ = build_problem(parse_config(QUOTIENT_C3_CFG))
+    events = []
+
+    def spy(module, name, tag):
+        original = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            events.append(tag)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    original_solve = solver.newton_solve
+
+    def starting(problem, t, warm=None):
+        events.append("cold" if warm is None else "warm")
+        return original_solve(problem, t, warm)
+
+    spy(solver, "hessian_components", "transform")
+    spy(eigencalc, "matrix_sigmas", "sigmas")
+    spy(solver, "Linearization", "linearize")
+    monkeypatch.setattr(solver, "newton_solve", starting)
+    report = run_continuity(prob, uniform_schedule(11))
+    assert report.complete
+    assert [step["newton_iterations"] for step in report.steps][1:] == [1] * 10
+    starts = [i for i, e in enumerate(events) if e in ("cold", "warm")]
+    warm_starts = [events[i + 1:events.index("linearize", i)]
+                   for i in starts if events[i] == "warm"]
+    assert len(warm_starts) == 10
+    assert warm_starts == [[]] * 10
+
+
+def test_reevaluation_at_a_new_t_matches_a_fresh_evaluation():
+    # the sigma table of A[u] does not depend on t: rebinding it to the
+    # operator at another t gives the fresh evaluation's bits
+    from conesolve.solver import reevaluate
+
+    gq = PeriodicGrid.make("complex", 3, 8, 1.0, reduced=True)
+    _, pert = hessian_perturbation(gq, 0.1, seed=10)
+    quotient = TorusProblem(gq, HessianQuotientNeg(3, 1, 2), np.eye(3),
+                            MatrixField(gq, 2 * np.eye(3) + pert.values), path=PathKind.QUOTIENT)
+    gh = PeriodicGrid.make("real", 3, 8, 1.0)
+    _, pert = hessian_perturbation(gh, 0.1, seed=21)
+    hess = TorusProblem(gh, LogSigmaK(3, 2), np.eye(3), MatrixField(gh, np.eye(3) + pert.values),
+                        random_band_limited(gh, 0.3, seed=11), path=PathKind.HESSIAN)
+    for prob in (quotient, hess):
+        u, _ = hessian_perturbation(prob.grid, 0.3, seed=4)
+        table = evaluate_pointwise(prob, u, 0.3).table
+        for t in (0.0, 0.5, 1.0):
+            again, fresh = reevaluate(prob, table, t), evaluate_pointwise(prob, u, t)
+            assert again.table.op == fresh.table.op
+            assert again.margin == fresh.margin > 0.0
+            assert again.worst_index == fresh.worst_index
+            assert np.array_equal(again.value, fresh.value)
+
+
+def _small_quotient_problem():
+    g = PeriodicGrid.make("complex", 2, 16, 1.0, reduced=True)
+    _, pert = hessian_perturbation(g, 0.1, seed=10)
+    return TorusProblem(g, HessianQuotientNeg(2, 1, 2), np.eye(2),
+                        MatrixField(g, 2 * np.eye(2) + pert.values), path=PathKind.QUOTIENT)
+
+
+def test_the_last_sigma_table_is_freed_before_the_krylov_solve(monkeypatch):
+    # the sigma table a t-step hands the next one (P_1 at every grid point)
+    # is gone by the time that t-step's Krylov solve runs
+    import weakref
+
+    import conesolve.solver as solver
+
+    prob = _small_quotient_problem()
+    handed, checks = [], []
+    original_solve, original_gmres = solver.newton_solve, solver.lgmres
+
+    def handing(problem, t, warm=None):
+        state = original_solve(problem, t, warm)
+        table = state.table
+        handed.extend(weakref.ref(x) for x in (table, table.sigmas, table.derivatives[-1]))
+        return state
+
+    def checking(*args, **kwargs):
+        checks.append([ref() is None for ref in handed])
+        return original_gmres(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "newton_solve", handing)
+    monkeypatch.setattr(solver, "lgmres", checking)
+    report = run_continuity(prob, uniform_schedule(4))
+    assert report.complete and len(handed) == 3 * 4
+    assert report.final.table is None and report.final.components is None
+    assert sum(1 for freed in checks if freed) >= 3
+    assert all(all(freed) for freed in checks)
+
+
+def test_a_t_bisection_retry_evaluates_from_the_carried_components(monkeypatch):
+    # a refused t-step has taken the carried sigma table: the retry at half
+    # the step evaluates its start once, from the carried components, and
+    # nothing in the solve transforms u
+    import conesolve.solver as solver
+
+    prob = _small_quotient_problem()
+    original_solve, original_eval = solver.newton_solve, solver.evaluate_pointwise
+    refused, evaluations, transforms = [], [], []
+
+    def refusing(problem, t, warm=None):
+        state = original_solve(problem, t, warm)
+        if t == 1.0 and not refused:
+            refused.append(state.iterations)
+            raise StagnationError("refused", state)
+        return state
+
+    def counting(problem, u, t, comps=None):
+        evaluations.append(comps is not None)
+        return original_eval(problem, u, t, comps)
+
+    def transforming(*args):
+        transforms.append(args)
+        raise AssertionError("u transformed")
+
+    monkeypatch.setattr(solver, "newton_solve", refusing)
+    monkeypatch.setattr(solver, "evaluate_pointwise", counting)
+    monkeypatch.setattr(solver, "hessian_components", transforming)
+    report = run_continuity(prob, uniform_schedule(3))
+    assert report.complete
+    assert [step["t"] for step in report.steps] == [0.0, 0.5, 0.75, 1.0]
+    iterations = sum(step["newton_iterations"] for step in report.steps) + refused[0]
+    # the cold start, each Newton step and the retry's start
+    assert evaluations == [True] * (1 + iterations + 1)
+    assert transforms == []
 
 
 def test_newton_reads_the_frame_the_problem_holds(monkeypatch):

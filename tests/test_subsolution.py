@@ -200,9 +200,18 @@ def test_refutation_without_an_admissible_delta_names_the_domain_failure():
 def test_unbounded_witness_names_the_failing_entry():
     # the limit at mu' is -1/(2 mu'): point 0 gives -1/6 twice, point 1 gives
     # -1/8 without entry 0 but -1/2 < -0.3 without entry 1
-    cert = certify_field(HessianQuotientNeg(2, 1, 2), [[3, 3], [1, 4]], [-0.3, -0.3], [0.0])
-    assert cert.witness == {"skipped_deltas": [], "point": 1, "delta": 0.0,
+    # (delta 0.01 moves mu by 0.02, the limits by at most 0.004)
+    cert = certify_field(HessianQuotientNeg(2, 1, 2), [[3, 3], [1, 4]], [-0.3, -0.3], [0.01])
+    assert cert.witness == {"skipped_deltas": [], "point": 1, "delta": 0.01,
                             "subtuple": 1, "sigma": -0.3}
+
+
+@pytest.mark.parametrize("delta", [0.0, -0.5, math.nan, math.inf, -math.inf])
+def test_certify_field_rejects_a_delta_that_is_not_finite_and_positive(delta):
+    # delta = 0 or < 0 is no strict subsolution, and nan or inf would be
+    # written into the report as a number JSON does not have
+    with pytest.raises(ValueError, match="finite deltas > 0"):
+        certify_field(MongeAmpere(2), np.ones((4, 2)), np.zeros(4), [0.2, delta])
 
 
 @pytest.mark.parametrize("op", KINDS, ids=repr)
