@@ -44,7 +44,6 @@ from .torus import (
     PeriodicGrid,
     ScalarField,
     constant_metric,
-    hessian_components,
     hessian_perturbation,
     load_field,
     random_band_limited,
@@ -128,7 +127,7 @@ def _diagnostics(problem: TorusProblem, state) -> dict:
     from .diagnostics import hmw_ratio, strong_concavity_flags
 
     out: dict = {}
-    comps = hessian_components(state.u.values, problem.grid)
+    comps = problem.components(state.u)
     endo = problem.endomorphism(comps)
     mats = endo.reshape(-1, problem.grid.n, problem.grid.n)
     take = np.linalg.eigvalsh(mats[:: max(1, mats.shape[0] // 512)])

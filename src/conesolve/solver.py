@@ -14,9 +14,11 @@ times the metric Laplacian.  Its inner products are einsum and pairwise sums,
 not BLAS level-1 calls, so the iterates do not depend on the BLAS thread count.
 The search directions are kept as rfftn half spectra, the preconditioner's
 output, so an Arnoldi step costs one forward transform and E inverse ones (E
-Hessian components), and a Newton step one more inverse transform.  Newton
-carries the Hessian components of its iterate, so line-search trials
-transform nothing.
+Hessian components), and a Newton step one more inverse transform.  An
+evaluation reads u only as its Hessian components (``evaluate_pointwise``),
+and ``TorusProblem.components`` is the one place a field is transformed.
+Newton carries its iterate's components, so line-search trials transform
+nothing, and the cold start u = 0 evaluates the held A[0] itself.
 
 A t-step hands the next one its accepted iterate's Hessian components and
 sigma table (``SolveState.components`` and ``SolveState.table``).  The sigma_j
@@ -25,7 +27,7 @@ shares its cone, its matrix argument and its sigma order.  So a warm start
 transforms nothing and runs no sigma recursion; it recomputes only F at the
 new t and the cone margin (``reevaluate``).  The start releases the carried
 table once it is read, before the first Krylov solve, and a report keeps
-neither.  The cold start u = 0 reads zero components and transforms nothing.
+neither.
 
 Continuity paths, each anchored at a member solvable from u = 0:
 
@@ -43,6 +45,7 @@ from __future__ import annotations
 import enum
 import functools
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -56,17 +59,15 @@ from .torus import (
     class_constant,
     congruence,
     constant_metric,
-    endomorphism_field,
     hessian_components,
     hessian_symbols,
     hessian_weights,
     laplacian_symbol,
-    metric_root_inverse,
     spectral_hessian_components,
 )
 # unused here; the benchmark's tracer binds its spans at these names
 from .eigencalc import eigen_decompose  # noqa: F401
-from .torus import hessian  # noqa: F401
+from .torus import endomorphism_field, hessian  # noqa: F401
 
 
 #: step halvings the Newton line search tries before it stagnates
@@ -114,8 +115,9 @@ class PathKind(enum.Enum):
 class TorusProblem:
     """Problem data: operator, backgrounds, right-hand side and path choice.
     alpha and chi are checked and read once, at construction, into read-only L^{-1}
-    (``root_inverse``, alpha = L L*), A[0] (``background``), B_e = L^{-1} U_e L^{-*}
-    (``basis``) and the ``laplacian_symbol``; ``endomorphism`` assembles every A[u]."""
+    (``root_inverse``, alpha = L L*), A[0] = L^{-1} chi L^{-*} (``background``),
+    B_e = L^{-1} U_e L^{-*} (``basis``) and the ``laplacian_symbol``; ``components``
+    transforms a field, ``endomorphism`` assembles every A[u]."""
 
     grid: PeriodicGrid
     op: SymmetricOperator
@@ -146,21 +148,31 @@ class TorusProblem:
             raise ValueError(f"{self.path.value} path requires an rhs field h")
         if self.path is PathKind.QUOTIENT and not isinstance(self.op, HessianQuotientNeg):
             raise ValueError(f"quotient path requires a HessianQuotientNeg, got {self.op!r}")
+        if not 0.0 < self.newton_tol < math.inf:
+            raise ValueError(f"newton_tol must be a finite number > 0, got {self.newton_tol}")
+        if self.max_newton < 1:
+            raise ValueError(f"max_newton must be >= 1, got {self.max_newton}")
         self.alpha = constant_metric(self.alpha, self.grid.n)
         try:
             require_hermitian(self.chi.values)
         except ValueError as exc:
             raise ValueError(f"chi: {exc}") from None
-        self.root_inverse = metric_root_inverse(self.alpha, self.grid.n)
-        self.background = endomorphism_field(self.alpha, self.chi).values
+        self.root_inverse = np.linalg.inv(np.linalg.cholesky(self.alpha))
+        self.background = congruence(self.root_inverse, self.chi.values)
         self.basis = congruence(self.root_inverse, hessian_symbols(self.grid).units)
         self.laplacian = laplacian_symbol(self.grid, self.alpha)
         for held in (self.root_inverse, self.background, self.basis, self.laplacian):
             held.setflags(write=False)
 
+    def components(self, u: ScalarField) -> np.ndarray:
+        """u's Hessian components c_e(u): the one place a field is transformed."""
+        if u.grid != self.grid:
+            raise ValueError("fields must share one grid")
+        return hessian_components(u.values, self.grid)
+
     def endomorphism(self, comps: np.ndarray | None) -> np.ndarray:
-        """A[u] = A[0] + sum_e c_e B_e from u's ``hessian_components`` ``comps``;
-        the held A[0] itself for None."""
+        """A[u] = A[0] + sum_e c_e B_e from u's components ``comps``; the
+        held A[0] itself for None."""
         if comps is None:
             return self.background
         return self.background + np.tensordot(comps, self.basis, (0, 0))
@@ -209,7 +221,6 @@ class SolveState:
 class SolveReport:
     steps: list[dict] = field(default_factory=list)
     final: SolveState | None = None
-    diagnostics: dict = field(default_factory=dict)
     complete: bool = True
 
     def record(self, state: SolveState, normalization: str) -> None:
@@ -230,7 +241,6 @@ class SolveReport:
             "schema": "v1",
             "complete": self.complete,
             "steps": self.steps,
-            "diagnostics": self.diagnostics,
         }
         if self.final is not None:
             out["final"] = {
@@ -296,16 +306,11 @@ class PointwiseEvaluation:
         return self
 
 
-def evaluate_pointwise(problem: TorusProblem, u: ScalarField | None, t: float,
-                       comps: np.ndarray | None = None) -> PointwiseEvaluation:
-    """Evaluate A[u] (A[0] when ``u`` is None), the sigma table of the operator
-    in force at t, the cone margin and F, from the problem's held arrays.
-    ``comps``, if given, are u's ``hessian_components``, and u is not transformed."""
-    if u is not None:
-        if u.grid != problem.grid:
-            raise ValueError("fields must share one grid")
-        if comps is None:
-            comps = hessian_components(u.values, u.grid)
+def evaluate_pointwise(problem: TorusProblem, comps: np.ndarray | None,
+                       t: float) -> PointwiseEvaluation:
+    """Evaluate A[u] from u's Hessian components ``comps`` (the held A[0] for
+    None), the sigma table of the operator in force at t, the cone margin and
+    F, from the problem's held arrays."""
     return PointwiseEvaluation.of(
         SigmaTable.at(path_operator(problem, t), problem.endomorphism(comps)))
 
@@ -331,12 +336,12 @@ def rhs_base(problem: TorusProblem, t: float) -> np.ndarray:
 
 def admissibility_margin(problem: TorusProblem, u: ScalarField, t: float = 1.0) -> float:
     """min over the grid of the cone margin of lambda(A[u]); may be <= 0."""
-    return evaluate_pointwise(problem, u, t).margin
+    return evaluate_pointwise(problem, problem.components(u), t).margin
 
 
 def residual(problem: TorusProblem, u: ScalarField, c: float, t: float) -> ScalarField:
     """Pointwise F_t(A[u]) - rhs_t(c); raises AdmissibilityError off the cone."""
-    ev = evaluate_pointwise(problem, u, t).require_admissible()
+    ev = evaluate_pointwise(problem, problem.components(u), t).require_admissible()
     rhs = rhs_base(problem, t) + constant_sign(problem) * c
     return ScalarField(problem.grid, ev.value - rhs)
 
@@ -373,7 +378,7 @@ class Linearization:
 
 def linearized_apply(problem: TorusProblem, state: SolveState, v: ScalarField,
                      dc: float) -> ScalarField:
-    ev = evaluate_pointwise(problem, state.u, state.t)
+    ev = evaluate_pointwise(problem, problem.components(state.u), state.t)
     return Linearization(problem, ev).apply(v, dc)
 
 
@@ -470,7 +475,8 @@ def _solve_newton_system(lin: Linearization, r: np.ndarray, forcing: float):
     Arnoldi step costs one forward transform and E inverse ones (E Hessian
     components); one inverse transform of the solution then gives dv.  The
     zero mode of every search direction is 0, so the mean row, zero mode / N,
-    is exactly 0.
+    is exactly 0.  comp(dv) is the last product's: a converged solve of a
+    nonzero r, as ``newton_solve`` passes, ends with a product at its solution.
     """
     grid = lin.grid
     npts = int(np.prod(grid.shape))
@@ -496,10 +502,7 @@ def _solve_newton_system(lin: Linearization, r: np.ndarray, forcing: float):
     b = np.concatenate([-r.ravel(), [0.0]])
     sol, info = lgmres(matvec, b, M=precondition, rtol=forcing)
     dv = np.fft.irfftn(sol[:modes].reshape(half), s=grid.shape, axes=axes)
-    # a converged solve's last product is the true residual's, at sol; only a
-    # zero rhs takes no product
-    comps = lin.components if lin.components is not None else hessian_components(dv, grid)
-    return ScalarField(grid, dv - dv.mean()), float(sol[modes].real), comps, info
+    return ScalarField(grid, dv - dv.mean()), float(sol[modes].real), lin.components, info
 
 
 def newton_solve(problem: TorusProblem, t: float,
@@ -512,9 +515,9 @@ def newton_solve(problem: TorusProblem, t: float,
     Krylov solve does not converge.  Each iterate is evaluated once.  The
     Hessian components of u are carried with it: a trial u + step*dv reads
     comp(u) + step*comp(dv), with comp(dv) from the Krylov solve's last
-    product, so no trial transforms.  The start reads zero components for
-    u = 0 and ``warm``'s carried ones otherwise (transforming u only when it
-    carries none), and takes ``warm``'s sigma table (see ``SolveState``).
+    product, so no trial transforms.  The cold start evaluates the held A[0];
+    a warm start reads ``warm``'s components (transforming u only if it
+    carries none) and takes its sigma table (see ``SolveState``).
     The returned state carries the final iterate's components and table.
     """
     grid = problem.grid
@@ -523,14 +526,14 @@ def newton_solve(problem: TorusProblem, t: float,
     if warm is None:
         u = ScalarField.zeros(grid)
         comps = np.zeros((len(problem.basis),) + grid.shape)
-        ev = evaluate_pointwise(problem, u, t, comps)
+        ev = evaluate_pointwise(problem, None, t)
     else:
         u = normalize(warm.u, "mean_zero")
         comps = warm.components
         if comps is None:
-            comps = hessian_components(u.values, grid)
+            comps = problem.components(u)
         if warm.table is None:
-            ev = evaluate_pointwise(problem, u, t, comps)
+            ev = evaluate_pointwise(problem, comps, t)
         else:
             ev = reevaluate(problem, warm.table, t)
             warm.table = None  # ev holds it until the first linearization has read it
@@ -561,7 +564,7 @@ def newton_solve(problem: TorusProblem, t: float,
         for _ in range(MAX_HALVINGS + 1):
             u_try = ScalarField(grid, u.values + step * dv.values)
             comps_try = comps + step * dv_comps
-            ev = evaluate_pointwise(problem, u_try, t, comps_try)
+            ev = evaluate_pointwise(problem, comps_try, t)
             if ev.margin > 0.0:
                 c_try = c + step * dc
                 r_try = ev.value - (base + sign * c_try)

@@ -62,6 +62,33 @@ directory = {out}
 save_fields = false
 """
 
+#: a hessian-path continuity on real n = 3, 8^3: F(A[0]) and the cold start
+#: both evaluate the held A[0]
+REAL3_HESSIAN_CFG = """
+[problem]
+mode = real
+dimension = 3
+operator = log_sigma_k
+k = 2
+path = hessian
+
+[grid]
+points_per_axis = 8
+
+[background]
+chi = chi_perturbed(1, 0.1, 21)
+
+[rhs]
+h = random_smooth(0.3, 11)
+
+[solve]
+schedule = 3
+
+[output]
+directory = {out}
+save_fields = false
+"""
+
 TINY_CFG = """
 [problem]
 mode = complex
@@ -92,8 +119,8 @@ def run_python(args, threads=None):
                           text=True, check=True)
 
 
-@pytest.mark.parametrize("config", [FULL_C2_CFG, QUOTIENT_C3_CFG],
-                         ids=["fixed-c2-full", "quotient-c3"])
+@pytest.mark.parametrize("config", [FULL_C2_CFG, QUOTIENT_C3_CFG, REAL3_HESSIAN_CFG],
+                         ids=["fixed-c2-full", "quotient-c3", "real3-hessian"])
 def test_report_bytes_do_not_depend_on_blas_threads(tmp_path, config):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config.format(out=tmp_path / "out"))

@@ -154,7 +154,7 @@ def test_linearization_general_metric(mode, n, alpha):
     u0, _ = hessian_perturbation(g, 0.3, seed=5)
     v = random_band_limited(g, 1.0, seed=6)
     c0, dc = 0.1, 0.7
-    lin = Linearization(prob, evaluate_pointwise(prob, u0, 1.0))
+    lin = Linearization(prob, evaluate_pointwise(prob, prob.components(u0), 1.0))
     out = lin.apply(v, dc).values
 
     eps = 1e-5
@@ -186,7 +186,7 @@ def test_linearization_apply_is_the_hessian_contraction(monkeypatch, mode, n, re
     prob = TorusProblem(g, LogSigmaK(n, 2), alpha, chi, ScalarField.zeros(g))
     u0, _ = hessian_perturbation(g, 0.3, seed=5)
     v = random_band_limited(g, 1.0, seed=6)
-    ev = evaluate_pointwise(prob, u0, 1.0)
+    ev = evaluate_pointwise(prob, prob.components(u0), 1.0)
     linv = metric_root_inverse(alpha, n)
     pulled_back = congruence(np.conj(linv).T, ev.table.derivative())
     expected = contract(pulled_back, hessian(v).values) - 0.7
@@ -208,7 +208,7 @@ def _linearized(mode, n, reduced, alpha):
     prob = TorusProblem(g, LogSigmaK(n, 2), alpha, MatrixField(g, alpha + pert.values),
                         ScalarField.zeros(g))
     u0, _ = hessian_perturbation(g, 0.3, seed=5)
-    return prob, Linearization(prob, evaluate_pointwise(prob, u0, 1.0))
+    return prob, Linearization(prob, evaluate_pointwise(prob, prob.components(u0), 1.0))
 
 
 SPECTRAL_CASES = [
@@ -258,6 +258,8 @@ def test_carried_components_match_a_fresh_transform(monkeypatch):
     # a line-search trial reads comp(u) + step*comp(dv) in place of
     # transforming u; after several accepted steps that is still comp(u), and
     # the components a t-step hands the next one are those of the normalized u
+    import sys
+
     import conesolve.solver as solver
 
     g = PeriodicGrid.make("real", 3, 8, 1.0)
@@ -267,10 +269,12 @@ def test_carried_components_match_a_fresh_transform(monkeypatch):
     carried, handed = [], []
     original, original_solve = solver.evaluate_pointwise, solver.newton_solve
 
-    def recording(problem, u, t, comps=None):
+    def recording(problem, comps, t):
         if comps is not None:
-            carried.append((u.values.copy(), comps.copy()))
-        return original(problem, u, t, comps)
+            # the evaluation takes no field: read the trial's u in newton_solve
+            u_try = sys._getframe(1).f_locals["u_try"]
+            carried.append((u_try.values.copy(), comps.copy()))
+        return original(problem, comps, t)
 
     def handing(problem, t, warm=None):
         state = original_solve(problem, t, warm)
@@ -280,14 +284,13 @@ def test_carried_components_match_a_fresh_transform(monkeypatch):
     monkeypatch.setattr(solver, "evaluate_pointwise", recording)
     monkeypatch.setattr(solver, "newton_solve", handing)
     report = run_continuity(prob, uniform_schedule(3))
-    # the cold start and each accepted step read carried components; a warm
-    # start reads the last t-step's evaluation and evaluates nothing
+    # each accepted step reads carried components, the first of them on the
+    # cold start's zero components; the cold start evaluates the held A[0],
+    # and a warm start reads the last t-step's evaluation and evaluates nothing
     iterations = sum(step["newton_iterations"] for step in report.steps)
     assert iterations >= 5
-    assert len(carried) == 1 + iterations
+    assert len(carried) == iterations
     assert len(handed) == len(report.steps)
-    # the cold start's zero components are hessian_components(0), untransformed
-    assert np.array_equal(carried[0][1], hessian_components(np.zeros(g.shape), g))
     for values, comps in carried + handed:
         fresh = hessian_components(values, g)
         assert np.abs(comps - fresh).max() <= 1e-14 * max(np.abs(fresh).max(), 1.0)
@@ -309,6 +312,54 @@ def test_newton_zero_iterations_when_converged():
     again = newton_solve(prob, 1.0, warm=state)
     assert again.iterations == 0
     assert np.array_equal(again.u.values, normalize(state.u, "mean_zero").values)
+
+
+def test_a_warm_start_without_components_transforms_u_once(monkeypatch):
+    # a report's final state carries neither components nor sigma table: the
+    # warm start transforms its u once, through TorusProblem.components
+    import conesolve.solver as solver
+    from conesolve.solver import SolveReport
+
+    prob, _ = manufactured_problem(n=1, points=32)
+    report = SolveReport()
+    report.record(newton_solve(prob, 1.0), prob.normalization)
+    final = report.final
+    assert final.components is None and final.table is None
+    through, transforms = [], []
+    original_components, original_transform = TorusProblem.components, solver.hessian_components
+
+    def components(problem, u):
+        through.append(u.values.copy())
+        return original_components(problem, u)
+
+    def transform(*args):
+        transforms.append(args)
+        return original_transform(*args)
+
+    monkeypatch.setattr(TorusProblem, "components", components)
+    monkeypatch.setattr(solver, "hessian_components", transform)
+    again = newton_solve(prob, 1.0, warm=final)
+    expected = normalize(final.u, "mean_zero").values
+    assert again.iterations == 0
+    assert np.array_equal(again.u.values, expected)
+    assert len(transforms) == 1
+    assert len(through) == 1 and np.array_equal(through[0], expected)
+
+
+@pytest.mark.parametrize("setting,message", [
+    ({"newton_tol": 0.0}, "newton_tol must be a finite number > 0, got 0.0"),
+    ({"newton_tol": -1.0}, "newton_tol must be a finite number > 0, got -1.0"),
+    ({"newton_tol": float("nan")}, "newton_tol must be a finite number > 0, got nan"),
+    ({"newton_tol": float("inf")}, "newton_tol must be a finite number > 0, got inf"),
+    ({"max_newton": 0}, "max_newton must be >= 1, got 0"),
+])
+def test_problem_checks_its_solve_settings(setting, message):
+    # nan never passes r_sup < newton_tol, so every solve would stagnate, and
+    # 0 would hand a zero residual to the Krylov solve
+    g = PeriodicGrid.make("complex", 1, 8, 1.0)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        TorusProblem(g, MongeAmpere(1), np.eye(1), MatrixField.constant(g, np.eye(1)),
+                     ScalarField.zeros(g), **setting)
 
 
 def test_newton_inadmissible_warm_start():
@@ -341,8 +392,8 @@ def test_newton_evaluates_each_iterate_once(monkeypatch):
 
 def test_continuity_evaluates_the_background_once(monkeypatch):
     # F(A[0]) does not depend on t: a real3-hessian-shaped solve (6 t-steps,
-    # 15 Newton steps) evaluates A[0] once, the cold start once and each
-    # Newton step once, 17 evaluations in all (22 when each warm start
+    # 15 Newton steps) evaluates A[0] once for F(A[0]), once more at the cold
+    # start, and each Newton step once, 17 evaluations in all (22 when each warm start
     # evaluated its iterate again, 27 when each t-step evaluated F(A[0]) too)
     import conesolve.solver as solver
     from conesolve.cli import build_problem
@@ -356,16 +407,18 @@ def test_continuity_evaluates_the_background_once(monkeypatch):
     calls = []
     original = solver.evaluate_pointwise
 
-    def counting(problem, u, t, comps=None):
-        calls.append(u is None)
-        return original(problem, u, t, comps)
+    def counting(problem, comps, t):
+        calls.append(comps is None)
+        return original(problem, comps, t)
 
     monkeypatch.setattr(solver, "evaluate_pointwise", counting)
     report = run_continuity(prob, uniform_schedule(6))
     iterations = sum(step["newton_iterations"] for step in report.steps)
     assert report.complete and iterations == 15
     assert prob.background_value is prob.background_value
-    assert calls.count(True) == 1
+    # A[0] twice, both before the first Newton step: F(A[0]) for the rhs and
+    # the cold start's evaluation of the held A[0]
+    assert calls[:2] == [True, True] and calls.count(True) == 2
     assert len(calls) == 1 + 1 + iterations == 17
 
 
@@ -432,9 +485,10 @@ def test_reevaluation_at_a_new_t_matches_a_fresh_evaluation():
                         random_band_limited(gh, 0.3, seed=11), path=PathKind.HESSIAN)
     for prob in (quotient, hess):
         u, _ = hessian_perturbation(prob.grid, 0.3, seed=4)
-        table = evaluate_pointwise(prob, u, 0.3).table
+        comps = prob.components(u)
+        table = evaluate_pointwise(prob, comps, 0.3).table
         for t in (0.0, 0.5, 1.0):
-            again, fresh = reevaluate(prob, table, t), evaluate_pointwise(prob, u, t)
+            again, fresh = reevaluate(prob, table, t), evaluate_pointwise(prob, comps, t)
             assert again.table.op == fresh.table.op
             assert again.margin == fresh.margin > 0.0
             assert again.worst_index == fresh.worst_index
@@ -495,9 +549,9 @@ def test_a_t_bisection_retry_evaluates_from_the_carried_components(monkeypatch):
             raise StagnationError("refused", state)
         return state
 
-    def counting(problem, u, t, comps=None):
+    def counting(problem, comps, t):
         evaluations.append(comps is not None)
-        return original_eval(problem, u, t, comps)
+        return original_eval(problem, comps, t)
 
     def transforming(*args):
         transforms.append(args)
@@ -510,8 +564,8 @@ def test_a_t_bisection_retry_evaluates_from_the_carried_components(monkeypatch):
     assert report.complete
     assert [step["t"] for step in report.steps] == [0.0, 0.5, 0.75, 1.0]
     iterations = sum(step["newton_iterations"] for step in report.steps) + refused[0]
-    # the cold start, each Newton step and the retry's start
-    assert evaluations == [True] * (1 + iterations + 1)
+    # the cold start (the held A[0]), each Newton step and the retry's start
+    assert evaluations == [False] + [True] * (iterations + 1)
     assert transforms == []
 
 
@@ -549,7 +603,8 @@ def test_evaluation_reads_the_endomorphism_field(mode, n, reduced, alpha):
     u, _ = hessian_perturbation(g, 0.3, seed=15)
     for w in (None, u):
         expected = SigmaTable.at(op, endomorphism_field(alpha, chi, w).values)
-        assert np.array_equal(evaluate_pointwise(prob, w, 1.0).table.sigmas,
+        comps = None if w is None else prob.components(w)
+        assert np.array_equal(evaluate_pointwise(prob, comps, 1.0).table.sigmas,
                               expected.sigmas)
 
 
@@ -721,15 +776,17 @@ def test_riemannian_path_bounds_enforced(monkeypatch):
     background_calls = []
     original = solver.evaluate_pointwise
 
-    def counting(problem, u, t, comps=None):
-        background_calls.extend([t] if u is None else [])
-        return original(problem, u, t, comps)
+    def counting(problem, comps, t):
+        background_calls.extend([t] if comps is None else [])
+        return original(problem, comps, t)
 
     monkeypatch.setattr(solver, "evaluate_pointwise", counting)
     report = run_continuity(prob, uniform_schedule(6))
     assert report.complete
     h0 = prob.background_value
-    assert len(background_calls) == 1  # h0 = F(A[0]) once per problem, not per t-step
+    # h0 = F(A[0]) once per problem (at t = 1), not per t-step; the other
+    # evaluation of A[0] is the cold start's, at t = 0
+    assert background_calls == [1.0, 0.0]
     for step in report.steps:
         assert step["t"] * h0.min() - 1e-8 <= step["c"] <= step["t"] * h0.max() + 1e-8
 
