@@ -14,7 +14,12 @@ times the metric Laplacian.  Its inner products are einsum and pairwise sums,
 not BLAS level-1 calls, so the iterates do not depend on the BLAS thread count.
 The search directions are kept as rfftn half spectra, the preconditioner's
 output, so an Arnoldi step costs one forward transform and E inverse ones (E
-Hessian components), and a Newton step one more inverse transform.  An
+Hessian components), and a Newton step one more inverse transform.  The
+products of one Newton step share buffers: its ``Linearization`` allocates the
+work spectrum, the components and the weighted sum once, and each product
+transforms in place into them, so none allocates anything of component size.
+The last product's components are comp(dv); Newton drops the linearization
+before its line search, and comp(dv) goes with the step.  An
 evaluation reads u only as its Hessian components (``evaluate_pointwise``),
 and ``TorusProblem.components`` is the one place a field is transformed.
 Newton carries its iterate's components, so line-search trials transform
@@ -203,7 +208,9 @@ class SolveState:
     it to None, so it is freed before that step's Krylov solve and a retry
     from the same state evaluates once from ``components``.  A state without
     ``components``, as a caller may build, is transformed at the start.
-    ``SolveReport.record`` keeps neither.
+    ``SolveReport.record`` keeps neither.  ``trace`` holds the sup-norm residual
+    and the cone margin of every iterate from the start to this one,
+    ``iterations + 1`` entries; the report writes it as ``newton_trace``.
     """
 
     u: ScalarField
@@ -232,6 +239,10 @@ class SolveReport:
             "residual_norm": float(state.residual_norm),
             "admissibility_margin": float(state.admissibility_margin),
             "newton_iterations": int(state.iterations),
+            "newton_trace": [
+                {"residual_sup": float(it["residual_sup"]), "margin": float(it["margin"])}
+                for it in state.trace
+            ],
         })
         self.final = replace(state, u=normalize(state.u, normalization),
                              components=None, table=None)
@@ -348,7 +359,13 @@ def residual(problem: TorusProblem, u: ScalarField, c: float, t: float) -> Scala
 
 class Linearization:
     """Matrix-free derivative of the residual at a fixed admissible iterate.
-    ``components`` holds the Hessian components of the last direction applied."""
+
+    It allocates the buffers of its products once: the complex work spectrum
+    of ``spectral_hessian_components``, ``components`` and the weighted sum.
+    Every ``apply`` overwrites them, so a product allocates nothing of
+    component size.  ``components`` holds the Hessian components of the last
+    direction applied, until the next product; the field ``apply`` returns is
+    its own."""
 
     def __init__(self, problem: TorusProblem, ev: PointwiseEvaluation):
         self.problem = problem
@@ -360,7 +377,9 @@ class Linearization:
         # <D, sum_e c_e B_e> = sum_e <D, B_e> c_e: one weight per Hessian
         # component, so a matvec never forms the n x n Hessian field
         self.weights = hessian_weights(d, problem.basis)
-        self.components = None
+        self._work = np.empty(hessian_symbols(self.grid).symbols.shape, dtype=complex)
+        self.components = np.empty(self.weights.shape)
+        self._sum = np.empty(self.grid.shape)
 
     def apply(self, v: ScalarField | np.ndarray, dc: float) -> ScalarField:
         """Directional derivative: <D, alpha-orthonormal Hess v> - s*dc.
@@ -370,10 +389,9 @@ class Linearization:
         and no forward one.
         """
         spec = np.fft.rfftn(v.values) if isinstance(v, ScalarField) else v
-        self.components = None  # free the last direction's before forming these
-        self.components = spectral_hessian_components(spec, self.grid)
-        out = np.einsum("e...,e...->...", self.weights, self.components)
-        return ScalarField(self.grid, out - self.sign * dc)
+        spectral_hessian_components(spec, self.grid, self._work, self.components)
+        np.einsum("e...,e...->...", self.weights, self.components, out=self._sum)
+        return ScalarField(self.grid, self._sum - self.sign * dc)
 
 
 def linearized_apply(problem: TorusProblem, state: SolveState, v: ScalarField,
@@ -477,6 +495,8 @@ def _solve_newton_system(lin: Linearization, r: np.ndarray, forcing: float):
     zero mode of every search direction is 0, so the mean row, zero mode / N,
     is exactly 0.  comp(dv) is the last product's: a converged solve of a
     nonzero r, as ``newton_solve`` passes, ends with a product at its solution.
+    It is the buffer ``lin.components`` itself, not a copy; ``newton_solve``
+    drops ``lin`` before its line search, so comp(dv) then owns it.
     """
     grid = lin.grid
     npts = int(np.prod(grid.shape))
@@ -542,17 +562,16 @@ def newton_solve(problem: TorusProblem, t: float,
     r = ev.value - (base + sign * c)
     r_sup = float(np.abs(r).max())
     margin = ev.margin
-    trace: list[dict] = []
+    trace = [{"residual_sup": r_sup, "margin": margin}]
     iterations = 0
 
     def stagnated(message: str) -> StagnationError:
         state = SolveState(u, c, t, r_sup, margin, iterations, tuple(trace))
         return StagnationError(f"{message} at t={t:.6g}, residual {r_sup:.3e}", state)
 
-    for _ in range(problem.max_newton):
-        trace.append({"residual_sup": r_sup, "margin": margin})
-        if r_sup < problem.newton_tol:
-            break
+    while r_sup >= problem.newton_tol:
+        if iterations == problem.max_newton:
+            raise stagnated(f"Newton did not converge in {problem.max_newton} iterations")
         forcing = max(min(1e-4, 0.1 * r_sup), 1e-12)
         lin = Linearization(problem, ev)
         ev = None  # the sigma table is not read again: free it before the Krylov solve
@@ -578,9 +597,7 @@ def newton_solve(problem: TorusProblem, t: float,
             raise stagnated("line search stagnated")
         del dv, dv_comps  # free them before the next Krylov solve
         iterations += 1
-    else:
-        if r_sup >= problem.newton_tol:
-            raise stagnated(f"Newton did not converge in {problem.max_newton} iterations")
+        trace.append({"residual_sup": r_sup, "margin": margin})
     return SolveState(u, c, t, r_sup, margin, iterations, tuple(trace), comps, ev.table)
 
 

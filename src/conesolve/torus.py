@@ -253,11 +253,31 @@ def hessian_components(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     return spectral_hessian_components(np.fft.rfftn(values), grid)
 
 
-def spectral_hessian_components(spec: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
+def spectral_hessian_components(spec: np.ndarray, grid: PeriodicGrid,
+                                work: np.ndarray | None = None,
+                                out: np.ndarray | None = None) -> np.ndarray:
     """The Hessian's components of the field whose rfftn half spectrum is
-    ``spec``: one batched irfftn, shape ``(len(components),) + grid.shape``."""
-    axes = tuple(range(1, grid.stored_axes + 1))
-    return np.fft.irfftn(spec * hessian_symbols(grid).symbols, s=grid.shape, axes=axes)
+    ``spec``, shape ``(len(components),) + grid.shape``: the batched irfftn of
+    spec * symbols, the same chain of 1-D transforms with the same bits.
+
+    It runs in place.  spec * symbols is written through the real and imaginary
+    views of ``work`` (complex, shape ``symbols.shape``; a complex ``out=`` of
+    np.multiply would buffer a complex cast of the real symbols), an ifft over
+    each leading axis overwrites ``work``, and an irfft over the last writes
+    ``out``, which is returned.  A caller that applies many directions, as
+    ``solver.Linearization`` does, holds both; left out, they are allocated
+    here, and ``work`` is garbage on return either way.
+    """
+    symbols = hessian_symbols(grid).symbols
+    if work is None:
+        work = np.empty(symbols.shape, dtype=complex)
+    if out is None:
+        out = np.empty(symbols.shape[:1] + grid.shape)
+    np.multiply(spec.real, symbols, out=work.real)
+    np.multiply(spec.imag, symbols, out=work.imag)
+    for axis in range(1, grid.stored_axes):
+        np.fft.ifft(work, axis=axis, out=work)
+    return np.fft.irfft(work, n=grid.points_per_axis, axis=-1, out=out)
 
 
 def hessian_weights(d: np.ndarray, basis: np.ndarray) -> np.ndarray:

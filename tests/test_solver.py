@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,7 +35,9 @@ from conesolve.torus import (
     hessian,
     hessian_components,
     hessian_perturbation,
+    hessian_symbols,
     metric_root_inverse,
+    spectral_hessian_components,
 )
 from oracles import eigenframe_first_derivative as first_derivative
 
@@ -202,13 +206,24 @@ def test_linearization_apply_is_the_hessian_contraction(monkeypatch, mode, n, re
     assert np.abs(out - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
-def _linearized(mode, n, reduced, alpha):
-    g = PeriodicGrid.make(mode, n, 8, 1.0, reduced)
+def _linearized(mode, n, reduced, alpha, points=8):
+    g = PeriodicGrid.make(mode, n, points, 1.0, reduced)
     _, pert = hessian_perturbation(g, 0.2, seed=16)
     prob = TorusProblem(g, LogSigmaK(n, 2), alpha, MatrixField(g, alpha + pert.values),
                         ScalarField.zeros(g))
     u0, _ = hessian_perturbation(g, 0.3, seed=5)
     return prob, Linearization(prob, evaluate_pointwise(prob, prob.components(u0), 1.0))
+
+
+def _krylov_direction(prob, seed):
+    """A half spectrum as the preconditioner makes them: zero mode 0."""
+    zero_mode = (0,) * prob.grid.stored_axes
+    symbol = prob.laplacian.copy()
+    symbol[zero_mode] = 1.0
+    spec = np.fft.rfftn(random_band_limited(prob.grid, 1.0, seed=seed, max_harmonic=3).values)
+    spec /= symbol
+    spec[zero_mode] = 0.0
+    return spec
 
 
 SPECTRAL_CASES = [
@@ -225,15 +240,60 @@ def test_spectral_matvec_matches_the_physical_apply(mode, n, reduced, alpha):
     # them; applied to the field such a spectrum transforms to, it must agree
     prob, lin = _linearized(mode, n, reduced, alpha)
     g = prob.grid
-    zero_mode = (0,) * g.stored_axes
-    symbol = prob.laplacian.copy()
-    symbol[zero_mode] = 1.0
-    spec = np.fft.rfftn(random_band_limited(g, 1.0, seed=7, max_harmonic=3).values) / symbol
-    spec[zero_mode] = 0.0
+    spec = _krylov_direction(prob, seed=7)
     v = ScalarField(g, np.fft.irfftn(spec, s=g.shape, axes=range(g.stored_axes)))
     expected = lin.apply(v, 0.7).values
     out = lin.apply(spec, 0.7).values
     assert np.abs(out - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+#: the three solve workloads' grids: real 16^3, reduced complex 20^3, full complex 12^4
+WORKLOAD_GRIDS = [("real", 3, False, 16), ("complex", 3, True, 20), ("complex", 2, False, 12)]
+
+
+@pytest.mark.parametrize("mode,n,reduced,points", WORKLOAD_GRIDS)
+def test_in_place_products_are_the_batched_irfftn(mode, n, reduced, points):
+    # the held buffers are overwritten in place by each product: two
+    # successive directions through one linearization give irfftn's bits, and
+    # the field the first product returned survives the second
+    prob, lin = _linearized(mode, n, reduced, np.eye(n), points)
+    g = prob.grid
+    symbols = hessian_symbols(g).symbols
+    axes = tuple(range(1, g.stored_axes + 1))
+    v = random_band_limited(g, 1.0, seed=7, max_harmonic=3)
+    first = lin.apply(v, 0.7)
+    kept = first.values.copy()
+    expected = np.fft.irfftn(np.fft.rfftn(v.values) * symbols, s=g.shape, axes=axes)
+    assert np.array_equal(lin.components.view(np.int64), expected.view(np.int64))
+    buffer = lin.components
+    spec = _krylov_direction(prob, seed=8)
+    lin.apply(spec, -0.3)
+    expected = np.fft.irfftn(spec * symbols, s=g.shape, axes=axes)
+    assert lin.components is buffer
+    assert np.array_equal(lin.components.view(np.int64), expected.view(np.int64))
+    assert np.array_equal(first.values.view(np.int64), kept.view(np.int64))
+    # the allocating form, as hessian_components takes it, has the same bits
+    fresh = spectral_hessian_components(spec, g)
+    assert np.array_equal(fresh.view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize("mode,n,reduced,points", WORKLOAD_GRIDS)
+def test_a_product_allocates_less_than_one_spectrum_of_components(mode, n, reduced, points):
+    # a Krylov product reuses the linearization's buffers: after a warm-up,
+    # its peak traced allocation stays below one E x half-spectrum complex
+    # array (216, 412 and 756 KiB on these grids), which forming spec * symbols
+    # alone would take
+    prob, lin = _linearized(mode, n, reduced, np.eye(n), points)
+    spec = _krylov_direction(prob, seed=8)
+    lin.apply(spec, 0.7)
+    bound = hessian_symbols(prob.grid).symbols.size * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        lin.apply(spec, 0.7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 @pytest.mark.parametrize("mode,n,reduced,alpha", SPECTRAL_CASES)
@@ -676,6 +736,45 @@ def test_admissibility_margin_positive_on_path():
     assert all(r1 < r0 for r0, r1 in zip(res, res[1:]))  # monotone after damping
     for step in state.trace:
         assert step["margin"] > 0
+
+
+def test_trace_ends_at_the_returned_iterate():
+    # with max_newton the exact count a solve needs, its last step converges
+    # on the cap: the trace still holds every iterate, the returned one last
+    prob, _ = manufactured_problem(n=2, points=16, reduced=True, seed=5)
+    needed = newton_solve(prob, 1.0).iterations
+    assert needed >= 2
+    prob.max_newton = needed
+    state = newton_solve(prob, 1.0)
+    assert state.iterations == needed
+    assert len(state.trace) == needed + 1
+    assert state.trace[-1] == {"residual_sup": state.residual_norm,
+                               "margin": state.admissibility_margin}
+    # one step short, the state Newton stops at ends its trace too
+    prob.max_newton = needed - 1
+    with pytest.raises(StagnationError, match="did not converge") as err:
+        newton_solve(prob, 1.0)
+    stopped = err.value.state
+    assert len(stopped.trace) == needed
+    assert stopped.trace[-1]["residual_sup"] == stopped.residual_norm
+
+
+def test_report_writes_each_newton_trace():
+    prob, _ = manufactured_problem(n=1, points=32)
+    prob.path = PathKind.HESSIAN
+    report = run_continuity(prob, uniform_schedule(3))
+    steps = report.to_dict()["steps"]
+    needed = max(step["newton_iterations"] for step in steps)
+    assert needed >= 2
+    # the t-steps that need exactly the cap still end their traces at the solution
+    prob.max_newton = needed
+    capped = run_continuity(prob, uniform_schedule(3)).to_dict()["steps"]
+    assert capped == steps
+    for step in steps:
+        trace = step["newton_trace"]
+        assert len(trace) == step["newton_iterations"] + 1
+        assert trace[-1] == {"residual_sup": step["residual_norm"],
+                             "margin": step["admissibility_margin"]}
 
 
 def test_quadratic_convergence_observed():
