@@ -14,7 +14,7 @@ The format is INI-style (configparser).  Sections and keys:
 
     [grid]
     points_per_axis = <even int >= 4>
-    periods = <float list, one per stored axis; or a single float>
+    periods = <finite float > 0 list, one per stored axis; or a single one>
     reduced = true | false            complex mode: store x-axes only
 
     [background]
@@ -32,7 +32,7 @@ The format is INI-style (configparser).  Sections and keys:
     [certify]
     enabled = true | false
     delta_grid = <non-empty comma list of finite floats > 0>
-    kappa_samples = <int>
+    kappa_samples = <int >= 0>      0: no kappa sampling
 
     [output]
     directory = <path>
@@ -258,7 +258,8 @@ def parse_config(text: str) -> RunConfig:
             errors.append(f"quotient path: requires operator hessian_quotient, got {operator}")
     normalization = get("problem", "normalization", "mean_zero")
     if normalization not in ("mean_zero", "sup_zero"):
-        errors.append(f"problem.normalization must be mean_zero or sup_zero")
+        errors.append("problem.normalization must be mean_zero or sup_zero, "
+                      f"got {normalization!r}")
 
     # [grid]
     if not parser.has_section("grid"):
@@ -277,7 +278,10 @@ def parse_config(text: str) -> RunConfig:
                 )
     periods_raw = get("grid", "periods", "1.0")
     parts = [p for p in periods_raw.split(",") if p.strip()]
+    periods_start = len(errors)
     periods_list = [_parse_float(p, "grid.periods", errors) for p in parts]
+    if len(errors) == periods_start and not all(0.0 < p < math.inf for p in periods_list):
+        errors.append(f"grid.periods must be finite numbers > 0, got {periods_raw!r}")
     periods: tuple[float, ...] | float = (
         periods_list[0] if len(periods_list) == 1 else tuple(periods_list)
     )
@@ -329,6 +333,8 @@ def parse_config(text: str) -> RunConfig:
         errors.append(f"certify.delta_grid must list finite deltas > 0, got {delta_raw!r}")
     kappa_samples = _parse_int(get("certify", "kappa_samples", "2000"),
                                "certify.kappa_samples", errors)
+    if kappa_samples < 0:
+        errors.append(f"certify.kappa_samples must be >= 0, got {kappa_samples}")
 
     # [output]
     output_directory = get("output", "directory", "out")

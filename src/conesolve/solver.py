@@ -2,8 +2,9 @@
 constant c solved simultaneously.
 
 The unknown pair is (u mean-zero, c); constants span the cokernel of the
-linearization on a closed manifold, so the Newton system is bordered: the
-pointwise linearized equation plus the mean-zero constraint make it square.
+linearization on a closed manifold, so the Newton system is the pointwise
+linearized equation in (dv, dc), with the mean-zero gauge of dv built into the
+Krylov search space: every search direction has a zero mode of 0.
 Each iterate is evaluated once, from the sigma_j of A[u] read straight from
 the matrix (``eigencalc.SigmaTable``): the cone margin, F and the matrix of
 dF need no eigenvalues or eigenvectors.
@@ -23,7 +24,8 @@ before its line search, and comp(dv) goes with the step.  An
 evaluation reads u only as its Hessian components (``evaluate_pointwise``),
 and ``TorusProblem.components`` is the one place a field is transformed.
 Newton carries its iterate's components, so line-search trials transform
-nothing, and the cold start u = 0 evaluates the held A[0] itself.
+nothing and form no field, and the cold start u = 0 evaluates the held A[0]
+itself.
 
 A t-step hands the next one its accepted iterate's Hessian components and
 sigma table (``SolveState.components`` and ``SolveState.table``).  The sigma_j
@@ -483,44 +485,42 @@ lgmres = gmres
 
 
 def _solve_newton_system(lin: Linearization, r: np.ndarray, forcing: float):
-    """Solve [dF - s*dc = -r ; mean(v) = 0] by ``gmres`` preconditioned with
+    """Solve dF - s*dc = -r for mean-zero v by ``gmres`` preconditioned with
     the inverse constant-coefficient Laplacian, to relative residual
     ``forcing``; the call goes through ``lgmres`` so the benchmark times it.
 
-    The search space is the rfftn half spectrum of v, with dc appended: the
-    preconditioner returns rfftn(g - mean g) / symbol and never inverts it,
-    and the matvec reads the Hessian components of v straight from it.  An
-    Arnoldi step costs one forward transform and E inverse ones (E Hessian
-    components); one inverse transform of the solution then gives dv.  The
-    zero mode of every search direction is 0, so the mean row, zero mode / N,
-    is exactly 0.  comp(dv) is the last product's: a converged solve of a
-    nonzero r, as ``newton_solve`` passes, ends with a product at its solution.
-    It is the buffer ``lin.components`` itself, not a copy; ``newton_solve``
-    drops ``lin`` before its line search, so comp(dv) then owns it.
+    The system has the residual's N rows.  The search space is the rfftn half
+    spectrum of v, with dc appended: the preconditioner returns
+    rfftn(g - mean g) / symbol, maps the mean of g to dc and never inverts the
+    symbol, and the matvec reads the Hessian components of v straight from it.
+    The zero mode of every search direction is 0, so the mean-zero gauge lives
+    in the search space and needs no row of its own.  An Arnoldi step costs
+    one forward transform and E inverse ones (E Hessian components); one
+    inverse transform of the solution then gives dv.  comp(dv) is the last
+    product's: a converged solve of a nonzero r, as ``newton_solve`` passes,
+    ends with a product at its solution.  It is the buffer ``lin.components``
+    itself, not a copy; ``newton_solve`` drops ``lin`` before its line search,
+    so comp(dv) then owns it.
     """
     grid = lin.grid
-    npts = int(np.prod(grid.shape))
     sign = lin.sign
     axes = tuple(range(grid.stored_axes))
     symbol = lin.problem.laplacian * lin.mean_trace
     half, modes = symbol.shape, symbol.size
     zero_mode = (0,) * grid.stored_axes
-    symbol[zero_mode] = 1.0  # the zero mode is handled by the constant block
+    symbol[zero_mode] = 1.0  # the zero mode is handled by dc
 
     def matvec(z):
-        spec = z[:modes].reshape(half)
-        out = lin.apply(spec, float(z[modes].real))
-        return np.concatenate([out.values.ravel(), [spec[zero_mode].real / npts]])
+        return lin.apply(z[:modes].reshape(half), float(z[modes].real)).values.ravel()
 
     def precondition(w):
-        g = w[:npts].reshape(grid.shape)
+        g = w.reshape(grid.shape)
         gbar = g.mean()
         spec = np.fft.rfftn(g - gbar) / symbol
         spec[zero_mode] = 0.0
         return np.concatenate([spec.ravel(), [-sign * gbar]])
 
-    b = np.concatenate([-r.ravel(), [0.0]])
-    sol, info = lgmres(matvec, b, M=precondition, rtol=forcing)
+    sol, info = lgmres(matvec, -r.ravel(), M=precondition, rtol=forcing)
     dv = np.fft.irfftn(sol[:modes].reshape(half), s=grid.shape, axes=axes)
     return ScalarField(grid, dv - dv.mean()), float(sol[modes].real), lin.components, info
 
@@ -535,7 +535,8 @@ def newton_solve(problem: TorusProblem, t: float,
     Krylov solve does not converge.  Each iterate is evaluated once.  The
     Hessian components of u are carried with it: a trial u + step*dv reads
     comp(u) + step*comp(dv), with comp(dv) from the Krylov solve's last
-    product, so no trial transforms.  The cold start evaluates the held A[0];
+    product, so no trial transforms.  A trial forms no field: u + step*dv is
+    formed once its step is accepted.  The cold start evaluates the held A[0];
     a warm start reads ``warm``'s components (transforming u only if it
     carries none) and takes its sigma table (see ``SolveState``).
     The returned state carries the final iterate's components and table.
@@ -581,7 +582,6 @@ def newton_solve(problem: TorusProblem, t: float,
             raise stagnated(f"Krylov solve did not converge (gmres info {info})")
         step = 1.0
         for _ in range(MAX_HALVINGS + 1):
-            u_try = ScalarField(grid, u.values + step * dv.values)
             comps_try = comps + step * dv_comps
             ev = evaluate_pointwise(problem, comps_try, t)
             if ev.margin > 0.0:
@@ -589,7 +589,8 @@ def newton_solve(problem: TorusProblem, t: float,
                 r_try = ev.value - (base + sign * c_try)
                 r_try_sup = float(np.abs(r_try).max())
                 if r_try_sup < r_sup:
-                    u, comps, c, r, r_sup = u_try, comps_try, c_try, r_try, r_try_sup
+                    u = ScalarField(grid, u.values + step * dv.values)
+                    comps, c, r, r_sup = comps_try, c_try, r_try, r_try_sup
                     margin = ev.margin
                     break
             step *= 0.5

@@ -218,6 +218,8 @@ def certify_field(op: SymmetricOperator, eigenvalue_field, rhs_field, delta_grid
         raise ValueError("delta_grid must be non-empty")
     if not all(0.0 < d < math.inf for d in deltas):
         raise ValueError(f"delta_grid must hold finite deltas > 0, got {list(delta_grid)!r}")
+    if kappa_samples < 0:
+        raise ValueError(f"kappa_samples must be >= 0, got {kappa_samples}")
     sigma_range = (float(sigmas.min()), float(sigmas.max()))
 
     last_failure: dict | None = None

@@ -63,8 +63,8 @@ class PeriodicGrid:
             raise ValueError(
                 f"need {self.stored_axes} periods, got {len(self.periods)}"
             )
-        if any(p <= 0 for p in self.periods):
-            raise ValueError("periods must be positive")
+        if not all(0.0 < p < math.inf for p in self.periods):
+            raise ValueError(f"periods must be finite and positive, got {self.periods}")
 
     @staticmethod
     def make(mode: str, n: int, points_per_axis: int,
@@ -282,32 +282,15 @@ def spectral_hessian_components(spec: np.ndarray, grid: PeriodicGrid,
 
 def hessian_weights(d: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Weights w_e = Re <D, B_e> (``eigencalc.contract``'s pairing) of D, shape
-    (..., n, n), against a basis (E, n, n) such as ``units`` or ``metric_basis``,
+    (..., n, n), against a basis (E, n, n) such as ``units`` or a problem's ``basis``,
     so <D, sum_e c_e B_e> = sum_e w_e c_e.  Shape ``(E,) + d.shape[:-2]``."""
     return np.real(np.tensordot(np.conj(basis), d, axes=((1, 2), (-2, -1))))
 
 
-def _combine(u: ScalarField, basis: np.ndarray) -> np.ndarray:
-    """sum_e c_e(u) B_e over the Hessian's components c_e(u)."""
-    return np.tensordot(hessian_components(u.values, u.grid), basis, axes=(0, 0))
-
-
 def hessian(u: ScalarField) -> MatrixField:
     """The mode's Hessian field: mixed complex (1/4 convention) or full real."""
-    return MatrixField(u.grid, _combine(u, hessian_symbols(u.grid).units))
-
-
-def complex_hessian(u: ScalarField) -> MatrixField:
-    """The mixed complex Hessian u_{i jbar} in the 1/4 convention."""
-    if u.grid.mode != "complex":
-        raise ValueError("complex_hessian requires a complex-mode grid")
-    return hessian(u)
-
-
-def real_hessian(u: ScalarField) -> MatrixField:
-    if u.grid.mode != "real":
-        raise ValueError("real_hessian requires a real-mode grid")
-    return hessian(u)
+    comps = hessian_components(u.values, u.grid)
+    return MatrixField(u.grid, np.tensordot(comps, hessian_symbols(u.grid).units, axes=(0, 0)))
 
 
 def complex_gradient(u: ScalarField) -> np.ndarray:
@@ -348,11 +331,6 @@ def constant_metric(alpha, dim: int) -> np.ndarray:
     return alpha
 
 
-def metric_root_inverse(alpha, dim: int) -> np.ndarray:
-    """L^{-1} for the Cholesky factor alpha = L L*."""
-    return np.linalg.inv(np.linalg.cholesky(constant_metric(alpha, dim)))
-
-
 def congruence(l: np.ndarray, g: np.ndarray) -> np.ndarray:
     """L g L* for a constant d x d matrix L and matrices g of shape (..., d, d).
 
@@ -363,29 +341,21 @@ def congruence(l: np.ndarray, g: np.ndarray) -> np.ndarray:
     return flat.reshape(np.shape(g))
 
 
-def metric_basis(grid: PeriodicGrid, alpha) -> np.ndarray:
-    """The Hessian basis in alpha-orthonormal coordinates: B_e = L^{-1} U_e L^{-*}
-    with alpha = L L* and U_e the ``hessian_symbols(grid).units``, so that
-    L^{-1} Hess u L^{-*} = sum_e c_e(u) B_e.  Shape (E, n, n)."""
-    return congruence(metric_root_inverse(alpha, grid.n), hessian_symbols(grid).units)
-
-
-def metric_hessian(u: ScalarField, alpha) -> MatrixField:
-    """L^{-1} Hess u L^{-*}: the Hessian in alpha-orthonormal coordinates."""
-    return MatrixField(u.grid, _combine(u, metric_basis(u.grid, alpha)))
-
-
 def endomorphism_field(alpha, chi: MatrixField, u: ScalarField | None = None) -> MatrixField:
     """A = alpha^{-1} (chi + Hess u), in alpha-orthonormalized coordinates:
-    L^{-1} chi L^{-*} + ``metric_hessian(u, alpha)`` with alpha = L L*, which is
-    literally Hermitian/symmetric with the eigenvalues of alpha^{-1} (chi + Hess u).
+    L^{-1} chi L^{-*} + sum_e c_e(u) B_e with alpha = L L*, the Hessian's
+    components c_e(u) and B_e = L^{-1} U_e L^{-*} for the
+    ``hessian_symbols(grid).units`` U_e.  It is literally Hermitian/symmetric
+    with the eigenvalues of alpha^{-1} (chi + Hess u).
     """
     grid = chi.grid
-    a = congruence(metric_root_inverse(alpha, chi.dim), chi.values)
+    linv = np.linalg.inv(np.linalg.cholesky(constant_metric(alpha, chi.dim)))
+    a = congruence(linv, chi.values)
     if u is not None:
         if u.grid is not grid and u.grid != grid:
             raise ValueError("fields must share one grid")
-        a = a + metric_hessian(u, alpha).values
+        basis = congruence(linv, hessian_symbols(grid).units)
+        a = a + np.tensordot(hessian_components(u.values, grid), basis, axes=(0, 0))
     return MatrixField(grid, a)
 
 

@@ -6,7 +6,10 @@ out on the full FFT mesh, a spectral derivative on the full complex FFT
 mesh, geometric ray shooting, doubling and bisection onto
 level sets, one supporting-plane test per candidate, each operator kind's
 value, derivatives and limit written out by hand, and F(A) = f(lambda(A))
-with its derivatives in an eigenframe.  None of it shares code with the library paths it checks.
+with its derivatives in an eigenframe.  None of it shares code with the
+library paths it checks, except ``metric_hessian``, which takes a run's steps
+in a run's order so that a report's values can be compared with it bit for
+bit.
 """
 
 import itertools
@@ -27,6 +30,7 @@ from conesolve import (
     NumericError,
 )
 from conesolve.eigencalc import eigen_decompose, frame_product, require_hermitian
+from conesolve.torus import congruence, hessian_components, hessian_symbols
 
 
 def sigma_bruteforce(k: int, lam) -> float:
@@ -289,6 +293,19 @@ def derivative_full_mesh(f, axes) -> np.ndarray:
         shape[ax] = ng
         spec = spec * (1j * k.reshape(shape)) ** cnt
     return np.real(np.fft.ifftn(spec))
+
+
+def metric_root_inverse(alpha) -> np.ndarray:
+    """L^{-1} for the Cholesky factor alpha = L L*."""
+    return np.linalg.inv(np.linalg.cholesky(np.asarray(alpha)))
+
+
+def metric_hessian(u, alpha) -> np.ndarray:
+    """L^{-1} Hess u L^{-*}, the Hessian in alpha-orthonormal coordinates, as
+    sum_e c_e(u) B_e with B_e = L^{-1} U_e L^{-*}: the operations and order of
+    the library's frame, so its values are those of a run bit for bit."""
+    basis = congruence(metric_root_inverse(alpha), hessian_symbols(u.grid).units)
+    return np.tensordot(hessian_components(u.values, u.grid), basis, axes=(0, 0))
 
 
 def laplacian_symbol_full_mesh(grid, alpha) -> np.ndarray:

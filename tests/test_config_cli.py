@@ -16,7 +16,8 @@ from conesolve import (
 )
 from conesolve.cli import main
 from conesolve.config import ConfigError, parse_config
-from conesolve.torus import metric_hessian, sup_operator_norm
+from conesolve.torus import sup_operator_norm
+from oracles import metric_hessian
 
 MINIMAL = """
 [problem]
@@ -259,6 +260,31 @@ def test_cli_bad_solve_or_certify_value_is_a_config_error(tmp_path, capsys, line
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("[grid]\n", "[grid]\nperiods = nan\n", "grid.periods must be finite numbers > 0, got 'nan'"),
+    ("[grid]\n", "[grid]\nperiods = inf\n", "grid.periods must be finite numbers > 0, got 'inf'"),
+    ("[grid]\n", "[grid]\nperiods = 1, -1\n",
+     "grid.periods must be finite numbers > 0, got '1, -1'"),
+    ("kappa_samples = 200", "kappa_samples = -5", "certify.kappa_samples must be >= 0, got -5"),
+    ("path = quotient\n", "path = quotient\nnormalization = sup\n",
+     "problem.normalization must be mean_zero or sup_zero, got 'sup'"),
+], ids=["period-nan", "period-inf", "period-negative", "kappa-samples-negative",
+        "normalization"])
+def test_cli_bad_grid_certify_or_problem_value_is_a_config_error(tmp_path, capsys, old, new,
+                                                                 message):
+    # an infinite period makes every derivative symbol 0 and a nan one every
+    # cone check fail; a negative count of kappa samples is no count; each is
+    # a config error (exit 4) before any output is written
+    cfg = tmp_path / "run.cfg"
+    text = QUOTIENT_CFG.format(out=tmp_path / "out")
+    assert old in text
+    cfg.write_text(text.replace(old, new))
+    assert main(["solve", "--config", str(cfg)]) == 4
+    err = capsys.readouterr().err
+    assert f"config error: {message}" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_bad_config_path(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "missing.cfg")]) == 4
 
@@ -441,12 +467,11 @@ def test_cli_diagnostics_under_a_non_identity_metric(tmp_path, shape, op, alpha)
     if shape == "real":
         assert monitor is None
     else:
-        assert monitor["sup_dd_u"] == sup_operator_norm(metric_hessian(u, alpha).values)
+        assert monitor["sup_dd_u"] == sup_operator_norm(metric_hessian(u, alpha))
 
 
 #: the functions that check alpha or rebuild the frame from it
-FRAME_BUILDERS = ("constant_metric", "metric_root_inverse", "metric_basis", "metric_hessian",
-                  "endomorphism_field", "laplacian_symbol")
+FRAME_BUILDERS = ("constant_metric", "endomorphism_field", "laplacian_symbol")
 
 
 @pytest.mark.parametrize("shape", ["complex", "real", "quotient"])

@@ -36,10 +36,10 @@ from conesolve.torus import (
     hessian_components,
     hessian_perturbation,
     hessian_symbols,
-    metric_root_inverse,
     spectral_hessian_components,
 )
 from oracles import eigenframe_first_derivative as first_derivative
+from oracles import metric_root_inverse
 
 #: metrics with off-diagonal entries, complex ones in the Hermitian case
 REAL_METRIC = np.array([[2.0, 0.5, 0.2], [0.5, 1.5, 0.3], [0.2, 0.3, 1.2]])
@@ -191,7 +191,7 @@ def test_linearization_apply_is_the_hessian_contraction(monkeypatch, mode, n, re
     u0, _ = hessian_perturbation(g, 0.3, seed=5)
     v = random_band_limited(g, 1.0, seed=6)
     ev = evaluate_pointwise(prob, prob.components(u0), 1.0)
-    linv = metric_root_inverse(alpha, n)
+    linv = metric_root_inverse(alpha)
     pulled_back = congruence(np.conj(linv).T, ev.table.derivative())
     expected = contract(pulled_back, hessian(v).values) - 0.7
 
@@ -314,6 +314,31 @@ def test_newton_system_solves_the_bordered_system(mode, n, reduced, alpha):
     assert np.abs(comps - fresh).max() <= 1e-13 * np.abs(fresh).max()
 
 
+def test_krylov_system_has_the_residual_rows(monkeypatch):
+    # the mean-zero gauge lives in the search space: the right-hand side and
+    # every product have the grid's N entries, with no row for the mean
+    import conesolve.solver as solver
+
+    prob, _ = manufactured_problem(n=2, points=8, reduced=True, seed=5)
+    npts = int(np.prod(prob.grid.shape))
+    sizes = {"rhs": [], "products": []}
+    original = solver.lgmres
+
+    def spying(matvec, b, **kwargs):
+        def counted(z):
+            w = matvec(z)
+            sizes["products"].append(w.shape)
+            return w
+
+        sizes["rhs"].append(b.shape)
+        return original(counted, b, **kwargs)
+
+    monkeypatch.setattr(solver, "lgmres", spying)
+    state = newton_solve(prob, 1.0)
+    assert len(sizes["rhs"]) == state.iterations >= 2
+    assert set(sizes["rhs"]) == set(sizes["products"]) == {(npts,)}
+
+
 def test_carried_components_match_a_fresh_transform(monkeypatch):
     # a line-search trial reads comp(u) + step*comp(dv) in place of
     # transforming u; after several accepted steps that is still comp(u), and
@@ -331,9 +356,11 @@ def test_carried_components_match_a_fresh_transform(monkeypatch):
 
     def recording(problem, comps, t):
         if comps is not None:
-            # the evaluation takes no field: read the trial's u in newton_solve
-            u_try = sys._getframe(1).f_locals["u_try"]
-            carried.append((u_try.values.copy(), comps.copy()))
+            # the evaluation takes no field, and a trial forms none: rebuild
+            # the trial's u + step*dv from newton_solve's frame
+            frame = sys._getframe(1).f_locals
+            trial = frame["u"].values + frame["step"] * frame["dv"].values
+            carried.append((trial, comps.copy()))
         return original(problem, comps, t)
 
     def handing(problem, t, warm=None):
@@ -640,8 +667,8 @@ def test_newton_reads_the_frame_the_problem_holds(monkeypatch):
         raise AssertionError("the frame rebuilt inside newton_solve")
 
     for module in (solver, torus):
-        for name in ("constant_metric", "metric_root_inverse", "metric_basis",
-                     "endomorphism_field", "require_hermitian", "laplacian_symbol"):
+        for name in ("constant_metric", "endomorphism_field", "require_hermitian",
+                     "laplacian_symbol"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     state = newton_solve(prob, 1.0)

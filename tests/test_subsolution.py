@@ -214,6 +214,13 @@ def test_certify_field_rejects_a_delta_that_is_not_finite_and_positive(delta):
         certify_field(MongeAmpere(2), np.ones((4, 2)), np.zeros(4), [0.2, delta])
 
 
+def test_certify_field_rejects_a_negative_kappa_sample_count():
+    # 0 means no kappa sampling; a negative count would certify with kappa
+    # null and write the count into the report
+    with pytest.raises(ValueError, match="kappa_samples must be >= 0, got -5"):
+        certify_field(MongeAmpere(2), np.ones((4, 2)), np.zeros(4), [0.2], kappa_samples=-5)
+
+
 @pytest.mark.parametrize("op", KINDS, ids=repr)
 def test_subtuple_limits_match_each_subtuple(op):
     mu = np.random.default_rng(op.n).uniform(-2.0, 3.0, (40, op.n))
