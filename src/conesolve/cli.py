@@ -27,6 +27,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, parse_config, parse_generator
+from .eigencalc import eigenvalues
 from .operators import operator_from_name
 from .solver import (
     AdmissibilityError,
@@ -109,7 +110,7 @@ def build_problem(cfg: RunConfig) -> tuple[TorusProblem, dict]:
 
 def certify_problem(problem: TorusProblem, cfg: RunConfig) -> dict:
     """Certify the trivial comparison function for the configured path."""
-    eigs = np.linalg.eigvalsh(problem.background).reshape(-1, problem.grid.n)
+    eigs = eigenvalues(problem.background).reshape(-1, problem.grid.n)
     extra = {}
     if problem.path is PathKind.QUOTIENT:
         extra["class_constant"] = problem.class_constant
@@ -130,7 +131,7 @@ def _diagnostics(problem: TorusProblem, state) -> dict:
     comps = problem.components(state.u)
     endo = problem.endomorphism(comps)
     mats = endo.reshape(-1, problem.grid.n, problem.grid.n)
-    take = np.linalg.eigvalsh(mats[:: max(1, mats.shape[0] // 512)])
+    take = eigenvalues(mats[:: max(1, mats.shape[0] // 512)])
     flag_a, flag_b = strong_concavity_flags(problem.op, take)
     out["strong_concavity_flags"] = {"f11_plus_f1_over_lam1": flag_a,
                                      "lam1_f1_smallest": flag_b}

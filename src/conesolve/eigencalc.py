@@ -11,8 +11,9 @@ public ``evaluate``, ``first_derivative`` and ``second_form`` read this one
 calculus; the eigenframe form with its divided differences is the test
 suite's oracle.
 
-``eigen_decompose`` and ``frame_product`` serve the perturbation device
-``spectrum_separator`` and the self-test.
+``eigenvalues`` is the spectrum where one is read: in closed form for n <= 2,
+by ``eigvalsh`` above.  ``eigen_decompose`` and ``frame_product`` serve the
+perturbation device ``spectrum_separator`` and the self-test.
 """
 
 from __future__ import annotations
@@ -46,6 +47,27 @@ def require_hermitian(a, tol: float = 1e-12) -> np.ndarray:
     if defect > tol * scale:
         raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} > {tol:.0e} * scale")
     return a
+
+
+def eigenvalues(a) -> np.ndarray:
+    """Ascending eigenvalues of Hermitian matrices ``a``, shape (..., n, n),
+    as ``np.linalg.eigvalsh``, which reads the lower triangle.
+
+    n = 1 is the real diagonal; n = 2 is (a + d)/2 -+ hypot((a - d)/2, |b|)
+    for the diagonal a, d and the lower entry b, exact at a multiple of I.
+    Above n = 2 this is ``eigvalsh``: the trigonometric form of the cubic is
+    ill-conditioned at the clustered spectra a perturbed background makes.
+    """
+    a = np.asarray(a)
+    n = a.shape[-1]
+    if n == 1:
+        return np.real(a[..., 0, :]).astype(float)
+    if n > 2:
+        return np.linalg.eigvalsh(a)
+    p, d = np.real(a[..., 0, 0]), np.real(a[..., 1, 1])
+    half = 0.5 * (p + d)
+    radius = np.hypot(0.5 * (p - d), np.abs(a[..., 1, 0]))
+    return np.stack([half - radius, half + radius], axis=-1)
 
 
 def eigen_decompose(a, tol: float = 1e-12) -> EigenSystem:

@@ -24,16 +24,19 @@ c prod_j lead_j^(a_j).  The limit is an extended real, since finiteness is a
 global property of the operator, not of the argument.
 
 Level crossings are closed forms.  Along a ray t*d from the origin each kind
-scales, f(t d) = f(d) + h log t or t^h f(d) (``ray_crossing``).  Along a line
-x + t w every sigma_j is a polynomial in t, and each kind states f > sigma as
-one linear combination of the sigma_j being positive (``_level_weights``), so
-a coordinate ray meets the level at the largest root of a polynomial of
-degree at most n - 1 (``coordinate_crossing``).
+scales, f(t d) = f(d) + h log t or t^h f(d) (``ray_crossing``).  Each kind
+states f > sigma as one linear combination of the sigma_j being positive
+(``_level_weights``).  Every sigma_j is affine in each single entry, so a
+coordinate ray meets the level at the root of an affine residual, for every
+axis from one table of sigma_j(mu) and one of sigma_{j-1}(mu without i)
+(``coordinate_crossings``).  Only under T, whose images of coordinate rays
+are other lines, is the residual of higher degree, at most n - 1.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -311,23 +314,45 @@ class SymmetricOperator:
     def ray_crossing(self, dirs, sigma_level) -> np.ndarray:
         """The t > 0 with f(t d) = sigma, per direction d (the rows of ``dirs``)
         inside the cone."""
+        return self._ray_scale(np.asarray(self._value(np.asarray(dirs, dtype=float))),
+                               sigma_level)
+
+    def _ray_scale(self, f, sigma_level) -> np.ndarray:
+        """``ray_crossing`` from the values f = f(d) on the rays."""
         degree, logarithmic = self._scaling
-        f = np.asarray(self._value(np.asarray(dirs, dtype=float)))
         with np.errstate(all="ignore"):
             if logarithmic:  # f(t d) = f(d) + degree * log t
                 return np.exp((sigma_level - f) / degree)
             return (sigma_level / f) ** (1.0 / degree)  # f(t d) = t^degree f(d)
 
-    def coordinate_crossing(self, mu, axis: int, sigma_level) -> np.ndarray:
-        """The least t >= 0 past which mu + t e_axis lies in the cone and above
-        the level, per row of ``mu``; ``sigma_level`` is a scalar or per row.
+    def coordinate_crossings(self, mu, sigma_level) -> np.ndarray:
+        """The least t >= 0 past which mu + t e_i lies in the cone and above
+        the level, per row of ``mu`` and axis i: shaped like ``mu``;
+        ``sigma_level`` is a scalar or per row.
 
-        Raises ``NumericError`` if some ray never gets there.
+        sigma_j(mu + t e_i) = sigma_j(mu) + t sigma_{j-1}(mu without i), so the
+        residual of ``_line_crossing`` is c0 + t c1 along every axis, and it
+        and each sigma_j, j <= k, end up positive iff their leading coefficient
+        is.  Raises ``NumericError`` if some ray never gets there.
         """
         mu = np.asarray(mu, dtype=float)
-        return self._line_crossing(mu, np.eye(self.n)[axis], sigma_level)
+        weights = self._level_weights(sigma_level)
+        kmax = max(self.cone.k, *weights)
+        e = sigma_all(mu, kmax)[..., None, :]
+        slopes = sigma_all(without_each(mu), kmax - 1)
+        c0 = sum(np.asarray(c)[..., None] * e[..., j] for j, c in weights.items())
+        c1 = sum(np.asarray(c)[..., None] * slopes[..., j - 1] for j, c in weights.items() if j)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            root = np.where(c1 != 0, -c0 / c1, -np.inf)
+        above = np.where(c1 != 0, c1, c0) > 0
+        inside = [np.where(slopes[..., j - 1] != 0, slopes[..., j - 1], e[..., j]) > 0
+                  for j in range(1, self.cone.k + 1)]
+        if not (np.all(inside) and np.all(above)):
+            raise NumericError(f"a coordinate ray of {self!r} never crosses the level set")
+        return np.maximum(root, 0.0)
 
     def _line_crossing(self, x, w, sigma_level) -> np.ndarray:
+        # The crossing along the line x + t w, for ComposedWithT's lines.
         # On the cone f > sigma iff the residual sum_j w_j sigma_j is positive.
         # A line that ends up in the cone (every sigma_j, j <= k, positive for
         # large t) enters it where sigma_k last vanishes; the residual is <= 0
@@ -546,10 +571,11 @@ class ComposedWithT(SymmetricOperator):
         lead = [np.full(shape, math.comb(n - 1, j) / (n - 1) ** j) for j in range(n)]
         return np.stack(lead + [mu_prime.sum(axis=-1) / (n - 1) ** n], axis=-1)
 
-    def coordinate_crossing(self, mu, axis: int, sigma_level) -> np.ndarray:
+    def coordinate_crossings(self, mu, sigma_level) -> np.ndarray:
         # T(mu + t e_i) = T(mu) + t (1 - e_i)/(n-1): a line for the inner operator
-        mu = np.asarray(mu, dtype=float)
-        return self.inner._line_crossing(t_map(mu), t_map(np.eye(self.n)[axis]), sigma_level)
+        x = t_map(np.asarray(mu, dtype=float))
+        return np.stack([self.inner._line_crossing(x, w, sigma_level)
+                         for w in t_map(np.eye(self.n))], axis=-1)
 
 
 #: the catalog's kinds by config-file name
@@ -618,7 +644,7 @@ def level_set_constants(op: SymmetricOperator, sigma_level: float, samples: int 
     return LevelSetConstants(float(sigma_level), float(big_n), tau, samples)
 
 
-def sample_level_set(op: SymmetricOperator, sigma_level: float, count: int,
+def sample_level_set(op: SymmetricOperator, sigma_level, count: int,
                      rng: np.random.Generator, min_radius: float = 0.0,
                      max_rounds: int = 60) -> np.ndarray:
     """Sample ``count`` points on the level set {f = sigma} with |lam| > min_radius.
@@ -629,36 +655,54 @@ def sample_level_set(op: SymmetricOperator, sigma_level: float, count: int,
     far ends of the level set) and rejected Gaussians (hits the cone's
     non-orthant sectors).  Each ray meets the level at the operator's
     closed-form ``ray_crossing``.
+
+    ``sigma_level`` is a scalar, giving shape ``(count, n)``, or a sequence of
+    levels, giving ``(levels, count, n)``: one stream of directions serves
+    them all, f is evaluated once per batch of rays, and the draw goes on
+    until every level has ``count`` points.  A level listed twice is sampled
+    once, and gets the same points.
     """
     if count <= 0:
         raise ValueError("sample count must be positive")
-    if not op.sup_boundary < sigma_level < op.sup_interior:
+    levels, listed = np.unique(np.asarray(sigma_level, dtype=float), return_inverse=True)
+    if not levels.size:
+        raise ValueError("no level to sample")
+    if not np.all((op.sup_boundary < levels) & (levels < op.sup_interior)):
         raise ValueError("sigma outside the attainable range")
-    n = op.n
-    cone = op.cone
-    collected: list[np.ndarray] = []
-    tried = accepted = 0
+    collected: list[list[np.ndarray]] = [[] for _ in levels]
+    accepted = [0] * len(levels)
+    tried = 0
     for _ in range(max_rounds):
-        rate = accepted / tried if tried else 0.25
-        m = int(min(max(1.5 * (count - accepted) / max(rate, 0.02), 256), 400_000))
-        half = m // 2
-        beta = rng.uniform(0.0, 5.0, size=(half, 1))
-        d_pos = 10.0 ** (-beta * rng.uniform(0.0, 1.0, size=(half, n)))
-        d_gauss = rng.standard_normal((m - half, n))
-        keep = np.asarray(cone.contains(d_gauss), dtype=bool)
-        dirs = np.concatenate([d_pos, d_gauss[keep]], axis=0)
-        dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
-        lam = _rays_to_level(op, dirs, sigma_level)
-        collected.append(lam[np.linalg.norm(lam, axis=-1) > min_radius])
+        # sized for the level that is furthest from done, at its own rate
+        need = max(1.5 * (count - got) / max(got / tried if tried else 0.25, 0.02)
+                   for got in accepted)
+        m = int(min(max(need, 256), 400_000))
+        dirs = _directions(op.cone, m, rng)
+        for points, lam in zip(collected, _rays_to_level(op, dirs, levels)):
+            points.append(lam[np.linalg.norm(lam, axis=-1) > min_radius])
         tried += m
-        accepted += collected[-1].shape[0]
-        if accepted >= count:
+        accepted = [sum(p.shape[0] for p in points) for points in collected]
+        if min(accepted) >= count:
             break
     else:
         raise NumericError(
-            f"level-set sampling got {accepted}/{count} points at radius > {min_radius}"
+            f"level-set sampling got {min(accepted)}/{count} points at radius > {min_radius}"
         )
-    return np.concatenate(collected, axis=0)[:count]
+    out = np.stack([np.concatenate(points, axis=0)[:count] for points in collected])
+    return out[listed.reshape(np.shape(sigma_level))]
+
+
+def _directions(cone: Cone, m: int, rng: np.random.Generator) -> np.ndarray:
+    """Unit directions inside the cone from m draws: half positively spread,
+    half Gaussian, of which those outside the cone are rejected."""
+    half, n = m // 2, cone.n
+    beta = rng.uniform(0.0, 5.0, size=(half, 1))
+    d_pos = 10.0 ** (-beta * rng.uniform(0.0, 1.0, size=(half, n)))
+    d_gauss = rng.standard_normal((m - half, n))
+    keep = np.asarray(cone.contains(d_gauss), dtype=bool)
+    dirs = np.concatenate([d_pos, d_gauss[keep]], axis=0)
+    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+    return dirs
 
 
 #: the crossings t of unit rays that are sampled; rays crossing the level
@@ -666,8 +710,13 @@ def sample_level_set(op: SymmetricOperator, sigma_level: float, count: int,
 _RAY_REACH = (2.0**-100, 2.0**100)
 
 
-def _rays_to_level(op: SymmetricOperator, dirs: np.ndarray, sigma_level: float) -> np.ndarray:
-    """The points t * d on {f = sigma}, for the rays crossing within reach."""
-    t = op.ray_crossing(dirs, sigma_level)
-    keep = (t > _RAY_REACH[0]) & (t < _RAY_REACH[1])
-    return t[keep, None] * dirs[keep]
+def _rays_to_level(op: SymmetricOperator, dirs: np.ndarray, levels) -> Iterator[np.ndarray]:
+    """For each sigma in ``levels`` in turn, the points t * d on {f = sigma}
+    of the rays crossing it within reach.  f is evaluated on the rays once;
+    one level's points are made at a time, so the caller can filter each
+    before the next."""
+    values = np.asarray(op._value(dirs))
+    for level in levels:
+        t = op._ray_scale(values, level)
+        keep = (t > _RAY_REACH[0]) & (t < _RAY_REACH[1])
+        yield t[keep, None] * dirs[keep]

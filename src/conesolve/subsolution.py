@@ -91,21 +91,23 @@ def dichotomy_margins(op: SymmetricOperator, mu: np.ndarray, lam: np.ndarray) ->
     return np.maximum(pairing, smallest)
 
 
-def estimate_kappa(op: SymmetricOperator, mu, sigma_level: float, radius: float,
+def estimate_kappa(op: SymmetricOperator, mu, sigma_level, radius: float,
                    samples: int, seed: int = 0) -> float:
     """Empirical dichotomy constant from level-set sampling.
 
     Samples points on {f = sigma} with |lambda| > radius and returns the
     largest member of the geometric grid {2^j} lying at or below half the
     smallest observed branch margin.  The halving is a held-out safety notch;
-    the value is a sampled floor, not a certified constant.
+    the value is a sampled floor, not a certified constant.  ``mu`` may hold
+    rows and ``sigma_level`` one level per row: one ``sample_level_set`` draw
+    then serves every level, and the floor is over all of them.
     """
     if samples <= 0:
         raise ValueError("sample count must be positive")
     mu = np.asarray(mu, dtype=float)
     lam = sample_level_set(op, sigma_level, samples, np.random.default_rng(seed),
                            min_radius=radius)
-    margins = dichotomy_margins(op, mu, lam)
+    margins = dichotomy_margins(op, mu[..., None, :], lam)
     m_min = float(margins.min())
     if m_min <= 0:
         raise NumericError(
@@ -254,21 +256,23 @@ def certify_field(op: SymmetricOperator, eigenvalue_field, rhs_field, delta_grid
 def coordinate_ray_radius(op: SymmetricOperator, mu: np.ndarray, sigmas: np.ndarray) -> float:
     """max over points and axes of |mu + t* e_i| at the level crossing t*.
 
-    t* is the operator's closed-form ``coordinate_crossing``: the least t >= 0
-    past which mu + t e_i is in the cone and above the level.  Raises
-    ``NumericError`` if some ray never crosses.
+    t* is the operator's closed-form ``coordinate_crossings``, every axis from
+    one call: the least t >= 0 past which mu + t e_i is in the cone and above
+    the level.  Raises ``NumericError`` if some ray never crosses.
     """
+    crossings = op.coordinate_crossings(mu, sigmas)
     radius = 0.0
     for i in range(mu.shape[1]):
         pts = mu.copy()
-        pts[:, i] += op.coordinate_crossing(mu, i, sigmas)
+        pts[:, i] += crossings[:, i]
         radius = max(radius, float(np.linalg.norm(pts, axis=1).max()))
     return radius
 
 
 def _kappa_at_tightest(op: SymmetricOperator, mu: np.ndarray, sigmas: np.ndarray,
                        radius: float, kappa_samples: int, seed: int) -> float:
-    """Empirical kappa at the tightest few grid points (min-margin, sigma extremes)."""
+    """Empirical kappa at the tightest few grid points (min-margin, sigma
+    extremes), from one level-set draw for all of them."""
     if kappa_samples <= 0:
         return math.nan
     if op.n == 1:
@@ -276,9 +280,5 @@ def _kappa_at_tightest(op: SymmetricOperator, mu: np.ndarray, sigmas: np.ndarray
         # dichotomy is vacuous and no constant is needed
         return math.nan
     margins = np.asarray(op.cone.margin(mu))
-    picks = {int(np.argmin(margins)), int(np.argmin(sigmas)), int(np.argmax(sigmas))}
-    kappa = math.inf
-    for idx in picks:
-        kappa = min(kappa, estimate_kappa(op, mu[idx], float(sigmas[idx]), radius,
-                                          kappa_samples, seed=seed))
-    return kappa
+    picks = sorted({int(np.argmin(margins)), int(np.argmin(sigmas)), int(np.argmax(sigmas))})
+    return estimate_kappa(op, mu[picks], sigmas[picks], radius, kappa_samples, seed=seed)

@@ -201,9 +201,12 @@ def supporting_plane_bruteforce(v, grads, candidates: np.ndarray) -> np.ndarray:
     return mask
 
 
-def rays_to_level_bisection(op, dirs: np.ndarray, sigma_level: float,
-                            iters: int = 60) -> np.ndarray:
-    """Bisect t on each ray t * d so that f(t*d) = sigma.  Drops failed rays."""
+def rays_to_level_bisection(op, dirs: np.ndarray, sigma_level,
+                            iters: int = 60) -> np.ndarray | list:
+    """Bisect t on each ray t * d so that f(t*d) = sigma.  Drops failed rays.
+    For a sequence of levels, a list of such arrays, one per level."""
+    if np.ndim(sigma_level):
+        return [rays_to_level_bisection(op, dirs, level, iters) for level in sigma_level]
     m = dirs.shape[0]
     t_hi = np.ones(m)
     val = op.value(dirs, check=False)
@@ -238,15 +241,16 @@ def rays_to_level_bisection(op, dirs: np.ndarray, sigma_level: float,
     return 0.5 * (t_lo + t_hi)[:, None] * dirs
 
 
-def coordinate_ray_radius_bisection(op, mu: np.ndarray, sigmas: np.ndarray,
-                                    iters: int = 60) -> float:
-    """sup over points and axes of |mu + t* e_i| at the level crossing t*.
+def coordinate_crossings_bisection(op, mu: np.ndarray, sigmas: np.ndarray,
+                                   iters: int = 60) -> np.ndarray:
+    """The level crossing t* of every coordinate ray mu + t e_i, shaped like
+    ``mu`` (npts, n).
 
     Along +e_i both cone membership and f are monotone, so the crossing of
     {f > sigma} is found by doubling and bisection on the indicator.
     """
     npts, n = mu.shape
-    radius = 0.0
+    crossings = np.zeros((npts, n))
     for i in range(n):
         def above(ts: np.ndarray) -> np.ndarray:
             pts = mu.copy()
@@ -272,8 +276,19 @@ def coordinate_ray_radius_bisection(op, mu: np.ndarray, sigmas: np.ndarray,
             up = above(t_mid)
             t_hi = np.where(up, t_mid, t_hi)
             t_lo = np.where(up, t_lo, t_mid)
+        crossings[:, i] = 0.5 * (t_lo + t_hi)
+    return crossings
+
+
+def coordinate_ray_radius_bisection(op, mu: np.ndarray, sigmas: np.ndarray,
+                                    iters: int = 60) -> float:
+    """sup over points and axes of |mu + t* e_i| at the bisected level
+    crossings t* (``coordinate_crossings_bisection``)."""
+    crossings = coordinate_crossings_bisection(op, mu, sigmas, iters)
+    radius = 0.0
+    for i in range(mu.shape[1]):
         pts = mu.copy()
-        pts[:, i] += 0.5 * (t_lo + t_hi)
+        pts[:, i] += crossings[:, i]
         radius = max(radius, float(np.linalg.norm(pts, axis=1).max()))
     return radius
 

@@ -20,7 +20,11 @@ from conesolve import (
 from conesolve.cones import sigma_all, t_map, without_each
 from conesolve.operators import _rays_to_level
 from conesolve.subsolution import coordinate_ray_radius
-from oracles import coordinate_ray_radius_bisection, rays_to_level_bisection
+from oracles import (
+    coordinate_crossings_bisection,
+    coordinate_ray_radius_bisection,
+    rays_to_level_bisection,
+)
 
 
 def _config_kinds(n):
@@ -100,38 +104,70 @@ def test_origin_crossings_match_bisection(data, op):
     inside = np.abs(data.draw(st.lists(gaps, min_size=count, max_size=count)))
     dirs = _pushed(op.cone, v, inside)
     sigma_level = _level(op, data.draw)
-    _assert_rows_close(op, _rays_to_level(op, dirs, sigma_level),
+    _assert_rows_close(op, next(_rays_to_level(op, dirs, [sigma_level])),
                        rays_to_level_bisection(op, dirs, sigma_level))
+
+
+def _crossing_row(op, draw, zero_slope: bool):
+    """A row mu and a level its coordinate rays reach.  mu lies in the cone's
+    natural domain, inside the cone or outside it; or, if ``zero_slope``, it
+    is zero but for one entry (in dimension 3 the other two may be a, -a),
+    so that sigma_{j-1}(mu without i) = 0 on some axis i for j = 2 or 3."""
+    if zero_slope:
+        mu = np.zeros(op.n)
+        i = draw(st.integers(0, op.n - 1))
+        mu[i] = draw(entries)
+        if op.n == 3 and draw(st.booleans()):
+            a = draw(entries)
+            mu[[m for m in range(3) if m != i]] = a, -a
+        if not in_gamma_tilde(op.cone, mu):
+            return mu, _level(op, draw)  # some ray never enters the cone
+    else:
+        v = np.array(draw(st.lists(entries, min_size=op.n, max_size=op.n)))
+        gap = draw(gaps)
+        mu = _pushed(op.cone, v, gap)
+        if not in_gamma_tilde(op.cone, mu):
+            mu = _pushed(op.cone, v, abs(gap))
+    # a level the rays reach: below every limit, and below f(mu) for t = 0
+    top = min([op.sup_interior] + [op.limit_at_infinity(np.delete(mu, i))
+                                   for i in range(op.n)])
+    sigma_level = min(_level(op, draw), top - 0.01 * (1.0 + abs(top)))
+    if op.cone.contains(mu) and draw(st.booleans()):
+        sigma_level = min(sigma_level, op.value(mu) - draw(st.floats(0.0, 2.0)))
+    return mu, sigma_level
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(data=st.data(), op=st.sampled_from(KINDS))
 def test_coordinate_crossings_match_bisection(data, op):
-    v = np.array(data.draw(st.lists(entries, min_size=op.n, max_size=op.n)))
-    gap = data.draw(gaps)
-    mu = _pushed(op.cone, v, gap)
-    if not in_gamma_tilde(op.cone, mu):
-        mu = _pushed(op.cone, v, abs(gap))
-    # a level the rays reach: below every limit, and below f(mu) for t = 0
-    top = min([op.sup_interior] + [op.limit_at_infinity(np.delete(mu, i))
-                                   for i in range(op.n)])
-    sigma_level = min(_level(op, data.draw), top - 0.01 * (1.0 + abs(top)))
-    if op.cone.contains(mu) and data.draw(st.booleans()):
-        sigma_level = min(sigma_level, op.value(mu) - data.draw(st.floats(0.0, 2.0)))
-    sigmas = np.array([sigma_level])
-    crossings = [float(op.coordinate_crossing(mu[None, :], i, sigmas)[0]) for i in range(op.n)]
-    points = mu + np.diag(crossings)
-    radius = coordinate_ray_radius(op, mu[None, :], sigmas)
-    assert radius == pytest.approx(coordinate_ray_radius_bisection(op, mu[None, :], sigmas),
+    # up to four rows, each at its own level; at most one with a zero slope
+    count = data.draw(st.integers(1, 4))
+    zero_row = data.draw(st.integers(0, 2 * count - 1)) if op.n > 1 else count
+    rows = [_crossing_row(op, data.draw, p == zero_row) for p in range(count)]
+    mu = np.array([row for row, _ in rows])
+    sigmas = np.array([level for _, level in rows])
+    try:
+        expected = coordinate_crossings_bisection(op, mu, sigmas)
+    except NumericError:
+        with pytest.raises(NumericError):
+            op.coordinate_crossings(mu, sigmas)
+        return
+    crossings = op.coordinate_crossings(mu, sigmas)
+    assert crossings.shape == mu.shape
+    points = mu[:, None, :] + crossings[..., None] * np.eye(op.n)
+    radius = coordinate_ray_radius(op, mu, sigmas)
+    assert radius == pytest.approx(coordinate_ray_radius_bisection(op, mu, sigmas),
                                    rel=_rtol(op, points).max())
-    for i, t in enumerate(crossings):
-        step = 10.0 * _rtol(op, points[i]) * (1.0 + t + np.abs(mu).max())
-        x = mu.copy()
+    for p, i in np.ndindex(mu.shape):
+        t = crossings[p, i]
+        step = 10.0 * _rtol(op, points[p, i]) * (1.0 + t + np.abs(mu[p]).max())
+        assert abs(t - expected[p, i]) <= step
+        x = mu[p].copy()
         x[i] += t + step
-        assert _above(op, x, sigma_level)
+        assert _above(op, x, sigmas[p])
         if t > 0:
-            x[i] = mu[i] + t - step
-            assert not _above(op, x, sigma_level)
+            x[i] = mu[p, i] + t - step
+            assert not _above(op, x, sigmas[p])
 
 
 def test_crossing_at_the_cone_entry():
@@ -140,7 +176,7 @@ def test_crossing_at_the_cone_entry():
     # the level -800, e^sigma underflows and the crossing is the entry itself
     op, mu = LogSigmaK(3, 2), np.array([[2.0, 2.0, -1.5]])
     for sigma_level, entries_at in [(-800.0, [4.0, 4.0, 0.5]), (-30.0, None)]:
-        crossings = [op.coordinate_crossing(mu, i, sigma_level)[0] for i in range(3)]
+        crossings = list(op.coordinate_crossings(mu, sigma_level)[0])
         if entries_at is not None:
             assert crossings == entries_at
         else:
@@ -160,7 +196,7 @@ def test_crossing_at_the_cone_entry():
 def test_ray_that_never_crosses_raises(op, mu, sigma_level):
     mu, sigmas = np.array([mu]), np.array([sigma_level])
     with pytest.raises(NumericError):
-        op.coordinate_crossing(mu, 0, sigma_level)
+        op.coordinate_crossings(mu, sigma_level)
     with pytest.raises(NumericError):
         coordinate_ray_radius(op, mu, sigmas)
     with pytest.raises(NumericError):
@@ -173,7 +209,7 @@ def test_rays_crossing_beyond_reach_are_dropped():
     op = MongeAmpere(2)
     dirs = np.array([[1e-70, 1.0], [1e-50, 1.0], [1.0, 1.0]])
     for sigma_level, kept in [(0.0, [1, 2]), (-150.0, [0, 1])]:
-        got = _rays_to_level(op, dirs, sigma_level)
+        (got,) = _rays_to_level(op, dirs, [sigma_level])
         assert got.shape == rays_to_level_bisection(op, dirs, sigma_level).shape
         t = np.exp((sigma_level - np.log(dirs[kept, 0])) / 2)
         np.testing.assert_allclose(got, t[:, None] * dirs[kept], rtol=1e-14)
@@ -201,14 +237,14 @@ def test_blend_crossings_only_at_one():
     for sigma_level in (-6.0, -20.0):  # below every limit -1/sigma_1(mu') >= -5
         np.testing.assert_array_equal(blend.ray_crossing(dirs, sigma_level),
                                       quotient.ray_crossing(dirs, sigma_level))
-        np.testing.assert_array_equal(blend.coordinate_crossing(dirs, 1, sigma_level),
-                                      quotient.coordinate_crossing(dirs, 1, sigma_level))
+        np.testing.assert_array_equal(blend.coordinate_crossings(dirs, sigma_level),
+                                      quotient.coordinate_crossings(dirs, sigma_level))
     for t in (0.0, 0.5):
         blend = BlendedQuotient(3, 1, 2, t)
         with pytest.raises(ValueError, match="BlendedQuotient"):
             blend.ray_crossing(dirs, -1.0)
         with pytest.raises(ValueError, match="BlendedQuotient"):
-            blend.coordinate_crossing(dirs, 0, -1.0)
+            blend.coordinate_crossings(dirs, -1.0)
         with pytest.raises(ValueError, match="BlendedQuotient"):
             level_set_constants(blend, -1.0)
 
@@ -217,8 +253,7 @@ def test_inverse_quotient_level_below_its_range():
     # f > 0 on the cone: at a level <= 0 every ray from inside is above it
     op, mu = InverseSigmaK(3, 1), np.array([[0.5, 1.0, 2.0], [1e-3, 3.0, 0.2]])
     for sigma_level in (0.0, -1.0):
-        for i in range(3):
-            np.testing.assert_array_equal(op.coordinate_crossing(mu, i, sigma_level), 0.0)
+        np.testing.assert_array_equal(op.coordinate_crossings(mu, sigma_level), 0.0)
     for sigma_level in (0.002, 0.01):  # below every limit sqrt(sigma_2(mu')) >= 0.014
         sigmas = np.full(2, sigma_level)
         assert coordinate_ray_radius(op, mu, sigmas) == pytest.approx(
@@ -228,7 +263,7 @@ def test_inverse_quotient_level_below_its_range():
 def test_coordinate_crossing_degree_above_two_is_refused():
     # T-lines meet sigma_j in degree n - 1; configs stop at n = 3
     with pytest.raises(ValueError, match="degree above two"):
-        ComposedWithT(4, MongeAmpere(4)).coordinate_crossing(np.ones((1, 4)), 0, 0.0)
+        ComposedWithT(4, MongeAmpere(4)).coordinate_crossings(np.ones((1, 4)), 0.0)
 
 
 @pytest.mark.parametrize("op, sigma_level", [

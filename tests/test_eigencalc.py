@@ -1,4 +1,5 @@
 import zlib
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from conesolve import (
     MongeAmpere,
     contract,
     eigen_decompose,
+    eigenvalues,
     evaluate,
     first_derivative,
     second_form,
@@ -63,6 +65,71 @@ def test_eigen_decompose_properties():
         again = eigen_decompose(a.copy())
         assert np.array_equal(again.values, vals)
         assert np.array_equal(again.frame, frame)
+
+
+def _exact_spectrum(a) -> np.ndarray:
+    """The ascending spectrum of each stored 1x1 or 2x2 Hermitian matrix, read
+    from its diagonal and lower entry as eigvalsh reads it, in 60 digits."""
+    out = []
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for m in a:
+            p = Decimal(float(np.real(m[0, 0])))
+            if m.shape[-1] == 1:
+                out.append([p])
+                continue
+            d, b = Decimal(float(np.real(m[1, 1]))), m[1, 0]
+            half = (p + d) / 2
+            radius = (((p - d) / 2) ** 2 + Decimal(float(np.real(b))) ** 2
+                      + Decimal(float(np.imag(b))) ** 2).sqrt()
+            out.append([half - radius, half + radius])
+    return np.array(out, dtype=float)
+
+
+def _spectrum_cases(complex_: bool) -> np.ndarray:
+    """2x2 matrices U diag(lam) U*, rotated and (if complex) phased, for
+    spectra that are multiples of 1, diagonal, double, split by 1e-4 and
+    1e-8, and with one eigenvalue near 0."""
+    rng = np.random.default_rng(11)
+    spectra = [(1.0, 1.0), (-2.5, -2.5), (1.0, 1.0 + 1e-4), (-1.0, -1.0 + 1e-8),
+               (3.0, 3.0 * (1 + 1e-8)), (1e-13, 1.0), (-1.0, 1e-17), (-4.0, 0.5)]
+    mats = []
+    for lam in spectra:
+        for angle in [0.0, np.pi / 2, *rng.uniform(0.0, np.pi, 6)]:
+            c, s = np.cos(angle), np.sin(angle)
+            phase = np.exp(1j * rng.uniform(0.0, 2 * np.pi)) if complex_ else 1.0
+            u = np.array([[c, -s * phase], [s * np.conj(phase), c]])
+            m = u @ np.diag(lam) @ np.conj(u).T
+            mats.append((m + np.conj(m).T) / 2)
+    return np.array(mats)
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+def test_small_spectra_are_closed_forms(complex_, scale):
+    dtype = complex if complex_ else float
+    # exactly c I gives c twice, bit for bit, in dimension 1 and 2
+    for c in [1.0, -3.7, 0.0, 2.0**-60]:
+        for n in (1, 2):
+            got = eigenvalues((c * scale * np.eye(n, dtype=dtype))[None])
+            assert got.tobytes() == np.full((1, n), c * scale).tobytes()
+    ones = scale * np.array([[[-2.5]], [[7.0]]], dtype=dtype)
+    assert eigenvalues(ones).tobytes() == np.linalg.eigvalsh(ones).tobytes()
+    a = scale * _spectrum_cases(complex_)
+    a = np.concatenate([a, scale * np.array([np.diag([2.0, -1.0]), np.diag([0.5, 0.5 + 1e-8])],
+                                            dtype=dtype)])  # b = 0
+    got, exact = eigenvalues(a), _exact_spectrum(a)
+    assert got.shape == exact.shape == a.shape[:-1]
+    assert np.all(np.diff(got, axis=-1) >= 0)  # ascending, as eigvalsh
+    eps_norm = np.finfo(float).eps * np.abs(exact).max(axis=-1, keepdims=True)
+    assert np.all(np.abs(got - exact) <= 4 * eps_norm)
+    # eigvalsh itself errs by up to ~5 eps |A| on complex 2x2 matrices
+    assert np.all(np.abs(got - np.linalg.eigvalsh(a)) <= 8 * eps_norm)
+
+
+def test_spectra_above_two_are_eigvalsh():
+    a = rand_hermitian(np.random.default_rng(2), 3)[None]
+    assert eigenvalues(a).tobytes() == np.linalg.eigvalsh(a).tobytes()
 
 
 def test_eigen_decompose_rejects_non_hermitian():

@@ -228,6 +228,28 @@ def test_sample_level_set_lands_on_level():
         assert pts.shape == (500, op.n)
 
 
+@pytest.mark.parametrize("op, levels, min_radius", [
+    (MongeAmpere(2), [-1.0, 0.0, 2.5], 3.0), (LogSigmaK(3, 2), [-1.0, 0.5, 2.0], 4.0),
+    (HessianQuotientNeg(3, 1, 2), [-0.9, -0.7, -2.0], 5.0),
+    (InverseSigmaK(3, 1), [0.3, 0.8, 2.0], 2.0),
+    (ComposedWithT(3, LogSigmaK(3, 2)), [-0.5, 0.5, 1.5], 3.0),
+], ids=repr)
+def test_sample_level_set_draws_every_level_at_once(op, levels, min_radius):
+    pts = sample_level_set(op, levels, 2000, np.random.default_rng(1), min_radius)
+    assert pts.shape == (3, 2000, op.n)
+    for level, rows in zip(levels, pts):
+        assert np.abs(op.value(rows) - level).max() <= 1e-12 * (1.0 + abs(level))
+        assert np.linalg.norm(rows, axis=-1).min() > min_radius
+    # a level listed twice gets the same rows; one level listed alone is the
+    # scalar draw, bit for bit
+    twice = sample_level_set(op, [levels[1], levels[0], levels[1]], 2000,
+                             np.random.default_rng(1), min_radius)
+    np.testing.assert_array_equal(twice[0], twice[2])
+    alone = sample_level_set(op, levels[1:2], 2000, np.random.default_rng(1), min_radius)
+    np.testing.assert_array_equal(
+        alone[0], sample_level_set(op, levels[1], 2000, np.random.default_rng(1), min_radius))
+
+
 def test_sample_level_set_argument_errors():
     with pytest.raises(ValueError):
         sample_level_set(MongeAmpere(2), 0.0, 0, np.random.default_rng(0))
@@ -235,6 +257,11 @@ def test_sample_level_set_argument_errors():
         # a radius no sample can reach in the allotted rounds
         sample_level_set(MongeAmpere(2), 0.0, 50, np.random.default_rng(0),
                          min_radius=1e28, max_rounds=3)
+    with pytest.raises(ValueError):
+        # every level must be attainable: the quotient stays below 0
+        sample_level_set(HessianQuotientNeg(2, 1, 2), [-1.0, 0.5], 50, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        sample_level_set(MongeAmpere(2), [], 50, np.random.default_rng(0))
 
 
 def test_operator_from_name():

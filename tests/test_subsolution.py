@@ -115,6 +115,33 @@ def test_estimate_kappa_and_heldout():
         estimate_kappa(ma, [2.0, 2.0], 0.0, radius=1.0, samples=0)
 
 
+def test_certificate_kappa_is_one_draw_for_every_pick(monkeypatch):
+    # the tightest margin, the lowest and the highest level at three points
+    from conesolve import subsolution
+
+    op = LogSigmaK(3, 2)
+    mu = np.array([[0.2, 1.0, 1.0], [1.0, 1.0, 1.0], [2.0, 2.0, 2.0], [1.5, 1.5, 1.5]])
+    sigmas = np.array([0.5, -1.0, 1.0, 2.0])
+    draws = []
+
+    def spy(op, sigma_level, *args, **kwargs):
+        draws.append(np.atleast_1d(sigma_level).tolist())
+        return sample_level_set(op, sigma_level, *args, **kwargs)
+
+    monkeypatch.setattr(subsolution, "sample_level_set", spy)
+    cert = certify_field(op, mu, sigmas, [0.01], kappa_samples=2000, seed=3)
+    assert draws == [[0.5, -1.0, 2.0]]
+    # the floor holds at each pick on samples the draw did not see
+    for idx in (0, 1, 3):
+        held_out = sample_level_set(op, sigmas[idx], 2000, np.random.default_rng(4),
+                                    min_radius=cert.radius)
+        assert dichotomy_margins(op, mu[idx] - 0.02, held_out).min() > cert.kappa
+    # here the shared draw finds the floor of three separate draws
+    alone = [estimate_kappa(op, mu[idx] - 0.02, sigmas[idx], cert.radius, 2000, seed=3)
+             for idx in (0, 1, 3)]
+    assert cert.kappa == min(alone)
+
+
 def test_kappa_degenerates_near_admissibility_edge():
     hq = HessianQuotientNeg(2, 1, 2)
     # limit at mu=(1,1) is -0.5; sigma barely below leaves almost no margin
