@@ -188,7 +188,7 @@ def run(cfg: RunConfig, check_only: bool = False, certify_only: bool = False) ->
 
         if problem.path is PathKind.FIXED:
             solve_report = SolveReport()
-            solve_report.record(newton_solve(problem, 1.0), problem.normalization)
+            solve_report.record(newton_solve(problem, 1.0), problem.normalization, "cold")
         else:
             schedule = (uniform_schedule(cfg.schedule)
                         if isinstance(cfg.schedule, int) else cfg.schedule)

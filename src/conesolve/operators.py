@@ -679,7 +679,7 @@ def sample_level_set(op: SymmetricOperator, sigma_level, count: int,
         m = int(min(max(need, 256), 400_000))
         dirs = _directions(op.cone, m, rng)
         for points, lam in zip(collected, _rays_to_level(op, dirs, levels)):
-            points.append(lam[np.linalg.norm(lam, axis=-1) > min_radius])
+            points.append(lam[row_norms(lam) > min_radius])
         tried += m
         accepted = [sum(p.shape[0] for p in points) for points in collected]
         if min(accepted) >= count:
@@ -701,8 +701,19 @@ def _directions(cone: Cone, m: int, rng: np.random.Generator) -> np.ndarray:
     d_gauss = rng.standard_normal((m - half, n))
     keep = np.asarray(cone.contains(d_gauss), dtype=bool)
     dirs = np.concatenate([d_pos, d_gauss[keep]], axis=0)
-    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+    dirs /= row_norms(dirs)[:, None]
     return dirs
+
+
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row (last axis) of a real array: its squared
+    columns summed in order.  That is the order in which
+    ``np.linalg.norm(x, axis=-1)`` sums rows of fewer than 8 entries, so the
+    bits are its own, without its temporary of x's size."""
+    total = np.square(x[..., 0])
+    for j in range(1, x.shape[-1]):
+        total += np.square(x[..., j])
+    return np.sqrt(total, out=total)
 
 
 #: the crossings t of unit rays that are sampled; rays crossing the level

@@ -27,15 +27,6 @@ Newton carries its iterate's components, so line-search trials transform
 nothing and form no field, and the cold start u = 0 evaluates the held A[0]
 itself.
 
-A t-step hands the next one its accepted iterate's Hessian components and
-sigma table (``SolveState.components`` and ``SolveState.table``).  The sigma_j
-and P_{j-1} of A[u] do not depend on t: every ``path_operator`` of a problem
-shares its cone, its matrix argument and its sigma order.  So a warm start
-transforms nothing and runs no sigma recursion; it recomputes only F at the
-new t and the cone margin (``reevaluate``).  The start releases the carried
-table once it is read, before the first Krylov solve, and a report keeps
-neither.
-
 Continuity paths, each anchored at a member solvable from u = 0:
 
   ``hessian``     F(A[u]) = t*H + (1-t)*H0 + c,     H0 = F(A[0]),
@@ -43,8 +34,14 @@ Continuity paths, each anchored at a member solvable from u = 0:
   ``riemannian``  F(A[u]) = c + (1-t)*h0,           h0 = F(A[0]) pointwise,
   ``fixed``       F(A[u]) = h + c.
 
-Marching warm-starts each t from the previous solution and bisects the t-step
-on Newton stagnation down to 1e-4 before giving up with a partial report.
+From the third t on, marching starts Newton at the secant prediction of the
+last two accepted states (Allgower & Georg 1990, ch. 2): their u, c and
+Hessian components extrapolated to the new t, the components with no
+transform, since they are linear in u.  The second t-step starts from the
+first state and reuses its sigma table (``reevaluate``): the sigma_j of A[u]
+do not depend on t.  An inadmissible prediction also starts from the last
+state.  On Newton stagnation the t-step is bisected, down to 1e-4, before a
+partial report.
 """
 
 from __future__ import annotations
@@ -205,8 +202,8 @@ class SolveState:
     """A converged (or, in a StagnationError, the last) Newton iterate at t.
 
     ``newton_solve`` also returns the evaluation of its final u for the next
-    t-step's warm start: ``components``, the Hessian components of u, and
-    ``table``, the sigma table of A[u].  The warm start takes the table and sets
+    t-step's start: ``components``, the Hessian components of u, and
+    ``table``, the sigma table of A[u].  A warm start takes the table and sets
     it to None, so it is freed before that step's Krylov solve and a retry
     from the same state evaluates once from ``components``.  A state without
     ``components``, as a caller may build, is transformed at the start.
@@ -232,10 +229,14 @@ class SolveReport:
     final: SolveState | None = None
     complete: bool = True
 
-    def record(self, state: SolveState, normalization: str) -> None:
+    def record(self, state: SolveState, normalization: str, start: str) -> None:
         """Append the step record of a converged state and make it the final
-        state, with u normalized as the problem asks."""
+        state, with u normalized as the problem asks.  ``start`` says where its
+        Newton solve started: "cold", "warm" (the last state), "secant" (the
+        secant prediction) or "secant_rejected" (the last state, after an
+        inadmissible prediction)."""
         self.steps.append({
+            "start": start,
             "t": float(state.t),
             "c": float(state.c),
             "residual_norm": float(state.residual_norm),
@@ -540,6 +541,7 @@ def newton_solve(problem: TorusProblem, t: float,
     a warm start reads ``warm``'s components (transforming u only if it
     carries none) and takes its sigma table (see ``SolveState``).
     The returned state carries the final iterate's components and table.
+    A start that already meets ``newton_tol`` is returned after 0 iterations.
     """
     grid = problem.grid
     sign = constant_sign(problem)
@@ -560,6 +562,7 @@ def newton_solve(problem: TorusProblem, t: float,
             warm.table = None  # ev holds it until the first linearization has read it
     ev.require_admissible()
     c = sign * float((ev.value - base).mean()) if warm is None else warm.c
+    warm = None  # a predicted start is held nowhere else: its arrays go once replaced
     r = ev.value - (base + sign * c)
     r_sup = float(np.abs(r).max())
     margin = ev.margin
@@ -620,11 +623,44 @@ def check_schedule(t_schedule) -> np.ndarray:
     return schedule
 
 
+def secant_start(prev: SolveState, last: SolveState, t: float) -> SolveState:
+    """The start at t predicted from the accepted states ``prev`` and ``last``:
+    x_last + theta (x_last - x_prev) for u, c and the Hessian components,
+    with theta = (t - t_last) / (t_last - t_prev).  It carries no table, and
+    its residual and margin are NaN until ``newton_solve`` evaluates it."""
+    theta = (t - last.t) / (last.t - prev.t)
+    u = last.u.values + theta * (last.u.values - prev.u.values)
+    comps = last.components + theta * (last.components - prev.components)
+    return SolveState(ScalarField(last.u.grid, u), last.c + theta * (last.c - prev.c), t,
+                      math.nan, math.nan, components=comps)
+
+
+def _solve_step(problem: TorusProblem, t: float, prev: SolveState | None,
+                last: SolveState | None) -> tuple[SolveState, str]:
+    """Newton at t from the secant prediction of ``prev`` and ``last``, from
+    ``last`` alone, or cold; returns the state and its start (see
+    ``SolveReport.record``)."""
+    if last is None:
+        return newton_solve(problem, t), "cold"
+    if prev is None:
+        return newton_solve(problem, t, warm=last), "warm"
+    # the prediction is a new point: no held sigma table serves it
+    prev.table = last.table = None
+    try:
+        return newton_solve(problem, t, warm=secant_start(prev, last, t)), "secant"
+    except AdmissibilityError:
+        pass  # fall back outside the handler, whose traceback holds the prediction
+    return newton_solve(problem, t, warm=last), "secant_rejected"
+
+
 def run_continuity(problem: TorusProblem, t_schedule, min_step: float = 1e-4) -> SolveReport:
-    """March the continuity parameter from 0 to 1 with warm starts.
+    """March the continuity parameter from 0 to 1, each t-step from the third
+    on from the secant prediction of the last two accepted states
+    (``_solve_step``).
 
     On Newton stagnation the t-step is bisected, down to ``min_step`` before
-    aborting with a partial report.  Recorded path constants are checked
+    aborting with a partial report; the retry predicts from the same two
+    states, at the uneven spacing.  Recorded path constants are checked
     against their monotone bounds:
 
       riemannian:  t*min(h0) <= c_t <= t*max(h0)   (within PATH_BOUND_SLACK),
@@ -641,24 +677,24 @@ def run_continuity(problem: TorusProblem, t_schedule, min_step: float = 1e-4) ->
         quotient_floor = problem.class_constant
 
     report = SolveReport()
+    prev: SolveState | None = None
     state: SolveState | None = None
-    t_done = None
     pending = list(schedule)
     while pending:
         t_next = pending[0]
         try:
-            state = newton_solve(problem, t_next, warm=state)
+            accepted, start = _solve_step(problem, t_next, prev, state)
         except StagnationError:
-            t_from = 0.0 if t_done is None else t_done
+            t_from = 0.0 if state is None else state.t
             if t_next - t_from <= min_step:
                 report.complete = False
                 return report
             pending.insert(0, 0.5 * (t_from + t_next))
             continue
         pending.pop(0)
-        t_done = t_next
+        prev, state = state, accepted
         _check_path_bounds(state, h0_bounds, quotient_floor)
-        report.record(state, problem.normalization)
+        report.record(state, problem.normalization, start)
     return report
 
 

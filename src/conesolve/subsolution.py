@@ -25,7 +25,13 @@ import numpy as np
 
 from .cones import GammaCone, without_each
 from .eigencalc import require_hermitian
-from .operators import HessianQuotientNeg, NumericError, SymmetricOperator, sample_level_set
+from .operators import (
+    HessianQuotientNeg,
+    NumericError,
+    SymmetricOperator,
+    row_norms,
+    sample_level_set,
+)
 
 LEVEL_SET_TOL = 1e-8
 
@@ -265,7 +271,7 @@ def coordinate_ray_radius(op: SymmetricOperator, mu: np.ndarray, sigmas: np.ndar
     for i in range(mu.shape[1]):
         pts = mu.copy()
         pts[:, i] += crossings[:, i]
-        radius = max(radius, float(np.linalg.norm(pts, axis=1).max()))
+        radius = max(radius, float(row_norms(pts).max()))
     return radius
 
 

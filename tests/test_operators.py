@@ -275,3 +275,19 @@ def test_operator_from_name():
         operator_from_name("frobnicate", 2)
     with pytest.raises(ValueError):
         operator_from_name("hessian_quotient", 3, k=1, l=2)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+def test_row_norms_are_numpy_norms_bit_for_bit(n, scale):
+    # the certificate's crossings and level-set draws read row_norms where
+    # they read np.linalg.norm(..., axis=-1), whose bits R and kappa keep
+    from conesolve.operators import row_norms
+
+    rng = np.random.default_rng(n)
+    x = scale * rng.standard_normal((7282, n)) * 10.0 ** rng.uniform(-3, 3, (7282, 1))
+    x[:5] = 0.0
+    x[5, 0] = -scale
+    assert np.array_equal(row_norms(x), np.linalg.norm(x, axis=-1))
+    batch = x[:7280].reshape(20, 364, n)
+    assert np.array_equal(row_norms(batch), np.linalg.norm(batch, axis=-1))

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -341,8 +342,9 @@ def test_krylov_system_has_the_residual_rows(monkeypatch):
 
 def test_carried_components_match_a_fresh_transform(monkeypatch):
     # a line-search trial reads comp(u) + step*comp(dv) in place of
-    # transforming u; after several accepted steps that is still comp(u), and
-    # the components a t-step hands the next one are those of the normalized u
+    # transforming u; after several accepted steps that is still comp(u), the
+    # components a t-step hands the next one are those of the normalized u,
+    # and a secant start's extrapolated components are those of its u
     import sys
 
     import conesolve.solver as solver
@@ -357,9 +359,12 @@ def test_carried_components_match_a_fresh_transform(monkeypatch):
     def recording(problem, comps, t):
         if comps is not None:
             # the evaluation takes no field, and a trial forms none: rebuild
-            # the trial's u + step*dv from newton_solve's frame
+            # the trial's u + step*dv from newton_solve's frame; before the
+            # first step, the evaluation is the start's, at u
             frame = sys._getframe(1).f_locals
-            trial = frame["u"].values + frame["step"] * frame["dv"].values
+            trial = frame["u"].values
+            if "step" in frame:
+                trial = trial + frame["step"] * frame["dv"].values
             carried.append((trial, comps.copy()))
         return original(problem, comps, t)
 
@@ -373,10 +378,12 @@ def test_carried_components_match_a_fresh_transform(monkeypatch):
     report = run_continuity(prob, uniform_schedule(3))
     # each accepted step reads carried components, the first of them on the
     # cold start's zero components; the cold start evaluates the held A[0],
-    # and a warm start reads the last t-step's evaluation and evaluates nothing
+    # a warm start reads the last t-step's evaluation and evaluates nothing,
+    # and a secant start evaluates its prediction
     iterations = sum(step["newton_iterations"] for step in report.steps)
+    assert [step["start"] for step in report.steps] == ["cold", "warm", "secant"]
     assert iterations >= 5
-    assert len(carried) == iterations
+    assert len(carried) == iterations + 1
     assert len(handed) == len(report.steps)
     for values, comps in carried + handed:
         fresh = hessian_components(values, g)
@@ -409,7 +416,7 @@ def test_a_warm_start_without_components_transforms_u_once(monkeypatch):
 
     prob, _ = manufactured_problem(n=1, points=32)
     report = SolveReport()
-    report.record(newton_solve(prob, 1.0), prob.normalization)
+    report.record(newton_solve(prob, 1.0), prob.normalization, "cold")
     final = report.final
     assert final.components is None and final.table is None
     through, transforms = [], []
@@ -479,9 +486,11 @@ def test_newton_evaluates_each_iterate_once(monkeypatch):
 
 def test_continuity_evaluates_the_background_once(monkeypatch):
     # F(A[0]) does not depend on t: a real3-hessian-shaped solve (6 t-steps,
-    # 15 Newton steps) evaluates A[0] once for F(A[0]), once more at the cold
-    # start, and each Newton step once, 17 evaluations in all (22 when each warm start
-    # evaluated its iterate again, 27 when each t-step evaluated F(A[0]) too)
+    # 11 Newton steps) evaluates A[0] once for F(A[0]), once more at the cold
+    # start, each of its 4 secant starts and each Newton step once, 17
+    # evaluations in all (with plain warm starts, 15 Newton steps and 17
+    # evaluations; 22 when each warm start evaluated its iterate again, 27
+    # when each t-step evaluated F(A[0]) too)
     import conesolve.solver as solver
     from conesolve.cli import build_problem
     from conesolve.config import parse_config
@@ -501,12 +510,13 @@ def test_continuity_evaluates_the_background_once(monkeypatch):
     monkeypatch.setattr(solver, "evaluate_pointwise", counting)
     report = run_continuity(prob, uniform_schedule(6))
     iterations = sum(step["newton_iterations"] for step in report.steps)
-    assert report.complete and iterations == 15
+    assert report.complete and iterations == 11
+    assert [step["start"] for step in report.steps] == ["cold", "warm"] + ["secant"] * 4
     assert prob.background_value is prob.background_value
     # A[0] twice, both before the first Newton step: F(A[0]) for the rhs and
     # the cold start's evaluation of the held A[0]
     assert calls[:2] == [True, True] and calls.count(True) == 2
-    assert len(calls) == 1 + 1 + iterations == 17
+    assert len(calls) == 1 + 1 + 4 + iterations == 17
 
 
 QUOTIENT_C3_CFG = (
@@ -516,10 +526,11 @@ QUOTIENT_C3_CFG = (
 
 
 def test_warm_starts_transform_nothing_and_run_no_sigma_recursion(monkeypatch):
-    # a quotient-c3-shaped solve (11 t-steps of one Newton step each): every
-    # warm start reads the last t-step's components and sigma table, so
-    # between its entry and its first linearization nothing is transformed
-    # and no sigma_j is computed
+    # a quotient-c3-shaped solve (11 t-steps): the warm start reads the last
+    # t-step's components and sigma table, so between its entry and its
+    # first linearization nothing is transformed and no sigma_j is computed;
+    # a secant start extrapolates its components and transforms nothing, and
+    # its one sigma recursion is the evaluation of its prediction
     import conesolve.eigencalc as eigencalc
     import conesolve.solver as solver
     from conesolve.cli import build_problem
@@ -540,7 +551,7 @@ def test_warm_starts_transform_nothing_and_run_no_sigma_recursion(monkeypatch):
     original_solve = solver.newton_solve
 
     def starting(problem, t, warm=None):
-        events.append("cold" if warm is None else "warm")
+        events.append("start")
         return original_solve(problem, t, warm)
 
     spy(solver, "hessian_components", "transform")
@@ -549,12 +560,13 @@ def test_warm_starts_transform_nothing_and_run_no_sigma_recursion(monkeypatch):
     monkeypatch.setattr(solver, "newton_solve", starting)
     report = run_continuity(prob, uniform_schedule(11))
     assert report.complete
-    assert [step["newton_iterations"] for step in report.steps][1:] == [1] * 10
-    starts = [i for i, e in enumerate(events) if e in ("cold", "warm")]
-    warm_starts = [events[i + 1:events.index("linearize", i)]
-                   for i in starts if events[i] == "warm"]
-    assert len(warm_starts) == 10
-    assert warm_starts == [[]] * 10
+    # u does not move along this path: each prediction already meets newton_tol
+    assert [step["newton_iterations"] for step in report.steps][1:] == [1] + [0] * 9
+    assert [step["start"] for step in report.steps] == ["cold", "warm"] + ["secant"] * 9
+    starts = [i for i, e in enumerate(events) if e == "start"] + [len(events)]
+    solves = [events[i + 1:j] for i, j in zip(starts, starts[1:])]
+    before_linearizing = [s[:s.index("linearize")] if "linearize" in s else s for s in solves]
+    assert before_linearizing[1:] == [[]] + [["sigmas"]] * 9
 
 
 def test_reevaluation_at_a_new_t_matches_a_fresh_evaluation():
@@ -589,14 +601,22 @@ def _small_quotient_problem():
                         MatrixField(g, 2 * np.eye(2) + pert.values), path=PathKind.QUOTIENT)
 
 
+def _small_hessian_problem():
+    g = PeriodicGrid.make("real", 3, 8, 1.0)
+    _, pert = hessian_perturbation(g, 0.1, seed=21)
+    return TorusProblem(g, LogSigmaK(3, 2), np.eye(3), MatrixField(g, np.eye(3) + pert.values),
+                        random_band_limited(g, 0.3, seed=11), path=PathKind.HESSIAN)
+
+
 def test_the_last_sigma_table_is_freed_before_the_krylov_solve(monkeypatch):
     # the sigma table a t-step hands the next one (P_1 at every grid point)
-    # is gone by the time that t-step's Krylov solve runs
+    # is gone by the time that t-step's Krylov solve runs; on a path whose u
+    # moves, so that the t-steps after a secant start still take Newton steps
     import weakref
 
     import conesolve.solver as solver
 
-    prob = _small_quotient_problem()
+    prob = _small_hessian_problem()
     handed, checks = [], []
     original_solve, original_gmres = solver.newton_solve, solver.lgmres
 
@@ -620,8 +640,8 @@ def test_the_last_sigma_table_is_freed_before_the_krylov_solve(monkeypatch):
 
 
 def test_a_t_bisection_retry_evaluates_from_the_carried_components(monkeypatch):
-    # a refused t-step has taken the carried sigma table: the retry at half
-    # the step evaluates its start once, from the carried components, and
+    # the refused t-step and its retry at half the step each evaluate their
+    # secant start once, extrapolated from the carried components, and
     # nothing in the solve transforms u
     import conesolve.solver as solver
 
@@ -651,9 +671,158 @@ def test_a_t_bisection_retry_evaluates_from_the_carried_components(monkeypatch):
     assert report.complete
     assert [step["t"] for step in report.steps] == [0.0, 0.5, 0.75, 1.0]
     iterations = sum(step["newton_iterations"] for step in report.steps) + refused[0]
-    # the cold start (the held A[0]), each Newton step and the retry's start
-    assert evaluations == [False] + [True] * (iterations + 1)
+    assert [step["start"] for step in report.steps] == ["cold", "warm", "secant", "secant"]
+    # the cold start (the held A[0]), each Newton step, and the secant starts
+    # of the refused t = 1, the retry at 0.75 and t = 1 again
+    assert evaluations == [False] + [True] * (iterations + 3)
     assert transforms == []
+
+
+def test_secant_start_extrapolates_u_c_and_the_components():
+    # the prediction's components are extrapolated, not transformed: they
+    # are those of the predicted u, to rounding
+    from conesolve.solver import secant_start
+
+    prob = _small_hessian_problem()
+    prev = newton_solve(prob, 0.0)
+    last = newton_solve(prob, 0.4, warm=prev)
+    assert np.abs(last.u.values - prev.u.values).max() > 1e-4  # u moves
+    predicted = secant_start(prev, last, 0.7)
+    theta = (0.7 - 0.4) / (0.4 - 0.0)
+    assert predicted.t == 0.7 and predicted.table is None
+    assert predicted.c == last.c + theta * (last.c - prev.c)
+    assert np.array_equal(predicted.u.values,
+                          last.u.values + theta * (last.u.values - prev.u.values))
+    fresh = prob.components(predicted.u)
+    assert np.abs(predicted.components - fresh).max() <= 1e-12 * np.abs(fresh).max()
+
+
+def test_secant_spacing_follows_a_t_bisection(monkeypatch):
+    # after t = 1 is refused, the retry at 0.75 predicts from the states at
+    # 0 and 0.5 with theta = 1/2, and t = 1 then from 0.5 and 0.75
+    import conesolve.solver as solver
+
+    prob = _small_hessian_problem()
+    original_solve, original_secant = solver.newton_solve, solver.secant_start
+    refused, predictions = [], []
+
+    def refusing(problem, t, warm=None):
+        state = original_solve(problem, t, warm)
+        if t == 1.0 and not refused:
+            refused.append(t)
+            raise StagnationError("refused", state)
+        return state
+
+    def predicting(prev, last, t):
+        predicted = original_secant(prev, last, t)
+        predictions.append((prev.t, last.t, t, prev.c, last.c, predicted.c))
+        return predicted
+
+    monkeypatch.setattr(solver, "newton_solve", refusing)
+    monkeypatch.setattr(solver, "secant_start", predicting)
+    report = run_continuity(prob, uniform_schedule(3))
+    assert report.complete and refused == [1.0]
+    assert [step["t"] for step in report.steps] == [0.0, 0.5, 0.75, 1.0]
+    assert [p[:3] for p in predictions] == [(0.0, 0.5, 1.0), (0.0, 0.5, 0.75), (0.5, 0.75, 1.0)]
+    for (_, _, _, c0, c1, predicted), theta in zip(predictions, (1.0, 0.5, 1.0)):
+        assert predicted == c1 + theta * (c1 - c0)
+
+
+def test_an_inadmissible_prediction_restarts_from_the_last_state(monkeypatch):
+    # a prediction far off the cone is refused at its evaluation; the t-step
+    # then starts from the last state, as a plain warm start would, to the bit
+    import conesolve.solver as solver
+    from conesolve.solver import SolveReport
+
+    prob = _small_hessian_problem()
+    schedule = uniform_schedule(4)
+    plain, state = SolveReport(), None
+    for t in schedule:
+        state = newton_solve(prob, t, warm=state)
+        plain.record(state, prob.normalization, "cold" if t == 0.0 else "warm")
+    original_secant = solver.secant_start
+
+    def off_the_cone(prev, last, t):
+        predicted = original_secant(prev, last, t)
+        return replace(predicted, u=ScalarField(prob.grid, -1e3 * predicted.u.values),
+                       components=-1e3 * predicted.components)
+
+    monkeypatch.setattr(solver, "secant_start", off_the_cone)
+    report = run_continuity(prob, schedule)
+    assert report.complete
+    assert [step.pop("start") for step in report.steps] == (
+        ["cold", "warm"] + ["secant_rejected"] * 2)
+    assert report.steps == [{k: v for k, v in step.items() if k != "start"}
+                            for step in plain.steps]
+    assert np.array_equal(report.final.u.values, plain.final.u.values)
+
+
+def test_no_sigma_table_is_alive_during_a_predicted_solve(monkeypatch):
+    # the held states' sigma tables serve no prediction: both are freed
+    # before a secant start is evaluated, and stay freed through its solve
+    import weakref
+
+    import conesolve.solver as solver
+
+    prob = _small_hessian_problem()
+    original_solve, original_eval = solver.newton_solve, solver.evaluate_pointwise
+    original_secant = solver.secant_start
+    predictions, handed, predicted, checks = [], [], [], []
+
+    def predicting(prev, last, t):
+        predictions.append(original_secant(prev, last, t))
+        return predictions[-1]
+
+    def handing(problem, t, warm=None):
+        predicted.append(any(warm is p for p in predictions))
+        state = original_solve(problem, t, warm)
+        handed.append(weakref.ref(state.table))
+        return state
+
+    def checking(problem, comps, t):
+        if predicted[-1]:
+            checks.append([ref() is None for ref in handed])
+        return original_eval(problem, comps, t)
+
+    monkeypatch.setattr(solver, "secant_start", predicting)
+    monkeypatch.setattr(solver, "newton_solve", handing)
+    monkeypatch.setattr(solver, "evaluate_pointwise", checking)
+    report = run_continuity(prob, uniform_schedule(5))
+    assert [step["start"] for step in report.steps] == ["cold", "warm"] + ["secant"] * 3
+    assert predicted == [False, False, True, True, True]
+    assert len(checks) == 3 + sum(step["newton_iterations"] for step in report.steps[2:])
+    assert all(len(freed) >= 2 and all(freed) for freed in checks)
+
+
+def test_a_prediction_is_freed_once_newton_replaces_it(monkeypatch):
+    # newton_solve reads a predicted start and holds it no longer: from the
+    # second Newton step of a predicted solve on, its components are gone
+    import weakref
+
+    import conesolve.solver as solver
+
+    prob = _small_hessian_problem()
+    original_secant, original_linearization = solver.secant_start, solver.Linearization
+    predicted, alive = [], []
+
+    def predicting(prev, last, t):
+        start = original_secant(prev, last, t)
+        predicted.append(weakref.ref(start.components))
+        alive.append([])
+        return start
+
+    def linearizing(problem, ev):
+        if predicted:
+            alive[-1].append(predicted[-1]() is not None)
+        return original_linearization(problem, ev)
+
+    monkeypatch.setattr(solver, "secant_start", predicting)
+    monkeypatch.setattr(solver, "Linearization", linearizing)
+    report = run_continuity(prob, uniform_schedule(5))
+    iterations = [step["newton_iterations"] for step in report.steps[2:]]
+    assert [step["start"] for step in report.steps[2:]] == ["secant"] * 3
+    assert min(iterations) >= 2
+    assert alive == [[True] + [False] * (k - 1) for k in iterations]
 
 
 def test_newton_reads_the_frame_the_problem_holds(monkeypatch):
@@ -673,6 +842,7 @@ def test_newton_reads_the_frame_the_problem_holds(monkeypatch):
                 monkeypatch.setattr(module, name, refuse)
     state = newton_solve(prob, 1.0)
     assert state.iterations >= 2 and state.residual_norm < prob.newton_tol
+
 
 
 @pytest.mark.parametrize("mode,n,reduced,alpha", [
@@ -871,7 +1041,7 @@ def test_hessian_path_under_a_general_metric(mode, n, alpha):
     prob = TorusProblem(g, LogSigmaK(n, 2), alpha, chi, h, path=PathKind.HESSIAN)
     report = run_continuity(prob, uniform_schedule(5))
     assert report.complete
-    assert [step["newton_iterations"] for step in report.steps] == [0, 3, 3, 3, 3]
+    assert [step["newton_iterations"] for step in report.steps] == [0, 3, 2, 2, 2]
     final = report.final
     assert np.abs(residual(prob, final.u, final.c, 1.0).values).max() < prob.newton_tol
 
