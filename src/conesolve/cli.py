@@ -9,7 +9,8 @@ Subcommands:
   abp       contact-set lower-bound check: closed-form case plus fuzz
 
 Exit codes: 0 success, 1 selftest/abp failure, 2 solver stagnation,
-3 domain (admissibility) error, 4 I/O failure or invalid config, 5 refuted certificate.
+3 domain error (inadmissible data or a degenerate quotient class),
+4 I/O failure, invalid config or usage error, 5 refuted certificate.
 
 Reports are deterministic for a fixed config and seed: wall-clock timings are
 deliberately excluded so two identical runs produce byte-identical artifacts.
@@ -41,6 +42,7 @@ from .solver import (
 )
 from .subsolution import certify_field
 from .torus import (
+    DegenerateClassError,
     MatrixField,
     PeriodicGrid,
     ScalarField,
@@ -207,7 +209,7 @@ def run(cfg: RunConfig, check_only: bool = False, certify_only: bool = False) ->
         _write_report(report, outdir)
         print(f"stagnation: {exc}", file=sys.stderr)
         return EXIT_STAGNATION
-    except (AdmissibilityError,) as exc:
+    except (AdmissibilityError, DegenerateClassError) as exc:
         report["error"] = {"kind": "domain", "message": str(exc)}
         _write_report(report, outdir)
         print(f"domain error: {exc}", file=sys.stderr)
@@ -357,8 +359,28 @@ def _cmd_abp(args) -> int:
     return EXIT_OK if all_passed else EXIT_SELFTEST
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with its usage errors on exit code 4, not 2 (stagnation)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_IO, f"{self.prog}: error: {message}\n")
+
+
+def _at_least(least: int):
+    """An argparse type: an integer >= ``least``."""
+    def parse(raw: str) -> int:
+        try:
+            if int(raw) >= least:
+                return int(raw)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be an integer >= {least}, got {raw!r}")
+    return parse
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="conesolve",
         description="Continuity-method solves of symmetric eigenvalue-operator "
                     "equations on flat tori",
@@ -368,7 +390,7 @@ def main(argv: list[str] | None = None) -> int:
     p_solve = sub.add_parser("solve", help="certify, solve and diagnose")
     p_solve.add_argument("--config", required=True)
     p_solve.add_argument("--output", default=None)
-    p_solve.add_argument("--seed", type=int, default=None)
+    p_solve.add_argument("--seed", type=_at_least(0), default=None)
     p_solve.add_argument("--check-only", action="store_true",
                          help="run certification and the property suite, no solve")
     p_solve.set_defaults(func=_cmd_solve)
@@ -376,16 +398,16 @@ def main(argv: list[str] | None = None) -> int:
     p_cert = sub.add_parser("certify", help="certification only")
     p_cert.add_argument("--config", required=True)
     p_cert.add_argument("--output", default=None)
-    p_cert.add_argument("--seed", type=int, default=None)
+    p_cert.add_argument("--seed", type=_at_least(0), default=None)
     p_cert.set_defaults(func=_cmd_certify)
 
     p_self = sub.add_parser("selftest", help="deterministic property suite")
     p_self.set_defaults(func=_cmd_selftest)
 
     p_abp = sub.add_parser("abp", help="contact-set lower-bound check")
-    p_abp.add_argument("--grid", type=int, default=64)
+    p_abp.add_argument("--grid", type=_at_least(8), default=64)
     p_abp.add_argument("--cases", type=int, default=10)
-    p_abp.add_argument("--seed", type=int, default=0)
+    p_abp.add_argument("--seed", type=_at_least(0), default=0)
     p_abp.add_argument("--output", default=None)
     p_abp.set_defaults(func=_cmd_abp)
 

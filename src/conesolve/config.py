@@ -49,7 +49,7 @@ import re
 from dataclasses import dataclass
 
 from .operators import OPERATOR_KINDS, operator_from_name
-from .solver import check_schedule
+from .solver import NORMALIZATIONS, PathKind, check_schedule
 
 _KNOWN_KEYS = {
     "problem": {"mode", "dimension", "operator", "k", "l", "inner", "path",
@@ -62,7 +62,7 @@ _KNOWN_KEYS = {
     "output": {"directory", "save_fields"},
 }
 
-_PATHS = {"hessian", "quotient", "riemannian", "fixed"}
+_PATHS = {kind.value for kind in PathKind}
 
 
 class ConfigError(ValueError):
@@ -228,17 +228,13 @@ def parse_config(text: str) -> RunConfig:
     k = _parse_int(k_raw, "problem.k", errors) if k_raw is not None else None
     l = _parse_int(l_raw, "problem.l", errors) if l_raw is not None else None
     inner = get("problem", "inner")
-    if operator == "log_sigma_k" and k is None:
-        errors.append("operator log_sigma_k requires problem.k")
-    if operator == "inverse_sigma_k" and k is None:
-        errors.append("operator inverse_sigma_k requires problem.k")
-    if operator == "hessian_quotient":
-        if k is None or l is None:
-            errors.append("operator hessian_quotient requires problem.k and problem.l")
-        elif not 1 <= l < k:
-            errors.append("operator hessian_quotient: require l < k (with l >= 1)")
-    if operator == "composed_with_T" and inner is None:
-        errors.append("operator composed_with_T requires problem.inner")
+    given = {"k": k, "l": l, "inner": inner}
+    required = OPERATOR_KINDS[operator][1] if operator in OPERATOR_KINDS else ()
+    if any(given[param] is None for param in required):
+        errors.append(f"operator {operator} requires "
+                      + " and ".join(f"problem.{param}" for param in required))
+    elif operator == "hessian_quotient" and not 1 <= l < k:
+        errors.append("operator hessian_quotient: require l < k (with l >= 1)")
     if inner is not None and inner not in OPERATOR_KINDS.keys() - {"composed_with_T"}:
         errors.append(f"unknown inner operator {inner!r}")
     if len(errors) == problem_start:
@@ -257,8 +253,8 @@ def parse_config(text: str) -> RunConfig:
         if operator != "hessian_quotient":
             errors.append(f"quotient path: requires operator hessian_quotient, got {operator}")
     normalization = get("problem", "normalization", "mean_zero")
-    if normalization not in ("mean_zero", "sup_zero"):
-        errors.append("problem.normalization must be mean_zero or sup_zero, "
+    if normalization not in NORMALIZATIONS:
+        errors.append(f"problem.normalization must be {' or '.join(NORMALIZATIONS)}, "
                       f"got {normalization!r}")
 
     # [grid]

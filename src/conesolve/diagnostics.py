@@ -27,7 +27,7 @@ from .torus import (
 class BallGrid:
     """Cartesian sampling of the unit ball plus explicit sphere samples.
 
-    The square [-radius, radius)^m is sampled with ``points_per_axis`` points
+    The square [-1, 1)^m is sampled with ``points_per_axis`` points
     per axis (origin on the grid for even counts); interior points are those
     strictly inside the ball.  Boundary values live on explicit sphere
     samples, not on grid points, so radial test functions are evaluated at
@@ -36,7 +36,6 @@ class BallGrid:
 
     m: int
     points_per_axis: int
-    radius: float = 1.0
 
     def __post_init__(self):
         if self.m not in (1, 2, 3):
@@ -46,10 +45,10 @@ class BallGrid:
 
     @property
     def spacing(self) -> float:
-        return 2.0 * self.radius / self.points_per_axis
+        return 2.0 / self.points_per_axis
 
     def axis_coordinates(self) -> np.ndarray:
-        return -self.radius + self.spacing * np.arange(self.points_per_axis)
+        return -1.0 + self.spacing * np.arange(self.points_per_axis)
 
     def coordinates(self) -> list[np.ndarray]:
         ax = self.axis_coordinates()
@@ -58,21 +57,21 @@ class BallGrid:
     def interior_mask(self, coords=None) -> np.ndarray:
         """Points strictly inside the ball; ``coords`` reuses a ``coordinates()``."""
         rr = sum(c**2 for c in (self.coordinates() if coords is None else coords))
-        return rr < self.radius**2
+        return rr < 1.0
 
     def boundary_points(self) -> np.ndarray:
         count = 4 * self.points_per_axis
         if self.m == 1:
-            return np.array([[-self.radius], [self.radius]])
+            return np.array([[-1.0], [1.0]])
         if self.m == 2:
             th = 2.0 * np.pi * np.arange(count) / count
-            return self.radius * np.stack([np.cos(th), np.sin(th)], axis=1)
+            return np.stack([np.cos(th), np.sin(th)], axis=1)
         idx = np.arange(count * 4)
         golden = (1.0 + math.sqrt(5.0)) / 2.0
         z = 1.0 - 2.0 * (idx + 0.5) / (count * 4)
         th = 2.0 * np.pi * idx / golden
         r = np.sqrt(1.0 - z**2)
-        return self.radius * np.stack([r * np.cos(th), r * np.sin(th), z], axis=1)
+        return np.stack([r * np.cos(th), r * np.sin(th), z], axis=1)
 
 
 @dataclass
@@ -247,7 +246,7 @@ def abp_check(v: BallFunction, epsilon: float) -> AbpReport:
     integral_det = float((dets * weight[weight > 0]).sum() * cell)
     c0 = unit_ball_volume(m) / 2.0**m
     lower = c0 * epsilon**m
-    fraction = float(weight.sum()) * cell / (unit_ball_volume(m) * grid.radius**m)
+    fraction = float(weight.sum()) * cell / unit_ball_volume(m)
     passed = integral_det >= lower * (1.0 - ABP_GRID_TOLERANCE)
     return AbpReport(epsilon, fraction, integral_det, lower, passed)
 

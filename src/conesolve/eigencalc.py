@@ -40,12 +40,17 @@ def hermitian_defect(a) -> float:
     return float(np.abs(a - np.conj(np.swapaxes(a, -1, -2))).max())
 
 
-def require_hermitian(a, tol: float = 1e-12) -> np.ndarray:
+#: the largest Hermitian defect accepted, relative to 1 + max |a_ij|
+HERMITIAN_TOL = 1e-12
+
+
+def require_hermitian(a) -> np.ndarray:
     a = np.asarray(a)
     scale = 1.0 + float(np.abs(a).max(initial=0.0))
     defect = hermitian_defect(a)
-    if defect > tol * scale:
-        raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} > {tol:.0e} * scale")
+    if defect > HERMITIAN_TOL * scale:
+        raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} > {HERMITIAN_TOL:.0e}"
+                         " * scale")
     return a
 
 
@@ -70,14 +75,14 @@ def eigenvalues(a) -> np.ndarray:
     return np.stack([half - radius, half + radius], axis=-1)
 
 
-def eigen_decompose(a, tol: float = 1e-12) -> EigenSystem:
+def eigen_decompose(a) -> EigenSystem:
     """Eigenvalues (descending) and orthonormal frame of a Hermitian matrix.
 
     Accepts stacked input of shape (..., n, n).  The decomposition is
     deterministic for identical input; eigenvector phases are canonicalized so
     the largest-magnitude component of each column is real and positive.
     """
-    a = require_hermitian(a, tol)
+    a = require_hermitian(a)
     vals, vecs = np.linalg.eigh(a)
     vals = vals[..., ::-1]
     vecs = vecs[..., :, ::-1]

@@ -578,38 +578,30 @@ class ComposedWithT(SymmetricOperator):
                          for w in t_map(np.eye(self.n))], axis=-1)
 
 
-#: the catalog's kinds by config-file name
+#: the catalog's kinds by config-file name, each with the parameters it
+#: requires: the one statement of them, which the config reads too
 OPERATOR_KINDS = {
-    "monge_ampere": MongeAmpere,
-    "log_sigma_k": LogSigmaK,
-    "hessian_quotient": HessianQuotientNeg,
-    "inverse_sigma_k": InverseSigmaK,
-    "composed_with_T": ComposedWithT,
+    "monge_ampere": (MongeAmpere, ()),
+    "log_sigma_k": (LogSigmaK, ("k",)),
+    "hessian_quotient": (HessianQuotientNeg, ("k", "l")),
+    "inverse_sigma_k": (InverseSigmaK, ("k",)),
+    "composed_with_T": (ComposedWithT, ("inner",)),
 }
 
 
 def operator_from_name(name: str, n: int, k: int | None = None, l: int | None = None,
                        inner: str | None = None) -> SymmetricOperator:
-    """Build a catalog operator from its config-file name."""
+    """Build a catalog operator from its config-file name; ``inner`` names the
+    kind composed with T, which reads ``k`` and ``l`` as its own."""
     if name not in OPERATOR_KINDS:
         raise ValueError(f"unknown operator kind {name!r}; known: {sorted(OPERATOR_KINDS)}")
-    if name == "monge_ampere":
-        return MongeAmpere(n)
-    if name == "log_sigma_k":
-        if k is None:
-            raise ValueError("log_sigma_k requires k")
-        return LogSigmaK(n, k)
-    if name == "hessian_quotient":
-        if k is None or l is None:
-            raise ValueError("hessian_quotient requires k and l")
-        return HessianQuotientNeg(n, l, k)
-    if name == "inverse_sigma_k":
-        if k is None:
-            raise ValueError("inverse_sigma_k requires k")
-        return InverseSigmaK(n, k)
-    if inner is None:
-        raise ValueError("composed_with_T requires an inner operator name")
-    return ComposedWithT(n, operator_from_name(inner, n, k=k, l=l))
+    kind, required = OPERATOR_KINDS[name]
+    given = {"k": k, "l": l, "inner": inner}
+    if any(given[param] is None for param in required):
+        raise ValueError(f"{name} requires {' and '.join(required)}")
+    if "inner" in required:
+        given["inner"] = operator_from_name(inner, n, k=k, l=l)
+    return kind(n, **{param: given[param] for param in required})
 
 
 @dataclass(frozen=True)
@@ -644,9 +636,12 @@ def level_set_constants(op: SymmetricOperator, sigma_level: float, samples: int 
     return LevelSetConstants(float(sigma_level), float(big_n), tau, samples)
 
 
+#: batches of rays ``sample_level_set`` draws before it gives up
+MAX_SAMPLING_ROUNDS = 60
+
+
 def sample_level_set(op: SymmetricOperator, sigma_level, count: int,
-                     rng: np.random.Generator, min_radius: float = 0.0,
-                     max_rounds: int = 60) -> np.ndarray:
+                     rng: np.random.Generator, min_radius: float = 0.0) -> np.ndarray:
     """Sample ``count`` points on the level set {f = sigma} with |lam| > min_radius.
 
     Rays from the origin through directions inside the cone cross the level
@@ -659,8 +654,9 @@ def sample_level_set(op: SymmetricOperator, sigma_level, count: int,
     ``sigma_level`` is a scalar, giving shape ``(count, n)``, or a sequence of
     levels, giving ``(levels, count, n)``: one stream of directions serves
     them all, f is evaluated once per batch of rays, and the draw goes on
-    until every level has ``count`` points.  A level listed twice is sampled
-    once, and gets the same points.
+    until every level has ``count`` points, for at most
+    ``MAX_SAMPLING_ROUNDS`` batches; then it raises ``NumericError``.  A level
+    listed twice is sampled once, and gets the same points.
     """
     if count <= 0:
         raise ValueError("sample count must be positive")
@@ -672,7 +668,7 @@ def sample_level_set(op: SymmetricOperator, sigma_level, count: int,
     collected: list[list[np.ndarray]] = [[] for _ in levels]
     accepted = [0] * len(levels)
     tried = 0
-    for _ in range(max_rounds):
+    for _ in range(MAX_SAMPLING_ROUNDS):
         # sized for the level that is furthest from done, at its own rate
         need = max(1.5 * (count - got) / max(got / tried if tried else 0.25, 0.02)
                    for got in accepted)

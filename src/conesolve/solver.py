@@ -40,8 +40,8 @@ Hessian components extrapolated to the new t, the components with no
 transform, since they are linear in u.  The second t-step starts from the
 first state and reuses its sigma table (``reevaluate``): the sigma_j of A[u]
 do not depend on t.  An inadmissible prediction also starts from the last
-state.  On Newton stagnation the t-step is bisected, down to 1e-4, before a
-partial report.
+state.  On Newton stagnation the t-step is bisected, down to ``MIN_T_STEP``,
+before a partial report.
 """
 
 from __future__ import annotations
@@ -78,6 +78,8 @@ from .torus import endomorphism_field, hessian  # noqa: F401
 MAX_HALVINGS = 30
 #: slack of the monotone bounds on the recorded path constants c_t
 PATH_BOUND_SLACK = 1e-8
+#: the shortest t-step ``run_continuity`` bisects down to before it gives up
+MIN_T_STEP = 1e-4
 #: Arnoldi steps between GMRES restarts
 GMRES_RESTART = 30
 #: restarts GMRES makes before it reports failure
@@ -106,6 +108,10 @@ class StagnationError(RuntimeError):
 
 class PathBoundError(RuntimeError):
     """A recorded path constant violated its monotone bound."""
+
+
+#: how a solution is pinned: the statistic of u that is subtracted from it
+NORMALIZATIONS = {"mean_zero": np.ndarray.mean, "sup_zero": np.ndarray.max}
 
 
 class PathKind(enum.Enum):
@@ -138,8 +144,8 @@ class TorusProblem:
     laplacian: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.normalization not in ("mean_zero", "sup_zero"):
-            raise ValueError("normalization must be 'mean_zero' or 'sup_zero'")
+        if self.normalization not in NORMALIZATIONS:
+            raise ValueError(f"normalization must be {' or '.join(map(repr, NORMALIZATIONS))}")
         if not isinstance(self.chi, MatrixField) or self.chi.dim != self.grid.n:
             raise ValueError(f"chi must be a field of {self.grid.n}x{self.grid.n} matrices")
         if self.h is not None and not isinstance(self.h, ScalarField):
@@ -272,11 +278,9 @@ class SolveReport:
 
 def normalize(u: ScalarField, mode: str) -> ScalarField:
     """Subtract the mean (mean_zero) or the max (sup_zero); idempotent."""
-    if mode == "mean_zero":
-        return ScalarField(u.grid, u.values - u.values.mean())
-    if mode == "sup_zero":
-        return ScalarField(u.grid, u.values - u.values.max())
-    raise ValueError(f"unknown normalization {mode!r}")
+    if mode not in NORMALIZATIONS:
+        raise ValueError(f"unknown normalization {mode!r}")
+    return ScalarField(u.grid, u.values - NORMALIZATIONS[mode](u.values))
 
 
 def path_operator(problem: TorusProblem, t: float) -> SymmetricOperator:
@@ -384,14 +388,11 @@ class Linearization:
         self.components = np.empty(self.weights.shape)
         self._sum = np.empty(self.grid.shape)
 
-    def apply(self, v: ScalarField | np.ndarray, dc: float) -> ScalarField:
-        """Directional derivative: <D, alpha-orthonormal Hess v> - s*dc.
-
-        ``v`` is a field or its rfftn half spectrum.  From a spectrum, as in
-        the Krylov solve, the Hessian components take E inverse transforms
-        and no forward one.
+    def apply(self, spec: np.ndarray, dc: float) -> ScalarField:
+        """Directional derivative: <D, alpha-orthonormal Hess v> - s*dc, for
+        the v whose rfftn half spectrum is ``spec``, as the Krylov solve keeps
+        its directions: the Hessian components take E inverse transforms.
         """
-        spec = np.fft.rfftn(v.values) if isinstance(v, ScalarField) else v
         spectral_hessian_components(spec, self.grid, self._work, self.components)
         np.einsum("e...,e...->...", self.weights, self.components, out=self._sum)
         return ScalarField(self.grid, self._sum - self.sign * dc)
@@ -400,7 +401,7 @@ class Linearization:
 def linearized_apply(problem: TorusProblem, state: SolveState, v: ScalarField,
                      dc: float) -> ScalarField:
     ev = evaluate_pointwise(problem, problem.components(state.u), state.t)
-    return Linearization(problem, ev).apply(v, dc)
+    return Linearization(problem, ev).apply(np.fft.rfftn(v.values), dc)
 
 
 def _norm(w: np.ndarray) -> float:
@@ -653,12 +654,12 @@ def _solve_step(problem: TorusProblem, t: float, prev: SolveState | None,
     return newton_solve(problem, t, warm=last), "secant_rejected"
 
 
-def run_continuity(problem: TorusProblem, t_schedule, min_step: float = 1e-4) -> SolveReport:
+def run_continuity(problem: TorusProblem, t_schedule) -> SolveReport:
     """March the continuity parameter from 0 to 1, each t-step from the third
     on from the secant prediction of the last two accepted states
     (``_solve_step``).
 
-    On Newton stagnation the t-step is bisected, down to ``min_step`` before
+    On Newton stagnation the t-step is bisected, down to ``MIN_T_STEP`` before
     aborting with a partial report; the retry predicts from the same two
     states, at the uneven spacing.  Recorded path constants are checked
     against their monotone bounds:
@@ -686,7 +687,7 @@ def run_continuity(problem: TorusProblem, t_schedule, min_step: float = 1e-4) ->
             accepted, start = _solve_step(problem, t_next, prev, state)
         except StagnationError:
             t_from = 0.0 if state is None else state.t
-            if t_next - t_from <= min_step:
+            if t_next - t_from <= MIN_T_STEP:
                 report.complete = False
                 return report
             pending.insert(0, 0.5 * (t_from + t_next))

@@ -371,18 +371,13 @@ def sup_operator_norm(h: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvalsh(mats[keep])).max())
 
 
-def integral(f: ScalarField, weight: ScalarField | None = None) -> float:
+def integral(f: ScalarField) -> float:
     """Torus integral: the grid mean times the represented volume.
 
     On a periodic grid the mean is the trapezoidal rule and is exact for
     trigonometric polynomials resolved by the grid.
     """
-    vals = f.values
-    if weight is not None:
-        if weight.grid != f.grid:
-            raise ValueError("fields must share one grid")
-        vals = vals * weight.values
-    return float(vals.mean()) * f.grid.volume
+    return float(f.values.mean()) * f.grid.volume
 
 
 def form_ratio(chi: MatrixField, alpha, j: int) -> ScalarField:
@@ -436,13 +431,18 @@ def nminus1_background(eta: MatrixField, alpha) -> MatrixField:
     return MatrixField(eta.grid, vals)
 
 
+#: cosine terms of a ``random_band_limited`` polynomial
+BAND_TERMS = 6
+
+
 def random_band_limited(grid: PeriodicGrid, amplitude: float, seed: int,
-                        max_harmonic: int = 2, terms: int = 6) -> ScalarField:
-    """A reproducible mean-zero trigonometric polynomial with bounded band."""
+                        max_harmonic: int = 2) -> ScalarField:
+    """A reproducible mean-zero trigonometric polynomial with bounded band:
+    ``BAND_TERMS`` cosines of frequencies up to ``max_harmonic`` per axis."""
     rng = np.random.default_rng(seed)
     coords = grid.coordinates()
     vals = np.zeros(grid.shape)
-    for _ in range(terms):
+    for _ in range(BAND_TERMS):
         kvec = rng.integers(-max_harmonic, max_harmonic + 1, size=grid.stored_axes)
         if not kvec.any():
             kvec[rng.integers(grid.stored_axes)] = 1
@@ -458,8 +458,7 @@ def random_band_limited(grid: PeriodicGrid, amplitude: float, seed: int,
     return ScalarField(grid, vals)
 
 
-def hessian_perturbation(grid: PeriodicGrid, amplitude: float, seed: int,
-                         max_harmonic: int = 2, terms: int = 6
+def hessian_perturbation(grid: PeriodicGrid, amplitude: float, seed: int
                          ) -> tuple[ScalarField, MatrixField]:
     """A potential phi and its Hessian scaled to the given operator norm.
 
@@ -467,7 +466,7 @@ def hessian_perturbation(grid: PeriodicGrid, amplitude: float, seed: int,
     mode's Hessian: mixed complex or full real) equals ``amplitude``, which is
     the right normalization when the Hessian perturbs a background form.
     """
-    phi = random_band_limited(grid, 1.0, seed, max_harmonic, terms)
+    phi = random_band_limited(grid, 1.0, seed)
     h = hessian(phi)
     opnorm = sup_operator_norm(h.values)
     scale = amplitude / opnorm if opnorm > 0 else 0.0

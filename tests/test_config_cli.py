@@ -16,6 +16,8 @@ from conesolve import (
 )
 from conesolve.cli import main
 from conesolve.config import ConfigError, parse_config
+from conesolve.operators import OPERATOR_KINDS
+from conesolve.solver import PathKind
 from conesolve.torus import sup_operator_norm
 from oracles import metric_hessian
 
@@ -189,6 +191,28 @@ def test_operator_parameters_checked_against_dimension(problem, message):
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert any(message in e for e in err.value.errors)
+
+
+@pytest.mark.parametrize("operator, param", [
+    (operator, param) for operator, (_, required) in sorted(OPERATOR_KINDS.items())
+    for param in required])
+def test_each_required_operator_parameter_is_named_when_missing(operator, param):
+    # the config names what is missing from the catalog's own table, so the two
+    # cannot drift apart: every parameter a kind requires, left out, is named
+    given = {"k": "k = 2", "l": "l = 1", "inner": "inner = log_sigma_k"}
+    problem = "\n".join([f"dimension = 3\noperator = {operator}"]
+                        + [given[other] for other in OPERATOR_KINDS[operator][1]
+                           if other != param])
+    with pytest.raises(ConfigError) as err:
+        parse_config(MINIMAL.replace("dimension = 1\noperator = monge_ampere", problem))
+    assert any(f"problem.{param}" in e for e in err.value.errors)
+
+
+@pytest.mark.parametrize("path", [kind.value for kind in PathKind])
+def test_every_path_kind_parses(path):
+    problem = f"dimension = 2\noperator = hessian_quotient\nk = 2\nl = 1\npath = {path}"
+    cfg = parse_config(MINIMAL.replace("dimension = 1\noperator = monge_ampere", problem))
+    assert cfg.path == path
 
 
 def test_cli_inadmissible_background_is_a_domain_error(tmp_path, capsys):

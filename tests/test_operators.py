@@ -250,13 +250,15 @@ def test_sample_level_set_draws_every_level_at_once(op, levels, min_radius):
         alone[0], sample_level_set(op, levels[1], 2000, np.random.default_rng(1), min_radius))
 
 
-def test_sample_level_set_argument_errors():
+def test_sample_level_set_argument_errors(monkeypatch):
+    import conesolve.operators as operators
+
     with pytest.raises(ValueError):
         sample_level_set(MongeAmpere(2), 0.0, 0, np.random.default_rng(0))
+    # a radius no sample can reach in the allotted rounds
+    monkeypatch.setattr(operators, "MAX_SAMPLING_ROUNDS", 3)
     with pytest.raises(NumericError):
-        # a radius no sample can reach in the allotted rounds
-        sample_level_set(MongeAmpere(2), 0.0, 50, np.random.default_rng(0),
-                         min_radius=1e28, max_rounds=3)
+        sample_level_set(MongeAmpere(2), 0.0, 50, np.random.default_rng(0), min_radius=1e28)
     with pytest.raises(ValueError):
         # every level must be attainable: the quotient stays below 0
         sample_level_set(HessianQuotientNeg(2, 1, 2), [-1.0, 0.5], 50, np.random.default_rng(0))

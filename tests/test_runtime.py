@@ -1,6 +1,8 @@
 """Whole-program properties checked in fresh interpreters: the report does not
-depend on the BLAS thread count, and a run needs numpy alone."""
+depend on the BLAS thread count, a run needs numpy alone, and a bad command
+line or a degenerate class gives its documented exit status, not a traceback."""
 
+import json
 import os
 import subprocess
 import sys
@@ -111,12 +113,39 @@ save_fields = false
 """
 
 
-def run_python(args, threads=None):
+#: complex n = 3 with chi = -alpha: sigma_3 of A[0] = -I is -1 everywhere, so
+#: the degree-3 class integral of the (1, 3) quotient is not positive
+DEGENERATE_QUOTIENT_CFG = """
+[problem]
+mode = complex
+dimension = 3
+operator = hessian_quotient
+k = 3
+l = 1
+path = quotient
+
+[grid]
+points_per_axis = 8
+reduced = true
+
+[background]
+chi = chi_scaled(-1)
+
+[certify]
+enabled = {certify}
+
+[output]
+directory = {out}
+save_fields = false
+"""
+
+
+def run_python(args, threads=None, check=True):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     if threads is not None:
         env.update(OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
     return subprocess.run([sys.executable, *args], env=env, capture_output=True,
-                          text=True, check=True)
+                          text=True, check=check)
 
 
 @pytest.mark.parametrize("config", [FULL_C2_CFG, QUOTIENT_C3_CFG, REAL3_HESSIAN_CFG],
@@ -142,3 +171,34 @@ def test_a_run_imports_no_scipy(tmp_path):
     )
     out = run_python(["-c", code, str(cfg)])
     assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("certify", ["true", "false"])
+def test_a_degenerate_quotient_class_is_a_domain_error(tmp_path, certify):
+    # integral sigma_k <= 0 needs A[0] outside Gamma_k somewhere: exit 3 with
+    # a report, as an inadmissible background gives
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(DEGENERATE_QUOTIENT_CFG.format(certify=certify, out=tmp_path / "out"))
+    done = run_python(["-m", "conesolve.cli", "solve", "--config", str(cfg)], check=False)
+    assert done.returncode == 3 and "Traceback" not in done.stderr
+    assert "domain error: degree-3 class integral" in done.stderr
+    report = json.loads((tmp_path / "out" / "solve_report.json").read_text())
+    assert report["error"]["kind"] == "domain"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve"], "the following arguments are required: --config"),
+    (["certify", "--config", "{cfg}", "--seed", "-1"], "--seed: must be an integer >= 0"),
+    (["solve", "--config", "{cfg}", "--seed", "two"], "--seed: must be an integer >= 0"),
+    (["abp", "--grid", "4", "--output", "{out}"], "--grid: must be an integer >= 8"),
+], ids=["no-config", "negative-seed", "seed-not-an-integer", "abp-grid-below-8"])
+def test_usage_errors_exit_4_before_any_output(tmp_path, argv, message):
+    # exit 2 is solver stagnation and 1 an abp failure: a bad command line is
+    # neither, and it leaves no output directory behind
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY_CFG.format(out=tmp_path / "out"))
+    args = [a.format(cfg=cfg, out=tmp_path / "out") for a in argv]
+    done = run_python(["-m", "conesolve.cli", *args], check=False)
+    assert done.returncode == 4 and "Traceback" not in done.stderr
+    assert message in done.stderr
+    assert not (tmp_path / "out").exists()
