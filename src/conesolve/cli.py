@@ -379,6 +379,15 @@ def _at_least(least: int):
     return parse
 
 
+def _grid_points(raw: str) -> int:
+    """An argparse type: an even integer >= 8, so that the ball's centre, where
+    the abp cases read v(0), is a grid point."""
+    points = _at_least(8)(raw)
+    if points % 2:
+        raise argparse.ArgumentTypeError(f"must be an even integer, got {raw!r}")
+    return points
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _Parser(
         prog="conesolve",
@@ -405,8 +414,8 @@ def main(argv: list[str] | None = None) -> int:
     p_self.set_defaults(func=_cmd_selftest)
 
     p_abp = sub.add_parser("abp", help="contact-set lower-bound check")
-    p_abp.add_argument("--grid", type=_at_least(8), default=64)
-    p_abp.add_argument("--cases", type=int, default=10)
+    p_abp.add_argument("--grid", type=_grid_points, default=64)
+    p_abp.add_argument("--cases", type=_at_least(1), default=10)
     p_abp.add_argument("--seed", type=_at_least(0), default=0)
     p_abp.add_argument("--output", default=None)
     p_abp.set_defaults(func=_cmd_abp)

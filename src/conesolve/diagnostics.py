@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,6 +24,11 @@ from .torus import (
 )
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True)
 class BallGrid:
     """Cartesian sampling of the unit ball plus explicit sphere samples.
@@ -32,6 +38,11 @@ class BallGrid:
     strictly inside the ball.  Boundary values live on explicit sphere
     samples, not on grid points, so radial test functions are evaluated at
     their true boundary values.
+
+    The grid's fixed data (open coordinates, interior mask, sphere samples and
+    the ball samples of the plane test) is computed on first use, held
+    read-only and shared by every function sampled on the grid; it holds no
+    full-grid coordinate array.
     """
 
     m: int
@@ -50,28 +61,44 @@ class BallGrid:
     def axis_coordinates(self) -> np.ndarray:
         return -1.0 + self.spacing * np.arange(self.points_per_axis)
 
-    def coordinates(self) -> list[np.ndarray]:
-        ax = self.axis_coordinates()
-        return list(np.meshgrid(*([ax] * self.m), indexing="ij"))
+    @cached_property
+    def open_coordinates(self) -> tuple[np.ndarray, ...]:
+        """One coordinate array per axis, shaped to broadcast against the others."""
+        axes = np.meshgrid(*([self.axis_coordinates()] * self.m), indexing="ij", sparse=True)
+        return tuple(_read_only(a) for a in axes)
 
-    def interior_mask(self, coords=None) -> np.ndarray:
-        """Points strictly inside the ball; ``coords`` reuses a ``coordinates()``."""
-        rr = sum(c**2 for c in (self.coordinates() if coords is None else coords))
-        return rr < 1.0
+    @cached_property
+    def interior_mask(self) -> np.ndarray:
+        """Points strictly inside the ball."""
+        return _read_only(sum(c**2 for c in self.open_coordinates) < 1.0)
 
+    @cached_property
     def boundary_points(self) -> np.ndarray:
         count = 4 * self.points_per_axis
         if self.m == 1:
-            return np.array([[-1.0], [1.0]])
+            return _read_only(np.array([[-1.0], [1.0]]))
         if self.m == 2:
             th = 2.0 * np.pi * np.arange(count) / count
-            return np.stack([np.cos(th), np.sin(th)], axis=1)
+            return _read_only(np.stack([np.cos(th), np.sin(th)], axis=1))
         idx = np.arange(count * 4)
         golden = (1.0 + math.sqrt(5.0)) / 2.0
         z = 1.0 - 2.0 * (idx + 0.5) / (count * 4)
         th = 2.0 * np.pi * idx / golden
         r = np.sqrt(1.0 - z**2)
-        return np.stack([r * np.cos(th), r * np.sin(th), z], axis=1)
+        return _read_only(np.stack([r * np.cos(th), r * np.sin(th), z], axis=1))
+
+    @cached_property
+    def samples(self) -> np.ndarray:
+        """(m, points): the interior grid points, then the sphere samples."""
+        axis = self.axis_coordinates()
+        inside = np.nonzero(self.interior_mask)
+        return _read_only(np.stack([np.concatenate([axis[i], edge])
+                                    for i, edge in zip(inside, self.boundary_points.T)]))
+
+    @cached_property
+    def sample_norms(self) -> np.ndarray:
+        """|p| of each of ``samples``."""
+        return _read_only(np.sqrt(np.einsum("ij,ij->j", self.samples, self.samples)))
 
 
 @dataclass
@@ -82,11 +109,16 @@ class BallFunction:
 
     @staticmethod
     def from_callable(grid: BallGrid, fn) -> "BallFunction":
-        coords = grid.coordinates()
-        vals = np.asarray(fn(*coords), dtype=float)
-        bpts = grid.boundary_points()
-        bvals = np.asarray(fn(*[bpts[:, a] for a in range(grid.m)]), dtype=float)
-        return BallFunction(grid, vals, bvals)
+        """Sample ``fn(x_1, ..., x_m)`` on the grid and on its sphere samples.
+
+        On the grid ``fn`` receives the read-only open coordinate arrays
+        ``grid.open_coordinates``, which broadcast against each other, so it
+        must be elementwise; its result is broadcast to the full grid.
+        """
+        shape = (grid.points_per_axis,) * grid.m
+        vals = np.broadcast_to(np.asarray(fn(*grid.open_coordinates), dtype=float), shape)
+        bvals = np.asarray(fn(*grid.boundary_points.T), dtype=float)
+        return BallFunction(grid, vals.copy(), bvals)
 
     def center_value(self) -> float:
         center = (self.grid.points_per_axis // 2,) * self.grid.m
@@ -95,19 +127,6 @@ class BallFunction:
     def gradient(self) -> list[np.ndarray]:
         g = np.gradient(self.values, self.grid.spacing)
         return [g] if self.grid.m == 1 else list(g)
-
-    def fd_hessian(self, grads=None) -> np.ndarray:
-        """Centered second differences; ``grads`` reuses a ``gradient()``."""
-        g = self.gradient() if grads is None else grads
-        m = self.grid.m
-        rows = [np.gradient(gi, self.grid.spacing) for gi in g]
-        if m == 1:
-            rows = [[rows[0]]]
-        hess = np.empty(self.values.shape + (m, m))
-        for i in range(m):
-            for j in range(m):
-                hess[..., i, j] = 0.5 * (rows[i][j] + rows[j][i])
-        return hess
 
 
 @dataclass(frozen=True)
@@ -126,8 +145,7 @@ class ContactSet:
 _PLANE_BLOCK_BYTES = 1 << 18
 
 
-def _has_supporting_plane(v: BallFunction, grads, candidates: np.ndarray,
-                          interior: np.ndarray, coords) -> np.ndarray:
+def _has_supporting_plane(v: BallFunction, grads, candidates: np.ndarray) -> np.ndarray:
     """The candidates whose tangent plane is a global lower supporting plane of
     v over the interior and boundary samples, up to a relative 1e-12 slack.
 
@@ -146,19 +164,17 @@ def _has_supporting_plane(v: BallFunction, grads, candidates: np.ndarray,
     mask = np.zeros_like(candidates)
     if not candidates.any():
         return mask
-    fields = list(coords) + [v.values]
-    edges = list(v.grid.boundary_points().T) + [v.boundary_values]
-    lifted = np.empty((len(fields), int(interior.sum()) + len(edges[0])))  # (m + 1, points)
-    for row, field, edge in zip(lifted, fields, edges):
-        np.concatenate([field[interior], edge], out=row)
-    slack = 1e-12 * (1.0 + float(np.abs(lifted[-1]).max()))
+    grid = v.grid
+    heights = np.concatenate([v.values[grid.interior_mask], v.boundary_values])
+    slack = 1e-12 * (1.0 + float(np.abs(heights).max()))
     planes = np.stack([-g[candidates] for g in grads] + [np.ones(int(candidates.sum()))],
                       axis=1)
-    lifted_x = np.stack([c[candidates] for c in coords] + [v.values[candidates]], axis=1)
+    lifted_x = np.column_stack([grid.axis_coordinates()[np.argwhere(candidates)],
+                                v.values[candidates]])
     offsets = np.einsum("ij,ij->i", planes, lifted_x)
     slope = float(np.sqrt(np.einsum("ij,ij->i", planes[:, :-1], planes[:, :-1]).max()))
-    reach = lifted[-1] - slope * np.sqrt(np.einsum("ij,ij->j", lifted[:-1], lifted[:-1]))
-    lifted = lifted[:, reach < offsets.max() + slack]
+    keep = heights - slope * grid.sample_norms < offsets.max() + slack
+    lifted = np.vstack([grid.samples[:, keep], heights[keep]])  # (m + 1, kept samples)
     chunk = max(1, _PLANE_BLOCK_BYTES // lifted[0].nbytes)
     block = np.empty((min(chunk, len(planes)), lifted.shape[1]))
     legendre = np.empty(len(planes))
@@ -180,17 +196,11 @@ def _check_preconditions(v: BallFunction, epsilon: float) -> None:
 def contact_set(v: BallFunction, epsilon: float) -> ContactSet:
     """Points carrying a global lower supporting plane with |gradient| < eps/2."""
     _check_preconditions(v, epsilon)
-    grid = v.grid
-    coords = grid.coordinates()
-    interior = grid.interior_mask(coords)
     grads = v.gradient()
     grad_norm = np.sqrt(sum(g**2 for g in grads))
-    candidates = interior & (grad_norm < 0.5 * epsilon)
-
-    mask = _has_supporting_plane(v, grads, candidates, interior, coords)
-    pts = np.stack([coords[a][mask] for a in range(grid.m)], axis=1) if mask.any() \
-        else np.zeros((0, grid.m))
-    return ContactSet(mask, pts)
+    candidates = v.grid.interior_mask & (grad_norm < 0.5 * epsilon)
+    mask = _has_supporting_plane(v, grads, candidates)
+    return ContactSet(mask, v.grid.axis_coordinates()[np.argwhere(mask)])
 
 
 @dataclass(frozen=True)
@@ -213,6 +223,16 @@ def unit_ball_volume(m: int) -> float:
 ABP_GRID_TOLERANCE = 0.05
 
 
+def _second_differences(grads, h: float) -> list[list[np.ndarray]]:
+    """Centered differences of the gradient, symmetrized: entry [i][j] is the
+    array 0.5 (d_j g_i + d_i g_j), and on the diagonal d_i g_i, which is
+    exactly that."""
+    m = len(grads)
+    rows = [[np.gradient(g, h, axis=j) for j in range(m)] for g in grads]
+    return [[rows[i][i] if i == j else 0.5 * (rows[i][j] + rows[j][i]) for j in range(m)]
+            for i in range(m)]
+
+
 def abp_check(v: BallFunction, epsilon: float) -> AbpReport:
     """Contact-set lower bound: c0 * eps^m <= integral over P of det(D^2 v).
 
@@ -227,23 +247,22 @@ def abp_check(v: BallFunction, epsilon: float) -> AbpReport:
     grid = v.grid
     m = grid.m
     h = grid.spacing
-    coords = grid.coordinates()
-    interior = grid.interior_mask(coords)
     grads = v.gradient()
     gnorm = np.sqrt(sum(g**2 for g in grads))
-    hess = v.fd_hessian(grads)
+    hess = _second_differences(grads, h)
     # spatial rate of change of |grad v| along its own direction
-    gdir = np.stack(grads, axis=-1) / np.maximum(gnorm, 1e-300)[..., None]
-    rate = np.abs(sum(hess[..., i, j] * gdir[..., i] * gdir[..., j]
-                      for i in range(m) for j in range(m)))
+    floor = np.maximum(gnorm, 1e-300)
+    gdir = [g / floor for g in grads]
+    rate = np.abs(sum(hess[i][j] * gdir[i] * gdir[j] for i in range(m) for j in range(m)))
     weight = np.clip(0.5 + (0.5 * epsilon - gnorm) / np.maximum(rate * h, 1e-300), 0.0, 1.0)
-    weight[~interior] = 0.0
-    candidates = weight > 0.0
-    weight[~_has_supporting_plane(v, grads, candidates, interior, coords)] = 0.0
+    weight[~grid.interior_mask] = 0.0
+    weight[~_has_supporting_plane(v, grads, weight > 0.0)] = 0.0
+    kept = weight > 0.0
 
     cell = h**m
-    dets = np.linalg.det(hess[weight > 0]) if candidates.any() else np.zeros(0)
-    integral_det = float((dets * weight[weight > 0]).sum() * cell)
+    dets = np.linalg.det(np.stack([np.stack([hij[kept] for hij in row], axis=-1)
+                                   for row in hess], axis=-2))
+    integral_det = float((dets * weight[kept]).sum() * cell)
     c0 = unit_ball_volume(m) / 2.0**m
     lower = c0 * epsilon**m
     fraction = float(weight.sum()) * cell / unit_ball_volume(m)

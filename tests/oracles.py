@@ -4,7 +4,8 @@ Everything here is deliberately dumb: subset enumeration (in exact rational
 arithmetic where signs decide), finite differences, a Fourier symbol written
 out on the full FFT mesh, a spectral derivative on the full complex FFT
 mesh, geometric ray shooting, doubling and bisection onto
-level sets, one supporting-plane test per candidate, each operator kind's
+level sets, one supporting-plane test per candidate, the contact-set
+integral from the full tensor of second differences, each operator kind's
 value, derivatives and limit written out by hand, and F(A) = f(lambda(A))
 with its derivatives in an eigenframe.  None of it shares code with the
 library paths it checks, except ``metric_hessian``, which takes a run's steps
@@ -21,6 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from conesolve import (
+    BallFunction,
     BlendedQuotient,
     ComposedWithT,
     HessianQuotientNeg,
@@ -179,15 +181,27 @@ def ray_boundedness_oracle(op, mu, sigma_level: float, rng, rays: int = 200,
     return max_radius <= radius_cap
 
 
+def ball_coordinates(grid) -> list[np.ndarray]:
+    """The full coordinate arrays of a ``BallGrid``, one per axis."""
+    return np.meshgrid(*([grid.axis_coordinates()] * grid.m), indexing="ij")
+
+
+def dense_ball_function(grid, fn) -> BallFunction:
+    """``fn`` evaluated on the full coordinate arrays of ``grid`` and on its
+    sphere samples."""
+    return BallFunction(grid, np.asarray(fn(*ball_coordinates(grid)), dtype=float),
+                        np.asarray(fn(*grid.boundary_points.T), dtype=float))
+
+
 def supporting_plane_bruteforce(v, grads, candidates: np.ndarray) -> np.ndarray:
     """The candidates of a ``BallFunction`` whose tangent plane lies below v on
     every interior and boundary sample, up to a relative 1e-12 slack; one
     candidate at a time."""
     grid = v.grid
-    interior = grid.interior_mask()
-    coords = grid.coordinates()
+    coords = ball_coordinates(grid)
+    interior = sum(c**2 for c in coords) < 1.0
     pts_all = np.stack([c[interior] for c in coords], axis=1)
-    test_pts = np.concatenate([pts_all, grid.boundary_points()], axis=0)
+    test_pts = np.concatenate([pts_all, grid.boundary_points], axis=0)
     test_vals = np.concatenate([v.values[interior], v.boundary_values])
     slack = 1e-12 * (1.0 + float(np.abs(test_vals).max()))
     mask = np.zeros_like(candidates)
@@ -199,6 +213,34 @@ def supporting_plane_bruteforce(v, grads, candidates: np.ndarray) -> np.ndarray:
         if np.all(test_vals >= support - slack):
             mask[key] = True
     return mask
+
+
+def abp_dense(v, epsilon: float) -> tuple[float, float]:
+    """``abp_check``'s integral of det D^2 v and contact volume fraction,
+    from the full (N, ..., m, m) tensor of symmetrized second differences and
+    the per-candidate plane test."""
+    grid = v.grid
+    m, h = grid.m, grid.spacing
+    grads = np.gradient(v.values, h)
+    grads = [grads] if m == 1 else list(grads)
+    gnorm = np.sqrt(sum(g**2 for g in grads))
+    rows = [np.gradient(gi, h) for gi in grads]
+    if m == 1:
+        rows = [[rows[0]]]
+    hess = np.empty(v.values.shape + (m, m))
+    for i in range(m):
+        for j in range(m):
+            hess[..., i, j] = 0.5 * (rows[i][j] + rows[j][i])
+    gdir = np.stack(grads, axis=-1) / np.maximum(gnorm, 1e-300)[..., None]
+    rate = np.abs(sum(hess[..., i, j] * gdir[..., i] * gdir[..., j]
+                      for i in range(m) for j in range(m)))
+    weight = np.clip(0.5 + (0.5 * epsilon - gnorm) / np.maximum(rate * h, 1e-300), 0.0, 1.0)
+    weight[sum(c**2 for c in ball_coordinates(grid)) >= 1.0] = 0.0
+    weight[~supporting_plane_bruteforce(v, grads, weight > 0.0)] = 0.0
+    cell = h**m
+    ball = math.pi ** (m / 2.0) / math.gamma(m / 2.0 + 1.0)
+    integral_det = float((np.linalg.det(hess[weight > 0]) * weight[weight > 0]).sum() * cell)
+    return integral_det, float(weight.sum()) * cell / ball
 
 
 def rays_to_level_bisection(op, dirs: np.ndarray, sigma_level,

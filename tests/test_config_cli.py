@@ -322,6 +322,22 @@ def test_cli_abp(tmp_path, capsys):
     assert out.count("[pass]") == 4
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--grid", "33"], "--grid: must be an even integer, got '33'"),
+    (["--cases", "0"], "--cases: must be an integer >= 1, got '0'"),
+    (["--cases", "-3"], "--cases: must be an integer >= 1, got '-3'"),
+], ids=["odd-grid", "zero-cases", "negative-cases"])
+def test_cli_abp_usage_errors(tmp_path, capsys, argv, message):
+    # an odd grid has no point at the ball's centre, where every case reads
+    # v(0); no case is no check
+    with pytest.raises(SystemExit) as done:
+        main(["abp", *argv, "--output", str(tmp_path / "out")])
+    assert done.value.code == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_selftest(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out

@@ -19,7 +19,12 @@ from conesolve import (
     trace_estimate_check,
 )
 from conesolve.torus import hessian_components
-from oracles import supporting_plane_bruteforce
+from oracles import (
+    abp_dense,
+    ball_coordinates,
+    dense_ball_function,
+    supporting_plane_bruteforce,
+)
 
 
 def quadratic_well(a, grid=None):
@@ -37,7 +42,7 @@ def test_contact_set_quadratic():
     # gives the same set
     grads = v.gradient()
     gnorm = np.sqrt(grads[0] ** 2 + grads[1] ** 2)
-    expected = int((v.grid.interior_mask() & (gnorm < 0.2)).sum())
+    expected = int((v.grid.interior_mask & (gnorm < 0.2)).sum())
     assert p.count == expected
 
 
@@ -78,7 +83,8 @@ def test_abp_rejects_bad_epsilon():
 
 
 def fuzz_wells():
-    """Perturbed quadratic wells on a 64^2 ball with their epsilon, seed 0."""
+    """Perturbed quadratic wells on a 64^2 ball, seed 0: each well's function,
+    its samples and its epsilon."""
     grid = BallGrid(2, 64)
     rng = np.random.default_rng(0)
     done = 0
@@ -96,14 +102,25 @@ def fuzz_wells():
         room = float(v.boundary_values.min() - v.center_value())
         if room <= 0.1:
             continue
-        yield v, min(0.45, 0.9 * room)
+        yield fn, v, min(0.45, 0.9 * room)
         done += 1
 
 
 def test_abp_fuzz_wells():
-    for v, eps in fuzz_wells():
+    for _, v, eps in fuzz_wells():
         rep = abp_check(v, eps)
         assert rep.passed
+
+
+def test_abp_check_matches_the_dense_tensor_on_fuzz_wells():
+    # bit for bit: the open-grid samples against the full coordinate arrays,
+    # and the separate second differences against the full Hessian tensor
+    for fn, v, eps in fuzz_wells():
+        dense = dense_ball_function(v.grid, fn)
+        assert np.array_equal(v.values, dense.values)
+        assert np.array_equal(v.boundary_values, dense.boundary_values)
+        rep = abp_check(v, eps)
+        assert (rep.integral_det, rep.contact_volume_fraction) == abp_dense(dense, eps)
 
 
 def assert_contact_mask_matches_bruteforce(v, epsilon):
@@ -111,7 +128,7 @@ def assert_contact_mask_matches_bruteforce(v, epsilon):
     candidates; returns the candidate and contact counts."""
     grads = v.gradient()
     gnorm = np.sqrt(sum(g**2 for g in grads))
-    candidates = v.grid.interior_mask() & (gnorm < 0.5 * epsilon)
+    candidates = v.grid.interior_mask & (gnorm < 0.5 * epsilon)
     expected = supporting_plane_bruteforce(v, grads, candidates)
     mask = contact_set(v, epsilon).mask
     assert mask.dtype == expected.dtype and mask.shape == expected.shape
@@ -119,10 +136,12 @@ def assert_contact_mask_matches_bruteforce(v, epsilon):
     return int(candidates.sum()), int(expected.sum())
 
 
+def double_well(*x):
+    return (sum(c**2 for c in x) - 0.3) ** 2 + 0.1 * x[0]
+
+
 def tilted_double_well(m, points_per_axis):
-    return BallFunction.from_callable(
-        BallGrid(m, points_per_axis),
-        lambda *x: (sum(c**2 for c in x) - 0.3) ** 2 + 0.1 * x[0])
+    return BallFunction.from_callable(BallGrid(m, points_per_axis), double_well)
 
 
 @pytest.mark.parametrize("m, points, kept", [(1, 64, (12, 2)), (2, 64, (222, 78)),
@@ -133,8 +152,55 @@ def test_supporting_plane_double_well(m, points, kept):
     assert assert_contact_mask_matches_bruteforce(tilted_double_well(m, points), 0.2) == kept
 
 
+@pytest.mark.parametrize("m, points", [(1, 64), (2, 64), (3, 24)])
+def test_abp_check_matches_the_dense_tensor_on_the_double_well(m, points):
+    v = tilted_double_well(m, points)
+    dense = dense_ball_function(v.grid, double_well)
+    assert np.array_equal(v.values, dense.values)
+    rep = abp_check(v, 0.2)
+    assert rep.integral_det > 0
+    assert (rep.integral_det, rep.contact_volume_fraction) == abp_dense(dense, 0.2)
+
+
+@pytest.mark.parametrize("m, fn", [(2, lambda x, y: x), (3, lambda *x: x[0] ** 2)],
+                         ids=["x", "x0-squared"])
+def test_from_callable_broadcasts_to_the_full_grid(m, fn):
+    grid = BallGrid(m, 12)
+    v = BallFunction.from_callable(grid, fn)
+    dense = dense_ball_function(grid, fn)
+    assert v.values.shape == (12,) * m
+    np.testing.assert_array_equal(v.values, dense.values)
+    np.testing.assert_array_equal(v.boundary_values, dense.boundary_values)
+    # the samples are the function's own: writing one changes no other sample
+    v.values[(0,) * m] = 7.0
+    assert np.count_nonzero(v.values == 7.0) == 1
+    assert not (BallFunction.from_callable(grid, fn).values == 7.0).any()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_ball_grid_layout(m):
+    grid = BallGrid(m, 10)
+    coords = ball_coordinates(grid)
+    interior = sum(c**2 for c in coords) < 1.0
+    np.testing.assert_array_equal(grid.interior_mask, interior)
+    expected = np.concatenate([np.stack([c[interior] for c in coords]),
+                               grid.boundary_points.T], axis=1)
+    np.testing.assert_array_equal(grid.samples, expected)
+    np.testing.assert_allclose(grid.sample_norms, np.linalg.norm(expected, axis=0),
+                               rtol=1e-15)
+    cached = [*grid.open_coordinates, grid.interior_mask, grid.boundary_points,
+              grid.samples, grid.sample_norms]
+    for array in cached:
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+    assert grid.samples is grid.samples
+    # the cache is no field: a grid that has built it equals a fresh one
+    assert grid == BallGrid(m, 10) and hash(grid) == hash(BallGrid(m, 10))
+    assert grid != BallGrid(m, 12)
+
+
 def test_supporting_plane_fuzz_wells():
-    for v, eps in fuzz_wells():
+    for _, v, eps in fuzz_wells():
         assert_contact_mask_matches_bruteforce(v, eps)
 
 
@@ -142,7 +208,7 @@ def test_supporting_plane_fuzz_wells():
 def test_supporting_plane_partial_blocks(monkeypatch, chunk):
     v = tilted_double_well(2, 64)
     grid = v.grid
-    points = int(grid.interior_mask().sum()) + len(grid.boundary_points())
+    points = int(grid.interior_mask.sum()) + len(grid.boundary_points)
     monkeypatch.setattr(diagnostics, "_PLANE_BLOCK_BYTES", chunk * points * 8)
     count, _ = assert_contact_mask_matches_bruteforce(v, 0.2)
     assert count % chunk != 0
@@ -173,10 +239,10 @@ def test_supporting_plane_far_refuter():
     v = BallFunction.from_callable(
         BallGrid(2, 64),
         lambda x, y: x**2 + y**2 - 0.6 * np.exp(-((x - 0.7)**2 + y**2) / 0.01))
-    x, y = v.grid.coordinates()
+    x, y = ball_coordinates(v.grid)
     central = np.hypot(x, y) < 0.3
     grads = v.gradient()
-    candidates = v.grid.interior_mask() & (np.hypot(*grads) < 0.1)
+    candidates = v.grid.interior_mask & (np.hypot(*grads) < 0.1)
     assert candidates[central].sum() > 0
     assert assert_contact_mask_matches_bruteforce(v, 0.2) == (10, 1)
     mask = contact_set(v, 0.2).mask
@@ -287,15 +353,15 @@ def test_supporting_plane_boundary_samples_decide():
     # grid point lies on the sphere, so the well, narrower than the gap, dips
     # the sphere samples only, below the tangent planes near the rim
     grid = BallGrid(2, 33)
-    coords = grid.coordinates()
+    coords = ball_coordinates(grid)
     width = 0.5 * float(np.abs(np.hypot(*coords) - 1.0).min())
     v = BallFunction.from_callable(
         grid, lambda x, y: x**2 + y**2
         - 0.05 * np.maximum(0.0, 1.0 - np.abs(np.hypot(x, y) - 1.0) / width))
-    interior = grid.interior_mask(coords)
+    interior = grid.interior_mask
     np.testing.assert_array_equal(v.values[interior], (coords[0]**2 + coords[1]**2)[interior])
     grads = v.gradient()
-    mask = diagnostics._has_supporting_plane(v, grads, interior, interior, coords)
+    mask = diagnostics._has_supporting_plane(v, grads, interior)
     np.testing.assert_array_equal(mask, supporting_plane_bruteforce(v, grads, interior))
     assert 0 < mask.sum() < interior.sum()
     # against the undipped sphere samples every candidate passes
