@@ -6,9 +6,7 @@ from .cones import (
     ConeViolation,
     GammaCone,
     PreimageCone,
-    cone_contains,
     in_gamma_tilde,
-    in_projection,
     sigma,
     t_map,
 )
@@ -20,7 +18,6 @@ from .eigencalc import (
     evaluate,
     first_derivative,
     second_form,
-    spectrum_separator,
 )
 from .operators import (
     BlendedQuotient,
@@ -45,7 +42,6 @@ from .solver import (
     StagnationError,
     TorusProblem,
     admissibility_margin,
-    linearized_apply,
     newton_solve,
     normalize,
     residual,
@@ -71,7 +67,6 @@ from .torus import (
     compute_c,
     derivative,
     endomorphism_field,
-    export_csv,
     form_ratio,
     hessian,
     integral,

@@ -307,20 +307,11 @@ def _cmd_selftest(args) -> int:
 
 
 def _cmd_abp(args) -> int:
-    from .diagnostics import BallFunction, BallGrid, abp_check
+    from .diagnostics import BallFunction, BallGrid, abp_check, abp_quadratic_case
 
     grid = BallGrid(2, args.grid)
-    quad = BallFunction.from_callable(grid, lambda x, y: 0.4 * (x**2 + y**2))
-    rep = abp_check(quad, 0.4)
-    derived = 0.04 * np.pi
-    results = [{
-        "case": "quadratic",
-        "integral_det": rep.integral_det,
-        "derived": derived,
-        "relative_error": abs(rep.integral_det - derived) / derived,
-        "passed": rep.passed,
-    }]
-    rng = np.random.default_rng(args.seed or 0)
+    results = [abp_quadratic_case(grid)]
+    rng = np.random.default_rng(args.seed)
     count = 0
     while count < args.cases:
         a = rng.uniform(0.5, 1.5)

@@ -167,17 +167,6 @@ class PreimageCone:
 Cone = GammaCone | PreimageCone
 
 
-def cone_contains(cone: Cone, lam) -> np.ndarray | bool:
-    """Strict membership of ``lam`` in ``cone``."""
-    return cone.contains(lam)
-
-
-def in_projection(cone: Cone, mu_prime) -> np.ndarray | bool:
-    """Membership of mu' in the projection of ``cone`` along the last axis:
-    (mu', t) lies in the cone for all large t."""
-    return cone.projection().contains(mu_prime)
-
-
 def in_gamma_tilde(cone: Cone, mu) -> np.ndarray | bool:
     """Whether mu + t*e_i lies in ``cone`` for large t, for every axis i.
 

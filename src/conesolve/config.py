@@ -26,7 +26,7 @@ The format is INI-style (configparser).  Sections and keys:
 
     [solve]
     schedule = <int count >= 2> | <comma list of t values, 0 first, 1 last, increasing>
-    newton_tol = <float > 0>
+    newton_tol = <finite float > 0>
     max_newton = <int >= 1>
 
     [certify]
@@ -38,7 +38,8 @@ The format is INI-style (configparser).  Sections and keys:
     directory = <path>
     save_fields = true | false
 
-Validation is collecting: every problem found is reported, not just the first.
+Validation is collecting: every problem found is reported once, not just the
+first.  A rule the library checks too is read from its table (``rules``).
 """
 
 from __future__ import annotations
@@ -49,7 +50,10 @@ import re
 from dataclasses import dataclass
 
 from .operators import OPERATOR_KINDS, operator_from_name
-from .solver import NORMALIZATIONS, PathKind, check_schedule
+from .rules import require
+from .solver import SOLVE_RULES, PathKind, check_schedule
+from .subsolution import CERTIFY_RULES
+from .torus import GRID_RULES
 
 _KNOWN_KEYS = {
     "problem": {"mode", "dimension", "operator", "k", "l", "inner", "path",
@@ -116,20 +120,25 @@ def _parse_bool(raw: str, where: str, errors: list[str]) -> bool:
     return False
 
 
-def _parse_int(raw: str, where: str, errors: list[str], default: int = 0) -> int:
+def _parse(convert, raw: str | None, where: str, errors: list[str]):
+    """``convert(raw)``, or None if ``raw`` is missing or does not parse (collected)."""
+    if raw is None:
+        return None
     try:
-        return int(raw)
+        return convert(raw)
     except ValueError:
-        errors.append(f"{where}: expected an integer, got {raw!r}")
-        return default
+        errors.append(f"{where}: expected {'an integer' if convert is int else 'a number'},"
+                      f" got {raw!r}")
+        return None
 
 
-def _parse_float(raw: str, where: str, errors: list[str], default: float = 0.0) -> float:
+def _check(section: str, rules: dict, name: str, value, errors: list[str], shown=None) -> None:
+    """Collect ``rules.require``'s message, prefixed by ``section``, for a parsed value."""
     try:
-        return float(raw)
-    except ValueError:
-        errors.append(f"{where}: expected a number, got {raw!r}")
-        return default
+        if value is not None:
+            require(rules, name, value, shown)
+    except ValueError as exc:
+        errors.append(f"{section}.{exc}")
 
 
 _GENERATOR_RE = re.compile(r"^([a-zA-Z_][a-zA-Z0-9_]*)\((.*)\)$")
@@ -211,29 +220,26 @@ def parse_config(text: str) -> RunConfig:
     # [problem]
     problem_start = len(errors)
     mode = get("problem", "mode", "complex")
-    if mode not in ("complex", "real"):
-        errors.append(f"problem.mode must be complex or real, got {mode!r}")
+    _check("problem", GRID_RULES, "mode", mode, errors)
     dimension_raw = get("problem", "dimension")
+    dimension = _parse(int, dimension_raw, "problem.dimension", errors)
     if dimension_raw is None:
         errors.append("missing required key problem.dimension")
-        dimension = 0
-    else:
-        dimension = _parse_int(dimension_raw, "problem.dimension", errors)
-        if not 1 <= dimension <= 3:
-            errors.append(f"problem.dimension must be 1..3, got {dimension_raw}")
+    elif dimension is not None and not 1 <= dimension <= 3:
+        errors.append(f"problem.dimension must be 1..3, got {dimension_raw}")
     operator = get("problem", "operator", "monge_ampere")
     if operator not in OPERATOR_KINDS:
         errors.append(f"unknown operator {operator!r}; known: {sorted(OPERATOR_KINDS)}")
     k_raw, l_raw = get("problem", "k"), get("problem", "l")
-    k = _parse_int(k_raw, "problem.k", errors) if k_raw is not None else None
-    l = _parse_int(l_raw, "problem.l", errors) if l_raw is not None else None
+    k = _parse(int, k_raw, "problem.k", errors)
+    l = _parse(int, l_raw, "problem.l", errors)
     inner = get("problem", "inner")
-    given = {"k": k, "l": l, "inner": inner}
+    given = {"k": k_raw, "l": l_raw, "inner": inner}
     required = OPERATOR_KINDS[operator][1] if operator in OPERATOR_KINDS else ()
     if any(given[param] is None for param in required):
         errors.append(f"operator {operator} requires "
                       + " and ".join(f"problem.{param}" for param in required))
-    elif operator == "hessian_quotient" and not 1 <= l < k:
+    elif operator == "hessian_quotient" and None not in (k, l) and not 1 <= l < k:
         errors.append("operator hessian_quotient: require l < k (with l >= 1)")
     if inner is not None and inner not in OPERATOR_KINDS.keys() - {"composed_with_T"}:
         errors.append(f"unknown inner operator {inner!r}")
@@ -246,37 +252,25 @@ def parse_config(text: str) -> RunConfig:
     if path not in _PATHS:
         errors.append(f"problem.path must be one of {sorted(_PATHS)}, got {path!r}")
     if path == "quotient":
-        if k is None or l is None or not 1 <= l < k:
-            errors.append("quotient path: require l < k (with l >= 1) in [problem]")
-        elif k > dimension >= 1:
+        if None not in (k, dimension) and k > dimension >= 1:
             errors.append(f"quotient path: require k <= problem.dimension, got k = {k}")
         if operator != "hessian_quotient":
             errors.append(f"quotient path: requires operator hessian_quotient, got {operator}")
     normalization = get("problem", "normalization", "mean_zero")
-    if normalization not in NORMALIZATIONS:
-        errors.append(f"problem.normalization must be {' or '.join(NORMALIZATIONS)}, "
-                      f"got {normalization!r}")
+    _check("problem", SOLVE_RULES, "normalization", normalization, errors)
 
     # [grid]
+    ppa_raw = get("grid", "points_per_axis")
+    points = _parse(int, ppa_raw, "grid.points_per_axis", errors)
     if not parser.has_section("grid"):
         errors.append("missing section [grid] (grid.points_per_axis is required)")
-        points = 0
-    else:
-        ppa_raw = get("grid", "points_per_axis")
-        if ppa_raw is None:
-            errors.append("missing required key grid.points_per_axis")
-            points = 0
-        else:
-            points = _parse_int(ppa_raw, "grid.points_per_axis", errors)
-            if points < 4 or points % 2:
-                errors.append(
-                    f"grid.points_per_axis must be even and >= 4, got {ppa_raw}"
-                )
+    elif ppa_raw is None:
+        errors.append("missing required key grid.points_per_axis")
+    _check("grid", GRID_RULES, "points_per_axis", points, errors)
     periods_raw = get("grid", "periods", "1.0")
     parts = [p for p in periods_raw.split(",") if p.strip()]
-    periods_start = len(errors)
-    periods_list = [_parse_float(p, "grid.periods", errors) for p in parts]
-    if len(errors) == periods_start and not all(0.0 < p < math.inf for p in periods_list):
+    periods_list = [_parse(float, p, "grid.periods", errors) for p in parts]
+    if None not in periods_list and not all(0.0 < p < math.inf for p in periods_list):
         errors.append(f"grid.periods must be finite numbers > 0, got {periods_raw!r}")
     periods: tuple[float, ...] | float = (
         periods_list[0] if len(periods_list) == 1 else tuple(periods_list)
@@ -297,40 +291,32 @@ def parse_config(text: str) -> RunConfig:
 
     # [solve]
     schedule_raw = get("solve", "schedule", "21")
-    schedule_start = len(errors)
     if "," in schedule_raw:
-        schedule: list[float] | int = [
-            _parse_float(p, "solve.schedule", errors) for p in schedule_raw.split(",")
-        ]
-        if len(errors) == schedule_start:
+        schedule = [_parse(float, p, "solve.schedule", errors) for p in schedule_raw.split(",")]
+        if None not in schedule:
             try:
                 check_schedule(schedule)
             except ValueError as exc:
                 errors.append(f"solve.schedule: {exc}")
     else:
-        schedule = _parse_int(schedule_raw, "solve.schedule", errors, default=21)
-        if isinstance(schedule, int) and schedule < 2:
-            errors.append("solve.schedule must have at least 2 steps")
-    newton_tol = _parse_float(get("solve", "newton_tol", "1e-10"), "solve.newton_tol",
-                              errors, 1e-10)
-    if not 0.0 < newton_tol < math.inf:
-        errors.append(f"solve.newton_tol must be a finite number > 0, got {newton_tol}")
-    max_newton = _parse_int(get("solve", "max_newton", "50"), "solve.max_newton", errors, 50)
-    if max_newton < 1:
-        errors.append(f"solve.max_newton must be >= 1, got {max_newton}")
+        schedule = _parse(int, schedule_raw, "solve.schedule", errors)
+        _check("solve", SOLVE_RULES, "schedule", schedule, errors)
+    newton_tol = _parse(float, get("solve", "newton_tol", "1e-10"), "solve.newton_tol", errors)
+    _check("solve", SOLVE_RULES, "newton_tol", newton_tol, errors)
+    max_newton = _parse(int, get("solve", "max_newton", "50"), "solve.max_newton", errors)
+    _check("solve", SOLVE_RULES, "max_newton", max_newton, errors)
 
     # [certify]
     certify_enabled = _parse_bool(get("certify", "enabled", "true"), "certify.enabled", errors)
     delta_raw = get("certify", "delta_grid", "0.4, 0.2, 0.1, 0.05, 0.025")
     delta_grid = tuple(
-        _parse_float(p, "certify.delta_grid", errors) for p in delta_raw.split(",") if p.strip()
+        _parse(float, p, "certify.delta_grid", errors) for p in delta_raw.split(",") if p.strip()
     )
-    if not delta_grid or not all(0.0 < d < math.inf for d in delta_grid):
-        errors.append(f"certify.delta_grid must list finite deltas > 0, got {delta_raw!r}")
-    kappa_samples = _parse_int(get("certify", "kappa_samples", "2000"),
-                               "certify.kappa_samples", errors)
-    if kappa_samples < 0:
-        errors.append(f"certify.kappa_samples must be >= 0, got {kappa_samples}")
+    if None not in delta_grid:
+        _check("certify", CERTIFY_RULES, "delta_grid", delta_grid, errors, shown=delta_raw)
+    kappa_samples = _parse(int, get("certify", "kappa_samples", "2000"),
+                           "certify.kappa_samples", errors)
+    _check("certify", CERTIFY_RULES, "kappa_samples", kappa_samples, errors)
 
     # [output]
     output_directory = get("output", "directory", "out")

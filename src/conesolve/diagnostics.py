@@ -20,6 +20,7 @@ from .torus import (
     MatrixField,
     ScalarField,
     complex_gradient,
+    constant_metric,
     sup_operator_norm,
 )
 
@@ -270,6 +271,15 @@ def abp_check(v: BallFunction, epsilon: float) -> AbpReport:
     return AbpReport(epsilon, fraction, integral_det, lower, passed)
 
 
+def abp_quadratic_case(grid: BallGrid) -> dict:
+    """``abp_check``'s closed-form case on the 2-d ``grid``, as a report record:
+    v = 0.4 |x|^2 and epsilon = 0.4 give the integral 0.04 pi."""
+    rep = abp_check(BallFunction.from_callable(grid, lambda x, y: 0.4 * (x**2 + y**2)), 0.4)
+    derived = 0.04 * np.pi
+    return {"case": "quadratic", "integral_det": rep.integral_det, "derived": derived,
+            "relative_error": abs(rep.integral_det - derived) / derived, "passed": rep.passed}
+
+
 @dataclass(frozen=True)
 class HmwReport:
     """Second-order/gradient monitor with the test-function parameters.
@@ -327,7 +337,9 @@ class TraceEstimate:
 
 def trace_estimate_check(u: ScalarField, g: MatrixField, alpha, a_const: float,
                          threshold: float) -> TraceEstimate:
-    """Fit the smallest C with tr_alpha(g) <= C exp(A (u - inf u)) pointwise."""
+    """Fit the smallest C with tr_alpha(g) <= C exp(A (u - inf u)) pointwise.
+    ``alpha`` is read as ``torus.constant_metric`` reads it, and checked."""
+    alpha = constant_metric(alpha, g.dim)
     tr = np.real(np.einsum("ab,...ba->...", np.linalg.inv(alpha), g.values))
     shifted = u.values - u.values.min()
     c_fit = float((tr * np.exp(-a_const * shifted)).max())

@@ -12,8 +12,8 @@ calculus; the eigenframe form with its divided differences is the test
 suite's oracle.
 
 ``eigenvalues`` is the spectrum where one is read: in closed form for n <= 2,
-by ``eigvalsh`` above.  ``eigen_decompose`` and ``frame_product`` serve the
-perturbation device ``spectrum_separator`` and the self-test.
+by ``eigvalsh`` above.  ``eigen_decompose`` and ``frame_product`` are the
+eigenframe that the self-test and the test suite's oracles read.
 """
 
 from __future__ import annotations
@@ -218,37 +218,3 @@ def second_form(op: SymmetricOperator, a, h):
     for (j, l), f in op.sigma_second_partials(table.sigmas).items():
         out = out + (1 if j == l else 2) * f * d1[j] * d1[l]
     return out if np.ndim(out) else float(out)
-
-
-def spectrum_separator(a, gap: float) -> np.ndarray:
-    """Subtract a small eigenframe ladder so the spectrum becomes simple.
-
-    Builds diag(0, b_2, ..., b_n) in the eigenframe with
-    0 < b_2 < ... < b_n < 2 b_2 <= gap, leaving the top eigenvalue unchanged;
-    the ladder is rescaled deterministically until all eigenvalues of the
-    result are pairwise distinct.
-    """
-    if gap <= 0:
-        raise ValueError("gap must be positive")
-    eig = eigen_decompose(a)
-    n = eig.values.shape[-1]
-    if eig.values.ndim != 1:
-        raise ValueError("spectrum_separator expects a single matrix")
-    if n == 1:
-        return np.asarray(a).copy()
-    j = np.arange(1, n)
-    ladder = 0.5 * gap * (1.0 + (j - 1) / (2.0 * (n - 1)))
-    tol = 1e-13 * (1.0 + float(np.abs(eig.values).max()))
-    scale = 1.0
-    for _ in range(200):
-        new_vals = eig.values.copy()
-        new_vals[1:] -= scale * ladder
-        gaps = np.abs(new_vals[:, None] - new_vals[None, :])[np.triu_indices(n, 1)]
-        if gaps.min() > tol:
-            break
-        scale *= 0.9
-    else:
-        raise ValueError("could not separate the spectrum")
-    b = np.zeros(n)
-    b[1:] = scale * ladder
-    return np.asarray(a) - frame_product(eig.frame, b)

@@ -91,13 +91,10 @@ def check_schur_horn() -> bool:
 
 
 def check_abp_quadratic() -> bool:
-    from .diagnostics import BallFunction, BallGrid, abp_check
+    from .diagnostics import BallGrid, abp_quadratic_case
 
-    grid = BallGrid(2, 64)
-    v = BallFunction.from_callable(grid, lambda x, y: 0.4 * (x**2 + y**2))
-    rep = abp_check(v, 0.4)
-    derived = 0.04 * np.pi
-    return abs(rep.integral_det - derived) / derived < 0.05 and rep.passed
+    case = abp_quadratic_case(BallGrid(2, 64))
+    return case["relative_error"] < 0.05 and case["passed"]
 
 
 CHECKS = [

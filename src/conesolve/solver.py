@@ -56,6 +56,7 @@ import numpy as np
 
 from .eigencalc import SigmaTable, require_hermitian
 from .operators import BlendedQuotient, HessianQuotientNeg, SymmetricOperator
+from .rules import require
 from .torus import (
     MatrixField,
     PeriodicGrid,
@@ -113,6 +114,14 @@ class PathBoundError(RuntimeError):
 #: how a solution is pinned: the statistic of u that is subtracted from it
 NORMALIZATIONS = {"mean_zero": np.ndarray.mean, "sup_zero": np.ndarray.max}
 
+#: the rule of each solve setting, for ``rules.require``: (predicate, phrase)
+SOLVE_RULES = {
+    "normalization": (NORMALIZATIONS.__contains__, f"must be {' or '.join(NORMALIZATIONS)}"),
+    "newton_tol": (lambda tol: 0.0 < tol < math.inf, "must be a finite number > 0"),
+    "max_newton": (lambda count: count >= 1, "must be >= 1"),
+    "schedule": (lambda steps: steps >= 2, "must have at least 2 steps"),
+}
+
 
 class PathKind(enum.Enum):
     HESSIAN = "hessian"
@@ -144,8 +153,8 @@ class TorusProblem:
     laplacian: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.normalization not in NORMALIZATIONS:
-            raise ValueError(f"normalization must be {' or '.join(map(repr, NORMALIZATIONS))}")
+        for setting in ("normalization", "newton_tol", "max_newton"):
+            require(SOLVE_RULES, setting, getattr(self, setting))
         if not isinstance(self.chi, MatrixField) or self.chi.dim != self.grid.n:
             raise ValueError(f"chi must be a field of {self.grid.n}x{self.grid.n} matrices")
         if self.h is not None and not isinstance(self.h, ScalarField):
@@ -158,10 +167,6 @@ class TorusProblem:
             raise ValueError(f"{self.path.value} path requires an rhs field h")
         if self.path is PathKind.QUOTIENT and not isinstance(self.op, HessianQuotientNeg):
             raise ValueError(f"quotient path requires a HessianQuotientNeg, got {self.op!r}")
-        if not 0.0 < self.newton_tol < math.inf:
-            raise ValueError(f"newton_tol must be a finite number > 0, got {self.newton_tol}")
-        if self.max_newton < 1:
-            raise ValueError(f"max_newton must be >= 1, got {self.max_newton}")
         self.alpha = constant_metric(self.alpha, self.grid.n)
         try:
             require_hermitian(self.chi.values)
@@ -278,8 +283,7 @@ class SolveReport:
 
 def normalize(u: ScalarField, mode: str) -> ScalarField:
     """Subtract the mean (mean_zero) or the max (sup_zero); idempotent."""
-    if mode not in NORMALIZATIONS:
-        raise ValueError(f"unknown normalization {mode!r}")
+    require(SOLVE_RULES, "normalization", mode)
     return ScalarField(u.grid, u.values - NORMALIZATIONS[mode](u.values))
 
 
@@ -396,12 +400,6 @@ class Linearization:
         spectral_hessian_components(spec, self.grid, self._work, self.components)
         np.einsum("e...,e...->...", self.weights, self.components, out=self._sum)
         return ScalarField(self.grid, self._sum - self.sign * dc)
-
-
-def linearized_apply(problem: TorusProblem, state: SolveState, v: ScalarField,
-                     dc: float) -> ScalarField:
-    ev = evaluate_pointwise(problem, problem.components(state.u), state.t)
-    return Linearization(problem, ev).apply(np.fft.rfftn(v.values), dc)
 
 
 def _norm(w: np.ndarray) -> float:
@@ -607,8 +605,7 @@ def newton_solve(problem: TorusProblem, t: float,
 
 
 def uniform_schedule(steps: int = 21) -> np.ndarray:
-    if steps < 2:
-        raise ValueError("schedule needs at least the endpoints")
+    require(SOLVE_RULES, "schedule", steps)
     return np.linspace(0.0, 1.0, steps)
 
 

@@ -32,8 +32,16 @@ from .operators import (
     row_norms,
     sample_level_set,
 )
+from .rules import require
 
 LEVEL_SET_TOL = 1e-8
+
+#: the rule of each certify setting, for ``rules.require``: (predicate, phrase)
+CERTIFY_RULES = {
+    "delta_grid": (lambda deltas: len(deltas) > 0 and all(0.0 < d < math.inf for d in deltas),
+                   "must list finite deltas > 0"),
+    "kappa_samples": (lambda count: count >= 0, "must be >= 0"),
+}
 
 
 class DichotomyBranch(enum.Enum):
@@ -222,12 +230,8 @@ def certify_field(op: SymmetricOperator, eigenvalue_field, rhs_field, delta_grid
     if mu_all.ndim != 2 or mu_all.shape[0] != sigmas.shape[0]:
         raise ValueError("eigenvalue field must be (npts, n) matching rhs_field")
     deltas = sorted(set(float(d) for d in delta_grid), reverse=True)
-    if not deltas:
-        raise ValueError("delta_grid must be non-empty")
-    if not all(0.0 < d < math.inf for d in deltas):
-        raise ValueError(f"delta_grid must hold finite deltas > 0, got {list(delta_grid)!r}")
-    if kappa_samples < 0:
-        raise ValueError(f"kappa_samples must be >= 0, got {kappa_samples}")
+    require(CERTIFY_RULES, "delta_grid", deltas, shown=list(delta_grid))
+    require(CERTIFY_RULES, "kappa_samples", kappa_samples)
     sigma_range = (float(sigmas.min()), float(sigmas.max()))
 
     last_failure: dict | None = None

@@ -31,11 +31,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .eigencalc import hermitian_defect, matrix_sigmas, require_hermitian
+from .eigencalc import matrix_sigmas, require_hermitian
+from .rules import require
 
 
 class DegenerateClassError(ValueError):
     """The denominator class integral is not positive."""
+
+
+#: the rule of each grid setting, for ``rules.require``: (predicate, phrase)
+GRID_RULES = {
+    "mode": (lambda mode: mode in ("complex", "real"), "must be complex or real"),
+    "points_per_axis": (lambda points: points >= 4 and points % 2 == 0, "must be even and >= 4"),
+}
 
 
 @dataclass(frozen=True)
@@ -53,12 +61,10 @@ class PeriodicGrid:
     reduced: bool = False
 
     def __post_init__(self):
-        if self.mode not in ("complex", "real"):
-            raise ValueError(f"mode must be 'complex' or 'real', got {self.mode!r}")
+        require(GRID_RULES, "mode", self.mode)
         if self.mode == "real" and self.reduced:
             raise ValueError("reduced storage applies to complex mode only")
-        if self.points_per_axis < 4 or self.points_per_axis % 2:
-            raise ValueError("points_per_axis must be even and >= 4")
+        require(GRID_RULES, "points_per_axis", self.points_per_axis)
         if len(self.periods) != self.stored_axes:
             raise ValueError(
                 f"need {self.stored_axes} periods, got {len(self.periods)}"
@@ -132,12 +138,6 @@ class ScalarField:
     def constant(grid: PeriodicGrid, value: float) -> "ScalarField":
         return ScalarField(grid, np.full(grid.shape, float(value)))
 
-    def mean(self) -> float:
-        return float(self.values.mean())
-
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy())
-
 
 @dataclass
 class MatrixField:
@@ -161,9 +161,6 @@ class MatrixField:
         matrix = np.asarray(matrix)
         vals = np.broadcast_to(matrix, grid.shape + matrix.shape).copy()
         return MatrixField(grid, vals)
-
-    def hermitian_defect(self) -> float:
-        return hermitian_defect(self.values)
 
 
 def _symbol(grid: PeriodicGrid, axes) -> np.ndarray:
@@ -534,30 +531,3 @@ def load_field(path_base: str | Path) -> ScalarField | MatrixField:
     if sidecar["kind"] == "matrix":
         return MatrixField(grid, vals)
     return ScalarField(grid, vals)
-
-
-def export_csv(field: ScalarField, path: str | Path, fixed: dict[int, int] | None = None) -> None:
-    """Write a 1D or 2D slice of a scalar field as CSV with coordinates.
-
-    Axes not listed in ``fixed`` are exported; at most two may remain free.
-    """
-    fixed = fixed or {}
-    grid = field.grid
-    free = [a for a in range(grid.stored_axes) if a not in fixed]
-    if len(free) > 2:
-        raise ValueError("export_csv writes 1D or 2D slices; fix more axes")
-    indexer = tuple(
-        slice(None) if a in free else fixed[a] for a in range(grid.stored_axes)
-    )
-    vals = field.values[indexer]
-    coords = [np.arange(grid.points_per_axis) * grid.spacings[a] for a in free]
-    with open(path, "w") as fh:
-        header = ",".join([f"x{a}" for a in free] + ["value"])
-        fh.write(header + "\n")
-        if len(free) == 1:
-            for x, v in zip(coords[0], vals):
-                fh.write(f"{x!r},{v!r}\n")
-        else:
-            for i, xi in enumerate(coords[0]):
-                for j, xj in enumerate(coords[1]):
-                    fh.write(f"{xi!r},{xj!r},{vals[i, j]!r}\n")

@@ -7,9 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from conesolve import (
     GammaCone,
     PreimageCone,
-    cone_contains,
     in_gamma_tilde,
-    in_projection,
     sigma,
     t_map,
 )
@@ -71,7 +69,7 @@ def test_gamma_membership():
     g2 = GammaCone(3, 2)
     assert not g2.contains([1, 1, -0.5])  # sigma_2 = 0 is not strictly positive
     assert GammaCone(3, 3).contains([1, 1, 1])
-    assert cone_contains(PreimageCone(g2), [4, 1, -1])
+    assert PreimageCone(g2).contains([4, 1, -1])
 
 
 def test_membership_invariances():
@@ -101,9 +99,9 @@ def test_margin_sign_matches_membership():
 
 def test_projection_membership():
     # Gamma_1 in n=2 projects onto all of R
-    assert in_projection(GammaCone(2, 1), [-5.0])
-    assert in_projection(GammaCone(2, 2), [2.0])
-    assert not in_projection(GammaCone(2, 2), [-1.0])
+    assert GammaCone(2, 1).projection().contains([-5.0])
+    assert GammaCone(2, 2).projection().contains([2.0])
+    assert not GammaCone(2, 2).projection().contains([-1.0])
 
 
 def test_gamma_tilde():
@@ -116,13 +114,13 @@ def test_gamma_tilde():
 def test_projection_is_exact_near_the_boundary():
     # sigma_1(1, -1 + 1e-10) = 1e-10 > 0: inside Gamma_1, the projection of
     # Gamma_2, though sigma_2 = -1 + 1e-10 is O(1) negative
-    assert in_projection(GammaCone(3, 2), (1.0, -1.0 + 1e-10))
-    assert not in_projection(GammaCone(3, 2), (1.0, -1.0 - 1e-10))
+    assert GammaCone(3, 2).projection().contains((1.0, -1.0 + 1e-10))
+    assert not GammaCone(3, 2).projection().contains((1.0, -1.0 - 1e-10))
     assert in_gamma_tilde(GammaCone(3, 2), (1.0, 1.0, -1.0 + 1e-10))
     # T^{-1} Gamma_3 projects onto sum(mu') > 0, T^{-1} Gamma_2 onto R^2
-    assert in_projection(PreimageCone(GammaCone(3, 3)), (1.0, -1.0 + 1e-10))
-    assert not in_projection(PreimageCone(GammaCone(3, 3)), (1.0, -1.0))
-    assert in_projection(PreimageCone(GammaCone(3, 2)), (-5.0, -5.0))
+    assert PreimageCone(GammaCone(3, 3)).projection().contains((1.0, -1.0 + 1e-10))
+    assert not PreimageCone(GammaCone(3, 3)).projection().contains((1.0, -1.0))
+    assert PreimageCone(GammaCone(3, 2)).projection().contains((-5.0, -5.0))
 
 
 def test_gamma_zero_is_everything():
@@ -133,7 +131,7 @@ def test_gamma_zero_is_everything():
         GammaCone(2, -1)
 
 
-def _exact_in_projection(mu_prime, k, preimage):
+def _exact_projection_membership(mu_prime, k, preimage):
     """(member, fragile): the leading-sign test of every sigma_j, j <= k, on
     the ray, and whether some coefficient is within 1e-12 of the terms that
     cancel in it, where float sigma can round to either side of 0."""
@@ -158,9 +156,9 @@ def test_projection_matches_exact_leading_signs(data, n, preimage, trace):
     if trace is not None:  # sigma_1(mu[1:]) at or next to 0
         mu[-1] = trace - mu[1:-1].sum()
     cone = PreimageCone(GammaCone(n, k)) if preimage else GammaCone(n, k)
-    exact = [_exact_in_projection(np.delete(mu, i), k, preimage) for i in range(n)]
+    exact = [_exact_projection_membership(np.delete(mu, i), k, preimage) for i in range(n)]
     assume(not any(fragile for _, fragile in exact))
-    assert in_projection(cone, mu[1:]) == exact[0][0]
+    assert cone.projection().contains(mu[1:]) == exact[0][0]
     assert in_gamma_tilde(cone, mu) == all(member for member, _ in exact)
     batch = np.stack([mu, mu[::-1]])
     np.testing.assert_array_equal(in_gamma_tilde(cone, batch), in_gamma_tilde(cone, mu))

@@ -9,10 +9,13 @@ from conesolve import (
     MongeAmpere,
     PeriodicGrid,
     ScalarField,
+    TorusProblem,
+    certify_field,
     endomorphism_field,
     load_field,
     save_field,
     strong_concavity_flags,
+    uniform_schedule,
 )
 from conesolve.cli import main
 from conesolve.config import ConfigError, parse_config
@@ -76,6 +79,61 @@ key = 1
     assert "points_per_axis" in text
     assert "unknown section [mystery]" in text
     assert len(err.value.errors) >= 5
+
+
+@pytest.mark.parametrize("old, new, error", [
+    ("dimension = 1", "dimension = two", "problem.dimension: expected an integer, got 'two'"),
+    ("points_per_axis = 64", "points_per_axis = eight",
+     "grid.points_per_axis: expected an integer, got 'eight'"),
+])
+def test_unparseable_value_is_reported_once(old, new, error):
+    # a value that does not parse has no range to check
+    with pytest.raises(ConfigError) as err:
+        parse_config(MINIMAL.replace(old, new))
+    assert err.value.errors == [error]
+
+
+def _problem(**setting):
+    g = PeriodicGrid.make("complex", 1, 8, 1.0)
+    return TorusProblem(g, MongeAmpere(1), np.eye(1), MatrixField.constant(g, np.eye(1)),
+                        ScalarField.zeros(g), **setting)
+
+
+def _certify(deltas=(0.2,), kappa_samples=0):
+    return certify_field(MongeAmpere(2), np.ones((4, 2)), np.zeros(4), deltas,
+                         kappa_samples=kappa_samples)
+
+
+@pytest.mark.parametrize("old, new, section, library, shown", [
+    ("mode = complex", "mode = wavelet", "problem",
+     lambda: PeriodicGrid.make("wavelet", 1, 8), None),
+    ("points_per_axis = 64", "points_per_axis = 7", "grid",
+     lambda: PeriodicGrid.make("complex", 1, 7), None),
+    ("operator = monge_ampere", "operator = monge_ampere\nnormalization = sup", "problem",
+     lambda: _problem(normalization="sup"), None),
+    ("[solve]\n", "[solve]\nnewton_tol = -1\n", "solve", lambda: _problem(newton_tol=-1.0), None),
+    ("[solve]\n", "[solve]\nmax_newton = 0\n", "solve", lambda: _problem(max_newton=0), None),
+    ("[solve]\n", "[solve]\nschedule = 1\n", "solve", lambda: uniform_schedule(1), None),
+    ("[certify]\n", "[certify]\nkappa_samples = -5\n", "certify",
+     lambda: _certify(kappa_samples=-5), None),
+    # the config shows the line as written, the library the list it was given
+    ("[certify]\n", "[certify]\ndelta_grid = 0.2, -0.5\n", "certify",
+     lambda: _certify([0.2, -0.5]), ("[0.2, -0.5]", "'0.2, -0.5'")),
+], ids=["mode", "points_per_axis", "normalization", "newton_tol", "max_newton", "schedule",
+        "kappa_samples", "delta_grid"])
+def test_config_error_is_the_library_message(old, new, section, library, shown):
+    # each rule is stated once, in the library module that reads the setting:
+    # the config's error is that module's ValueError, prefixed by the section
+    with pytest.raises(ValueError) as lib_err:
+        library()
+    message = str(lib_err.value)
+    if shown is not None:
+        message = message.replace(*shown)
+    text = MINIMAL + "\n[solve]\n\n[certify]\n"
+    assert old in text
+    with pytest.raises(ConfigError) as err:
+        parse_config(text.replace(old, new, 1))
+    assert err.value.errors == [f"{section}.{message}"]
 
 
 def test_unknown_key_named():

@@ -15,6 +15,7 @@ from conesolve import (
     abp_check,
     contact_set,
     hmw_ratio,
+    random_band_limited,
     strong_concavity_flags,
     trace_estimate_check,
 )
@@ -326,6 +327,29 @@ def test_trace_estimate():
     real_g = np.array([[1.0, 0.2], [0.2, 1.0]])
     rep = trace_estimate_check(u, MatrixField.constant(g, real_g), alpha, 1.0, threshold=2.0)
     assert rep.c_fit == pytest.approx(np.trace(np.linalg.inv(alpha) @ real_g).real, rel=1e-14)
+
+
+def test_trace_estimate_checks_its_metric():
+    # alpha is read as every other function that takes a metric reads it
+    # (torus.constant_metric): Hermitian and positive definite, and a
+    # MatrixField that is constant on its grid reads as its matrix
+    g = PeriodicGrid.make("complex", 2, 8, 1.0, reduced=True)
+    u = random_band_limited(g, 0.3, seed=5)
+    gfield = MatrixField.constant(g, np.array([[1.0, 0.2], [0.2, 1.5]]))
+    with pytest.raises(ValueError, match="metric must be positive definite"):
+        trace_estimate_check(u, gfield, -np.eye(2), 1.0, 3.0)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        trace_estimate_check(u, gfield, np.array([[1.0, 0.5], [0.0, 1.0]]), 1.0, 3.0)
+    alpha = np.array([[2.0, 0.5 + 0.3j], [0.5 - 0.3j, 1.5]])
+    by_field = trace_estimate_check(u, gfield, MatrixField.constant(g, alpha), 1.0, 3.0)
+    assert by_field == trace_estimate_check(u, gfield, alpha, 1.0, 3.0)
+    varying = MatrixField(g, gfield.values * (1.0 + u.values[..., None, None]))
+    with pytest.raises(ValueError, match="constant on the grid"):
+        trace_estimate_check(u, gfield, varying, 1.0, 3.0)
+    # the identity matrix gives the bits of the unchecked formula
+    rep = trace_estimate_check(u, gfield, np.eye(2), 1.0, 3.0)
+    tr = np.real(np.einsum("ab,...ba->...", np.linalg.inv(np.eye(2)), gfield.values))
+    assert rep.c_fit == float((tr * np.exp(-1.0 * (u.values - u.values.min()))).max())
 
 
 def test_strong_concavity_flags():

@@ -17,7 +17,6 @@ from conesolve import (
     evaluate,
     first_derivative,
     second_form,
-    spectrum_separator,
 )
 from oracles import second_derivative_form, second_difference
 from test_crossings import _pushed
@@ -278,27 +277,3 @@ def test_basis_invariance():
         d2 = np.linalg.eigvalsh(first_derivative(op, conj))
         np.testing.assert_allclose(d1, d2, atol=1e-10)
         assert d1.min() > 0  # ellipticity
-
-
-def test_spectrum_separator():
-    sep = spectrum_separator(np.eye(3), 0.1)
-    vals = np.linalg.eigvalsh(sep)
-    assert np.abs(np.diff(vals)).min() > 1e-12
-    assert vals.max() == pytest.approx(1.0, abs=1e-12)  # top eigenvalue kept
-
-    # simple spectrum with a gap below the separation scale: top untouched
-    a = np.diag([3.0, 2.0, 1.0])
-    sep = spectrum_separator(a, 0.05)
-    assert np.linalg.eigvalsh(sep).max() == pytest.approx(3.0, abs=1e-14)
-
-    # determinism
-    rng = np.random.default_rng(13)
-    a = rand_hermitian(rng, 3)
-    assert np.array_equal(spectrum_separator(a, 0.1), spectrum_separator(a, 0.1))
-
-    # the ladder is strictly increasing and below twice its first rung
-    vals0, frame = eigen_decompose(np.eye(4))
-    sep = spectrum_separator(np.eye(4), 0.2)
-    b = np.sort(1.0 - np.linalg.eigvalsh(sep))[::-1]  # subtracted amounts
-    b = b[b > 1e-15]
-    assert np.all(np.diff(b) < 0) and b.max() < 2 * b.min() <= 0.2

@@ -15,12 +15,10 @@ from conesolve import (
     PathKind,
     PeriodicGrid,
     ScalarField,
-    SolveState,
     StagnationError,
     TorusProblem,
     admissibility_margin,
     endomorphism_field,
-    linearized_apply,
     newton_solve,
     normalize,
     random_band_limited,
@@ -122,21 +120,21 @@ def test_residual_domain_error_reports_worst_point():
     assert err.value.margin < 0 and err.value.worst_index is not None
 
 
-def test_linearized_apply_consistency():
+def test_linearization_apply_consistency():
     prob, _ = manufactured_problem(n=2, points=16, reduced=True, seed=2)
     g = prob.grid
     u0 = random_band_limited(g, 0.01, seed=3)
-    state = SolveState(u0, 0.1, 1.0, 0.0, 1.0)
+    at_u0 = Linearization(prob, evaluate_pointwise(prob, prob.components(u0), 1.0))
     v = random_band_limited(g, 1.0, seed=4)
 
     # constants have zero Hessian; the constant block is -dc
-    const = linearized_apply(prob, state, ScalarField.constant(g, 3.0), 0.0)
+    const = at_u0.apply(np.fft.rfftn(ScalarField.constant(g, 3.0).values), 0.0)
     assert np.abs(const.values).max() < 1e-12
-    unit_dc = linearized_apply(prob, state, ScalarField.zeros(g), 1.0)
+    unit_dc = at_u0.apply(np.fft.rfftn(ScalarField.zeros(g).values), 1.0)
     assert np.abs(unit_dc.values + 1.0).max() < 1e-14
 
     # directional-derivative ratio test at eps in {1e-4, 1e-5}
-    lin = linearized_apply(prob, state, v, 0.7)
+    lin = at_u0.apply(np.fft.rfftn(v.values), 0.7)
     errs = []
     for eps in (1e-4, 1e-5):
         u_eps = ScalarField(g, u0.values + eps * v.values)

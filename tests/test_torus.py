@@ -19,7 +19,6 @@ from conesolve import (
     compute_c,
     derivative,
     endomorphism_field,
-    export_csv,
     form_ratio,
     hessian,
     integral,
@@ -28,6 +27,7 @@ from conesolve import (
     random_band_limited,
     save_field,
 )
+from conesolve.eigencalc import hermitian_defect
 from conesolve.torus import (
     congruence,
     hessian_components,
@@ -97,12 +97,12 @@ def test_complex_hessian_hermitian():
     g = PeriodicGrid.make("complex", 2, 12, 1.0)
     u = random_band_limited(g, 1.0, seed=1, max_harmonic=2)
     h = hessian(u)
-    assert h.hermitian_defect() < 1e-12
+    assert hermitian_defect(h.values) < 1e-12
     assert np.abs(h.values.imag).max() > 0  # genuinely complex off-diagonal
 
     gr = PeriodicGrid.make("complex", 2, 16, 1.0, reduced=True)
     hr = hessian(random_band_limited(gr, 1.0, seed=2))
-    assert hr.hermitian_defect() < 1e-12
+    assert hermitian_defect(hr.values) < 1e-12
 
 
 def test_real_hessian_symmetry():
@@ -364,7 +364,7 @@ def test_endomorphism_self_adjoint_general_metric():
     u = random_band_limited(g, 0.5, seed=5)
     chi = MatrixField.constant(g, 2 * alpha)
     endo = endomorphism_field(alpha, chi, u)
-    assert endo.hermitian_defect() < 1e-10
+    assert hermitian_defect(endo.values) < 1e-10
     # eigenvalues agree with alpha^{-1}(chi + hess u)
     raw = np.linalg.inv(alpha) @ (chi.values + hessian(u).values)
     lam1 = np.sort(np.linalg.eigvalsh(endo.values), axis=-1)
@@ -489,6 +489,3 @@ def test_field_io_roundtrip(tmp_path):
     backm = load_field(tmp_path / "h")
     assert np.array_equal(backm.values, h.values)
 
-    export_csv(u, tmp_path / "u.csv", fixed={1: 0})
-    lines = (tmp_path / "u.csv").read_text().strip().splitlines()
-    assert lines[0] == "x0,value" and len(lines) == 9
