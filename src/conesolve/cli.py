@@ -19,6 +19,7 @@ deliberately excluded so two identical runs produce byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -26,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, selftest
 from .config import ConfigError, RunConfig, parse_config, parse_generator
 from .eigencalc import eigenvalues
 from .operators import operator_from_name
@@ -61,6 +62,10 @@ EXIT_STAGNATION = 2
 EXIT_DOMAIN = 3
 EXIT_IO = 4
 EXIT_REFUTED = 5
+
+#: the printed label and exit code of each error kind a report records
+_ERRORS = {"config": ("config error", EXIT_IO), "stagnation": ("stagnation", EXIT_STAGNATION),
+           "domain": ("domain error", EXIT_DOMAIN)}
 
 
 def build_problem(cfg: RunConfig) -> tuple[TorusProblem, dict]:
@@ -160,10 +165,7 @@ def run(cfg: RunConfig, check_only: bool = False, certify_only: bool = False) ->
     try:
         problem, extras = build_problem(cfg)
     except ValueError as exc:
-        report["error"] = {"kind": "config", "message": str(exc)}
-        _write_report(report, outdir)
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return _fail(report, outdir, "config", exc)
     except OSError as exc:
         print(f"I/O failure: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -183,7 +185,7 @@ def run(cfg: RunConfig, check_only: bool = False, certify_only: bool = False) ->
             return EXIT_OK
         if check_only:
             report["check_only"] = True
-            ok = _selftest_quick()
+            ok = selftest.run_all()
             report["selftest"] = "pass" if ok else "fail"
             _write_report(report, outdir)
             return EXIT_OK if ok else EXIT_SELFTEST
@@ -205,15 +207,9 @@ def run(cfg: RunConfig, check_only: bool = False, certify_only: bool = False) ->
             save_field(state.u, outdir / "u_final")
             save_field(problem.chi, outdir / "chi")
     except StagnationError as exc:
-        report["error"] = {"kind": "stagnation", "message": str(exc)}
-        _write_report(report, outdir)
-        print(f"stagnation: {exc}", file=sys.stderr)
-        return EXIT_STAGNATION
+        return _fail(report, outdir, "stagnation", exc)
     except (AdmissibilityError, DegenerateClassError) as exc:
-        report["error"] = {"kind": "domain", "message": str(exc)}
-        _write_report(report, outdir)
-        print(f"domain error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        return _fail(report, outdir, "domain", exc)
     except OSError as exc:
         print(f"I/O failure: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -221,6 +217,16 @@ def run(cfg: RunConfig, check_only: bool = False, certify_only: bool = False) ->
     _write_report(report, outdir)
     _write_summary(report, outdir)
     return EXIT_OK
+
+
+def _fail(report: dict, outdir: Path, kind: str, exc: Exception) -> int:
+    """Record ``exc`` as the report's error of ``kind``, write the report, print
+    the error, and return the kind's exit code."""
+    label, code = _ERRORS[kind]
+    report["error"] = {"kind": kind, "message": str(exc)}
+    _write_report(report, outdir)
+    print(f"{label}: {exc}", file=sys.stderr)
+    return code
 
 
 def _refutation(witness: dict) -> str:
@@ -270,13 +276,6 @@ def _write_summary(report: dict, outdir: Path) -> None:
     (outdir / "summary.txt").write_text("\n".join(lines) + "\n")
 
 
-def _selftest_quick(verbose: bool = False) -> bool:
-    """Fast deterministic property checks across the library."""
-    from . import selftest
-
-    return selftest.run_all(verbose=verbose)
-
-
 def _cmd_solve(args, certify_only: bool = False) -> int:
     try:
         text = Path(args.config).read_text()
@@ -297,12 +296,8 @@ def _cmd_solve(args, certify_only: bool = False) -> int:
     return run(cfg, check_only=check_only, certify_only=certify_only)
 
 
-def _cmd_certify(args) -> int:
-    return _cmd_solve(args, certify_only=True)
-
-
 def _cmd_selftest(args) -> int:
-    ok = _selftest_quick(verbose=True)
+    ok = selftest.run_all(verbose=True)
     return EXIT_OK if ok else EXIT_SELFTEST
 
 
@@ -371,8 +366,9 @@ def _at_least(least: int):
 
 
 def _grid_points(raw: str) -> int:
-    """An argparse type: an even integer >= 8, so that the ball's centre, where
-    the abp cases read v(0), is a grid point."""
+    """An argparse type: an even integer >= 8.  ``BallGrid`` samples odd counts
+    on cell centres, so the CLI keeps to even ones: a report's ``grid`` then
+    names one layout, points from -1 in steps of 2 / grid."""
     points = _at_least(8)(raw)
     if points % 2:
         raise argparse.ArgumentTypeError(f"must be an even integer, got {raw!r}")
@@ -387,19 +383,18 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", help="certify, solve and diagnose")
-    p_solve.add_argument("--config", required=True)
-    p_solve.add_argument("--output", default=None)
-    p_solve.add_argument("--seed", type=_at_least(0), default=None)
+    run_args = argparse.ArgumentParser(add_help=False)
+    run_args.add_argument("--config", required=True)
+    run_args.add_argument("--output", default=None)
+    run_args.add_argument("--seed", type=_at_least(0), default=None)
+
+    p_solve = sub.add_parser("solve", parents=[run_args], help="certify, solve and diagnose")
     p_solve.add_argument("--check-only", action="store_true",
                          help="run certification and the property suite, no solve")
     p_solve.set_defaults(func=_cmd_solve)
 
-    p_cert = sub.add_parser("certify", help="certification only")
-    p_cert.add_argument("--config", required=True)
-    p_cert.add_argument("--output", default=None)
-    p_cert.add_argument("--seed", type=_at_least(0), default=None)
-    p_cert.set_defaults(func=_cmd_certify)
+    p_cert = sub.add_parser("certify", parents=[run_args], help="certification only")
+    p_cert.set_defaults(func=functools.partial(_cmd_solve, certify_only=True))
 
     p_self = sub.add_parser("selftest", help="deterministic property suite")
     p_self.set_defaults(func=_cmd_selftest)

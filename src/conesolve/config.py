@@ -1,42 +1,8 @@
 """Run configuration: a sectioned key-value text format and its validation.
 
-The format is INI-style (configparser).  Sections and keys:
-
-    [problem]
-    mode = complex | real
-    dimension = <int>                 complex dimension n, or real dimension
-    operator = monge_ampere | log_sigma_k | hessian_quotient
-               | inverse_sigma_k | composed_with_T
-    k = <int>          l = <int>      operator parameters where applicable
-    inner = <operator name>           composed_with_T only
-    path = hessian | quotient | riemannian | fixed    quotient: hessian_quotient only
-    normalization = mean_zero | sup_zero
-
-    [grid]
-    points_per_axis = <even int >= 4>
-    periods = <finite float > 0 list, one per stored axis; or a single one>
-    reduced = true | false            complex mode: store x-axes only
-
-    [background]
-    alpha = alpha_scaled(<s > 0>) | file:<path>     file: a constant, positive definite metric
-    chi = chi_scaled(<s>) | chi_perturbed(<s>, <amplitude>[, <seed>]) | file:<path>
-
-    [rhs]
-    h = zero | constant(<v>) | random_smooth(<amplitude>[, <seed>]) | file:<path>
-
-    [solve]
-    schedule = <int count >= 2> | <comma list of t values, 0 first, 1 last, increasing>
-    newton_tol = <finite float > 0>
-    max_newton = <int >= 1>
-
-    [certify]
-    enabled = true | false
-    delta_grid = <non-empty comma list of finite floats > 0>
-    kappa_samples = <int >= 0>      0: no kappa sampling
-
-    [output]
-    directory = <path>
-    save_fields = true | false
+The format is INI-style (configparser).  Each setting is declared once, on its
+``RunConfig`` field: the field's metadata holds its section, key, default and
+parser, and the comment beside it the values it takes.
 
 Validation is collecting: every problem found is reported once, not just the
 first.  A rule the library checks too is read from its table (``rules``).
@@ -47,24 +13,13 @@ from __future__ import annotations
 import configparser
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 from .operators import OPERATOR_KINDS, operator_from_name
 from .rules import require
 from .solver import SOLVE_RULES, PathKind, check_schedule
 from .subsolution import CERTIFY_RULES
 from .torus import GRID_RULES
-
-_KNOWN_KEYS = {
-    "problem": {"mode", "dimension", "operator", "k", "l", "inner", "path",
-                "normalization"},
-    "grid": {"points_per_axis", "periods", "reduced"},
-    "background": {"alpha", "chi"},
-    "rhs": {"h"},
-    "solve": {"schedule", "newton_tol", "max_newton"},
-    "certify": {"enabled", "delta_grid", "kappa_samples"},
-    "output": {"directory", "save_fields"},
-}
 
 _PATHS = {kind.value for kind in PathKind}
 
@@ -77,30 +32,60 @@ class ConfigError(ValueError):
         super().__init__("invalid configuration:\n  " + "\n  ".join(errors))
 
 
+def _bool(raw: str) -> bool:
+    """A boolean setting; raises ValueError on anything else."""
+    if raw.lower() in ("true", "yes", "1", "on"):
+        return True
+    if raw.lower() in ("false", "no", "0", "off"):
+        return False
+    raise ValueError(raw)
+
+
+_EXPECTED = {int: "an integer", float: "a number", _bool: "a boolean"}
+
+
+def _setting(section: str, key: str, default: str | None = None, parse=None):
+    """A field read from ``[section] key``: ``default`` when absent (None: no
+    default), converted by ``parse`` (None: kept as written)."""
+    return field(metadata={"setting": (section, key, default, parse)})
+
+
 @dataclass
 class RunConfig:
-    mode: str
-    dimension: int
-    operator: str
-    k: int | None
-    l: int | None
-    inner: str | None
-    path: str
-    normalization: str
-    points_per_axis: int
-    periods: tuple[float, ...] | float
-    reduced: bool
-    alpha_spec: str
-    chi_spec: str
-    rhs_spec: str
-    schedule: list[float] | int
-    newton_tol: float
-    max_newton: int
-    certify_enabled: bool
-    delta_grid: tuple[float, ...]
-    kappa_samples: int
-    output_directory: str
-    save_fields: bool
+    """One run's settings; each field declares its config key (``_setting``)."""
+
+    mode: str = _setting("problem", "mode", "complex")  # complex | real
+    #: complex dimension n, or real dimension
+    dimension: int = _setting("problem", "dimension", parse=int)
+    #: monge_ampere | log_sigma_k | hessian_quotient | inverse_sigma_k | composed_with_T
+    operator: str = _setting("problem", "operator", "monge_ampere")
+    k: int | None = _setting("problem", "k", parse=int)  # where the operator takes it
+    l: int | None = _setting("problem", "l", parse=int)  # where the operator takes it
+    inner: str | None = _setting("problem", "inner")  # an operator name; composed_with_T only
+    #: hessian | quotient | riemannian | fixed; quotient: hessian_quotient only
+    path: str = _setting("problem", "path", "fixed")
+    normalization: str = _setting("problem", "normalization", "mean_zero")  # or sup_zero
+    points_per_axis: int = _setting("grid", "points_per_axis", parse=int)  # even, >= 4
+    #: finite floats > 0: one per stored axis, or a single one
+    periods: tuple[float, ...] | float = _setting("grid", "periods", "1.0")
+    reduced: bool = _setting("grid", "reduced", "false", _bool)  # complex: x-axes only
+    #: alpha_scaled(<s > 0>) | file:<path>, a constant positive definite metric
+    alpha_spec: str = _setting("background", "alpha", "alpha_scaled(1)")
+    #: chi_scaled(<s>) | chi_perturbed(<s>, <amplitude>[, <seed>]) | file:<path>
+    chi_spec: str = _setting("background", "chi", "chi_scaled(1)")
+    #: zero | constant(<v>) | random_smooth(<amplitude>[, <seed>]) | file:<path>
+    rhs_spec: str = _setting("rhs", "h", "zero")
+    #: a count >= 2, or t values from 0 to 1, increasing
+    schedule: list[float] | int = _setting("solve", "schedule", "21")
+    newton_tol: float = _setting("solve", "newton_tol", "1e-10", float)  # finite, > 0
+    max_newton: int = _setting("solve", "max_newton", "50", int)  # >= 1
+    certify_enabled: bool = _setting("certify", "enabled", "true", _bool)
+    #: finite floats > 0, at least one
+    delta_grid: tuple[float, ...] = _setting("certify", "delta_grid",
+                                             "0.4, 0.2, 0.1, 0.05, 0.025")
+    kappa_samples: int = _setting("certify", "kappa_samples", "2000", int)  # 0: no sampling
+    output_directory: str = _setting("output", "directory", "out")
+    save_fields: bool = _setting("output", "save_fields", "true", _bool)
     seed: int = 0
 
     def to_dict(self) -> dict:
@@ -111,15 +96,6 @@ class RunConfig:
         return out
 
 
-def _parse_bool(raw: str, where: str, errors: list[str]) -> bool:
-    if raw.lower() in ("true", "yes", "1", "on"):
-        return True
-    if raw.lower() in ("false", "no", "0", "off"):
-        return False
-    errors.append(f"{where}: expected a boolean, got {raw!r}")
-    return False
-
-
 def _parse(convert, raw: str | None, where: str, errors: list[str]):
     """``convert(raw)``, or None if ``raw`` is missing or does not parse (collected)."""
     if raw is None:
@@ -127,8 +103,7 @@ def _parse(convert, raw: str | None, where: str, errors: list[str]):
     try:
         return convert(raw)
     except ValueError:
-        errors.append(f"{where}: expected {'an integer' if convert is int else 'a number'},"
-                      f" got {raw!r}")
+        errors.append(f"{where}: expected {_EXPECTED[convert]}, got {raw!r}")
         return None
 
 
@@ -204,132 +179,103 @@ def parse_config(text: str) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError([f"unparseable config: {exc}"]) from exc
 
+    settings = {f.name: f.metadata["setting"] for f in fields(RunConfig) if f.metadata}
+    known: dict[str, set[str]] = {}
+    for section, key, _, _ in settings.values():
+        known.setdefault(section, set()).add(key)
     for section in parser.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in known:
             errors.append(f"unknown section [{section}]")
             continue
         for key in parser[section]:
-            if key not in _KNOWN_KEYS[section]:
+            if key not in known[section]:
                 errors.append(f"unknown key {section}.{key}")
 
-    def get(section: str, key: str, default: str | None = None) -> str | None:
-        if parser.has_option(section, key):
-            return parser.get(section, key).strip()
-        return default
+    raw: dict[str, str | None] = {}
+    values = {}
+    for name, (section, key, default, parse) in settings.items():
+        given = parser.get(section, key, fallback=None)
+        raw[name] = default if given is None else given.strip()
+        values[name] = (raw[name] if parse is None
+                        else _parse(parse, raw[name], f"{section}.{key}", errors))
+    cfg = RunConfig(**values)
+    unparsed = {name for name, value in values.items()
+                if value is None and raw[name] is not None}
 
     # [problem]
     problem_start = len(errors)
-    mode = get("problem", "mode", "complex")
-    _check("problem", GRID_RULES, "mode", mode, errors)
-    dimension_raw = get("problem", "dimension")
-    dimension = _parse(int, dimension_raw, "problem.dimension", errors)
-    if dimension_raw is None:
+    _check("problem", GRID_RULES, "mode", cfg.mode, errors)
+    dimension, operator, k = cfg.dimension, cfg.operator, cfg.k
+    if raw["dimension"] is None:
         errors.append("missing required key problem.dimension")
     elif dimension is not None and not 1 <= dimension <= 3:
-        errors.append(f"problem.dimension must be 1..3, got {dimension_raw}")
-    operator = get("problem", "operator", "monge_ampere")
+        errors.append(f"problem.dimension must be 1..3, got {raw['dimension']}")
     if operator not in OPERATOR_KINDS:
         errors.append(f"unknown operator {operator!r}; known: {sorted(OPERATOR_KINDS)}")
-    k_raw, l_raw = get("problem", "k"), get("problem", "l")
-    k = _parse(int, k_raw, "problem.k", errors)
-    l = _parse(int, l_raw, "problem.l", errors)
-    inner = get("problem", "inner")
-    given = {"k": k_raw, "l": l_raw, "inner": inner}
     required = OPERATOR_KINDS[operator][1] if operator in OPERATOR_KINDS else ()
-    if any(given[param] is None for param in required):
+    if any(raw[param] is None for param in required):
         errors.append(f"operator {operator} requires "
                       + " and ".join(f"problem.{param}" for param in required))
-    elif operator == "hessian_quotient" and None not in (k, l) and not 1 <= l < k:
+    elif operator == "hessian_quotient" and None not in (k, cfg.l) and not 1 <= cfg.l < k:
         errors.append("operator hessian_quotient: require l < k (with l >= 1)")
-    if inner is not None and inner not in OPERATOR_KINDS.keys() - {"composed_with_T"}:
-        errors.append(f"unknown inner operator {inner!r}")
-    if len(errors) == problem_start:
+    if cfg.inner is not None and cfg.inner not in OPERATOR_KINDS.keys() - {"composed_with_T"}:
+        errors.append(f"unknown inner operator {cfg.inner!r}")
+    if len(errors) == problem_start and not unparsed & {"dimension", "k", "l"}:
         try:  # the operator's own parameter checks, against the dimension
-            operator_from_name(operator, dimension, k=k, l=l, inner=inner)
+            operator_from_name(operator, dimension, k=k, l=cfg.l, inner=cfg.inner)
         except ValueError as exc:
             errors.append(f"operator {operator} at dimension {dimension}: {exc}")
-    path = get("problem", "path", "fixed")
-    if path not in _PATHS:
-        errors.append(f"problem.path must be one of {sorted(_PATHS)}, got {path!r}")
-    if path == "quotient":
+    if cfg.path not in _PATHS:
+        errors.append(f"problem.path must be one of {sorted(_PATHS)}, got {cfg.path!r}")
+    if cfg.path == "quotient":
         if None not in (k, dimension) and k > dimension >= 1:
             errors.append(f"quotient path: require k <= problem.dimension, got k = {k}")
         if operator != "hessian_quotient":
             errors.append(f"quotient path: requires operator hessian_quotient, got {operator}")
-    normalization = get("problem", "normalization", "mean_zero")
-    _check("problem", SOLVE_RULES, "normalization", normalization, errors)
+    _check("problem", SOLVE_RULES, "normalization", cfg.normalization, errors)
 
     # [grid]
-    ppa_raw = get("grid", "points_per_axis")
-    points = _parse(int, ppa_raw, "grid.points_per_axis", errors)
     if not parser.has_section("grid"):
         errors.append("missing section [grid] (grid.points_per_axis is required)")
-    elif ppa_raw is None:
+    elif raw["points_per_axis"] is None:
         errors.append("missing required key grid.points_per_axis")
-    _check("grid", GRID_RULES, "points_per_axis", points, errors)
-    periods_raw = get("grid", "periods", "1.0")
-    parts = [p for p in periods_raw.split(",") if p.strip()]
-    periods_list = [_parse(float, p, "grid.periods", errors) for p in parts]
-    if None not in periods_list and not all(0.0 < p < math.inf for p in periods_list):
-        errors.append(f"grid.periods must be finite numbers > 0, got {periods_raw!r}")
-    periods: tuple[float, ...] | float = (
-        periods_list[0] if len(periods_list) == 1 else tuple(periods_list)
-    )
-    reduced = _parse_bool(get("grid", "reduced", "false"), "grid.reduced", errors)
-    if mode == "real" and reduced:
+    _check("grid", GRID_RULES, "points_per_axis", cfg.points_per_axis, errors)
+    parts = [p for p in cfg.periods.split(",") if p.strip()]
+    periods = [_parse(float, p, "grid.periods", errors) for p in parts]
+    if None not in periods and not all(0.0 < p < math.inf for p in periods):
+        errors.append(f"grid.periods must be finite numbers > 0, got {cfg.periods!r}")
+    cfg.periods = periods[0] if len(periods) == 1 else tuple(periods)
+    if cfg.mode == "real" and cfg.reduced:
         errors.append("grid.reduced applies to complex mode only")
 
-    # [background]
-    alpha_spec = get("background", "alpha", "alpha_scaled(1)")
-    chi_spec = get("background", "chi", "chi_scaled(1)")
-    _check_generator("background.alpha", alpha_spec, {"alpha_scaled"}, errors)
-    _check_generator("background.chi", chi_spec, {"chi_scaled", "chi_perturbed"}, errors)
-
-    # [rhs]
-    rhs_spec = get("rhs", "h", "zero")
-    _check_generator("rhs.h", rhs_spec, {"zero", "constant", "random_smooth"}, errors)
+    # [background], [rhs]
+    _check_generator("background.alpha", cfg.alpha_spec, {"alpha_scaled"}, errors)
+    _check_generator("background.chi", cfg.chi_spec, {"chi_scaled", "chi_perturbed"}, errors)
+    _check_generator("rhs.h", cfg.rhs_spec, {"zero", "constant", "random_smooth"}, errors)
 
     # [solve]
-    schedule_raw = get("solve", "schedule", "21")
-    if "," in schedule_raw:
-        schedule = [_parse(float, p, "solve.schedule", errors) for p in schedule_raw.split(",")]
-        if None not in schedule:
+    if "," in cfg.schedule:
+        cfg.schedule = [_parse(float, p, "solve.schedule", errors)
+                        for p in cfg.schedule.split(",")]
+        if None not in cfg.schedule:
             try:
-                check_schedule(schedule)
+                check_schedule(cfg.schedule)
             except ValueError as exc:
                 errors.append(f"solve.schedule: {exc}")
     else:
-        schedule = _parse(int, schedule_raw, "solve.schedule", errors)
-        _check("solve", SOLVE_RULES, "schedule", schedule, errors)
-    newton_tol = _parse(float, get("solve", "newton_tol", "1e-10"), "solve.newton_tol", errors)
-    _check("solve", SOLVE_RULES, "newton_tol", newton_tol, errors)
-    max_newton = _parse(int, get("solve", "max_newton", "50"), "solve.max_newton", errors)
-    _check("solve", SOLVE_RULES, "max_newton", max_newton, errors)
+        cfg.schedule = _parse(int, cfg.schedule, "solve.schedule", errors)
+        _check("solve", SOLVE_RULES, "schedule", cfg.schedule, errors)
+    _check("solve", SOLVE_RULES, "newton_tol", cfg.newton_tol, errors)
+    _check("solve", SOLVE_RULES, "max_newton", cfg.max_newton, errors)
 
     # [certify]
-    certify_enabled = _parse_bool(get("certify", "enabled", "true"), "certify.enabled", errors)
-    delta_raw = get("certify", "delta_grid", "0.4, 0.2, 0.1, 0.05, 0.025")
-    delta_grid = tuple(
-        _parse(float, p, "certify.delta_grid", errors) for p in delta_raw.split(",") if p.strip()
-    )
-    if None not in delta_grid:
-        _check("certify", CERTIFY_RULES, "delta_grid", delta_grid, errors, shown=delta_raw)
-    kappa_samples = _parse(int, get("certify", "kappa_samples", "2000"),
-                           "certify.kappa_samples", errors)
-    _check("certify", CERTIFY_RULES, "kappa_samples", kappa_samples, errors)
-
-    # [output]
-    output_directory = get("output", "directory", "out")
-    save_fields = _parse_bool(get("output", "save_fields", "true"), "output.save_fields", errors)
+    delta_raw, cfg.delta_grid = cfg.delta_grid, tuple(
+        _parse(float, p, "certify.delta_grid", errors)
+        for p in cfg.delta_grid.split(",") if p.strip())
+    if None not in cfg.delta_grid:
+        _check("certify", CERTIFY_RULES, "delta_grid", cfg.delta_grid, errors, shown=delta_raw)
+    _check("certify", CERTIFY_RULES, "kappa_samples", cfg.kappa_samples, errors)
 
     if errors:
         raise ConfigError(errors)
-    return RunConfig(
-        mode=mode, dimension=dimension, operator=operator, k=k, l=l, inner=inner,
-        path=path, normalization=normalization, points_per_axis=points,
-        periods=periods, reduced=reduced, alpha_spec=alpha_spec, chi_spec=chi_spec,
-        rhs_spec=rhs_spec, schedule=schedule, newton_tol=newton_tol,
-        max_newton=max_newton, certify_enabled=certify_enabled,
-        delta_grid=delta_grid, kappa_samples=kappa_samples,
-        output_directory=output_directory, save_fields=save_fields,
-    )
+    return cfg

@@ -34,9 +34,10 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 class BallGrid:
     """Cartesian sampling of the unit ball plus explicit sphere samples.
 
-    The square [-1, 1)^m is sampled with ``points_per_axis`` points
-    per axis (origin on the grid for even counts); interior points are those
-    strictly inside the ball.  Boundary values live on explicit sphere
+    The square [-1, 1]^m is sampled with ``points_per_axis`` points per
+    axis, the origin among them: from -1 in steps of the spacing for even
+    counts, at the centres of the cells for odd ones.  Interior points are
+    those strictly inside the ball.  Boundary values live on explicit sphere
     samples, not on grid points, so radial test functions are evaluated at
     their true boundary values.
 
@@ -60,7 +61,10 @@ class BallGrid:
         return 2.0 / self.points_per_axis
 
     def axis_coordinates(self) -> np.ndarray:
-        return -1.0 + self.spacing * np.arange(self.points_per_axis)
+        n = self.points_per_axis
+        if n % 2:
+            return (2.0 * np.arange(n) + 1 - n) / n
+        return -1.0 + self.spacing * np.arange(n)
 
     @cached_property
     def open_coordinates(self) -> tuple[np.ndarray, ...]:

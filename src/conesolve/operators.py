@@ -226,6 +226,16 @@ class SymmetricOperator:
                 np.zeros(shape))
         return v if np.ndim(v) else float(v)
 
+    def subtuple_limits(self, mu) -> tuple[np.ndarray, np.ndarray]:
+        """(inside, limits), each shaped like ``mu`` ``(..., n)``: at [..., i],
+        whether mu without entry i lies in the projection of the cone, and the
+        limit of f there as entry i tends to +inf (-inf outside)."""
+        sub = without_each(mu)
+        inside = np.asarray(self.cone.projection().contains(sub))
+        limits = np.full(inside.shape, -np.inf)
+        limits[inside] = self._limit_at_infinity(sub[inside])  # membership checked above
+        return inside, limits
+
     @property
     def _escape_degrees(self) -> tuple:
         """Degree in R of sigma_0, ..., sigma_n along the line (mu', R)."""

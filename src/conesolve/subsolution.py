@@ -4,8 +4,8 @@ A comparison tuple mu admits the subsolution property at level sigma when the
 set (mu + Gamma_n) intersected with {f = sigma} is bounded.  Boundedness is
 decided exactly through the one-eigenvalue-to-infinity limit: the set is
 bounded iff every (n-1)-subtuple of mu lies in the projection of the cone and
-f at infinity exceeds sigma there.  ``subtuple_limits`` tabulates both per
-dropped entry; verdicts and witnesses read that one table.
+f at infinity exceeds sigma there.  ``SymmetricOperator.subtuple_limits``
+tabulates both per dropped entry; verdicts and witnesses read that one table.
 
 The quantitative side is the dichotomy: for level-set points lambda far from
 the origin, either the gradient pairing sum_i f_i (mu_i - lambda_i) exceeds
@@ -50,24 +50,13 @@ class DichotomyBranch(enum.Enum):
     VIOLATION = "violation"
 
 
-def subtuple_limits(op: SymmetricOperator, mu) -> tuple[np.ndarray, np.ndarray]:
-    """(inside, limits), each shaped like ``mu`` ``(..., n)``: at [..., i],
-    whether mu without entry i lies in the projection of the cone, and the
-    limit of f there as entry i tends to +inf (-inf outside)."""
-    sub = without_each(mu)
-    inside = np.asarray(op.cone.projection().contains(sub))
-    limits = np.full(inside.shape, -np.inf)
-    limits[inside] = op._limit_at_infinity(sub[inside])  # membership checked above
-    return inside, limits
-
-
 def is_subsolution_point(op: SymmetricOperator, mu, sigma_level: float) -> bool:
     """Whether (mu + Gamma_n) meets {f = sigma} in a bounded set.
 
     Raises the projection's ``ConeViolation`` when a subtuple of mu lies
     outside the projection of the cone, before comparing any limit.
     """
-    inside, limits = subtuple_limits(op, mu)
+    inside, limits = op.subtuple_limits(mu)
     if not inside.all():
         raise op.cone.projection().violation(without_each(mu)[np.argmin(inside)])
     return bool(np.all(limits > sigma_level))
@@ -238,7 +227,7 @@ def certify_field(op: SymmetricOperator, eigenvalue_field, rhs_field, delta_grid
     skipped: list[float] = []
     for delta in deltas:
         mu = mu_all - 2.0 * delta
-        inside, limits = subtuple_limits(op, mu)
+        inside, limits = op.subtuple_limits(mu)
         if not inside.all():  # this delta exits the natural domain somewhere
             skipped.append(delta)
             point, i = (int(x) for x in np.argwhere(~inside)[0])

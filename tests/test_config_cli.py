@@ -1,4 +1,6 @@
+import inspect
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -134,6 +136,22 @@ def test_config_error_is_the_library_message(old, new, section, library, shown):
     with pytest.raises(ConfigError) as err:
         parse_config(text.replace(old, new, 1))
     assert err.value.errors == [f"{section}.{message}"]
+
+
+def test_config_defaults_are_the_library_defaults():
+    # both are stated, since the report records resolved values; they must agree
+    cfg = parse_config(MINIMAL)
+    problem = {f.name: f.default for f in fields(TorusProblem)}
+    grid = inspect.signature(PeriodicGrid.make).parameters
+    assert cfg.newton_tol == problem["newton_tol"]
+    assert cfg.max_newton == problem["max_newton"]
+    assert cfg.normalization == problem["normalization"]
+    assert PathKind(cfg.path) is problem["path"]
+    assert cfg.kappa_samples == inspect.signature(certify_field).parameters[
+        "kappa_samples"].default
+    assert cfg.schedule == inspect.signature(uniform_schedule).parameters["steps"].default
+    assert cfg.periods == grid["periods"].default
+    assert cfg.reduced is grid["reduced"].default
 
 
 def test_unknown_key_named():

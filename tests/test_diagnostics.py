@@ -372,6 +372,16 @@ def test_strong_concavity_flags():
         strong_concavity_flags(ma, [])
 
 
+def test_odd_grid_centre_is_the_origin():
+    # odd counts sample cell centres, so the middle point, where the abp
+    # precondition reads v(0), is the origin itself
+    grid = BallGrid(2, 33)
+    v = BallFunction.from_callable(grid, lambda x, y: np.exp(x) + 3.0 * y + x * y)
+    assert v.center_value() == 1.0
+    axis = grid.axis_coordinates()
+    np.testing.assert_array_equal(axis, -axis[::-1])
+
+
 def test_supporting_plane_boundary_samples_decide():
     # |x|^2 with a narrow well on the unit sphere: with an odd point count no
     # grid point lies on the sphere, so the well, narrower than the gap, dips

@@ -19,7 +19,7 @@ from conesolve import (
     sample_level_set,
     schur_horn_pairing,
 )
-from conesolve.subsolution import dichotomy_margins, subtuple_limits
+from conesolve.subsolution import dichotomy_margins
 from oracles import ray_boundedness_oracle, sigma_bruteforce
 from test_crossings import KINDS
 
@@ -251,7 +251,7 @@ def test_certify_field_rejects_a_negative_kappa_sample_count():
 @pytest.mark.parametrize("op", KINDS, ids=repr)
 def test_subtuple_limits_match_each_subtuple(op):
     mu = np.random.default_rng(op.n).uniform(-2.0, 3.0, (40, op.n))
-    inside, limits = subtuple_limits(op, mu)
+    inside, limits = op.subtuple_limits(mu)
     projection = op.cone.projection()
     assert inside.shape == limits.shape == (40, op.n)
     # points outside the natural domain are in the sample wherever there are any
