@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__, selftest
 from .config import ConfigError, RunConfig, parse_config, parse_generator
-from .eigencalc import eigenvalues
+from .eigencalc import combine, eigenvalues
 from .operators import operator_from_name
 from .solver import (
     AdmissibilityError,
@@ -117,7 +117,7 @@ def build_problem(cfg: RunConfig) -> tuple[TorusProblem, dict]:
 
 def certify_problem(problem: TorusProblem, cfg: RunConfig) -> dict:
     """Certify the trivial comparison function for the configured path."""
-    eigs = eigenvalues(problem.background).reshape(-1, problem.grid.n)
+    eigs = eigenvalues(problem.packing.unpack(problem.background)).reshape(-1, problem.grid.n)
     extra = {}
     if problem.path is PathKind.QUOTIENT:
         extra["class_constant"] = problem.class_constant
@@ -136,9 +136,10 @@ def _diagnostics(problem: TorusProblem, state) -> dict:
 
     out: dict = {}
     comps = problem.components(state.u)
-    endo = problem.endomorphism(comps)
-    mats = endo.reshape(-1, problem.grid.n, problem.grid.n)
-    take = eigenvalues(mats[:: max(1, mats.shape[0] // 512)])
+    every = slice(None, None, max(1, comps[0].size // 512))
+    rows = combine(problem.basis, comps.reshape(len(comps), -1)[:, every],
+                   problem.background.reshape(len(problem.background), -1)[:, every])
+    take = eigenvalues(problem.packing.unpack(rows))
     flag_a, flag_b = strong_concavity_flags(problem.op, take)
     out["strong_concavity_flags"] = {"f11_plus_f1_over_lam1": flag_a,
                                      "lam1_f1_smallest": flag_b}

@@ -1,8 +1,8 @@
 """Run configuration: a sectioned key-value text format and its validation.
 
-The format is INI-style (configparser).  Each setting is declared once, on its
-``RunConfig`` field: the field's metadata holds its section, key, default and
-parser, and the comment beside it the values it takes.
+The format is INI-style (configparser), with literal values.  Each setting is
+declared once, on its ``RunConfig`` field: the field's metadata holds its
+section, key, default and parser, and the comment beside it the values it takes.
 
 Validation is collecting: every problem found is reported once, not just the
 first.  A rule the library checks too is read from its table (``rules``).
@@ -172,7 +172,8 @@ def _check_generator(where: str, spec: str, kinds: set[str], errors: list[str]) 
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate; raises ConfigError listing every problem found."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    # values are literal: no interpolation, so a % is a character like any other
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     errors: list[str] = []
     try:
         parser.read_string(text)

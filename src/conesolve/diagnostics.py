@@ -14,6 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .eigencalc import combine
 from .operators import SymmetricOperator
 from .solver import TorusProblem
 from .torus import (
@@ -311,8 +312,7 @@ def hmw_ratio(problem: TorusProblem, u: ScalarField, comps: np.ndarray) -> HmwRe
     |L^{-1} du|^2 (``problem.root_inverse``, alpha = L L*)."""
     if u.grid.mode != "complex":
         raise ValueError("the second-order/gradient monitor applies in complex mode")
-    dd = np.tensordot(comps, problem.basis, (0, 0))
-    sup_dd = sup_operator_norm(dd)
+    sup_dd = sup_operator_norm(problem.packing.unpack(combine(problem.basis, comps)))
     w = np.einsum("ab,...b->...a", problem.root_inverse, complex_gradient(u))
     grad_sq = np.real(np.einsum("...a,...a->...", np.conj(w), w))
     sup_grad_sq = float(grad_sq.max())

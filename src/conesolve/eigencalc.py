@@ -1,23 +1,19 @@
 """Operators on Hermitian/symmetric endomorphisms, F(A) = f(lambda(A)).
 
-F needs no eigenvalues.  Every catalog kind states f in the sigma_j of the
-spectrum, and those are read straight from the matrix by the
-Faddeev-LeVerrier recursion (``matrix_sigmas``), which also gives each
-derivative P_{j-1} = d sigma_j / dA.  So the cone margin, F and the matrix of
-dF, sum_j (df/d sigma_j) P_{j-1}, come from one table (``SigmaTable``), and
-d2F[H, H] from one forward-mode sweep of the same recursion in the direction
-H (``second_form``), exact at eigenvalue collisions.  The Newton path and the
-public ``evaluate``, ``first_derivative`` and ``second_form`` read this one
-calculus; the eigenframe form with its divided differences is the test
-suite's oracle.
-
-``eigenvalues`` is the spectrum where one is read: in closed form for n <= 2,
-by ``eigvalsh`` above.  ``eigen_decompose`` and ``frame_product`` are the
-eigenframe that the self-test and the test suite's oracles read.
+F needs no eigenvalues.  A is held as real rows, entries first (``Packing``),
+and every catalog kind states f in the sigma_j of the spectrum, which one
+Faddeev-LeVerrier recursion on the rows (``packed_sigmas``) reads with each
+P_{j-1} = d sigma_j / dA: the cone margin, F and dF come from one table
+(``SigmaTable``), d2F[H, H] from one forward-mode sweep (``second_form``).
+The dense ``evaluate``, ``first_derivative`` and ``second_form`` pack their
+input.  ``eigenvalues`` is the spectrum where one is read (closed form for
+n <= 2); ``eigen_decompose`` is the eigenframe of the self-test and oracles.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -94,27 +90,110 @@ def eigen_decompose(a) -> EigenSystem:
     return EigenSystem(np.ascontiguousarray(vals), np.ascontiguousarray(vecs))
 
 
-def matrix_sigmas(a, kmax: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """sigma_0..sigma_kmax (kmax >= 1) of the spectrum of each Hermitian matrix
-    in ``a``, shape (..., n, n), stacked on a trailing axis; and the matrices
-    P_0..P_{kmax-1}, P_{j-1} = d sigma_j / dA: d sigma_j(A)[H] = <P_{j-1}, H>.
+@dataclass(frozen=True)
+class Packing:
+    """Hermitian (real symmetric) n x n matrices (..., n, n) as real rows
+    (rows, ...), entries first: the n diagonals, the real parts of the upper
+    entries (i < j, row by row) and, if ``hermitian``, their imaginary parts."""
 
-    The Faddeev-LeVerrier (Newton identity) recursion
+    n: int
+    hermitian: bool
 
-        P_0 = I,   sigma_j = tr(A P_{j-1}) / j,   P_j = sigma_j I - A P_{j-1}
+    @functools.cached_property
+    def upper(self) -> tuple[tuple[int, int], ...]:
+        """The entries (i, j), i <= j, of the real-part rows, in order."""
+        pairs = ((i, j) for i in range(self.n) for j in range(i + 1, self.n))
+        return tuple((i, i) for i in range(self.n)) + tuple(pairs)
 
-    takes one batched matrix product for each P_j with j >= 2, none below.
-    P_0 is the unbatched identity.
-    """
-    a = np.asarray(a)
-    eye = np.eye(a.shape[-1])
-    e = np.ones(a.shape[:-2] + (kmax + 1,))
+    def pack(self, a: np.ndarray) -> np.ndarray:
+        imag = [np.imag(a[..., i, j]) for i, j in self.upper[self.n:] if self.hermitian]
+        return np.stack([np.real(a[..., i, j]) for i, j in self.upper] + imag)
+
+    def _entry(self, x, i: int, j: int):
+        """(Re X_ij, Im X_ij) from the rows x."""
+        r = self.upper.index((min(i, j), max(i, j)))
+        if r < self.n or not self.hermitian:
+            return x[r], 0.0
+        imag = x[r + len(self.upper) - self.n]
+        return x[r], (imag if i < j else -imag)
+
+    def unpack(self, x) -> np.ndarray:
+        out = np.zeros(x.shape[1:] + (self.n, self.n), complex if self.hermitian else float)
+        for i, j in itertools.product(range(self.n), repeat=2):
+            real, imag = self._entry(x, i, j)
+            out.real[..., i, j] = real
+            if self.hermitian:
+                out.imag[..., i, j] = imag
+        return out
+
+    def product(self, x, y) -> np.ndarray:
+        """The rows of XY, from its upper entries and the real part of its
+        diagonal: XY's own where XY, or the sum it enters, is Hermitian."""
+        out = np.zeros(np.broadcast_shapes(x.shape, y.shape))
+        for r, (i, j) in enumerate(self.upper):
+            for k in range(self.n):
+                (a, b), (c, d) = self._entry(x, i, k), self._entry(y, k, j)
+                out[r] += a * c - b * d
+                if self.hermitian and i < j:
+                    out[r + len(self.upper) - self.n] += a * d + b * c
+        return out
+
+    def pairing(self, x, y) -> np.ndarray:
+        """tr(XY) = sum_r g_r x_r y_r of Hermitian X and Y, g_r = 1 on the
+        diagonal rows and 2 on the rest."""
+        n, dot = self.n, "r...,r...->..."
+        diagonal = np.einsum(dot, x[:n], y[:n])
+        return diagonal + 2.0 * np.einsum(dot, x[n:], y[n:]) if n > 1 else diagonal
+
+    def pairings(self, basis, x) -> np.ndarray:
+        """w_e = tr(B_e X) for the columns B_e of the (rows, E) ``basis``:
+        M^T (g x) by ``combine``, so <X, sum_e c_e B_e> = sum_e w_e c_e."""
+        g = np.where(np.arange(len(basis)) < self.n, 1.0, 2.0)
+        return combine((basis * g[:, None]).T, x)
+
+
+@functools.lru_cache(maxsize=None)
+def packing(n: int, hermitian: bool) -> Packing:
+    """The layout of n x n matrices; a 1 x 1 Hermitian matrix is real."""
+    return Packing(n, hermitian and n > 1)
+
+
+def pack(a) -> np.ndarray:
+    """The rows of matrices ``a`` (..., n, n): Hermitian packing iff a is complex."""
+    return packing(a.shape[-1], np.iscomplexobj(a)).pack(a)
+
+
+def unpack(x, n: int) -> np.ndarray:
+    """The n x n matrices (..., n, n) whose rows are ``x`` (rows, ...)."""
+    return packing(n, len(x) == n * n).unpack(x)
+
+
+def combine(matrix: np.ndarray, x: np.ndarray, base: np.ndarray | None = None) -> np.ndarray:
+    """Rows sum_j matrix[i, j] x[j] (+ base[i]): elementwise sums over the
+    nonzero entries in j order, whose bits do not depend on BLAS threads."""
+    out = np.zeros((len(matrix),) + x.shape[1:]) if base is None else np.array(base)
+    for i, j in zip(*np.nonzero(matrix)):
+        out[i] += x[j] if matrix[i, j] == 1.0 else matrix[i, j] * x[j]
+    return out
+
+
+def packed_sigmas(x, n: int, kmax: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """sigma_0..sigma_kmax (kmax >= 1) of each n x n Hermitian matrix whose rows
+    are ``x`` (rows, ...), stacked on a leading axis, and the rows of
+    P_{j-1} = d sigma_j / dA, by the Faddeev-LeVerrier recursion P_0 = I,
+    sigma_j = tr(A P_{j-1}) / j, P_j = sigma_j I - A P_{j-1}.  Every P_j is a
+    polynomial in A, so it packs as A does; P_0 is the unbatched identity."""
+    layout = packing(n, len(x) == n * n)
+    eye = np.zeros((len(x),) + (1,) * (x.ndim - 1))
+    eye[:n] = 1.0
+    e = np.ones((kmax + 1,) + x.shape[1:])
     derivatives = [eye]
-    e[..., 1] = np.real(np.einsum("...ii->...", a))
+    e[1] = x[:n].sum(axis=0)
     for j in range(2, kmax + 1):
-        product = a if j == 2 else a @ derivatives[-1]
-        derivatives.append(e[..., j - 1, None, None] * eye - product)
-        e[..., j] = np.real(np.einsum("...ij,...ji->...", a, derivatives[-1])) / j
+        p = -(x if j == 2 else layout.product(x, derivatives[-1]))
+        p[:n] += e[j - 1]
+        derivatives.append(p)
+        e[j] = layout.pairing(x, p) / j
     return e, derivatives
 
 
@@ -123,8 +202,9 @@ class SigmaTable:
     """The sigma_j an operator reads at matrices A, without eigenvalues.
 
     ``sigmas`` holds sigma_0..sigma_K of the spectrum of the operator's
-    argument X (A, or T(A) under ``ComposedWithT``), K = ``op.sigma_order``;
-    ``derivatives`` holds P_0..P_{K-1}, P_{j-1} = d sigma_j / dX.
+    argument X (A, or T(A) under ``ComposedWithT``), K = ``op.sigma_order``,
+    shape (K + 1, ...); ``derivatives`` holds the rows of P_0..P_{K-1},
+    P_{j-1} = d sigma_j / dX.
     """
 
     op: SymmetricOperator
@@ -132,34 +212,35 @@ class SigmaTable:
     derivatives: list
 
     @classmethod
-    def at(cls, op: SymmetricOperator, a) -> "SigmaTable":
-        return cls(op, *matrix_sigmas(op.matrix_argument(a), op.sigma_order))
+    def at(cls, op: SymmetricOperator, x) -> "SigmaTable":
+        """The table at the matrices whose rows are ``x`` (``pack``)."""
+        return cls(op, *packed_sigmas(op.matrix_argument(x), op.n, op.sigma_order))
 
     def margin(self) -> np.ndarray:
         """The cone margin of lambda(A): min_{j<=k} sigma_j of the argument,
         for a Gamma cone and its preimage under T alike."""
-        return self.sigmas[..., 1:self.op.cone.k + 1].min(axis=-1)
+        return self.sigmas[1:self.op.cone.k + 1].min(axis=0)
 
     def value(self) -> np.ndarray:
         """F(A); meaningful only where the margin is positive."""
-        return np.asarray(self.op.sigma_value(self.sigmas))
+        return np.asarray(self.op.sigma_value(np.moveaxis(self.sigmas, 0, -1)))
 
     def derivative(self) -> np.ndarray:
-        """The matrix D of dF at A, as ``first_derivative``: sum_j (df/d
-        sigma_j) P_{j-1}, pulled back through the self-adjoint argument map."""
-        partials = self.op.sigma_partials(self.sigmas)
-        d = sum(p[..., None, None] * self.derivatives[j - 1] for j, p in partials.items())
-        return self.op.matrix_argument(d)
+        """The rows of the matrix D of dF at A, as ``first_derivative``: sum_j
+        (df/d sigma_j) P_{j-1}, pulled back through the self-adjoint argument map."""
+        partials = self.op.sigma_partials(np.moveaxis(self.sigmas, 0, -1))
+        return self.op.matrix_argument(sum(p * self.derivatives[j - 1]
+                                           for j, p in partials.items()))
 
 
-def _admissible_table(op: SymmetricOperator, a) -> SigmaTable:
-    """The sigma table at Hermitian A; raises ``ConeViolation`` naming the
+def _admissible_table(op: SymmetricOperator, x) -> SigmaTable:
+    """The sigma table at the rows ``x``; raises ``ConeViolation`` naming the
     first sigma_j <= 0 of the argument at the first inadmissible matrix."""
-    table = SigmaTable.at(op, require_hermitian(a))
+    table = SigmaTable.at(op, x)
     margins = np.reshape(table.margin(), -1)
     bad = np.flatnonzero(~(margins > 0.0))
     if bad.size:
-        sigmas = np.reshape(table.sigmas, (-1, table.sigmas.shape[-1]))[bad[0]]
+        sigmas = np.reshape(table.sigmas, (len(table.sigmas), -1))[:, bad[0]]
         j = 1 + int(np.argmin(sigmas[1:op.cone.k + 1] > 0.0))
         err = ConeViolation(j, float(sigmas[j]))
         err.args = (f"{err.args[0]}; margin {margins[bad[0]]:.6g}",)
@@ -169,13 +250,8 @@ def _admissible_table(op: SymmetricOperator, a) -> SigmaTable:
 
 def evaluate(op: SymmetricOperator, a):
     """F(A) = f(eigenvalues of A); basis invariant."""
-    v = _admissible_table(op, a).value()
+    v = _admissible_table(op, pack(require_hermitian(a))).value()
     return v if v.ndim else float(v)
-
-
-def frame_product(frame, weights) -> np.ndarray:
-    """U diag(w) U* for eigenframes U (..., n, n) and weights w (..., n)."""
-    return np.einsum("...ip,...p,...jp->...ij", frame, weights, np.conj(frame))
 
 
 def first_derivative(op: SymmetricOperator, a) -> np.ndarray:
@@ -184,7 +260,8 @@ def first_derivative(op: SymmetricOperator, a) -> np.ndarray:
     Contracting against a Hermitian direction H gives dF(A)[H] as the real
     trace pairing sum_ij D_ij conj(H_ij).  Positive definite on admissible A.
     """
-    return _admissible_table(op, a).derivative()
+    x = pack(require_hermitian(a))
+    return unpack(_admissible_table(op, x).derivative(), op.n)
 
 
 def contract(d, h) -> float | np.ndarray:
@@ -197,24 +274,27 @@ def contract(d, h) -> float | np.ndarray:
 def second_form(op: SymmetricOperator, a, h):
     """The quadratic form d2F(A)[H, H]; <= 0 by concavity of F.
 
-    One forward-mode sweep of the ``matrix_sigmas`` recursion at the argument
+    One forward-mode sweep of the ``packed_sigmas`` recursion at the argument
     X in the direction H_X (T(A) and T(H) under ``ComposedWithT``):
 
         sigma_j' = <P_{j-1}, H_X>,  P_0' = 0,  P_j' = sigma_j' I - H_X P_{j-1} - X P_{j-1}',
         sigma_j'' = <P_{j-1}', H_X>,
         d2F[H, H] = sum_jl f_jl sigma_j' sigma_l' + sum_j f_j sigma_j''.
+
+    H_X P_{j-1} + X P_{j-1}' is Hermitian: its rows are the products' rows summed.
     """
-    table = _admissible_table(op, a)
-    x = op.matrix_argument(np.asarray(a))
-    hx = op.matrix_argument(require_hermitian(h))
-    eye = np.eye(x.shape[-1])
+    a, h = require_hermitian(a), require_hermitian(h)
+    layout = packing(op.n, np.iscomplexobj(a) or np.iscomplexobj(h))
+    rows, hx = layout.pack(a), op.matrix_argument(layout.pack(h))
+    table, x = _admissible_table(op, rows), op.matrix_argument(rows)
     d1, d2 = {}, {}  # sigma_j', sigma_j''
     dp = np.zeros_like(hx)  # P_{j-1}'
     for j, p in enumerate(table.derivatives, start=1):
-        d1[j] = np.real(np.einsum("...ij,...ji->...", p, hx))
-        d2[j] = np.real(np.einsum("...ij,...ji->...", dp, hx))
-        dp = d1[j][..., None, None] * eye - hx @ p - x @ dp
-    out = sum(f * d2[j] for j, f in op.sigma_partials(table.sigmas).items())
-    for (j, l), f in op.sigma_second_partials(table.sigmas).items():
+        d1[j] = layout.pairing(p, hx)
+        d2[j] = layout.pairing(dp, hx)
+        dp = -(layout.product(hx, p) + layout.product(x, dp))
+        dp[:op.n] += d1[j]
+    out = sum(f * d2[j] for j, f in op.sigma_partials(np.moveaxis(table.sigmas, 0, -1)).items())
+    for (j, l), f in op.sigma_second_partials(np.moveaxis(table.sigmas, 0, -1)).items():
         out = out + (1 if j == l else 2) * f * d1[j] * d1[l]
     return out if np.ndim(out) else float(out)

@@ -14,23 +14,14 @@ elementary symmetric polynomials of lam:
   ``BlendedQuotient``      t*(quotient term) - (1-t) C(n,k) sigma_k^-1    on Gamma_k
   ``ComposedWithT``        the inner kind's terms in the sigma_j of T(lam)
 
-One calculus on ``SymmetricOperator`` derives the rest from the terms: value,
-gradient and Hessian by the chain rule over the sigma_j (batched over
-``lam`` of shape ``(..., n)``); the scaling along rays from the origin; and
-the limit as one eigenvalue tends to +inf.  Along that escaping line sigma_j
-grows like lead_j R^(d_j): a log term or a positive degree sum_j a_j d_j
-sends f to +inf, a negative degree tends to 0 and degree 0 to
-c prod_j lead_j^(a_j).  The limit is an extended real, since finiteness is a
-global property of the operator, not of the argument.
-
-Level crossings are closed forms.  Along a ray t*d from the origin each kind
-scales, f(t d) = f(d) + h log t or t^h f(d) (``ray_crossing``).  Each kind
-states f > sigma as one linear combination of the sigma_j being positive
-(``_level_weights``).  Every sigma_j is affine in each single entry, so a
-coordinate ray meets the level at the root of an affine residual, for every
-axis from one table of sigma_j(mu) and one of sigma_{j-1}(mu without i)
-(``coordinate_crossings``).  Only under T, whose images of coordinate rays
-are other lines, is the residual of higher degree, at most n - 1.
+One calculus on ``SymmetricOperator`` derives the rest from the terms (the
+README states it in full): value, gradient and Hessian by the chain rule over
+the sigma_j, batched over ``lam`` of shape ``(..., n)``; the limit as one
+eigenvalue tends to +inf, from each sigma_j's leading coefficient and degree
+along the escaping line (``limit_at_infinity``), an extended real; and level
+crossings in closed form, along rays from the origin by each kind's scaling
+(``ray_crossing``) and along coordinate rays as the root of an affine
+residual (``coordinate_crossings``; of degree up to n - 1 under T).
 """
 
 from __future__ import annotations
@@ -273,11 +264,11 @@ class SymmetricOperator:
         second form of F(A) read this one statement of the second derivative."""
         return _summed(term.second_partials(e) for term in self.terms)
 
-    def matrix_argument(self, a):
-        """The matrix whose spectrum the terms read: A itself (``ComposedWithT``
-        reads T(A)).  Self-adjoint under the trace pairing, so it also pulls a
-        derivative in the argument back to A."""
-        return a
+    def matrix_argument(self, x):
+        """The rows (``eigencalc.Packing``) of the matrix whose spectrum the terms
+        read, from A's rows ``x``: A itself (``ComposedWithT`` reads T(A)).  Self-
+        adjoint under the trace pairing, so it also pulls a derivative back to A."""
+        return x
 
     def _value(self, lam):
         return self.sigma_value(sigma_all(lam, self._top))
@@ -565,10 +556,12 @@ class ComposedWithT(SymmetricOperator):
         h = self.inner._hessian(t_map(lam))
         return np.einsum("pi,...pq,ql->...il", j, h, j)
 
-    def matrix_argument(self, a):
-        # T(A) = (tr A I - A)/(n-1): A's eigenvectors, eigenvalues T(lam)
-        a = np.asarray(a)
-        return (np.einsum("...ii->...", a)[..., None, None] * np.eye(self.n) - a) / (self.n - 1)
+    def matrix_argument(self, x):
+        # T(A) = (tr A I - A)/(n-1): A's eigenvectors, eigenvalues T(lam); the
+        # first n rows are the diagonal
+        out = -x / (self.n - 1)
+        out[:self.n] += x[:self.n].sum(axis=0) / (self.n - 1)
+        return out
 
     @property
     def _escape_degrees(self):

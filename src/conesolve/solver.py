@@ -4,28 +4,14 @@ constant c solved simultaneously.
 The unknown pair is (u mean-zero, c); constants span the cokernel of the
 linearization on a closed manifold, so the Newton system is the pointwise
 linearized equation in (dv, dc), with the mean-zero gauge of dv built into the
-Krylov search space: every search direction has a zero mode of 0.
-Each iterate is evaluated once, from the sigma_j of A[u] read straight from
-the matrix (``eigencalc.SigmaTable``): the cone margin, F and the matrix of
-dF need no eigenvalues or eigenvectors.
-The linear solves are matrix-free restarted GMRES (``gmres``, right-
-preconditioned, Saad & Schultz 1986) with a constant-coefficient spectral
-preconditioner: the inverse of (mean trace of the first-derivative matrix / n)
-times the metric Laplacian.  Its inner products are einsum and pairwise sums,
-not BLAS level-1 calls, so the iterates do not depend on the BLAS thread count.
-The search directions are kept as rfftn half spectra, the preconditioner's
-output, so an Arnoldi step costs one forward transform and E inverse ones (E
-Hessian components), and a Newton step one more inverse transform.  The
-products of one Newton step share buffers: its ``Linearization`` allocates the
-work spectrum, the components and the weighted sum once, and each product
-transforms in place into them, so none allocates anything of component size.
-The last product's components are comp(dv); Newton drops the linearization
-before its line search, and comp(dv) goes with the step.  An
-evaluation reads u only as its Hessian components (``evaluate_pointwise``),
-and ``TorusProblem.components`` is the one place a field is transformed.
-Newton carries its iterate's components, so line-search trials transform
-nothing and form no field, and the cold start u = 0 evaluates the held A[0]
-itself.
+Krylov search space.  An iterate is read only as u's Hessian components c_e,
+and A[u] = A[0] + M c as packed real rows, entries first, for the matrix M
+of the packed B_e (``eigencalc.Packing``).  One sigma recursion on the rows
+(``eigencalc.SigmaTable``) gives the cone margin, F and dF, whose Hessian
+weights are M^T (g D).  The linear solves are matrix-free restarted GMRES
+(``gmres``, Saad & Schultz 1986) preconditioned by the inverse of (mean trace
+of dF / n) times the metric Laplacian, with no BLAS level-1 call, so the
+iterates do not depend on the BLAS thread count.
 
 Continuity paths, each anchored at a member solvable from u = 0:
 
@@ -34,14 +20,10 @@ Continuity paths, each anchored at a member solvable from u = 0:
   ``riemannian``  F(A[u]) = c + (1-t)*h0,           h0 = F(A[0]) pointwise,
   ``fixed``       F(A[u]) = h + c.
 
-From the third t on, marching starts Newton at the secant prediction of the
-last two accepted states (Allgower & Georg 1990, ch. 2): their u, c and
-Hessian components extrapolated to the new t, the components with no
-transform, since they are linear in u.  The second t-step starts from the
-first state and reuses its sigma table (``reevaluate``): the sigma_j of A[u]
-do not depend on t.  An inadmissible prediction also starts from the last
-state.  On Newton stagnation the t-step is bisected, down to ``MIN_T_STEP``,
-before a partial report.
+From the third t on, Newton starts at the secant prediction of the last two
+accepted states (Allgower & Georg 1990, ch. 2); the second t-step reuses the
+first state's sigma table (``reevaluate``).  On Newton stagnation the t-step
+is bisected, down to ``MIN_T_STEP``, before a partial report.
 """
 
 from __future__ import annotations
@@ -54,7 +36,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .eigencalc import SigmaTable, require_hermitian
+from .eigencalc import Packing, SigmaTable, combine, require_hermitian
 from .operators import BlendedQuotient, HessianQuotientNeg, SymmetricOperator
 from .rules import require
 from .torus import (
@@ -62,12 +44,11 @@ from .torus import (
     PeriodicGrid,
     ScalarField,
     class_constant,
-    congruence,
     constant_metric,
     hessian_components,
     hessian_symbols,
-    hessian_weights,
     laplacian_symbol,
+    packed_frame,
     spectral_hessian_components,
 )
 # unused here; the benchmark's tracer binds its spans at these names
@@ -133,10 +114,10 @@ class PathKind(enum.Enum):
 @dataclass
 class TorusProblem:
     """Problem data: operator, backgrounds, right-hand side and path choice.
-    alpha and chi are checked and read once, at construction, into read-only L^{-1}
-    (``root_inverse``, alpha = L L*), A[0] = L^{-1} chi L^{-*} (``background``),
-    B_e = L^{-1} U_e L^{-*} (``basis``) and the ``laplacian_symbol``; ``components``
-    transforms a field, ``endomorphism`` assembles every A[u]."""
+    alpha and chi are checked and read once, at construction, into the read-only
+    ``torus.packed_frame`` (``root_inverse``, ``packing``, ``background`` A[0],
+    ``basis`` M) and ``laplacian_symbol``; ``components`` transforms a field,
+    ``endomorphism`` assembles every A[u]."""
 
     grid: PeriodicGrid
     op: SymmetricOperator
@@ -148,6 +129,7 @@ class TorusProblem:
     newton_tol: float = 1e-10
     max_newton: int = 50
     root_inverse: np.ndarray = field(init=False, repr=False, compare=False)
+    packing: Packing = field(init=False, repr=False, compare=False)
     background: np.ndarray = field(init=False, repr=False, compare=False)
     basis: np.ndarray = field(init=False, repr=False, compare=False)
     laplacian: np.ndarray = field(init=False, repr=False, compare=False)
@@ -172,9 +154,8 @@ class TorusProblem:
             require_hermitian(self.chi.values)
         except ValueError as exc:
             raise ValueError(f"chi: {exc}") from None
-        self.root_inverse = np.linalg.inv(np.linalg.cholesky(self.alpha))
-        self.background = congruence(self.root_inverse, self.chi.values)
-        self.basis = congruence(self.root_inverse, hessian_symbols(self.grid).units)
+        self.root_inverse, self.packing, self.background, self.basis = packed_frame(
+            self.alpha, self.chi)
         self.laplacian = laplacian_symbol(self.grid, self.alpha)
         for held in (self.root_inverse, self.background, self.basis, self.laplacian):
             held.setflags(write=False)
@@ -186,11 +167,11 @@ class TorusProblem:
         return hessian_components(u.values, self.grid)
 
     def endomorphism(self, comps: np.ndarray | None) -> np.ndarray:
-        """A[u] = A[0] + sum_e c_e B_e from u's components ``comps``; the
-        held A[0] itself for None."""
+        """The rows of A[u] = A[0] + sum_e c_e B_e from u's components
+        ``comps``; the held A[0] itself for None."""
         if comps is None:
             return self.background
-        return self.background + np.tensordot(comps, self.basis, (0, 0))
+        return combine(self.basis, comps, self.background)
 
     @functools.cached_property
     def background_value(self) -> np.ndarray:
@@ -383,11 +364,11 @@ class Linearization:
         self.grid = problem.grid
         ev.require_admissible()
         d = ev.table.derivative()
-        self.mean_trace = float(np.real(np.einsum("...ii->...", d)).mean()) / self.grid.n
+        self.mean_trace = float(d[:self.grid.n].sum(axis=0).mean()) / self.grid.n
         self.sign = constant_sign(problem)
         # <D, sum_e c_e B_e> = sum_e <D, B_e> c_e: one weight per Hessian
         # component, so a matvec never forms the n x n Hessian field
-        self.weights = hessian_weights(d, problem.basis)
+        self.weights = problem.packing.pairings(problem.basis, d)
         self._work = np.empty(hessian_symbols(self.grid).symbols.shape, dtype=complex)
         self.components = np.empty(self.weights.shape)
         self._sum = np.empty(self.grid.shape)
@@ -547,7 +528,7 @@ def newton_solve(problem: TorusProblem, t: float,
     base = rhs_base(problem, t)
     if warm is None:
         u = ScalarField.zeros(grid)
-        comps = np.zeros((len(problem.basis),) + grid.shape)
+        comps = np.zeros((problem.basis.shape[1],) + grid.shape)
         ev = evaluate_pointwise(problem, None, t)
     else:
         u = normalize(warm.u, "mean_zero")

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .eigencalc import matrix_sigmas, require_hermitian
+from .eigencalc import combine, packed_sigmas, packing, require_hermitian
 from .rules import require
 
 
@@ -277,13 +277,6 @@ def spectral_hessian_components(spec: np.ndarray, grid: PeriodicGrid,
     return np.fft.irfft(work, n=grid.points_per_axis, axis=-1, out=out)
 
 
-def hessian_weights(d: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Weights w_e = Re <D, B_e> (``eigencalc.contract``'s pairing) of D, shape
-    (..., n, n), against a basis (E, n, n) such as ``units`` or a problem's ``basis``,
-    so <D, sum_e c_e B_e> = sum_e w_e c_e.  Shape ``(E,) + d.shape[:-2]``."""
-    return np.real(np.tensordot(np.conj(basis), d, axes=((1, 2), (-2, -1))))
-
-
 def hessian(u: ScalarField) -> MatrixField:
     """The mode's Hessian field: mixed complex (1/4 convention) or full real."""
     comps = hessian_components(u.values, u.grid)
@@ -338,33 +331,42 @@ def congruence(l: np.ndarray, g: np.ndarray) -> np.ndarray:
     return flat.reshape(np.shape(g))
 
 
-def endomorphism_field(alpha, chi: MatrixField, u: ScalarField | None = None) -> MatrixField:
-    """A = alpha^{-1} (chi + Hess u), in alpha-orthonormalized coordinates:
-    L^{-1} chi L^{-*} + sum_e c_e(u) B_e with alpha = L L*, the Hessian's
-    components c_e(u) and B_e = L^{-1} U_e L^{-*} for the
-    ``hessian_symbols(grid).units`` U_e.  It is literally Hermitian/symmetric
-    with the eigenvalues of alpha^{-1} (chi + Hess u).
-    """
-    grid = chi.grid
+def packed_frame(alpha, chi: MatrixField):
+    """The frame of A = L^{-1} (chi + Hess u) L^{-*}, alpha = L L*: L^{-1}, the
+    ``eigencalc.Packing``, the rows of A[0] = L^{-1} chi L^{-*} and the (rows, E)
+    matrix M whose column e holds the rows of B_e = L^{-1} U_e L^{-*}."""
     linv = np.linalg.inv(np.linalg.cholesky(constant_metric(alpha, chi.dim)))
-    a = congruence(linv, chi.values)
+    background = congruence(linv, chi.values)
+    basis = congruence(linv, hessian_symbols(chi.grid).units)
+    layout = packing(chi.dim, np.iscomplexobj(background) or np.iscomplexobj(basis))
+    return linv, layout, layout.pack(background), layout.pack(basis)
+
+
+def endomorphism_field(alpha, chi: MatrixField, u: ScalarField | None = None) -> MatrixField:
+    """A = alpha^{-1} (chi + Hess u) from its ``packed_frame``: the rows
+    A[0] + M c(u) for the Hessian's components c(u), as a
+    ``solver.TorusProblem`` sums them, unpacked.  It is literally
+    Hermitian/symmetric with the eigenvalues of alpha^{-1} (chi + Hess u).
+    """
+    if u is not None and u.grid is not chi.grid and u.grid != chi.grid:
+        raise ValueError("fields must share one grid")
+    _, layout, rows, basis = packed_frame(alpha, chi)
     if u is not None:
-        if u.grid is not grid and u.grid != grid:
-            raise ValueError("fields must share one grid")
-        basis = congruence(linv, hessian_symbols(grid).units)
-        a = a + np.tensordot(hessian_components(u.values, grid), basis, axes=(0, 0))
-    return MatrixField(grid, a)
+        rows = combine(basis, hessian_components(u.values, chi.grid), rows)
+    return MatrixField(chi.grid, layout.unpack(rows))
 
 
 def sup_operator_norm(h: np.ndarray) -> float:
-    """max |H|_2 over Hermitian matrices h, shape (..., n, n).  As |H|_F / sqrt(n)
-    <= |H|_2 <= |H|_F, only matrices with |H|_F >= max |H|_F / sqrt(n) (less a
-    rounding slack) can attain it, and ``eigvalsh`` runs on those alone; it
-    works per matrix, so the result is the full eigensolve's bit for bit."""
+    """max |H|_2 over Hermitian matrices h, shape (..., n, n).  Every column
+    norm |H e_j| is <= |H|_2 <= |H|_F, so only matrices with |H|_F at least
+    the largest column norm of all (less a rounding slack) can attain it, and
+    ``eigvalsh`` runs on those alone; it works per matrix, so the result is
+    the full eigensolve's bit for bit."""
     n = h.shape[-1]
     mats = np.reshape(h, (-1, n, n))
-    fro = np.sqrt(np.sum(np.abs(mats) ** 2, axis=(-2, -1)))
-    keep = fro >= (1.0 - 1e-12) * fro.max() / math.sqrt(n)
+    squares = np.abs(mats) ** 2
+    column = sum(squares[:, i] for i in range(n)).max()  # the largest |H e_j|^2
+    keep = squares.sum(axis=(-2, -1)) >= (1.0 - 1e-12) * column
     return float(np.abs(np.linalg.eigvalsh(mats[keep])).max())
 
 
@@ -383,34 +385,33 @@ def form_ratio(chi: MatrixField, alpha, j: int) -> ScalarField:
     Normalized so chi = alpha gives the constant 1; this is the pointwise
     density of the degree-j wedge combination of chi against the background.
     """
-    return _form_ratios(endomorphism_field(alpha, chi).values, chi.grid, (j,))[0]
+    return _form_ratios(packed_frame(alpha, chi)[2], chi.grid, (j,))[0]
 
 
-def _form_ratios(a: np.ndarray, grid: PeriodicGrid, degrees) -> list[ScalarField]:
-    """``form_ratio`` at each of ``degrees`` of the endomorphism field with
-    values ``a`` (A = alpha^{-1} chi in orthonormal coordinates), from one
-    sigma recursion."""
-    n = a.shape[-1]
+def _form_ratios(x: np.ndarray, grid: PeriodicGrid, degrees) -> list[ScalarField]:
+    """``form_ratio`` at each of ``degrees`` of the endomorphism field whose rows
+    are ``x`` (A[0], as ``packed_frame`` gives it), from one sigma recursion."""
+    n = grid.n
     for j in degrees:
         if not 0 <= j <= n:
             raise ValueError(f"j must be in 0..{n}, got {j}")
-    e, _ = matrix_sigmas(a, max(1, *degrees))
-    return [ScalarField(grid, e[..., j] / math.comb(n, j)) for j in degrees]
+    e, _ = packed_sigmas(x, n, max(1, *degrees))
+    return [ScalarField(grid, e[j] / math.comb(n, j)) for j in degrees]
 
 
-def class_constant(a: np.ndarray, grid: PeriodicGrid, l: int, k: int) -> float:
-    """The class constant of the endomorphism field with values ``a``, such as
-    a problem's held A[0]: ratio of integrated degree-l and degree-k densities."""
-    num, den = (integral(ratio) for ratio in _form_ratios(a, grid, (l, k)))
+def class_constant(x: np.ndarray, grid: PeriodicGrid, l: int, k: int) -> float:
+    """The class constant of the endomorphism field whose rows are ``x``, such
+    as a problem's held A[0]: ratio of integrated degree-l and degree-k densities."""
+    num, den = (integral(ratio) for ratio in _form_ratios(x, grid, (l, k)))
     if den <= 0:
         raise DegenerateClassError(f"degree-{k} class integral is {den:.6g}, not positive")
     return num / den
 
 
 def compute_c(chi: MatrixField, alpha, l: int, k: int) -> float:
-    """The class constant of chi against alpha: ``class_constant`` of
-    A[0] = ``endomorphism_field(alpha, chi)``."""
-    return class_constant(endomorphism_field(alpha, chi).values, chi.grid, l, k)
+    """The class constant of chi against alpha: ``class_constant`` of the rows
+    of A[0] = L^{-1} chi L^{-*} (``packed_frame``)."""
+    return class_constant(packed_frame(alpha, chi)[2], chi.grid, l, k)
 
 
 def nminus1_background(eta: MatrixField, alpha) -> MatrixField:
@@ -482,7 +483,9 @@ def laplacian_symbol(grid: PeriodicGrid, alpha) -> np.ndarray:
     """
     table = hessian_symbols(grid)
     ainv = np.linalg.inv(constant_metric(alpha, grid.n))
-    return np.einsum("e,e...->...", hessian_weights(ainv, table.units), table.symbols)
+    layout = packing(grid.n, np.iscomplexobj(ainv) or np.iscomplexobj(table.units))
+    weights = layout.pairings(layout.pack(table.units), layout.pack(ainv))
+    return np.einsum("e,e...->...", weights, table.symbols)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ out on the full FFT mesh, a spectral derivative on the full complex FFT
 mesh, geometric ray shooting, doubling and bisection onto
 level sets, one supporting-plane test per candidate, the contact-set
 integral from the full tensor of second differences, each operator kind's
-value, derivatives and limit written out by hand, and F(A) = f(lambda(A))
-with its derivatives in an eigenframe.  None of it shares code with the
+value, derivatives and limit written out by hand, F(A) = f(lambda(A))
+with its derivatives in an eigenframe, and the sigma recursion on dense
+(..., n, n) matrices.  None of it shares code with the
 library paths it checks, except ``metric_hessian``, which takes a run's steps
 in a run's order so that a report's values can be compared with it bit for
 bit.
@@ -31,7 +32,7 @@ from conesolve import (
     MongeAmpere,
     NumericError,
 )
-from conesolve.eigencalc import eigen_decompose, frame_product, require_hermitian
+from conesolve.eigencalc import eigen_decompose, require_hermitian
 from conesolve.torus import congruence, hessian_components, hessian_symbols
 
 
@@ -579,6 +580,35 @@ def _reference_limit_under_t(inner, total):
 #: relative spectral-gap threshold below which the divided difference
 #: switches to its analytic limit
 DEGENERATE_GAP = 1e-8
+
+
+def frame_product(frame, weights) -> np.ndarray:
+    """U diag(w) U* for eigenframes U (..., n, n) and weights w (..., n)."""
+    return np.einsum("...ip,...p,...jp->...ij", frame, weights, np.conj(frame))
+
+
+def hessian_weights(d, basis) -> np.ndarray:
+    """Weights w_e = Re <D, B_e> = Re sum_ij conj(B_e)_ij D_ij of the dense D,
+    shape (..., n, n), against a dense basis (E, n, n).  Shape (E,) + d.shape[:-2]."""
+    return np.real(np.tensordot(np.conj(basis), d, axes=((1, 2), (-2, -1))))
+
+
+def matrix_sigmas(a, kmax: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """sigma_0..sigma_kmax (kmax >= 1) of the spectrum of each Hermitian matrix
+    in ``a``, shape (..., n, n), stacked on a trailing axis; and the matrices
+    P_0..P_{kmax-1}, P_{j-1} = d sigma_j / dA, by the Faddeev-LeVerrier
+    recursion on the dense matrices (P_0 = I, sigma_j = tr(A P_{j-1}) / j,
+    P_j = sigma_j I - A P_{j-1}).  P_0 is the unbatched identity."""
+    a = np.asarray(a)
+    eye = np.eye(a.shape[-1])
+    e = np.ones(a.shape[:-2] + (kmax + 1,))
+    derivatives = [eye]
+    e[..., 1] = np.real(np.einsum("...ii->...", a))
+    for j in range(2, kmax + 1):
+        product = a if j == 2 else a @ derivatives[-1]
+        derivatives.append(e[..., j - 1, None, None] * eye - product)
+        e[..., j] = np.real(np.einsum("...ij,...ji->...", a, derivatives[-1])) / j
+    return e, derivatives
 
 
 def eigenframe_value(op, a):

@@ -205,6 +205,19 @@ def test_cli_solve_quotient(tmp_path):
     assert np.isfinite(monitor["ratio"])
 
 
+def test_a_percent_sign_in_a_value_is_literal(tmp_path):
+    # values are read as written: configparser's interpolation would make
+    # "out%1" a traceback
+    out = tmp_path / "out%1"
+    text = QUOTIENT_CFG.format(out=out)
+    assert parse_config(text).output_directory == str(out)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert main(["solve", "--config", str(cfg)]) == 0
+    assert json.loads((out / "solve_report.json").read_text())["config"]["output_directory"] \
+        == str(out)
+
+
 def test_cli_reports_byte_identical(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(QUOTIENT_CFG.format(out=tmp_path / "out"))

@@ -1,8 +1,9 @@
-"""The sigma table read straight from matrices (``eigencalc.matrix_sigmas``,
-``SigmaTable``) against the eigenframe reference, for every kind a config can
-build at n = 1..3 and the blended quotient at t in {0, 0.5, 1}, on real
-symmetric and complex Hermitian matrices: distinct spectra, one repeated
-eigenvalue and c*I, down to 1e-6 from the cone boundary.
+"""The sigma table read straight from matrices (the dense recursion
+``oracles.matrix_sigmas``, and ``SigmaTable`` on packed rows) against the
+eigenframe reference, for every kind a config can build at n = 1..3 and the
+blended quotient at t in {0, 0.5, 1}, on real symmetric and complex Hermitian
+matrices: distinct spectra, one repeated eigenvalue and c*I, down to 1e-6
+from the cone boundary.
 
 sigma_j and P_{j-1} = d sigma_j / dA are checked against the sigma_j of
 ``eigvalsh`` and the eigenframe derivative of sigma_j; the margin, F and the
@@ -28,9 +29,10 @@ from conesolve import (
     TorusProblem,
 )
 from conesolve.cones import sigma_all, t_map, without_each
-from conesolve.eigencalc import SigmaTable, frame_product, matrix_sigmas
+from conesolve.eigencalc import SigmaTable, pack, unpack
 from conesolve.solver import evaluate_pointwise
 from oracles import eigenframe_first_derivative as first_derivative
+from oracles import frame_product, matrix_sigmas
 from test_crossings import _config_kinds, _pushed
 
 KINDS = _config_kinds(1) + _config_kinds(2) + _config_kinds(3) + [
@@ -88,7 +90,7 @@ def test_sigma_table_matches_the_eigenframe(data, op, complex_):
         err = np.abs(derivs[j - 1] - frame_product(frame, minors[..., j - 1])).max(axis=(-1, -2))
         assert np.all(err <= RTOL * powers[:, j - 1])
 
-    table = SigmaTable.at(op, a)
+    table = SigmaTable.at(op, pack(a))
     k = op.cone.k
     margin = table.margin()
     assert np.all(np.abs(margin - op.cone.margin(lam)) <= RTOL * powers[:, 1:k + 1].max(axis=-1))
@@ -102,7 +104,7 @@ def test_sigma_table_matches_the_eigenframe(data, op, complex_):
 
     # D is sum_j (df/d sigma_j) P_{j-1}: its natural scale is that sum in norms
     d_scale = sum(np.abs(p) * powers[:, j - 1] for j, p in op.sigma_partials(ref).items())
-    err = np.abs(table.derivative() - first_derivative(op, a)).max(axis=(-1, -2))
+    err = np.abs(unpack(table.derivative(), n) - first_derivative(op, a)).max(axis=(-1, -2))
     assert np.all(err <= RTOL * cond * d_scale)
 
 

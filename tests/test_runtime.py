@@ -8,9 +8,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import conesolve
+from conesolve import MatrixField, PeriodicGrid, save_field
 
 SRC = Path(conesolve.__file__).resolve().parents[1]
 
@@ -37,6 +39,10 @@ h = random_smooth(0.12, 11)
 directory = {out}
 save_fields = false
 """
+
+#: FULL_C2_CFG under a non-diagonal Hermitian metric file: every B_e is dense,
+#: so the assembly of A[u] sums every component into every row
+METRIC_C2_CFG = FULL_C2_CFG.replace("[background]\n", "[background]\nalpha = file:{alpha}\n")
 
 #: a quotient-path continuity on complex n = 3, reduced 16^3: each t-step
 #: starts from the evaluation the last one carried
@@ -148,11 +154,16 @@ def run_python(args, threads=None, check=True):
                           text=True, check=check)
 
 
-@pytest.mark.parametrize("config", [FULL_C2_CFG, QUOTIENT_C3_CFG, REAL3_HESSIAN_CFG],
-                         ids=["fixed-c2-full", "quotient-c3", "real3-hessian"])
+@pytest.mark.parametrize("config", [FULL_C2_CFG, METRIC_C2_CFG, QUOTIENT_C3_CFG,
+                                    REAL3_HESSIAN_CFG],
+                         ids=["fixed-c2-full", "fixed-c2-full-metric", "quotient-c3",
+                              "real3-hessian"])
 def test_report_bytes_do_not_depend_on_blas_threads(tmp_path, config):
+    grid = PeriodicGrid.make("complex", 2, 12)
+    save_field(MatrixField.constant(grid, np.array([[2.0, 0.5 + 0.3j], [0.5 - 0.3j, 1.5]])),
+               tmp_path / "alpha")
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(config.format(out=tmp_path / "out"))
+    cfg.write_text(config.format(out=tmp_path / "out", alpha=tmp_path / "alpha"))
     report = tmp_path / "out" / "solve_report.json"
     reports = []
     for threads in (1, 2):

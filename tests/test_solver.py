@@ -26,7 +26,7 @@ from conesolve import (
     run_continuity,
     uniform_schedule,
 )
-from conesolve.eigencalc import SigmaTable, contract
+from conesolve.eigencalc import SigmaTable, contract, pack, unpack
 from conesolve.solver import Linearization, evaluate_pointwise, rhs_base
 from conesolve.torus import (
     compute_c,
@@ -191,7 +191,7 @@ def test_linearization_apply_is_the_hessian_contraction(monkeypatch, mode, n, re
     v = random_band_limited(g, 1.0, seed=6)
     ev = evaluate_pointwise(prob, prob.components(u0), 1.0)
     linv = metric_root_inverse(alpha)
-    pulled_back = congruence(np.conj(linv).T, ev.table.derivative())
+    pulled_back = congruence(np.conj(linv).T, unpack(ev.table.derivative(), n))
     expected = contract(pulled_back, hessian(v).values) - 0.7
 
     # the matvec reads the Hessian's components, never the n x n field
@@ -554,7 +554,7 @@ def test_warm_starts_transform_nothing_and_run_no_sigma_recursion(monkeypatch):
         return original_solve(problem, t, warm)
 
     spy(solver, "hessian_components", "transform")
-    spy(eigencalc, "matrix_sigmas", "sigmas")
+    spy(eigencalc, "packed_sigmas", "sigmas")
     spy(solver, "Linearization", "linearize")
     monkeypatch.setattr(solver, "newton_solve", starting)
     report = run_continuity(prob, uniform_schedule(11))
@@ -858,7 +858,7 @@ def test_evaluation_reads_the_endomorphism_field(mode, n, reduced, alpha):
     prob = TorusProblem(g, op, alpha, chi, ScalarField.zeros(g))
     u, _ = hessian_perturbation(g, 0.3, seed=15)
     for w in (None, u):
-        expected = SigmaTable.at(op, endomorphism_field(alpha, chi, w).values)
+        expected = SigmaTable.at(op, pack(endomorphism_field(alpha, chi, w).values))
         comps = None if w is None else prob.components(w)
         assert np.array_equal(evaluate_pointwise(prob, comps, 1.0).table.sigmas,
                               expected.sigmas)
@@ -866,7 +866,8 @@ def test_evaluation_reads_the_endomorphism_field(mode, n, reduced, alpha):
 
 def test_problem_frame_is_read_only():
     prob, _ = manufactured_problem(n=2, points=8)
-    assert np.array_equal(prob.background, endomorphism_field(prob.alpha, prob.chi).values)
+    assert np.array_equal(prob.packing.unpack(prob.background),
+                          endomorphism_field(prob.alpha, prob.chi).values)
     for held in (prob.background, prob.basis, prob.laplacian):
         with pytest.raises(ValueError, match="read-only"):
             held[(0,) * held.ndim] = 1.0

@@ -27,17 +27,17 @@ from conesolve import (
     random_band_limited,
     save_field,
 )
-from conesolve.eigencalc import hermitian_defect
+from conesolve.eigencalc import hermitian_defect, unpack
 from conesolve.torus import (
     congruence,
     hessian_components,
     hessian_perturbation,
     hessian_symbols,
-    hessian_weights,
     laplacian_symbol,
     sup_operator_norm,
 )
-from oracles import derivative_full_mesh, laplacian_symbol_full_mesh, metric_root_inverse
+from oracles import derivative_full_mesh, hessian_weights, laplacian_symbol_full_mesh
+from oracles import metric_root_inverse
 
 
 def test_grid_validation():
@@ -204,7 +204,7 @@ def test_metric_basis_is_the_congruent_unit_basis(mode, n, reduced):
     alpha = a @ np.conj(a).T + n * np.eye(n)
     linv = metric_root_inverse(alpha)
     chi = MatrixField.constant(g, alpha)
-    basis = TorusProblem(g, LogSigmaK(n, 2), alpha, chi, ScalarField.zeros(g)).basis
+    basis = unpack(TorusProblem(g, LogSigmaK(n, 2), alpha, chi, ScalarField.zeros(g)).basis, n)
     units = hessian_symbols(g).units
     assert np.allclose(basis, linv @ units @ np.conj(linv).T, rtol=0, atol=1e-15)
     u = random_band_limited(g, 1.0, seed=12)
@@ -307,6 +307,36 @@ def test_sup_operator_norm_is_the_full_eigensolve(monkeypatch, complex_, n):
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     assert sup_operator_norm(h) == _sup_by_full_eigensolve(h)
     assert seen[0] == 1
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_sup_operator_norm_where_frobenius_and_operator_maxima_differ(monkeypatch, complex_):
+    # I has the largest |H|_F (sqrt 3) but |H|_2 = 1; the rank-one matrix
+    # 1.5 v v* has |H|_F = |H|_2 = 1.5, the largest operator norm
+    rng = np.random.default_rng(4 + complex_)
+    h = 0.05 * rng.standard_normal((5, 5, 3, 3))
+    v = np.array([1.0, 0.1, -0.1])
+    if complex_:
+        h = h + 0.05j * rng.standard_normal((5, 5, 3, 3))
+        v = v * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 3))
+    h = h + np.conj(np.swapaxes(h, -1, -2))
+    h[1, 2] = np.eye(3)
+    h[0] = 0.8 * np.eye(3)  # |H|_F above sqrt(3)/sqrt(3) = 1, below 1.5
+    v /= np.linalg.norm(v)
+    h[3, 4] = 1.5 * np.outer(v, np.conj(v))
+    fro = np.linalg.norm(h, axis=(-2, -1))
+    assert np.argmax(fro) != np.argmax(np.abs(np.linalg.eigvalsh(h)).max(axis=-1))
+    seen, eigvalsh = [], np.linalg.eigvalsh
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        seen.append(len(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    assert sup_operator_norm(h) == _sup_by_full_eigensolve(h) == pytest.approx(1.5)
+    # the largest column norm, 1.5 |v_0| > 1.48, admits those two matrices alone;
+    # max |H|_F / sqrt(3) = 1 would admit the five 0.8 I as well
+    assert seen[0] == 2
 
 
 def test_sup_operator_norm_equal_frobenius_and_zero_fields():
