@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from dataclasses import asdict
@@ -303,27 +304,18 @@ def _cmd_selftest(args) -> int:
 
 
 def _cmd_abp(args) -> int:
-    from .diagnostics import BallFunction, BallGrid, abp_check, abp_quadratic_case
+    from .diagnostics import BallGrid, abp_check, abp_quadratic_case, fuzz_wells
 
+    if args.output:
+        try:
+            Path(args.output).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            print(f"cannot create output directory: {exc}", file=sys.stderr)
+            return EXIT_IO
     grid = BallGrid(2, args.grid)
     results = [abp_quadratic_case(grid)]
-    rng = np.random.default_rng(args.seed)
-    count = 0
-    while count < args.cases:
-        a = rng.uniform(0.5, 1.5)
-        b = rng.uniform(-0.2, 0.2, 2)
-        amp = rng.uniform(0.0, 0.05)
-        kx, ky = rng.integers(1, 4, 2)
-
-        def fn(x, y, a=a, b=b, amp=amp, kx=kx, ky=ky):
-            return a * ((x - b[0])**2 + (y - b[1])**2) + amp * np.sin(
-                np.pi * kx * x) * np.cos(np.pi * ky * (y + 0.3))
-
-        v = BallFunction.from_callable(grid, fn)
-        room = float(v.boundary_values.min() - v.center_value())
-        if room <= 0.1:
-            continue
-        eps = min(0.45, 0.9 * room)
+    wells = itertools.islice(fuzz_wells(grid, np.random.default_rng(args.seed)), args.cases)
+    for count, (_, v, eps) in enumerate(wells):
         r = abp_check(v, eps)
         results.append({
             "case": f"fuzz_{count}",
@@ -332,11 +324,9 @@ def _cmd_abp(args) -> int:
             "lower_bound": r.lower_bound,
             "passed": r.passed,
         })
-        count += 1
     all_passed = all(r["passed"] for r in results[1:])
     out = {"grid": args.grid, "cases": results, "all_fuzz_passed": all_passed}
     if args.output:
-        Path(args.output).mkdir(parents=True, exist_ok=True)
         (Path(args.output) / "abp_report.json").write_text(
             json.dumps(out, indent=2, sort_keys=True) + "\n"
         )

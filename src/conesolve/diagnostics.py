@@ -285,6 +285,26 @@ def abp_quadratic_case(grid: BallGrid) -> dict:
             "relative_error": abs(rep.integral_det - derived) / derived, "passed": rep.passed}
 
 
+def fuzz_wells(grid: BallGrid, rng: np.random.Generator):
+    """Perturbed quadratic wells on the 2-d ``grid``, drawn from ``rng`` without
+    end, each with its samples and epsilon = min(0.45, 0.9 * room); a draw is
+    kept when its room, least boundary value minus centre value, is over 0.1."""
+    while True:
+        a = rng.uniform(0.5, 1.5)
+        b = rng.uniform(-0.2, 0.2, 2)
+        amp = rng.uniform(0.0, 0.05)
+        kx, ky = rng.integers(1, 4, 2)
+
+        def fn(x, y, a=a, b=b, amp=amp, kx=kx, ky=ky):
+            return a * ((x - b[0])**2 + (y - b[1])**2) + amp * np.sin(
+                np.pi * kx * x) * np.cos(np.pi * ky * (y + 0.3))
+
+        v = BallFunction.from_callable(grid, fn)
+        room = float(v.boundary_values.min() - v.center_value())
+        if room > 0.1:
+            yield fn, v, min(0.45, 0.9 * room)
+
+
 @dataclass(frozen=True)
 class HmwReport:
     """Second-order/gradient monitor with the test-function parameters.

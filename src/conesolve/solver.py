@@ -21,9 +21,9 @@ Continuity paths, each anchored at a member solvable from u = 0:
   ``fixed``       F(A[u]) = h + c.
 
 From the third t on, Newton starts at the secant prediction of the last two
-accepted states (Allgower & Georg 1990, ch. 2); the second t-step reuses the
-first state's sigma table (``reevaluate``).  On Newton stagnation the t-step
-is bisected, down to ``MIN_T_STEP``, before a partial report.
+accepted states (Allgower & Georg 1990, ch. 2), the second from the first.  On
+Newton stagnation the t-step is bisected, down to ``MIN_T_STEP``, before a
+partial report.
 """
 
 from __future__ import annotations
@@ -193,15 +193,13 @@ class TorusProblem:
 class SolveState:
     """A converged (or, in a StagnationError, the last) Newton iterate at t.
 
-    ``newton_solve`` also returns the evaluation of its final u for the next
-    t-step's start: ``components``, the Hessian components of u, and
-    ``table``, the sigma table of A[u].  A warm start takes the table and sets
-    it to None, so it is freed before that step's Krylov solve and a retry
-    from the same state evaluates once from ``components``.  A state without
-    ``components``, as a caller may build, is transformed at the start.
-    ``SolveReport.record`` keeps neither.  ``trace`` holds the sup-norm residual
-    and the cone margin of every iterate from the start to this one,
-    ``iterations + 1`` entries; the report writes it as ``newton_trace``.
+    ``newton_solve`` also returns ``components``, the Hessian components of
+    its final u, from which the next t-step's start is evaluated with no
+    transform; a state without them, as a caller may build, is transformed at
+    the start, and ``SolveReport.record`` drops them.  ``trace`` holds the
+    sup-norm residual and the cone margin of every iterate from the start to
+    this one, ``iterations + 1`` entries; the report writes it as
+    ``newton_trace``.
     """
 
     u: ScalarField
@@ -212,7 +210,6 @@ class SolveState:
     iterations: int = 0
     trace: tuple = ()
     components: np.ndarray | None = field(default=None, repr=False, compare=False)
-    table: SigmaTable | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -239,8 +236,7 @@ class SolveReport:
                 for it in state.trace
             ],
         })
-        self.final = replace(state, u=normalize(state.u, normalization),
-                             components=None, table=None)
+        self.final = replace(state, u=normalize(state.u, normalization), components=None)
 
     def to_dict(self) -> dict:
         out = {
@@ -316,14 +312,6 @@ def evaluate_pointwise(problem: TorusProblem, comps: np.ndarray | None,
     F, from the problem's held arrays."""
     return PointwiseEvaluation.of(
         SigmaTable.at(path_operator(problem, t), problem.endomorphism(comps)))
-
-
-def reevaluate(problem: TorusProblem, table: SigmaTable, t: float) -> PointwiseEvaluation:
-    """The evaluation at t of the A[u] whose sigma table, at any t of the path,
-    is ``table``: every ``path_operator`` shares the sigma order, the matrix
-    argument and the cone, so the sigma_j and P_{j-1} are kept and only F and
-    the margin are recomputed, with the same bits as ``evaluate_pointwise``."""
-    return PointwiseEvaluation.of(replace(table, op=path_operator(problem, t)))
 
 
 def rhs_base(problem: TorusProblem, t: float) -> np.ndarray:
@@ -518,9 +506,9 @@ def newton_solve(problem: TorusProblem, t: float,
     comp(u) + step*comp(dv), with comp(dv) from the Krylov solve's last
     product, so no trial transforms.  A trial forms no field: u + step*dv is
     formed once its step is accepted.  The cold start evaluates the held A[0];
-    a warm start reads ``warm``'s components (transforming u only if it
-    carries none) and takes its sigma table (see ``SolveState``).
-    The returned state carries the final iterate's components and table.
+    a warm start evaluates ``warm``'s components (transforming u only if it
+    carries none) and leaves ``warm`` as it was handed.  The returned state
+    carries the final iterate's components.
     A start that already meets ``newton_tol`` is returned after 0 iterations.
     """
     grid = problem.grid
@@ -532,14 +520,8 @@ def newton_solve(problem: TorusProblem, t: float,
         ev = evaluate_pointwise(problem, None, t)
     else:
         u = normalize(warm.u, "mean_zero")
-        comps = warm.components
-        if comps is None:
-            comps = problem.components(u)
-        if warm.table is None:
-            ev = evaluate_pointwise(problem, comps, t)
-        else:
-            ev = reevaluate(problem, warm.table, t)
-            warm.table = None  # ev holds it until the first linearization has read it
+        comps = problem.components(u) if warm.components is None else warm.components
+        ev = evaluate_pointwise(problem, comps, t)
     ev.require_admissible()
     c = sign * float((ev.value - base).mean()) if warm is None else warm.c
     warm = None  # a predicted start is held nowhere else: its arrays go once replaced
@@ -582,7 +564,7 @@ def newton_solve(problem: TorusProblem, t: float,
         del dv, dv_comps  # free them before the next Krylov solve
         iterations += 1
         trace.append({"residual_sup": r_sup, "margin": margin})
-    return SolveState(u, c, t, r_sup, margin, iterations, tuple(trace), comps, ev.table)
+    return SolveState(u, c, t, r_sup, margin, iterations, tuple(trace), comps)
 
 
 def uniform_schedule(steps: int = 21) -> np.ndarray:
@@ -605,8 +587,8 @@ def check_schedule(t_schedule) -> np.ndarray:
 def secant_start(prev: SolveState, last: SolveState, t: float) -> SolveState:
     """The start at t predicted from the accepted states ``prev`` and ``last``:
     x_last + theta (x_last - x_prev) for u, c and the Hessian components,
-    with theta = (t - t_last) / (t_last - t_prev).  It carries no table, and
-    its residual and margin are NaN until ``newton_solve`` evaluates it."""
+    with theta = (t - t_last) / (t_last - t_prev).  Its residual and margin
+    are NaN until ``newton_solve`` evaluates it."""
     theta = (t - last.t) / (last.t - prev.t)
     u = last.u.values + theta * (last.u.values - prev.u.values)
     comps = last.components + theta * (last.components - prev.components)
@@ -623,8 +605,6 @@ def _solve_step(problem: TorusProblem, t: float, prev: SolveState | None,
         return newton_solve(problem, t), "cold"
     if prev is None:
         return newton_solve(problem, t, warm=last), "warm"
-    # the prediction is a new point: no held sigma table serves it
-    prev.table = last.table = None
     try:
         return newton_solve(problem, t, warm=secant_start(prev, last, t)), "secant"
     except AdmissibilityError:

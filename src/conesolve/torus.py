@@ -517,8 +517,17 @@ def save_field(field: ScalarField | MatrixField, path_base: str | Path) -> None:
 
 
 def load_field(path_base: str | Path) -> ScalarField | MatrixField:
+    """The field ``save_field`` wrote at ``path_base``.  A sidecar that is not
+    a JSON object, or lacks a key read here, is a ValueError."""
     path_base = Path(path_base)
-    sidecar = json.loads(path_base.with_suffix(".json").read_text())
+    sidecar_path = path_base.with_suffix(".json")
+    sidecar = json.loads(sidecar_path.read_text())
+    if not isinstance(sidecar, dict):
+        raise ValueError(f"field sidecar {sidecar_path} is not a JSON object")
+    missing = [key for key in ("kind", "mode", "n", "points_per_axis", "periods",
+                               "reduced", "shape", "dtype") if key not in sidecar]
+    if missing:
+        raise ValueError(f"field sidecar {sidecar_path} lacks {', '.join(missing)}")
     grid = PeriodicGrid(
         sidecar["mode"], sidecar["n"], sidecar["points_per_axis"],
         tuple(sidecar["periods"]), sidecar["reduced"],

@@ -427,6 +427,16 @@ def test_cli_abp_usage_errors(tmp_path, capsys, argv, message):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_abp_output_under_a_file_is_an_io_error(tmp_path, capsys):
+    # the output directory is made before any case runs: a path it cannot be
+    # made at is an I/O failure (exit 4), not a failed inequality (exit 1)
+    (tmp_path / "file").write_text("")
+    assert main(["abp", "--grid", "64", "--cases", "3",
+                 "--output", str(tmp_path / "file" / "out")]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and "cannot create output directory" in captured.err
+
+
 def test_cli_selftest(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
@@ -485,6 +495,12 @@ def _background_files(tmp_path, case):
     elif case == "scalar chi":
         save_field(ScalarField.constant(grid, 2.0), tmp_path / "chi")
         chi = f"file:{tmp_path / 'chi'}"
+    elif case == "h sidecar without reduced":
+        save_field(ScalarField.zeros(grid), tmp_path / "h")
+        sidecar = json.loads((tmp_path / "h.json").read_text())
+        del sidecar["reduced"]
+        (tmp_path / "h.json").write_text(json.dumps(sidecar))
+        rhs = f"\n[rhs]\nh = file:{tmp_path / 'h'}\n"
     else:
         save_field(MatrixField.constant(grid, np.eye(2)), tmp_path / "h")
         rhs = f"\n[rhs]\nh = file:{tmp_path / 'h'}\n"
@@ -500,8 +516,10 @@ def _background_files(tmp_path, case):
     ("non-Hermitian chi", "chi: matrix is not Hermitian: defect 3.000e-01 > 1e-12 * scale"),
     ("scalar chi", "chi must be a field of 2x2 matrices"),
     ("matrix rhs", "the rhs h must be a scalar field"),
+    ("h sidecar without reduced", "field sidecar {tmp}/h.json lacks reduced"),
 ])
 def test_cli_bad_metric_or_field_file_is_a_config_error(tmp_path, capsys, case, message):
+    message = message.format(tmp=tmp_path)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(QUOTIENT_CFG.format(out=tmp_path / "out").replace(
         "[background]\nchi = chi_perturbed(2, 0.1, 21)", _background_files(tmp_path, case)))

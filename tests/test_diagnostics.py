@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -84,27 +86,8 @@ def test_abp_rejects_bad_epsilon():
 
 
 def fuzz_wells():
-    """Perturbed quadratic wells on a 64^2 ball, seed 0: each well's function,
-    its samples and its epsilon."""
-    grid = BallGrid(2, 64)
-    rng = np.random.default_rng(0)
-    done = 0
-    while done < 50:
-        a = rng.uniform(0.5, 1.5)
-        b = rng.uniform(-0.2, 0.2, 2)
-        amp = rng.uniform(0.0, 0.05)
-        kx, ky = rng.integers(1, 4, 2)
-
-        def fn(x, y, a=a, b=b, amp=amp, kx=kx, ky=ky):
-            return a * ((x - b[0]) ** 2 + (y - b[1]) ** 2) + amp * np.sin(
-                np.pi * kx * x) * np.cos(np.pi * ky * (y + 0.3))
-
-        v = BallFunction.from_callable(grid, fn)
-        room = float(v.boundary_values.min() - v.center_value())
-        if room <= 0.1:
-            continue
-        yield fn, v, min(0.45, 0.9 * room)
-        done += 1
+    """The first 50 of ``diagnostics.fuzz_wells`` on a 64^2 ball, seed 0."""
+    return itertools.islice(diagnostics.fuzz_wells(BallGrid(2, 64), np.random.default_rng(0)), 50)
 
 
 def test_abp_fuzz_wells():

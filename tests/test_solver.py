@@ -1,5 +1,5 @@
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -377,12 +377,12 @@ def test_carried_components_match_a_fresh_transform(monkeypatch):
     report = run_continuity(prob, uniform_schedule(3))
     # each accepted step reads carried components, the first of them on the
     # cold start's zero components; the cold start evaluates the held A[0],
-    # a warm start reads the last t-step's evaluation and evaluates nothing,
-    # and a secant start evaluates its prediction
+    # a warm start the last t-step's components, and a secant start its
+    # prediction
     iterations = sum(step["newton_iterations"] for step in report.steps)
     assert [step["start"] for step in report.steps] == ["cold", "warm", "secant"]
     assert iterations >= 5
-    assert len(carried) == iterations + 1
+    assert len(carried) == iterations + 2
     assert len(handed) == len(report.steps)
     for values, comps in carried + handed:
         fresh = hessian_components(values, g)
@@ -408,8 +408,8 @@ def test_newton_zero_iterations_when_converged():
 
 
 def test_a_warm_start_without_components_transforms_u_once(monkeypatch):
-    # a report's final state carries neither components nor sigma table: the
-    # warm start transforms its u once, through TorusProblem.components
+    # a report's final state carries no components: the warm start
+    # transforms its u once, through TorusProblem.components
     import conesolve.solver as solver
     from conesolve.solver import SolveReport
 
@@ -417,7 +417,7 @@ def test_a_warm_start_without_components_transforms_u_once(monkeypatch):
     report = SolveReport()
     report.record(newton_solve(prob, 1.0), prob.normalization, "cold")
     final = report.final
-    assert final.components is None and final.table is None
+    assert final.components is None
     through, transforms = [], []
     original_components, original_transform = TorusProblem.components, solver.hessian_components
 
@@ -486,10 +486,9 @@ def test_newton_evaluates_each_iterate_once(monkeypatch):
 def test_continuity_evaluates_the_background_once(monkeypatch):
     # F(A[0]) does not depend on t: a real3-hessian-shaped solve (6 t-steps,
     # 11 Newton steps) evaluates A[0] once for F(A[0]), once more at the cold
-    # start, each of its 4 secant starts and each Newton step once, 17
-    # evaluations in all (with plain warm starts, 15 Newton steps and 17
-    # evaluations; 22 when each warm start evaluated its iterate again, 27
-    # when each t-step evaluated F(A[0]) too)
+    # start, then its warm start, each of its 4 secant starts and each Newton
+    # step once, 18 evaluations in all (with plain warm starts, 15 Newton
+    # steps and 22 evaluations)
     import conesolve.solver as solver
     from conesolve.cli import build_problem
     from conesolve.config import parse_config
@@ -515,7 +514,7 @@ def test_continuity_evaluates_the_background_once(monkeypatch):
     # A[0] twice, both before the first Newton step: F(A[0]) for the rhs and
     # the cold start's evaluation of the held A[0]
     assert calls[:2] == [True, True] and calls.count(True) == 2
-    assert len(calls) == 1 + 1 + 4 + iterations == 17
+    assert len(calls) == 1 + 1 + 1 + 4 + iterations == 18
 
 
 QUOTIENT_C3_CFG = (
@@ -524,12 +523,11 @@ QUOTIENT_C3_CFG = (
     "[background]\nchi = chi_perturbed(2, 0.1, 21)\n[solve]\nschedule = 11\n")
 
 
-def test_warm_starts_transform_nothing_and_run_no_sigma_recursion(monkeypatch):
+def test_warm_starts_transform_nothing(monkeypatch):
     # a quotient-c3-shaped solve (11 t-steps): the warm start reads the last
-    # t-step's components and sigma table, so between its entry and its
-    # first linearization nothing is transformed and no sigma_j is computed;
-    # a secant start extrapolates its components and transforms nothing, and
-    # its one sigma recursion is the evaluation of its prediction
+    # t-step's components and a secant start extrapolates them, so between
+    # a start's entry and its first linearization nothing is transformed,
+    # and its one sigma recursion is the evaluation of its start
     import conesolve.eigencalc as eigencalc
     import conesolve.solver as solver
     from conesolve.cli import build_problem
@@ -565,32 +563,7 @@ def test_warm_starts_transform_nothing_and_run_no_sigma_recursion(monkeypatch):
     starts = [i for i, e in enumerate(events) if e == "start"] + [len(events)]
     solves = [events[i + 1:j] for i, j in zip(starts, starts[1:])]
     before_linearizing = [s[:s.index("linearize")] if "linearize" in s else s for s in solves]
-    assert before_linearizing[1:] == [[]] + [["sigmas"]] * 9
-
-
-def test_reevaluation_at_a_new_t_matches_a_fresh_evaluation():
-    # the sigma table of A[u] does not depend on t: rebinding it to the
-    # operator at another t gives the fresh evaluation's bits
-    from conesolve.solver import reevaluate
-
-    gq = PeriodicGrid.make("complex", 3, 8, 1.0, reduced=True)
-    _, pert = hessian_perturbation(gq, 0.1, seed=10)
-    quotient = TorusProblem(gq, HessianQuotientNeg(3, 1, 2), np.eye(3),
-                            MatrixField(gq, 2 * np.eye(3) + pert.values), path=PathKind.QUOTIENT)
-    gh = PeriodicGrid.make("real", 3, 8, 1.0)
-    _, pert = hessian_perturbation(gh, 0.1, seed=21)
-    hess = TorusProblem(gh, LogSigmaK(3, 2), np.eye(3), MatrixField(gh, np.eye(3) + pert.values),
-                        random_band_limited(gh, 0.3, seed=11), path=PathKind.HESSIAN)
-    for prob in (quotient, hess):
-        u, _ = hessian_perturbation(prob.grid, 0.3, seed=4)
-        comps = prob.components(u)
-        table = evaluate_pointwise(prob, comps, 0.3).table
-        for t in (0.0, 0.5, 1.0):
-            again, fresh = reevaluate(prob, table, t), evaluate_pointwise(prob, comps, t)
-            assert again.table.op == fresh.table.op
-            assert again.margin == fresh.margin > 0.0
-            assert again.worst_index == fresh.worst_index
-            assert np.array_equal(again.value, fresh.value)
+    assert before_linearizing[1:] == [["sigmas"]] * 10
 
 
 def _small_quotient_problem():
@@ -607,41 +580,11 @@ def _small_hessian_problem():
                         random_band_limited(g, 0.3, seed=11), path=PathKind.HESSIAN)
 
 
-def test_the_last_sigma_table_is_freed_before_the_krylov_solve(monkeypatch):
-    # the sigma table a t-step hands the next one (P_1 at every grid point)
-    # is gone by the time that t-step's Krylov solve runs; on a path whose u
-    # moves, so that the t-steps after a secant start still take Newton steps
-    import weakref
-
-    import conesolve.solver as solver
-
-    prob = _small_hessian_problem()
-    handed, checks = [], []
-    original_solve, original_gmres = solver.newton_solve, solver.lgmres
-
-    def handing(problem, t, warm=None):
-        state = original_solve(problem, t, warm)
-        table = state.table
-        handed.extend(weakref.ref(x) for x in (table, table.sigmas, table.derivatives[-1]))
-        return state
-
-    def checking(*args, **kwargs):
-        checks.append([ref() is None for ref in handed])
-        return original_gmres(*args, **kwargs)
-
-    monkeypatch.setattr(solver, "newton_solve", handing)
-    monkeypatch.setattr(solver, "lgmres", checking)
-    report = run_continuity(prob, uniform_schedule(4))
-    assert report.complete and len(handed) == 3 * 4
-    assert report.final.table is None and report.final.components is None
-    assert sum(1 for freed in checks if freed) >= 3
-    assert all(all(freed) for freed in checks)
-
-
 def test_a_t_bisection_retry_evaluates_from_the_carried_components(monkeypatch):
-    # the refused t-step and its retry at half the step each evaluate their
-    # secant start once, extrapolated from the carried components, and
-    # nothing in the solve transforms u
+    # the warm start evaluates the carried components of t = 0, the refused
+    # t-step and its retry at half the step each evaluate their secant start
+    # once, extrapolated from the carried components, and nothing in the
+    # solve transforms u
     import conesolve.solver as solver
 
     prob = _small_quotient_problem()
@@ -671,9 +614,10 @@ def test_a_t_bisection_retry_evaluates_from_the_carried_components(monkeypatch):
     assert [step["t"] for step in report.steps] == [0.0, 0.5, 0.75, 1.0]
     iterations = sum(step["newton_iterations"] for step in report.steps) + refused[0]
     assert [step["start"] for step in report.steps] == ["cold", "warm", "secant", "secant"]
-    # the cold start (the held A[0]), each Newton step, and the secant starts
-    # of the refused t = 1, the retry at 0.75 and t = 1 again
-    assert evaluations == [False] + [True] * (iterations + 3)
+    # the cold start (the held A[0]), each Newton step, the warm start at 0.5
+    # and the secant starts of the refused t = 1, the retry at 0.75 and t = 1
+    # again
+    assert evaluations == [False] + [True] * (iterations + 4)
     assert transforms == []
 
 
@@ -688,7 +632,7 @@ def test_secant_start_extrapolates_u_c_and_the_components():
     assert np.abs(last.u.values - prev.u.values).max() > 1e-4  # u moves
     predicted = secant_start(prev, last, 0.7)
     theta = (0.7 - 0.4) / (0.4 - 0.0)
-    assert predicted.t == 0.7 and predicted.table is None
+    assert predicted.t == 0.7
     assert predicted.c == last.c + theta * (last.c - prev.c)
     assert np.array_equal(predicted.u.values,
                           last.u.values + theta * (last.u.values - prev.u.values))
@@ -756,43 +700,6 @@ def test_an_inadmissible_prediction_restarts_from_the_last_state(monkeypatch):
     assert np.array_equal(report.final.u.values, plain.final.u.values)
 
 
-def test_no_sigma_table_is_alive_during_a_predicted_solve(monkeypatch):
-    # the held states' sigma tables serve no prediction: both are freed
-    # before a secant start is evaluated, and stay freed through its solve
-    import weakref
-
-    import conesolve.solver as solver
-
-    prob = _small_hessian_problem()
-    original_solve, original_eval = solver.newton_solve, solver.evaluate_pointwise
-    original_secant = solver.secant_start
-    predictions, handed, predicted, checks = [], [], [], []
-
-    def predicting(prev, last, t):
-        predictions.append(original_secant(prev, last, t))
-        return predictions[-1]
-
-    def handing(problem, t, warm=None):
-        predicted.append(any(warm is p for p in predictions))
-        state = original_solve(problem, t, warm)
-        handed.append(weakref.ref(state.table))
-        return state
-
-    def checking(problem, comps, t):
-        if predicted[-1]:
-            checks.append([ref() is None for ref in handed])
-        return original_eval(problem, comps, t)
-
-    monkeypatch.setattr(solver, "secant_start", predicting)
-    monkeypatch.setattr(solver, "newton_solve", handing)
-    monkeypatch.setattr(solver, "evaluate_pointwise", checking)
-    report = run_continuity(prob, uniform_schedule(5))
-    assert [step["start"] for step in report.steps] == ["cold", "warm"] + ["secant"] * 3
-    assert predicted == [False, False, True, True, True]
-    assert len(checks) == 3 + sum(step["newton_iterations"] for step in report.steps[2:])
-    assert all(len(freed) >= 2 and all(freed) for freed in checks)
-
-
 def test_a_prediction_is_freed_once_newton_replaces_it(monkeypatch):
     # newton_solve reads a predicted start and holds it no longer: from the
     # second Newton step of a predicted solve on, its components are gone
@@ -822,6 +729,49 @@ def test_a_prediction_is_freed_once_newton_replaces_it(monkeypatch):
     assert [step["start"] for step in report.steps[2:]] == ["secant"] * 3
     assert min(iterations) >= 2
     assert alive == [[True] + [False] * (k - 1) for k in iterations]
+
+
+def _snapshot(state):
+    """Each field's object, and a copy of the values of each array it holds."""
+    held = {f.name: getattr(state, f.name) for f in fields(state)}
+    values = [state.u.values.copy()]
+    if state.components is not None:
+        values.append(state.components.copy())
+    return state, held, values
+
+
+def _unchanged(snapshot):
+    state, held, values = snapshot
+    now = [state.u.values] + ([] if state.components is None else [state.components])
+    return (all(getattr(state, name) is obj for name, obj in held.items())
+            and len(now) == len(values) and all(map(np.array_equal, now, values)))
+
+
+def test_solves_leave_the_states_they_are_handed_unchanged(monkeypatch):
+    # a state handed to newton_solve as its start, or to a t-step as the last
+    # two accepted states, is read and not written: every field keeps its
+    # object and every array its values
+    import conesolve.solver as solver
+
+    prob = _small_hessian_problem()
+    first = newton_solve(prob, 0.0)
+    handed = [_snapshot(first)]
+    second = newton_solve(prob, 0.4, warm=first)
+    handed.append(_snapshot(second))
+    newton_solve(prob, 0.7, warm=solver.secant_start(first, second, 0.7))
+    assert all(map(_unchanged, handed))
+
+    original_step = solver._solve_step
+
+    def stepping(problem, t, prev, last):
+        handed.extend(_snapshot(s) for s in (prev, last) if s is not None)
+        return original_step(problem, t, prev, last)
+
+    monkeypatch.setattr(solver, "_solve_step", stepping)
+    report = run_continuity(prob, uniform_schedule(4))
+    assert [step["start"] for step in report.steps] == ["cold", "warm", "secant", "secant"]
+    assert len(handed) == 2 + 1 + 2 + 2
+    assert all(map(_unchanged, handed))
 
 
 def test_newton_reads_the_frame_the_problem_holds(monkeypatch):

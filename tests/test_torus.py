@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -503,6 +504,29 @@ def test_field_io_round_trip_is_bit_exact(data, mode, matrix, n):
     assert back.values.dtype == field.values.dtype
     assert back.values.shape == field.values.shape
     assert back.values.tobytes() == field.values.tobytes()
+
+
+#: the keys a field sidecar needs; ``byte_order`` is written but not read
+SIDECAR_KEYS = ("kind", "mode", "n", "points_per_axis", "periods", "reduced", "shape", "dtype")
+
+
+@pytest.mark.parametrize("key", SIDECAR_KEYS)
+def test_a_sidecar_without_a_key_is_a_value_error(tmp_path, key):
+    save_field(ScalarField.constant(PeriodicGrid.make("real", 2, 4, 1.0), 1.0), tmp_path / "f")
+    sidecar = tmp_path / "f.json"
+    fields = json.loads(sidecar.read_text())
+    del fields[key]
+    sidecar.write_text(json.dumps(fields))
+    with pytest.raises(ValueError, match=f"^field sidecar {sidecar} lacks {key}$"):
+        load_field(tmp_path / "f")
+
+
+@pytest.mark.parametrize("sidecar", ["[]", "null", "3", '"real"', '["kind", "mode"]'])
+def test_a_sidecar_that_is_not_an_object_is_a_value_error(tmp_path, sidecar):
+    save_field(ScalarField.constant(PeriodicGrid.make("real", 2, 4, 1.0), 1.0), tmp_path / "f")
+    (tmp_path / "f.json").write_text(sidecar)
+    with pytest.raises(ValueError, match="is not a JSON object$"):
+        load_field(tmp_path / "f")
 
 
 def test_field_io_roundtrip(tmp_path):
