@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__, selftest
 from .config import ConfigError, RunConfig, parse_config, parse_generator
-from .eigencalc import combine, eigenvalues
+from .eigencalc import eigenvalues
 from .operators import operator_from_name
 from .solver import (
     AdmissibilityError,
@@ -137,10 +137,9 @@ def _diagnostics(problem: TorusProblem, state) -> dict:
 
     out: dict = {}
     comps = problem.components(state.u)
+    rows = problem.endomorphism(comps)
     every = slice(None, None, max(1, comps[0].size // 512))
-    rows = combine(problem.basis, comps.reshape(len(comps), -1)[:, every],
-                   problem.background.reshape(len(problem.background), -1)[:, every])
-    take = eigenvalues(problem.packing.unpack(rows))
+    take = eigenvalues(problem.packing.unpack(rows.reshape(len(rows), -1)[:, every]))
     flag_a, flag_b = strong_concavity_flags(problem.op, take)
     out["strong_concavity_flags"] = {"f11_plus_f1_over_lam1": flag_a,
                                      "lam1_f1_smallest": flag_b}

@@ -187,10 +187,10 @@ class SymmetricOperator:
         return v if np.ndim(v) else float(v)
 
     def gradient(self, lam, check: bool = True) -> np.ndarray:
-        return self._gradient(self._checked(lam, check))
+        return self._derivatives(self._checked(lam, check), second=False)[0]
 
     def hessian(self, lam, check: bool = True) -> np.ndarray:
-        return self._hessian(self._checked(lam, check))
+        return self._derivatives(self._checked(lam, check), second=True)[1]
 
     @property
     def limit_infinite(self) -> bool:
@@ -249,7 +249,7 @@ class SymmetricOperator:
         return max(self.cone.k, self._top)
 
     def sigma_value(self, e: np.ndarray):
-        """f with e[..., j] in place of sigma_j (of T(lam) under ComposedWithT)."""
+        """f with e[..., j] in place of sigma_j (of ``argument(lam)``)."""
         return sum(term.at(e) for term in self.terms)
 
     def sigma_partials(self, e: np.ndarray) -> dict:
@@ -264,6 +264,12 @@ class SymmetricOperator:
         second form of F(A) read this one statement of the second derivative."""
         return _summed(term.second_partials(e) for term in self.terms)
 
+    def argument(self, lam):
+        """The tuple whose sigma_j the terms read, from lam: lam itself
+        (``ComposedWithT`` reads T(lam)).  The tuple twin of ``matrix_argument``:
+        linear and symmetric, so it also pulls a gradient back to lam."""
+        return lam
+
     def matrix_argument(self, x):
         """The rows (``eigencalc.Packing``) of the matrix whose spectrum the terms
         read, from A's rows ``x``: A itself (``ComposedWithT`` reads T(A)).  Self-
@@ -271,29 +277,25 @@ class SymmetricOperator:
         return x
 
     def _value(self, lam):
-        return self.sigma_value(sigma_all(lam, self._top))
-
-    def _gradient(self, lam):
-        return self._derivatives(lam, second=False)[0]
-
-    def _hessian(self, lam):
-        return self._derivatives(lam, second=True)[1]
+        return self.sigma_value(sigma_all(self.argument(lam), self._top))
 
     def _derivatives(self, lam, second: bool):
-        # The gradient is sum_j f_j grad sigma_j, the Hessian sum_j f_j Hess
-        # sigma_j + sum_jl f_jl grad sigma_j grad sigma_l^T, each pair {j, l}
-        # added once, symmetrized, so that it is exactly symmetric
+        # At argument(lam) the gradient is sum_j f_j grad sigma_j, the Hessian
+        # sum_j f_j Hess sigma_j + sum_jl f_jl grad sigma_j grad sigma_l^T, each
+        # pair {j, l} added once, symmetrized, so that it is exactly symmetric;
+        # both are pulled back to lam through the argument's matrix J
         js = {j for term in self.terms for j, _ in term.powers}
-        e, de, d2e = _sigma_jets(lam, js, second)
+        e, de, d2e = _sigma_jets(self.argument(lam), js, second)
         partials = self.sigma_partials(e)
-        grad = sum(p[..., None] * de[j] for j, p in partials.items())
+        grad = self.argument(sum(p[..., None] * de[j] for j, p in partials.items()))
         if not second:
             return grad, None
         hess = sum(p[..., None, None] * d2e[j] for j, p in partials.items())
         for (j, l), p in self.sigma_second_partials(e).items():
             pair = de[j][..., :, None] * de[l][..., None, :]
             hess = hess + p[..., None, None] * (pair if j == l else pair + np.swapaxes(pair, -1, -2))
-        return grad, hess
+        jac = self.argument(np.eye(self.n))
+        return grad, np.einsum("pi,...pq,ql->...il", jac, hess, jac)
 
     @property
     def _scaling(self) -> tuple[float, bool]:
@@ -370,8 +372,12 @@ class SymmetricOperator:
         return np.maximum(root, 0.0)
 
     def _level_weights(self, sigma_level) -> dict:
-        """{j: w_j} with f > sigma on the cone iff sum_j w_j sigma_j > 0."""
-        raise NotImplementedError
+        """{j: w_j} with f > sigma on the cone iff sum_j w_j sigma_j > 0: for
+        f = log sigma_j, sigma_j - e^sigma.  Kinds of other terms state their own."""
+        (term,) = self.terms
+        if term != Term(1.0, term.powers, log=True):
+            raise NotImplementedError(f"{self!r} states no level-set rule")
+        return {0: -np.exp(sigma_level), term.powers[0][0]: 1.0}
 
 
 @dataclass(frozen=True)
@@ -385,9 +391,6 @@ class MongeAmpere(SymmetricOperator):
     @property
     def terms(self):
         return (Term(1.0, ((self.n, 1),), log=True),)
-
-    def _level_weights(self, sigma_level):
-        return {0: -np.exp(sigma_level), self.n: 1.0}
 
 
 @dataclass(frozen=True)
@@ -407,9 +410,6 @@ class LogSigmaK(SymmetricOperator):
     @property
     def terms(self):
         return (Term(1.0, ((self.k, 1),), log=True),)
-
-    def _level_weights(self, sigma_level):
-        return {0: -np.exp(sigma_level), self.k: 1.0}
 
 
 @dataclass(frozen=True)
@@ -543,18 +543,8 @@ class ComposedWithT(SymmetricOperator):
     def terms(self):
         return self.inner.terms
 
-    def _value(self, lam):
-        return self.inner._value(t_map(lam))
-
-    def _gradient(self, lam):
-        g = self.inner._gradient(t_map(lam))
-        return t_map(g)  # J is symmetric and acts as T on vectors
-
-    def _hessian(self, lam):
-        n = self.n
-        j = (np.ones((n, n)) - np.eye(n)) / (n - 1)
-        h = self.inner._hessian(t_map(lam))
-        return np.einsum("pi,...pq,ql->...il", j, h, j)
+    def argument(self, lam):
+        return t_map(lam)
 
     def matrix_argument(self, x):
         # T(A) = (tr A I - A)/(n-1): A's eigenvectors, eigenvalues T(lam); the
@@ -575,10 +565,10 @@ class ComposedWithT(SymmetricOperator):
         return np.stack(lead + [mu_prime.sum(axis=-1) / (n - 1) ** n], axis=-1)
 
     def coordinate_crossings(self, mu, sigma_level) -> np.ndarray:
-        # T(mu + t e_i) = T(mu) + t (1 - e_i)/(n-1): a line for the inner operator
-        x = t_map(np.asarray(mu, dtype=float))
+        # T(mu + t e_i) = T(mu) + t T(e_i): a line for the inner operator
+        x = self.argument(np.asarray(mu, dtype=float))
         return np.stack([self.inner._line_crossing(x, w, sigma_level)
-                         for w in t_map(np.eye(self.n))], axis=-1)
+                         for w in self.argument(np.eye(self.n))], axis=-1)
 
 
 #: the catalog's kinds by config-file name, each with the parameters it

@@ -105,8 +105,6 @@ def estimate_kappa(op: SymmetricOperator, mu, sigma_level, radius: float,
     rows and ``sigma_level`` one level per row: one ``sample_level_set`` draw
     then serves every level, and the floor is over all of them.
     """
-    if samples <= 0:
-        raise ValueError("sample count must be positive")
     mu = np.asarray(mu, dtype=float)
     lam = sample_level_set(op, sigma_level, samples, np.random.default_rng(seed),
                            min_radius=radius)

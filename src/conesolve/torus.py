@@ -516,22 +516,47 @@ def save_field(field: ScalarField | MatrixField, path_base: str | Path) -> None:
     path_base.with_suffix(".json").write_text(json.dumps(sidecar, indent=2, sort_keys=True))
 
 
+def _count(value, least: int = 0) -> bool:
+    """Is ``value`` a JSON integer (not a boolean) >= ``least``?"""
+    return type(value) is int and value >= least
+
+
+#: the keys of a field sidecar that ``load_field`` reads, each with the rule
+#: of its JSON value, for ``rules.require``; the grid checks the rest (even
+#: points, the count and sign of the periods)
+SIDECAR_RULES = {
+    "kind": (lambda kind: kind in ("scalar", "matrix"), "must be scalar or matrix"),
+    "mode": GRID_RULES["mode"],
+    "n": (lambda n: _count(n, 1), "must be an integer >= 1"),
+    "points_per_axis": (_count, "must be an integer"),
+    "periods": (lambda periods: type(periods) is list
+                and all(type(p) in (int, float) for p in periods), "must be a list of numbers"),
+    "reduced": (lambda reduced: type(reduced) is bool, "must be true or false"),
+    "shape": (lambda shape: type(shape) is list and all(map(_count, shape)),
+              "must be a list of integers >= 0"),
+    "dtype": (lambda dtype: dtype in ("float64", "complex128"), "must be float64 or complex128"),
+}
+
+
 def load_field(path_base: str | Path) -> ScalarField | MatrixField:
     """The field ``save_field`` wrote at ``path_base``.  A sidecar that is not
-    a JSON object, or lacks a key read here, is a ValueError."""
+    a JSON object, lacks a key read here, or holds a value that breaks its
+    rule in ``SIDECAR_RULES`` or the grid's, is a ValueError naming it."""
     path_base = Path(path_base)
     sidecar_path = path_base.with_suffix(".json")
     sidecar = json.loads(sidecar_path.read_text())
     if not isinstance(sidecar, dict):
         raise ValueError(f"field sidecar {sidecar_path} is not a JSON object")
-    missing = [key for key in ("kind", "mode", "n", "points_per_axis", "periods",
-                               "reduced", "shape", "dtype") if key not in sidecar]
+    missing = [key for key in SIDECAR_RULES if key not in sidecar]
     if missing:
         raise ValueError(f"field sidecar {sidecar_path} lacks {', '.join(missing)}")
-    grid = PeriodicGrid(
-        sidecar["mode"], sidecar["n"], sidecar["points_per_axis"],
-        tuple(sidecar["periods"]), sidecar["reduced"],
-    )
+    try:
+        for key in SIDECAR_RULES:
+            require(SIDECAR_RULES, key, sidecar[key])
+        grid = PeriodicGrid(sidecar["mode"], sidecar["n"], sidecar["points_per_axis"],
+                            tuple(sidecar["periods"]), sidecar["reduced"])
+    except ValueError as exc:
+        raise ValueError(f"field sidecar {sidecar_path}: {exc}") from exc
     raw = np.fromfile(path_base.with_suffix(".bin"), dtype="<f8")
     shape = tuple(sidecar["shape"])
     if sidecar["dtype"] == "complex128":

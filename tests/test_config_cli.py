@@ -495,10 +495,13 @@ def _background_files(tmp_path, case):
     elif case == "scalar chi":
         save_field(ScalarField.constant(grid, 2.0), tmp_path / "chi")
         chi = f"file:{tmp_path / 'chi'}"
-    elif case == "h sidecar without reduced":
+    elif case.startswith("h sidecar"):
         save_field(ScalarField.zeros(grid), tmp_path / "h")
         sidecar = json.loads((tmp_path / "h.json").read_text())
-        del sidecar["reduced"]
+        if case == "h sidecar without reduced":
+            del sidecar["reduced"]
+        else:
+            sidecar["periods"] = 5
         (tmp_path / "h.json").write_text(json.dumps(sidecar))
         rhs = f"\n[rhs]\nh = file:{tmp_path / 'h'}\n"
     else:
@@ -517,6 +520,8 @@ def _background_files(tmp_path, case):
     ("scalar chi", "chi must be a field of 2x2 matrices"),
     ("matrix rhs", "the rhs h must be a scalar field"),
     ("h sidecar without reduced", "field sidecar {tmp}/h.json lacks reduced"),
+    ("h sidecar with a number for periods",
+     "field sidecar {tmp}/h.json: periods must be a list of numbers, got 5"),
 ])
 def test_cli_bad_metric_or_field_file_is_a_config_error(tmp_path, capsys, case, message):
     message = message.format(tmp=tmp_path)

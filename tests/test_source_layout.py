@@ -1,9 +1,12 @@
-"""Structure of the library's source: no module reaches into another's private names."""
+"""Structure of the library's source: no module reaches into another's private
+names, and no operator kind restates the calculus its terms feed."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import conesolve
+from conesolve.operators import SymmetricOperator
 
 SOURCES = sorted(Path(conesolve.__file__).parent.glob("*.py"))
 
@@ -40,3 +43,20 @@ def test_no_module_reads_another_modules_private_names():
     found = {path.stem: sorted(foreign_private_names(ast.parse(path.read_text())))
              for path in SOURCES}
     assert {module: names for module, names in found.items() if names} == {}
+
+
+#: the calculus ``SymmetricOperator`` derives from a kind's terms and argument map
+CALCULUS = {"_value", "_derivatives", "value", "gradient", "hessian"}
+
+
+def subclasses(cls) -> list[type]:
+    return [sub for direct in cls.__subclasses__() for sub in [direct, *subclasses(direct)]]
+
+
+def test_no_operator_kind_restates_the_calculus():
+    for path in SOURCES:
+        if path.stem != "__init__":
+            importlib.import_module(f"conesolve.{path.stem}")
+    found = {kind.__name__: sorted(CALCULUS & vars(kind).keys())
+             for kind in subclasses(SymmetricOperator) if kind.__module__.startswith("conesolve.")}
+    assert found and {kind: names for kind, names in found.items() if names} == {}

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -526,6 +527,26 @@ def test_a_sidecar_that_is_not_an_object_is_a_value_error(tmp_path, sidecar):
     save_field(ScalarField.constant(PeriodicGrid.make("real", 2, 4, 1.0), 1.0), tmp_path / "f")
     (tmp_path / "f.json").write_text(sidecar)
     with pytest.raises(ValueError, match="is not a JSON object$"):
+        load_field(tmp_path / "f")
+
+
+@pytest.mark.parametrize("key, value, phrase", [
+    ("periods", 5, "must be a list of numbers"),
+    ("points_per_axis", "8", "must be an integer"),
+    ("shape", "ab", "must be a list of integers >= 0"),
+    ("n", "2", "must be an integer >= 1"),
+    ("n", 0, "must be an integer >= 1"),
+    ("reduced", "no", "must be true or false"),
+])
+def test_a_sidecar_value_of_the_wrong_type_is_a_value_error(tmp_path, key, value, phrase):
+    save_field(ScalarField.constant(PeriodicGrid.make("complex", 2, 4, 1.0, reduced=True), 1.0),
+               tmp_path / "f")
+    sidecar = tmp_path / "f.json"
+    fields = json.loads(sidecar.read_text())
+    fields[key] = value
+    sidecar.write_text(json.dumps(fields))
+    message = f"field sidecar {sidecar}: {key} {phrase}, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         load_field(tmp_path / "f")
 
 
