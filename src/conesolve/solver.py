@@ -10,8 +10,10 @@ of the packed B_e (``eigencalc.Packing``).  One sigma recursion on the rows
 (``eigencalc.SigmaTable``) gives the cone margin, F and dF, whose Hessian
 weights are M^T (g D).  The linear solves are matrix-free restarted GMRES
 (``gmres``, Saad & Schultz 1986) preconditioned by the inverse of (mean trace
-of dF / n) times the metric Laplacian, with no BLAS level-1 call, so the
-iterates do not depend on the BLAS thread count.
+of dF / n) times the metric Laplacian, each to the relative residual
+max(min(1e-3, 0.1 |r|_sup), 0.1 newton_tol / |r|_2, 1e-12) of the Newton
+residual r: an inexact-Newton forcing term (Eisenstat & Walker 1996) whose
+floor stops at a linear residual of 2-norm, hence of sup norm, 0.1 newton_tol.
 
 Continuity paths, each anchored at a member solvable from u = 0:
 
@@ -199,7 +201,10 @@ class SolveState:
     the start, and ``SolveReport.record`` drops them.  ``trace`` holds the
     sup-norm residual and the cone margin of every iterate from the start to
     this one, ``iterations + 1`` entries; the report writes it as
-    ``newton_trace``.
+    ``newton_trace``.  ``newton_steps`` holds what each Newton step did,
+    ``iterations`` entries: the Krylov solve's ``forcing``, its
+    ``krylov_products`` and final ``krylov_residual`` (relative, 2-norm), and
+    the accepted ``step`` length, 2^-halvings.
     """
 
     u: ScalarField
@@ -209,6 +214,7 @@ class SolveState:
     admissibility_margin: float
     iterations: int = 0
     trace: tuple = ()
+    newton_steps: tuple = ()
     components: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
@@ -235,6 +241,7 @@ class SolveReport:
                 {"residual_sup": float(it["residual_sup"]), "margin": float(it["margin"])}
                 for it in state.trace
             ],
+            "newton_steps": [dict(step) for step in state.newton_steps],
         })
         self.final = replace(state, u=normalize(state.u, normalization), components=None)
 
@@ -469,7 +476,10 @@ def _solve_newton_system(lin: Linearization, r: np.ndarray, forcing: float):
     product's: a converged solve of a nonzero r, as ``newton_solve`` passes,
     ends with a product at its solution.  It is the buffer ``lin.components``
     itself, not a copy; ``newton_solve`` drops ``lin`` before its line search,
-    so comp(dv) then owns it.
+    so comp(dv) then owns it.  The same last product gives the solve's final
+    relative residual, which the matvec keeps with its count of products:
+    returns (dv, dc, comp(dv), info, work), work holding ``krylov_products``
+    and ``krylov_residual``.
     """
     grid = lin.grid
     sign = lin.sign
@@ -478,9 +488,14 @@ def _solve_newton_system(lin: Linearization, r: np.ndarray, forcing: float):
     half, modes = symbol.shape, symbol.size
     zero_mode = (0,) * grid.stored_axes
     symbol[zero_mode] = 1.0  # the zero mode is handled by dc
+    b = -r.ravel()
+    products, last = 0, 0.0  # A x at gmres's start, x = 0
 
     def matvec(z):
-        return lin.apply(z[:modes].reshape(half), float(z[modes].real)).values.ravel()
+        nonlocal products, last
+        products += 1
+        last = lin.apply(z[:modes].reshape(half), float(z[modes].real)).values.ravel()
+        return last
 
     def precondition(w):
         g = w.reshape(grid.shape)
@@ -489,9 +504,10 @@ def _solve_newton_system(lin: Linearization, r: np.ndarray, forcing: float):
         spec[zero_mode] = 0.0
         return np.concatenate([spec.ravel(), [-sign * gbar]])
 
-    sol, info = lgmres(matvec, -r.ravel(), M=precondition, rtol=forcing)
+    sol, info = lgmres(matvec, b, M=precondition, rtol=forcing)
     dv = np.fft.irfftn(sol[:modes].reshape(half), s=grid.shape, axes=axes)
-    return ScalarField(grid, dv - dv.mean()), float(sol[modes].real), lin.components, info
+    work = {"krylov_products": products, "krylov_residual": _norm(b - last) / _norm(b)}
+    return ScalarField(grid, dv - dv.mean()), float(sol[modes].real), lin.components, info, work
 
 
 def newton_solve(problem: TorusProblem, t: float,
@@ -501,15 +517,19 @@ def newton_solve(problem: TorusProblem, t: float,
     Accepts a step only when the iterate stays strictly admissible and the
     sup-norm residual decreases; halves the step up to ``MAX_HALVINGS`` times
     and raises StagnationError with the last state when exhausted, or when a
-    Krylov solve does not converge.  Each iterate is evaluated once.  The
-    Hessian components of u are carried with it: a trial u + step*dv reads
-    comp(u) + step*comp(dv), with comp(dv) from the Krylov solve's last
-    product, so no trial transforms.  A trial forms no field: u + step*dv is
-    formed once its step is accepted.  The cold start evaluates the held A[0];
-    a warm start evaluates ``warm``'s components (transforming u only if it
-    carries none) and leaves ``warm`` as it was handed.  The returned state
-    carries the final iterate's components.
-    A start that already meets ``newton_tol`` is returned after 0 iterations.
+    Krylov solve does not converge.  Each Krylov solve is asked for the
+    relative residual max(min(1e-3, 0.1 |r|_sup), 0.1 newton_tol / |r|_2,
+    1e-12) (Eisenstat & Walker 1996); gmres reads it against |r|_2, so the
+    floor asks for a linear residual of 2-norm, hence of sup norm, at most
+    0.1 newton_tol.  Newton exits on the sup-norm test alone, so a loose
+    solve can cost a step but cannot end one early.  Each iterate is evaluated once, from the
+    Hessian components carried with u: a trial reads comp(u) + step*comp(dv),
+    comp(dv) from the Krylov solve's last product, and forms no field.  The
+    cold start evaluates the held A[0]; a warm start evaluates ``warm``'s
+    components (transforming u only if it carries none) and leaves ``warm``
+    as it was handed.  The returned state carries the final iterate's
+    components.  A start that already meets ``newton_tol`` is returned after
+    0 iterations.
     """
     grid = problem.grid
     sign = constant_sign(problem)
@@ -529,19 +549,20 @@ def newton_solve(problem: TorusProblem, t: float,
     r_sup = float(np.abs(r).max())
     margin = ev.margin
     trace = [{"residual_sup": r_sup, "margin": margin}]
+    newton_steps = []
     iterations = 0
 
     def stagnated(message: str) -> StagnationError:
-        state = SolveState(u, c, t, r_sup, margin, iterations, tuple(trace))
+        state = SolveState(u, c, t, r_sup, margin, iterations, tuple(trace), tuple(newton_steps))
         return StagnationError(f"{message} at t={t:.6g}, residual {r_sup:.3e}", state)
 
     while r_sup >= problem.newton_tol:
         if iterations == problem.max_newton:
             raise stagnated(f"Newton did not converge in {problem.max_newton} iterations")
-        forcing = max(min(1e-4, 0.1 * r_sup), 1e-12)
+        forcing = max(min(1e-3, 0.1 * r_sup), 0.1 * problem.newton_tol / _norm(r), 1e-12)
         lin = Linearization(problem, ev)
         ev = None  # the sigma table is not read again: free it before the Krylov solve
-        dv, dc, dv_comps, info = _solve_newton_system(lin, r, forcing)
+        dv, dc, dv_comps, info, work = _solve_newton_system(lin, r, forcing)
         del lin
         if info != 0:
             raise stagnated(f"Krylov solve did not converge (gmres info {info})")
@@ -564,7 +585,9 @@ def newton_solve(problem: TorusProblem, t: float,
         del dv, dv_comps  # free them before the next Krylov solve
         iterations += 1
         trace.append({"residual_sup": r_sup, "margin": margin})
-    return SolveState(u, c, t, r_sup, margin, iterations, tuple(trace), comps)
+        newton_steps.append({"forcing": forcing, **work, "step": step})
+    return SolveState(u, c, t, r_sup, margin, iterations, tuple(trace), tuple(newton_steps),
+                      comps)
 
 
 def uniform_schedule(steps: int = 21) -> np.ndarray:

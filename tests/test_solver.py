@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -304,7 +305,7 @@ def test_newton_system_solves_the_bordered_system(mode, n, reduced, alpha):
     prob, lin = _linearized(mode, n, reduced, alpha)
     g = prob.grid
     r = random_band_limited(g, 0.1, seed=8).values + 0.02
-    dv, dc, comps, info = _solve_newton_system(lin, r, 1e-10)
+    dv, dc, comps, info, _ = _solve_newton_system(lin, r, 1e-10)
     assert info == 0
     assert abs(dv.values.mean()) < 1e-15
     bordered = np.concatenate([(lin.apply(np.fft.rfftn(dv.values), dc).values + r).ravel(),
@@ -863,6 +864,87 @@ def test_newton_krylov_nonconvergence_stagnates(monkeypatch):
         newton_solve(prob, 1.0)
     assert err.value.state is not None
     assert err.value.state.iterations == 0
+
+
+def _spy_krylov(monkeypatch):
+    """Record every Krylov solve Newton makes: its rtol, the sup and 2-norms
+    of its rhs, its products and the relative residual of its last product."""
+    import conesolve.solver as solver
+
+    solves = []
+    original = solver.lgmres
+
+    def spying(matvec, b, *, rtol, **kwargs):
+        solve = {"rtol": rtol, "r_sup": float(np.abs(b).max()),
+                 "r_2": float(np.sqrt(np.sum(b * b))), "products": 0}
+        solves.append(solve)
+
+        def counted(z):
+            solve["products"] += 1
+            solve["last"] = matvec(z)
+            return solve["last"]
+
+        x, info = original(counted, b, rtol=rtol, **kwargs)
+        solve["residual"] = np.linalg.norm(b - solve.pop("last")) / np.linalg.norm(b)
+        return x, info
+
+    monkeypatch.setattr(solver, "lgmres", spying)
+    return solves
+
+
+def test_the_last_krylov_solve_is_not_asked_past_newton_tol(monkeypatch):
+    # the forcing term's floor: a solve against residual r is never asked for
+    # a relative residual below 0.1 newton_tol / |r|_2, a linear residual of
+    # 2-norm 0.1 newton_tol, so the last solve of a converged step does not
+    # buy digits the sup-norm exit test does not read
+    g = PeriodicGrid.make("real", 3, 8, 1.0)
+    real3 = TorusProblem(g, LogSigmaK(3, 2), np.eye(3), MatrixField.constant(g, np.eye(3)),
+                         random_band_limited(g, 0.2, seed=1), path=PathKind.HESSIAN)
+    complex2, _ = manufactured_problem(n=2, amplitude=0.6, points=16, reduced=True, seed=6)
+    solves = _spy_krylov(monkeypatch)
+    for problem, t in ((real3, 0.5), (complex2, 1.0)):
+        for tol in (1e-8, 1e-10):
+            problem.newton_tol = tol
+            solves.clear()
+            state = newton_solve(problem, t)
+            assert state.iterations == len(solves) >= 2
+            assert solves[-1]["r_sup"] >= tol > state.residual_norm
+            for solve in solves:
+                assert solve["rtol"] >= 0.1 * tol / solve["r_2"]
+
+
+@pytest.mark.parametrize("tol,iterations", [(1e-6, 5), (1e-10, 6), (1e-12, 6)])
+def test_newton_meets_each_tolerance_in_a_pinned_count(tol, iterations):
+    # a looser Krylov solve may cost a Newton step but never ends one early:
+    # every tolerance is met, in the count the tighter solves took
+    prob, _ = manufactured_problem(n=2, amplitude=0.6, points=16, reduced=True, seed=6)
+    prob.newton_tol = tol
+    state = newton_solve(prob, 1.0)
+    assert state.residual_norm < tol
+    assert state.iterations == iterations
+
+
+def test_report_writes_the_krylov_work_of_each_newton_step(monkeypatch):
+    # one entry per Newton iteration: the forcing the solve was asked for,
+    # the products it took, the relative residual it reached and the
+    # accepted step length
+    prob, _ = manufactured_problem(n=1, points=32)
+    prob.path = PathKind.HESSIAN
+    solves = _spy_krylov(monkeypatch)
+    steps = run_continuity(prob, uniform_schedule(3)).to_dict()["steps"]
+    records = [record for step in steps for record in step["newton_steps"]]
+    for step in steps:
+        assert len(step["newton_steps"]) == step["newton_iterations"]
+    assert len(records) == len(solves) >= 5
+    assert sum(r["krylov_products"] for r in records) == sum(s["products"] for s in solves)
+    for record, solve in zip(records, solves):
+        assert set(record) == {"forcing", "krylov_products", "krylov_residual", "step"}
+        assert record["forcing"] == solve["rtol"]
+        assert record["krylov_products"] == solve["products"]
+        assert record["krylov_residual"] == pytest.approx(solve["residual"], rel=1e-12)
+        assert 0.0 < record["krylov_residual"] <= record["forcing"]
+        assert 0.0 < record["step"] <= 1.0
+        assert math.log2(record["step"]).is_integer()
 
 
 def test_trivial_solution_unique():
