@@ -63,7 +63,6 @@ from .torus import (
     MatrixField,
     PeriodicGrid,
     ScalarField,
-    complex_gradient,
     compute_c,
     derivative,
     endomorphism_field,

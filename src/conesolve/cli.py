@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__, selftest
 from .config import ConfigError, RunConfig, parse_config, parse_generator
-from .eigencalc import eigenvalues
+from .eigencalc import packed_eigenvalues
 from .operators import operator_from_name
 from .solver import (
     AdmissibilityError,
@@ -53,6 +53,8 @@ from .torus import (
     load_field,
     random_band_limited,
     save_field,
+    spectral_gradient,
+    spectral_hessian_components,
 )
 # unused here; the benchmark's tracer binds its spans at these names
 from .torus import endomorphism_field  # noqa: F401
@@ -118,7 +120,7 @@ def build_problem(cfg: RunConfig) -> tuple[TorusProblem, dict]:
 
 def certify_problem(problem: TorusProblem, cfg: RunConfig) -> dict:
     """Certify the trivial comparison function for the configured path."""
-    eigs = eigenvalues(problem.packing.unpack(problem.background)).reshape(-1, problem.grid.n)
+    eigs = packed_eigenvalues(problem.background, problem.grid.n).reshape(-1, problem.grid.n)
     extra = {}
     if problem.path is PathKind.QUOTIENT:
         extra["class_constant"] = problem.class_constant
@@ -133,18 +135,26 @@ def certify_problem(problem: TorusProblem, cfg: RunConfig) -> dict:
 
 
 def _diagnostics(problem: TorusProblem, state) -> dict:
+    """The report's diagnostics of the final u, read from one forward
+    transform: its Hessian components give the sampled spectra of A[u] and
+    the monitor's dd u, and on a complex grid its first derivatives give du."""
     from .diagnostics import hmw_ratio, strong_concavity_flags
 
     out: dict = {}
-    comps = problem.components(state.u)
+    spec = np.fft.rfftn(state.u.values)
+    comps = spectral_hessian_components(spec, problem.grid)
     rows = problem.endomorphism(comps)
     every = slice(None, None, max(1, comps[0].size // 512))
-    take = eigenvalues(problem.packing.unpack(rows.reshape(len(rows), -1)[:, every]))
+    take = packed_eigenvalues(rows.reshape(len(rows), -1)[:, every], problem.grid.n)
+    del rows
     flag_a, flag_b = strong_concavity_flags(problem.op, take)
     out["strong_concavity_flags"] = {"f11_plus_f1_over_lam1": flag_a,
                                      "lam1_f1_smallest": flag_b}
     if problem.grid.mode == "complex":
-        out["second_order_gradient_monitor"] = asdict(hmw_ratio(problem, state.u, comps))
+        gradient = spectral_gradient(spec, problem.grid)
+        del spec
+        out["second_order_gradient_monitor"] = asdict(
+            hmw_ratio(problem, state.u, comps, gradient))
     return out
 
 

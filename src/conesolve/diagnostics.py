@@ -17,13 +17,7 @@ import numpy as np
 from .eigencalc import combine
 from .operators import SymmetricOperator
 from .solver import TorusProblem
-from .torus import (
-    MatrixField,
-    ScalarField,
-    complex_gradient,
-    constant_metric,
-    sup_operator_norm,
-)
+from .torus import MatrixField, ScalarField, constant_metric, sup_operator_norm
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -325,17 +319,30 @@ class HmwReport:
 HMW_PSI_A = 1.0
 
 
-def hmw_ratio(problem: TorusProblem, u: ScalarField, comps: np.ndarray) -> HmwReport:
-    """The monitor of u on the problem's complex grid, in its held frame:
+def hmw_ratio(problem: TorusProblem, u: ScalarField, comps: np.ndarray,
+              gradient: np.ndarray) -> HmwReport:
+    """The monitor of u on the problem's complex grid, in its held frame, from
+    u's Hessian components c_e(u), ``comps``, and its real derivatives d_a u
+    along the stored axes, ``gradient`` (``torus.spectral_gradient``).
+
     |dd u|_alpha is the operator norm of sum_e c_e(u) B_e (``problem.basis``),
-    with ``comps`` u's ``hessian_components`` c_e(u), and |du|^2_alpha is
-    |L^{-1} du|^2 (``problem.root_inverse``, alpha = L L*)."""
-    if u.grid.mode != "complex":
+    read from the rows.  |du|^2_alpha = |L^{-1} du|^2 (alpha = L L*,
+    ``problem.root_inverse``) for du = (u_p), u_p = (d_x - i d_y) u / 2, is the
+    real quadratic form d^T Q d with Q = Re(W* W), W = L^{-1} P, where P maps
+    the stored axes' derivatives to the u_p; a reduced grid has no y axes."""
+    grid = u.grid
+    if grid.mode != "complex":
         raise ValueError("the second-order/gradient monitor applies in complex mode")
-    sup_dd = sup_operator_norm(problem.packing.unpack(combine(problem.basis, comps)))
-    w = np.einsum("ab,...b->...a", problem.root_inverse, complex_gradient(u))
-    grad_sq = np.real(np.einsum("...a,...a->...", np.conj(w), w))
-    sup_grad_sq = float(grad_sq.max())
+    sup_dd = sup_operator_norm(combine(problem.basis, comps))
+    p = np.zeros((grid.n, grid.stored_axes), dtype=complex)
+    for j in range(grid.n):
+        x, y = grid.axis_pair(j)
+        p[j, x] = 0.5
+        if y is not None:
+            p[j, y] = -0.5j
+    w = np.einsum("ab,bc->ac", problem.root_inverse, p)
+    q = np.real(np.einsum("ba,bc->ac", np.conj(w), w))
+    sup_grad_sq = float(np.einsum("a...,a...->...", gradient, combine(q, gradient)).max())
     big_k = sup_grad_sq + 1.0
     spread = float(u.values.max() - u.values.min())
     tau = 1.0 / (1.0 + spread)

@@ -6,14 +6,16 @@ Faddeev-LeVerrier recursion on the rows (``packed_sigmas``) reads with each
 P_{j-1} = d sigma_j / dA: the cone margin, F and dF come from one table
 (``SigmaTable``), d2F[H, H] from one forward-mode sweep (``second_form``).
 The dense ``evaluate``, ``first_derivative`` and ``second_form`` pack their
-input.  ``eigenvalues`` is the spectrum where one is read (closed form for
-n <= 2); ``eigen_decompose`` is the eigenframe of the self-test and oracles.
+input.  ``packed_eigenvalues`` is the spectrum of rows where one is read
+(closed form for n <= 2), ``eigenvalues`` the same of dense matrices;
+``eigen_decompose`` is the eigenframe of the self-test and oracles.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -52,23 +54,11 @@ def require_hermitian(a) -> np.ndarray:
 
 def eigenvalues(a) -> np.ndarray:
     """Ascending eigenvalues of Hermitian matrices ``a``, shape (..., n, n),
-    as ``np.linalg.eigvalsh``, which reads the lower triangle.
-
-    n = 1 is the real diagonal; n = 2 is (a + d)/2 -+ hypot((a - d)/2, |b|)
-    for the diagonal a, d and the lower entry b, exact at a multiple of I.
-    Above n = 2 this is ``eigvalsh``: the trigonometric form of the cubic is
-    ill-conditioned at the clustered spectra a perturbed background makes.
-    """
+    as ``np.linalg.eigvalsh``: ``packed_eigenvalues`` of their rows (the
+    upper triangle) for n <= 2, ``eigvalsh`` itself above."""
     a = np.asarray(a)
     n = a.shape[-1]
-    if n == 1:
-        return np.real(a[..., 0, :]).astype(float)
-    if n > 2:
-        return np.linalg.eigvalsh(a)
-    p, d = np.real(a[..., 0, 0]), np.real(a[..., 1, 1])
-    half = 0.5 * (p + d)
-    radius = np.hypot(0.5 * (p - d), np.abs(a[..., 1, 0]))
-    return np.stack([half - radius, half + radius], axis=-1)
+    return packed_eigenvalues(pack(a), n) if n <= 2 else np.linalg.eigvalsh(a)
 
 
 def eigen_decompose(a) -> EigenSystem:
@@ -166,6 +156,49 @@ def pack(a) -> np.ndarray:
 def unpack(x, n: int) -> np.ndarray:
     """The n x n matrices (..., n, n) whose rows are ``x`` (rows, ...)."""
     return packing(n, len(x) == n * n).unpack(x)
+
+
+def row_packing(x) -> Packing:
+    """The layout of the rows ``x``: n^2 rows for Hermitian n x n matrices,
+    n (n + 1) / 2 for real symmetric ones.  A count that is both (36, 1225,
+    ...) names no one layout, a ValueError."""
+    count = len(x)
+    real, full = (math.isqrt(8 * count + 1) - 1) // 2, math.isqrt(count)
+    is_real = real >= 1 and real * (real + 1) == 2 * count
+    is_full = full >= 2 and full * full == count
+    if is_real == is_full:
+        raise ValueError(f"{count} rows name no one matrix layout")
+    return packing(real, False) if is_real else packing(full, True)
+
+
+def packed_eigenvalues(x, n: int) -> np.ndarray:
+    """Ascending eigenvalues (..., n) of the n x n Hermitian matrices whose
+    rows are ``x`` (rows, ...), as ``np.linalg.eigvalsh`` reads them.
+
+    n = 1 is the diagonal; n = 2 is (a + d)/2 -+ hypot((a - d)/2, |b|) for the
+    diagonal a, d and the off-diagonal entry b, exact at a multiple of I.
+    Above n = 2 this is ``eigvalsh`` of the unpacked matrices: the
+    trigonometric form of the cubic is ill-conditioned at the clustered
+    spectra a perturbed background makes.  The n = 2 form works in place,
+    so that a whole field's spectrum leaves few temporaries on the heap.
+    """
+    if n > 2:
+        return np.linalg.eigvalsh(unpack(x, n))
+    if n == 1:
+        return np.stack([x[0]], axis=-1)
+    if len(x) == 4:  # |b| as np.abs reads the entry; np.hypot of its parts can differ
+        b = np.empty(x.shape[1:], dtype=complex)
+        b.real, b.imag = x[2], x[3]
+    else:
+        b = x[2]
+    half, radius = np.add(x[0], x[1]), np.subtract(x[0], x[1])
+    half *= 0.5
+    radius *= 0.5
+    np.hypot(radius, np.abs(b), out=radius)
+    out = np.empty(half.shape + (2,))
+    np.subtract(half, radius, out=out[..., 0])
+    np.add(half, radius, out=out[..., 1])
+    return out
 
 
 def combine(matrix: np.ndarray, x: np.ndarray, base: np.ndarray | None = None) -> np.ndarray:

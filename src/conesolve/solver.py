@@ -163,7 +163,7 @@ class TorusProblem:
             held.setflags(write=False)
 
     def components(self, u: ScalarField) -> np.ndarray:
-        """u's Hessian components c_e(u): the one place a field is transformed."""
+        """u's Hessian components c_e(u): the one place a solve transforms a field."""
         if u.grid != self.grid:
             raise ValueError("fields must share one grid")
         return hessian_components(u.values, self.grid)

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .eigencalc import combine, packed_sigmas, packing, require_hermitian
+from .eigencalc import combine, pack, packed_sigmas, packing, require_hermitian, row_packing
 from .rules import require
 
 
@@ -254,8 +254,30 @@ def spectral_hessian_components(spec: np.ndarray, grid: PeriodicGrid,
                                 work: np.ndarray | None = None,
                                 out: np.ndarray | None = None) -> np.ndarray:
     """The Hessian's components of the field whose rfftn half spectrum is
-    ``spec``, shape ``(len(components),) + grid.shape``: the batched irfftn of
-    spec * symbols, the same chain of 1-D transforms with the same bits.
+    ``spec``, shape ``(len(components),) + grid.shape``: ``inverse_chain`` of
+    spec with ``hessian_symbols(grid).symbols``."""
+    return inverse_chain(spec, hessian_symbols(grid).symbols, grid, work, out)
+
+
+def spectral_gradient(spec: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
+    """The real first derivatives d_a u along the stored axes of the field
+    whose rfftn half spectrum is ``spec``, shape ``(stored_axes,) +
+    grid.shape``: ``inverse_chain`` of i spec with the real k_a of
+    d_a = i k_a (Nyquist rule included).  Unlike ``hessian_symbols``, which
+    every Krylov product reads, these symbols are not cached: a run reads
+    them once, and a held table would stay resident for nothing."""
+    half = grid.shape[:-1] + (grid.points_per_axis // 2 + 1,)
+    symbols = np.stack([np.broadcast_to(np.imag(_symbol(grid, (a,))), half)
+                        for a in range(grid.stored_axes)])
+    return inverse_chain(1j * spec, symbols, grid)
+
+
+def inverse_chain(spec: np.ndarray, symbols: np.ndarray, grid: PeriodicGrid,
+                  work: np.ndarray | None = None,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """The batched irfftn of spec * symbols for real ``symbols`` stacked on a
+    leading axis over the half spectrum, shape ``(len(symbols),) +
+    grid.shape``: the same chain of 1-D transforms with the same bits.
 
     It runs in place.  spec * symbols is written through the real and imaginary
     views of ``work`` (complex, shape ``symbols.shape``; a complex ``out=`` of
@@ -265,7 +287,6 @@ def spectral_hessian_components(spec: np.ndarray, grid: PeriodicGrid,
     ``solver.Linearization`` does, holds both; left out, they are allocated
     here, and ``work`` is garbage on return either way.
     """
-    symbols = hessian_symbols(grid).symbols
     if work is None:
         work = np.empty(symbols.shape, dtype=complex)
     if out is None:
@@ -281,24 +302,6 @@ def hessian(u: ScalarField) -> MatrixField:
     """The mode's Hessian field: mixed complex (1/4 convention) or full real."""
     comps = hessian_components(u.values, u.grid)
     return MatrixField(u.grid, np.tensordot(comps, hessian_symbols(u.grid).units, axes=(0, 0)))
-
-
-def complex_gradient(u: ScalarField) -> np.ndarray:
-    """Holomorphic derivatives u_p = (d_x - i d_y) u / 2, shape grid + (n,):
-    one forward rfftn and one batched irfftn over every stored axis's symbol."""
-    grid = u.grid
-    if grid.mode != "complex":
-        raise ValueError("complex_gradient requires a complex-mode grid")
-    axes = range(grid.stored_axes)
-    half = grid.shape[:-1] + (grid.points_per_axis // 2 + 1,)
-    symbols = np.stack([np.broadcast_to(_symbol(grid, (a,)), half) for a in axes])
-    d = np.fft.irfftn(np.fft.rfftn(u.values) * symbols, s=grid.shape,
-                      axes=tuple(a + 1 for a in axes))
-    out = np.empty(grid.shape + (grid.n,), dtype=complex)
-    for p in range(grid.n):
-        xp, yp = grid.axis_pair(p)
-        out[..., p] = 0.5 * (d[xp] - 1j * (d[yp] if yp is not None else 0.0))
-    return out
 
 
 def constant_metric(alpha, dim: int) -> np.ndarray:
@@ -356,18 +359,25 @@ def endomorphism_field(alpha, chi: MatrixField, u: ScalarField | None = None) ->
     return MatrixField(chi.grid, layout.unpack(rows))
 
 
-def sup_operator_norm(h: np.ndarray) -> float:
-    """max |H|_2 over Hermitian matrices h, shape (..., n, n).  Every column
-    norm |H e_j| is <= |H|_2 <= |H|_F, so only matrices with |H|_F at least
-    the largest column norm of all (less a rounding slack) can attain it, and
-    ``eigvalsh`` runs on those alone; it works per matrix, so the result is
-    the full eigensolve's bit for bit."""
-    n = h.shape[-1]
-    mats = np.reshape(h, (-1, n, n))
-    squares = np.abs(mats) ** 2
-    column = sum(squares[:, i] for i in range(n)).max()  # the largest |H e_j|^2
-    keep = squares.sum(axis=(-2, -1)) >= (1.0 - 1e-12) * column
-    return float(np.abs(np.linalg.eigvalsh(mats[keep])).max())
+def sup_operator_norm(x: np.ndarray) -> float:
+    """max |H|_2 over the Hermitian matrices whose rows are ``x`` (rows, ...;
+    ``eigencalc.row_packing``).  Every column norm |H e_j| is <= |H|_2 <= |H|_F,
+    so only matrices with |H|_F^2 = sum_j |H e_j|^2 at least the largest
+    column norm of all (less a rounding slack) can attain it.  The column
+    norms are sums of the squared rows, and ``eigvalsh`` runs on the kept
+    matrices alone, unpacked; it works per matrix, so the result is the full
+    eigensolve's bit for bit."""
+    layout = row_packing(x)
+    n, upper, rows = layout.n, len(layout.upper), np.reshape(x, (len(x), -1))
+    squares = rows**2
+    columns = squares[:n].copy()  # |H e_j|^2: the diagonal, then each |H_ij|^2, i < j
+    for r, (i, j) in enumerate(layout.upper[n:], n):
+        entry = squares[r] + squares[r + upper - n] if layout.hermitian else squares[r]
+        columns[i] += entry
+        columns[j] += entry
+    keep = columns.sum(axis=0) >= (1.0 - 1e-12) * columns.max()
+    del squares, columns
+    return float(np.abs(np.linalg.eigvalsh(layout.unpack(rows[:, keep]))).max())
 
 
 def integral(f: ScalarField) -> float:
@@ -466,7 +476,7 @@ def hessian_perturbation(grid: PeriodicGrid, amplitude: float, seed: int
     """
     phi = random_band_limited(grid, 1.0, seed)
     h = hessian(phi)
-    opnorm = sup_operator_norm(h.values)
+    opnorm = sup_operator_norm(pack(h.values))
     scale = amplitude / opnorm if opnorm > 0 else 0.0
     return (
         ScalarField(grid, phi.values * scale),

@@ -2,8 +2,8 @@
 
 Everything here is deliberately dumb: subset enumeration (in exact rational
 arithmetic where signs decide), finite differences, a Fourier symbol written
-out on the full FFT mesh, a spectral derivative on the full complex FFT
-mesh, geometric ray shooting, doubling and bisection onto
+out on the full FFT mesh, a spectral derivative and the holomorphic
+gradient on the full complex FFT mesh, geometric ray shooting, doubling and bisection onto
 level sets, one supporting-plane test per candidate, the contact-set
 integral from the full tensor of second differences, each operator kind's
 value, derivatives and limit written out by hand, F(A) = f(lambda(A))
@@ -32,7 +32,7 @@ from conesolve import (
     MongeAmpere,
     NumericError,
 )
-from conesolve.eigencalc import eigen_decompose, require_hermitian
+from conesolve.eigencalc import eigen_decompose, pack, require_hermitian
 from conesolve.torus import congruence, hessian_components, hessian_symbols
 
 
@@ -361,9 +361,25 @@ def metric_root_inverse(alpha) -> np.ndarray:
 def metric_hessian(u, alpha) -> np.ndarray:
     """L^{-1} Hess u L^{-*}, the Hessian in alpha-orthonormal coordinates, as
     sum_e c_e(u) B_e with B_e = L^{-1} U_e L^{-*}: the operations and order of
-    the library's frame, so its values are those of a run bit for bit."""
+    the library's frame, so its values are those of a run bit for bit.  It is
+    returned as rows (``eigencalc.pack``), as the monitor reads it."""
     basis = congruence(metric_root_inverse(alpha), hessian_symbols(u.grid).units)
-    return np.tensordot(hessian_components(u.values, u.grid), basis, axes=(0, 0))
+    return pack(np.tensordot(hessian_components(u.values, u.grid), basis, axes=(0, 0)))
+
+
+def complex_gradient(u) -> np.ndarray:
+    """Holomorphic derivatives u_p = (d_x - i d_y) u / 2 of a complex-mode
+    ScalarField, shape grid + (n,), each from ``derivative_full_mesh``; a
+    reduced grid has no y axes, so there u_p = d_x u / 2."""
+    grid = u.grid
+    if grid.mode != "complex":
+        raise ValueError("complex_gradient requires a complex-mode grid")
+    out = np.empty(grid.shape + (grid.n,), dtype=complex)
+    for p in range(grid.n):
+        x, y = grid.axis_pair(p)
+        dy = 0.0 if y is None else derivative_full_mesh(u, (y,))
+        out[..., p] = 0.5 * (derivative_full_mesh(u, (x,)) - 1j * dy)
+    return out
 
 
 def laplacian_symbol_full_mesh(grid, alpha) -> np.ndarray:

@@ -10,15 +10,17 @@ checked out with ``git worktree`` into a temporary directory that is removed
 afterwards, or an existing checkout (``--parent-tree``).  For each workload
 and seed, each tree runs the main and the certify operation in a fresh
 interpreter, from its own ``src/``, with the config its own
-``bench/workloads.py`` builds, and keeps the exit code and the report
-(``solve_report.json``, or ``abp_report.json`` for ``conesolve abp``).
+``bench/workloads.py`` builds, and keeps the exit code, the report
+(``solve_report.json``, or ``abp_report.json`` for ``conesolve abp``) and the
+lines of the ``summary.txt`` beside it, if the run wrote one.
 
 For each report value, named by its key path with list indices folded
 (``solve.steps[].c``), it prints "identical" or the largest absolute and
 relative change over seeds and indices.  Output paths are ignored: each run's
 output directory reads as ``<out>``.  It flags a change in a Newton count, a
-verdict, a ``start``, a ``complete`` or an exit code, and any change in the
-key set or a list's length, and exits 1 if it flagged one.
+verdict, a ``start``, a ``complete``, an exit code or a byte of a summary,
+and any change in the key set or a list's length, and exits 1 if it flagged
+one.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOAD_NAMES = ("real3-hessian", "quotient-c3", "c2-full-fixed", "abp-128")
 #: last key segments whose every change is flagged
-FLAGGED_KEYS = {"newton_iterations", "iterations", "verdict", "start", "complete", "exit_code"}
+FLAGGED_KEYS = {"newton_iterations", "iterations", "verdict", "start", "complete", "exit_code",
+                "summary"}
 OUT = "<out>"
 
 #: run in a fresh interpreter: tree, workload, seed, output directory
@@ -55,11 +58,14 @@ wl.config_path.write_text(wl.config_text)
 runs = {}
 for kind, argv, path in (("main", wl.main_argv, wl.report_path),
                          ("certify", wl.certify_argv, wl.certify_report_path)):
+    summary = path.with_name("summary.txt")
     path.unlink(missing_ok=True)
+    summary.unlink(missing_ok=True)
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         rc = main(argv)
     runs[kind] = {"exit_code": rc,
-                  "report": json.loads(path.read_text()) if path.is_file() else None}
+                  "report": json.loads(path.read_text()) if path.is_file() else None,
+                  "summary": summary.read_text().split("\\n") if summary.is_file() else None}
 print(json.dumps(runs))
 """
 
@@ -169,7 +175,8 @@ def strip_paths(value, outdir: str):
 
 def run_tree(tree: Path, workload: str, seed: int, outdir: Path) -> dict:
     """{"main": record, "certify": record} of one tree, each record holding
-    the exit code and the report, with output paths stripped."""
+    the exit code, the report and the summary's lines, with output paths
+    stripped."""
     done = subprocess.run(
         [sys.executable, "-c", RUNNER, str(tree), workload, str(seed), str(outdir)],
         cwd=tree, capture_output=True, text=True, timeout=600)

@@ -654,3 +654,39 @@ def test_run_reads_the_frame_build_problem_made(tmp_path, monkeypatch, shape):
     report = json.loads((tmp_path / "out" / "solve_report.json").read_text())
     assert report["certificate"]["verdict"] == "certified"
     assert report["solve"]["complete"] and report["diagnostics"]
+
+
+@pytest.mark.parametrize("shape", ["complex", "real"])
+def test_diagnostics_read_the_final_u_through_one_transform(tmp_path, monkeypatch, shape):
+    # the diagnostics take one forward transform of the final u, and unpack
+    # only the sampled points and the matrices the sup-norm prune keeps
+    import conesolve.cli as cli
+    from conesolve.eigencalc import Packing
+
+    transforms, unpacked = [], []
+    rfftn, unpack, diagnose = np.fft.rfftn, Packing.unpack, cli._diagnostics
+
+    def counting_rfftn(a, *args, **kwargs):
+        transforms.append(np.shape(a))
+        return rfftn(a, *args, **kwargs)
+
+    def recording_unpack(self, x):
+        unpacked.append(int(np.prod(np.shape(x)[1:])))
+        return unpack(self, x)
+
+    def watched(problem, state):
+        with monkeypatch.context() as patch:
+            patch.setattr(np.fft, "rfftn", counting_rfftn)
+            patch.setattr(Packing, "unpack", recording_unpack)
+            return diagnose(problem, state)
+
+    monkeypatch.setattr(cli, "_diagnostics", watched)
+    cfg = parse_config(metric_config(tmp_path, shape))
+    assert cli.run(cfg) == 0
+    grid = cli.build_problem(cfg)[0].grid
+    points = int(np.prod(grid.shape))
+    sampled = len(range(0, points, max(1, points // 512)))
+    assert transforms == [grid.shape]
+    assert unpacked and max(unpacked) <= sampled < points
+    if shape == "complex":  # n = 2: the sampled spectrum is a closed form of the rows
+        assert len(unpacked) == 1

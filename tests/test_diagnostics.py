@@ -21,11 +21,13 @@ from conesolve import (
     strong_concavity_flags,
     trace_estimate_check,
 )
-from conesolve.torus import hessian_components
+from conesolve.torus import spectral_gradient, spectral_hessian_components
 from oracles import (
     abp_dense,
     ball_coordinates,
+    complex_gradient,
     dense_ball_function,
+    metric_root_inverse,
     supporting_plane_bruteforce,
 )
 
@@ -252,16 +254,24 @@ def flat_problem(grid, alpha):
                         ScalarField.zeros(grid))
 
 
+def monitor(problem, u):
+    """``hmw_ratio`` of u, with its Hessian components and gradient read from
+    one half spectrum, as the CLI's diagnostics read them."""
+    spec = np.fft.rfftn(u.values)
+    return hmw_ratio(problem, u, spectral_hessian_components(spec, u.grid),
+                     spectral_gradient(spec, u.grid))
+
+
 def test_hmw_ratio_values():
     g = PeriodicGrid.make("complex", 1, 64, 1.0)
     prob = flat_problem(g, np.eye(1))
     zero = ScalarField.zeros(g)
-    assert hmw_ratio(prob, zero, hessian_components(zero.values, g)).ratio == 0.0
+    assert monitor(prob, zero).ratio == 0.0
 
     a = 0.3
     x, _ = g.coordinates()
     u = ScalarField(g, a * np.cos(2 * np.pi * x))
-    rep = hmw_ratio(prob, u, hessian_components(u.values, g))
+    rep = monitor(prob, u)
     assert rep.sup_dd_u == pytest.approx(a * np.pi**2, rel=1e-10)
     assert rep.sup_grad_sq == pytest.approx(a**2 * np.pi**2, rel=1e-10)
     k = rep.sup_grad_sq + 1.0
@@ -273,8 +283,7 @@ def test_hmw_ratio_values():
 
     real = PeriodicGrid.make("real", 2, 8, 1.0)
     with pytest.raises(ValueError):
-        hmw_ratio(flat_problem(real, np.eye(2)), ScalarField.zeros(real),
-                  hessian_components(np.zeros(real.shape), real))
+        monitor(flat_problem(real, np.eye(2)), ScalarField.zeros(real))
 
 
 def test_hmw_ratio_under_a_non_diagonal_complex_metric():
@@ -286,7 +295,7 @@ def test_hmw_ratio_under_a_non_diagonal_complex_metric():
     a = 0.3
     x1, _, _, y2 = g.coordinates()
     u = ScalarField(g, a * np.cos(2 * np.pi * (x1 + y2)))
-    rep = hmw_ratio(flat_problem(g, alpha), u, hessian_components(u.values, g))
+    rep = monitor(flat_problem(g, alpha), u)
     v = np.array([1.0, -1.0j])
     q = np.real(np.conj(v) @ np.linalg.inv(alpha) @ v)
     assert rep.sup_grad_sq == pytest.approx(a**2 * np.pi**2 * q, rel=1e-12)
@@ -295,6 +304,22 @@ def test_hmw_ratio_under_a_non_diagonal_complex_metric():
     linv = np.linalg.inv(np.linalg.cholesky(alpha))
     for wrong in (linv.T, np.conj(linv)):
         assert abs(np.linalg.norm(wrong @ v) ** 2 / q - 1.0) > 0.3
+
+
+@pytest.mark.parametrize("reduced, alpha", [
+    (False, np.array([[2.0, 0.5 + 0.3j], [0.5 - 0.3j, 1.5]])),
+    (True, np.array([[1.5, 0.2 - 0.4j, 0.1j], [0.2 + 0.4j, 2.0, 0.3], [-0.1j, 0.3, 1.2]])),
+])
+def test_hmw_gradient_is_the_reference_gradient_in_the_metric(reduced, alpha):
+    # |L^{-1} du|^2 from the real quadratic form on the stored axes' derivatives
+    # equals its value from the holomorphic gradient on the full FFT mesh
+    g = PeriodicGrid.make("complex", len(alpha), 12 if reduced else 8, 1.0, reduced=reduced)
+    u = random_band_limited(g, 0.2, 5)
+    w = np.einsum("ab,...b->...a", metric_root_inverse(alpha), complex_gradient(u))
+    expected = float(np.real(np.einsum("...a,...a->...", np.conj(w), w)).max())
+    rep = monitor(flat_problem(g, alpha), u)
+    assert rep.sup_grad_sq == pytest.approx(expected, rel=1e-12)
+    assert expected > 0.01
 
 
 def test_trace_estimate():

@@ -18,6 +18,7 @@ from conesolve import (
     first_derivative,
     second_form,
 )
+from conesolve.eigencalc import pack, packed_eigenvalues, row_packing, unpack
 from oracles import second_derivative_form, second_difference
 from test_crossings import _pushed
 from test_term_calculus import KINDS
@@ -124,6 +125,36 @@ def test_small_spectra_are_closed_forms(complex_, scale):
     assert np.all(np.abs(got - exact) <= 4 * eps_norm)
     # eigvalsh itself errs by up to ~5 eps |A| on complex 2x2 matrices
     assert np.all(np.abs(got - np.linalg.eigvalsh(a)) <= 8 * eps_norm)
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "hermitian"])
+def test_row_spectra_are_the_closed_forms_bit_for_bit(complex_):
+    # the rows' spectrum is the dense closed form of the matrices they hold,
+    # for rotated and phased spectra, c I and b = 0 alike
+    dtype = complex if complex_ else float
+    rng = np.random.default_rng(17)
+    scalars = np.array([c * np.eye(2, dtype=dtype) for c in (1.0, -3.7, 0.0, 2.0**-60)])
+    diagonal = np.array([np.diag([2.0, -1.0]), np.diag([0.5, 0.5 + 1e-8])], dtype=dtype)
+    a = np.concatenate([_spectrum_cases(complex_), scalars, diagonal])
+    rows = pack(a)
+    assert row_packing(rows).hermitian == complex_
+    got = packed_eigenvalues(rows, 2)
+    assert got.tobytes() == eigenvalues(unpack(rows, 2)).tobytes()
+    assert got[len(a) - 6:len(a) - 2].tobytes() == np.repeat(
+        [1.0, -3.7, 0.0, 2.0**-60], 2).reshape(4, 2).tobytes()
+    assert np.allclose(got[-2:], [[-1.0, 2.0], [0.5, 0.5 + 1e-8]], rtol=4e-16, atol=0.0)
+    ones = rng.standard_normal((1, 5, 3))
+    assert packed_eigenvalues(ones, 1).tobytes() == eigenvalues(unpack(ones, 1)).tobytes()
+    assert packed_eigenvalues(ones, 1).tobytes() == np.linalg.eigvalsh(unpack(ones, 1)).tobytes()
+
+
+def test_row_packing_names_the_layout_of_a_row_count():
+    layouts = {count: row_packing(np.zeros((count, 2))) for count in (1, 3, 4, 6, 9)}
+    assert {count: (layout.n, layout.hermitian) for count, layout in layouts.items()} == {
+        1: (1, False), 3: (2, False), 4: (2, True), 6: (3, False), 9: (3, True)}
+    for count in (0, 2, 5, 36):  # 36 rows are a real 8 x 8 and a Hermitian 6 x 6
+        with pytest.raises(ValueError, match="no one matrix layout"):
+            row_packing(np.zeros((count, 2)))
 
 
 def test_spectra_above_two_are_eigvalsh():

@@ -10,6 +10,8 @@ C = 1.0922238873126544
 def report(c=C, iterations=2, outdir="/tmp/a"):
     return {
         "exit_code": 0,
+        "summary": ["conesolve 0.1.0 run summary", f"solve: c={c:.12g} residual=4.123e-11",
+                    ""],
         "report": {
             "config": {"output": {"directory": f"{outdir}/report"}},
             "certificate": {"verdict": "certified"},
@@ -59,6 +61,18 @@ def test_a_key_set_change_and_a_verdict_are_flagged():
     ]
     assert flags(compare(child, parent))[-1] == (
         "report.solve.steps[].newton_steps[].step: only in the parent")
+
+
+def test_a_summary_byte_change_is_flagged():
+    # c to 12 digits reads the same after a last-digit change of c; a changed
+    # byte of the summary (here its residual) is flagged, a missing one too
+    parent, child = report(), report(c=math.nextafter(C, 2.0))
+    assert compare(parent, child)["summary[]"].describe() == "identical"
+    child["summary"][1] = child["summary"][1].replace("4.123e-11", "4.124e-11")
+    assert flags(compare(parent, child)) == ["summary[]: 1/3 changed"]
+    child["summary"] = None
+    assert flags(compare(parent, child)) == ["summary: only in this tree",
+                                             "summary[]: only in the parent"]
 
 
 def test_output_paths_are_ignored():

@@ -17,7 +17,6 @@ from conesolve import (
     PeriodicGrid,
     ScalarField,
     TorusProblem,
-    complex_gradient,
     compute_c,
     derivative,
     endomorphism_field,
@@ -29,7 +28,7 @@ from conesolve import (
     random_band_limited,
     save_field,
 )
-from conesolve.eigencalc import hermitian_defect, unpack
+from conesolve.eigencalc import hermitian_defect, pack, unpack
 from conesolve.torus import (
     congruence,
     hessian_components,
@@ -38,8 +37,8 @@ from conesolve.torus import (
     laplacian_symbol,
     sup_operator_norm,
 )
-from oracles import derivative_full_mesh, hessian_weights, laplacian_symbol_full_mesh
-from oracles import metric_root_inverse
+from oracles import complex_gradient, derivative_full_mesh, hessian_weights
+from oracles import laplacian_symbol_full_mesh, metric_root_inverse
 
 
 def test_grid_validation():
@@ -296,7 +295,7 @@ def test_sup_operator_norm_is_the_full_eigensolve(monkeypatch, complex_, n):
     if complex_:
         h = h + 1j * rng.standard_normal((6, 7, n, n))
     h = h + np.conj(np.swapaxes(h, -1, -2))
-    assert sup_operator_norm(h) == _sup_by_full_eigensolve(h)
+    assert sup_operator_norm(pack(h)) == _sup_by_full_eigensolve(h)
 
     # a field with one dominant matrix: eigvalsh sees that matrix alone
     h[2, 3] *= 10.0 * np.sqrt(n)
@@ -307,7 +306,7 @@ def test_sup_operator_norm_is_the_full_eigensolve(monkeypatch, complex_, n):
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
-    assert sup_operator_norm(h) == _sup_by_full_eigensolve(h)
+    assert sup_operator_norm(pack(h)) == _sup_by_full_eigensolve(h)
     assert seen[0] == 1
 
 
@@ -335,7 +334,7 @@ def test_sup_operator_norm_where_frobenius_and_operator_maxima_differ(monkeypatc
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
-    assert sup_operator_norm(h) == _sup_by_full_eigensolve(h) == pytest.approx(1.5)
+    assert sup_operator_norm(pack(h)) == _sup_by_full_eigensolve(h) == pytest.approx(1.5)
     # the largest column norm, 1.5 |v_0| > 1.48, admits those two matrices alone;
     # max |H|_F / sqrt(3) = 1 would admit the five 0.8 I as well
     assert seen[0] == 2
@@ -347,13 +346,14 @@ def test_sup_operator_norm_equal_frobenius_and_zero_fields():
     q, _ = np.linalg.qr(rng.standard_normal((40, 3, 3)) + 1j * rng.standard_normal((40, 3, 3)))
     lam = rng.standard_normal((40, 3))
     lam /= np.linalg.norm(lam, axis=-1, keepdims=True)
-    h = np.einsum("pij,pj,pkj->pik", q, lam, np.conj(q))
-    assert sup_operator_norm(h) == _sup_by_full_eigensolve(h)
+    # q diag(lam) q* is Hermitian only to rounding; the rows hold its upper triangle
+    h = unpack(pack(np.einsum("pij,pj,pkj->pik", q, lam, np.conj(q))), 3)
+    assert sup_operator_norm(pack(h)) == _sup_by_full_eigensolve(h)
     # scalar matrices attain |H|_F / sqrt(n) exactly
     scalar = np.einsum("p,ij->pij", rng.uniform(0.5, 1.0, 40), np.eye(3))
     scalar[7] = np.eye(3)
-    assert sup_operator_norm(scalar) == _sup_by_full_eigensolve(scalar) == 1.0
-    assert sup_operator_norm(np.zeros((4, 4, 2, 2))) == 0.0
+    assert sup_operator_norm(pack(scalar)) == _sup_by_full_eigensolve(scalar) == 1.0
+    assert sup_operator_norm(pack(np.zeros((4, 4, 2, 2)))) == 0.0
 
 
 def test_integral_values():
