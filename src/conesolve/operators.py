@@ -642,7 +642,8 @@ def sample_level_set(op: SymmetricOperator, sigma_level, count: int,
     above sigma far out.  Directions mix a positively-spread family (hits the
     far ends of the level set) and rejected Gaussians (hits the cone's
     non-orthant sectors).  Each ray meets the level at the operator's
-    closed-form ``ray_crossing``.
+    closed-form ``ray_crossing``, and only the points that can lie past
+    ``min_radius`` are formed and measured (``_rays_to_level``).
 
     ``sigma_level`` is a scalar, giving shape ``(count, n)``, or a sequence of
     levels, giving ``(levels, count, n)``: one stream of directions serves
@@ -667,8 +668,8 @@ def sample_level_set(op: SymmetricOperator, sigma_level, count: int,
                    for got in accepted)
         m = int(min(max(need, 256), 400_000))
         dirs = _directions(op.cone, m, rng)
-        for points, lam in zip(collected, _rays_to_level(op, dirs, levels)):
-            points.append(lam[row_norms(lam) > min_radius])
+        for points, lam in zip(collected, _rays_to_level(op, dirs, levels, min_radius)):
+            points.append(lam)
         tried += m
         accepted = [sum(p.shape[0] for p in points) for points in collected]
         if min(accepted) >= count:
@@ -710,13 +711,23 @@ def row_norms(x: np.ndarray) -> np.ndarray:
 _RAY_REACH = (2.0**-100, 2.0**100)
 
 
-def _rays_to_level(op: SymmetricOperator, dirs: np.ndarray, levels) -> Iterator[np.ndarray]:
+def _rays_to_level(op: SymmetricOperator, dirs: np.ndarray, levels,
+                   min_radius: float = 0.0) -> Iterator[np.ndarray]:
     """For each sigma in ``levels`` in turn, the points t * d on {f = sigma}
-    of the rays crossing it within reach.  f is evaluated on the rays once;
-    one level's points are made at a time, so the caller can filter each
-    before the next."""
+    of the rays that cross it within reach, at |t * d| > min_radius.  f is
+    evaluated on the rays once; one level's points are made at a time, so the
+    caller can keep each before the next is formed.
+
+    The crossing scales t are screened first, by the reach window and by
+    t * (1 + 1e-12) > min_radius, and t * d is formed only on the rays that
+    pass; the exact test ``row_norms(t * d) > min_radius`` runs on those.  The
+    screen drops no point the exact test keeps: ``_directions`` makes unit
+    rows to a few ulps, so row_norms(t * d) <= t * (1 + (n + 4) eps), which
+    is below t * (1 + 1e-12).
+    """
     values = np.asarray(op._value(dirs))
     for level in levels:
         t = op._ray_scale(values, level)
-        keep = (t > _RAY_REACH[0]) & (t < _RAY_REACH[1])
-        yield t[keep, None] * dirs[keep]
+        keep = (t > _RAY_REACH[0]) & (t < _RAY_REACH[1]) & (t * (1.0 + 1e-12) > min_radius)
+        points = t[keep, None] * dirs[keep]
+        yield points[row_norms(points) > min_radius]

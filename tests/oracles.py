@@ -11,7 +11,9 @@ with its derivatives in an eigenframe, and the sigma recursion on dense
 (..., n, n) matrices.  None of it shares code with the
 library paths it checks, except ``metric_hessian``, which takes a run's steps
 in a run's order so that a report's values can be compared with it bit for
-bit.
+bit, and ``sample_level_set_filtered``, the level-set sampler that forms
+every crossing before it filters, which draws the library's directions so
+that the two can be compared byte for byte.
 """
 
 import itertools
@@ -32,6 +34,7 @@ from conesolve import (
     MongeAmpere,
     NumericError,
 )
+from conesolve import operators
 from conesolve.eigencalc import eigen_decompose, pack, require_hermitian
 from conesolve.torus import congruence, hessian_components, hessian_symbols
 
@@ -244,12 +247,14 @@ def abp_dense(v, epsilon: float) -> tuple[float, float]:
     return integral_det, float(weight.sum()) * cell / ball
 
 
-def rays_to_level_bisection(op, dirs: np.ndarray, sigma_level,
+def rays_to_level_bisection(op, dirs: np.ndarray, sigma_level, min_radius: float = 0.0,
                             iters: int = 60) -> np.ndarray | list:
-    """Bisect t on each ray t * d so that f(t*d) = sigma.  Drops failed rays.
-    For a sequence of levels, a list of such arrays, one per level."""
+    """Bisect t on each ray t * d so that f(t*d) = sigma.  Drops failed rays
+    and the points at norm <= min_radius.  For a sequence of levels, a list of
+    such arrays, one per level."""
     if np.ndim(sigma_level):
-        return [rays_to_level_bisection(op, dirs, level, iters) for level in sigma_level]
+        return [rays_to_level_bisection(op, dirs, level, min_radius, iters)
+                for level in sigma_level]
     m = dirs.shape[0]
     t_hi = np.ones(m)
     val = op.value(dirs, check=False)
@@ -281,7 +286,39 @@ def rays_to_level_bisection(op, dirs: np.ndarray, sigma_level,
         above = np.atleast_1d(op.value(t_mid[:, None] * dirs, check=False)) > sigma_level
         t_hi = np.where(above, t_mid, t_hi)
         t_lo = np.where(above, t_lo, t_mid)
-    return 0.5 * (t_lo + t_hi)[:, None] * dirs
+    points = 0.5 * (t_lo + t_hi)[:, None] * dirs
+    return points[np.linalg.norm(points, axis=-1) > min_radius]
+
+
+def sample_level_set_filtered(op, sigma_level, count: int, rng: np.random.Generator,
+                              min_radius: float = 0.0) -> np.ndarray:
+    """``sample_level_set`` as it was before it screened the crossings: every
+    ray within reach is formed as a point and measured, and the points at
+    norm <= min_radius are dropped afterwards.  It draws the library's own
+    ``_directions`` in the library's round sizes, so the two must agree byte
+    for byte."""
+    levels, listed = np.unique(np.asarray(sigma_level, dtype=float), return_inverse=True)
+    collected = [[] for _ in levels]
+    accepted, tried = [0] * len(levels), 0
+    for _ in range(operators.MAX_SAMPLING_ROUNDS):
+        need = max(1.5 * (count - got) / max(got / tried if tried else 0.25, 0.02)
+                   for got in accepted)
+        m = int(min(max(need, 256), 400_000))
+        dirs = operators._directions(op.cone, m, rng)
+        values = np.asarray(op._value(dirs))
+        for points, level in zip(collected, levels):
+            t = op._ray_scale(values, level)
+            keep = (t > operators._RAY_REACH[0]) & (t < operators._RAY_REACH[1])
+            lam = t[keep, None] * dirs[keep]
+            points.append(lam[operators.row_norms(lam) > min_radius])
+        tried += m
+        accepted = [sum(p.shape[0] for p in points) for points in collected]
+        if min(accepted) >= count:
+            break
+    else:
+        raise NumericError(f"level-set sampling got {min(accepted)}/{count} points")
+    out = np.stack([np.concatenate(points, axis=0)[:count] for points in collected])
+    return out[listed.reshape(np.shape(sigma_level))]
 
 
 def coordinate_crossings_bisection(op, mu: np.ndarray, sigmas: np.ndarray,

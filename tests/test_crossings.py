@@ -18,12 +18,13 @@ from conesolve import (
     level_set_constants,
 )
 from conesolve.cones import sigma_all, t_map, without_each
-from conesolve.operators import _rays_to_level
+from conesolve.operators import _RAY_REACH, _directions, _rays_to_level, row_norms
 from conesolve.subsolution import coordinate_ray_radius
 from oracles import (
     coordinate_crossings_bisection,
     coordinate_ray_radius_bisection,
     rays_to_level_bisection,
+    sample_level_set_filtered,
 )
 
 
@@ -228,6 +229,37 @@ def test_sample_level_set_keeps_the_bisection_samples(monkeypatch, op, sigma_lev
     expected = sample_level_set(op, sigma_level, 2000, np.random.default_rng(1), min_radius)
     assert got.shape == (2000, op.n)
     _assert_rows_close(op, got, expected)
+
+
+@pytest.mark.parametrize("op", _config_kinds(2) + _config_kinds(3)
+                         + [BlendedQuotient(3, 1, 2, 1.0)], ids=repr)
+def test_sampler_keeps_the_bytes_of_form_all_then_filter(op):
+    # the screened sampler keeps the points, in the order, that forming and
+    # measuring every crossing keeps: at radius 0, near the median crossing
+    # and beyond almost every crossing, for a level listed twice too
+    from conesolve import sample_level_set
+
+    near, far = float(op.value(np.full(op.n, 1.4))), float(op.value(np.full(op.n, 1.5)))
+    norms = row_norms(sample_level_set_filtered(op, near, 400, np.random.default_rng(11)))
+    for seed in (0, 3, 7):
+        for radius in (0.0, float(np.median(norms)), float(np.quantile(norms, 0.98))):
+            for sigma_level in (near, [far, near, far]):
+                got = sample_level_set(op, sigma_level, 150, np.random.default_rng(seed), radius)
+                expected = sample_level_set_filtered(op, sigma_level, 150,
+                                                     np.random.default_rng(seed), radius)
+                assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("op", [LogSigmaK(2, 1), MongeAmpere(3), LogSigmaK(3, 1),
+                                ComposedWithT(3, LogSigmaK(3, 2))], ids=repr)
+def test_unit_directions_stay_under_the_sampler_screen(op):
+    # _rays_to_level screens at t * (1 + 1e-12) > min_radius: no point t * d
+    # past the radius may fail it, anywhere in the reach window
+    rng = np.random.default_rng(5)
+    dirs = _directions(op.cone, 4000, rng)
+    scales = np.concatenate([np.geomspace(*_RAY_REACH, 64), 2.0 ** rng.uniform(-100, 100, 64)])
+    for t in scales:
+        assert np.all(row_norms(t * dirs) <= t * (1 + 1e-12))
 
 
 def test_blend_crossings_only_at_one():

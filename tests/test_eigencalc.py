@@ -162,6 +162,84 @@ def test_spectra_above_two_are_eigvalsh():
     assert eigenvalues(a).tobytes() == np.linalg.eigvalsh(a).tobytes()
 
 
+def _jacobi_cases(complex_: bool) -> np.ndarray:
+    """3 x 3 matrices Q diag(lam) Q*, Q random orthogonal (unitary if
+    complex), for random spectra, c I, a double root, gaps of 1e-8 and 1e-4,
+    a graded and two singular spectra."""
+    rng = np.random.default_rng(23)
+    spectra = [*rng.standard_normal((40, 3)), (2.5, 2.5, 2.5), (1.0, 1.0, -2.0),
+               (1.0, 1.0 + 1e-8, 3.0), (1.0, 1.0 + 1e-4, 3.0), (1e-6, 1.0, 1e6),
+               (0.0, 1.0, 2.0), (0.0, 0.0, -1.0)]
+    mats = []
+    for lam in spectra:
+        for _ in range(4):
+            z = rng.standard_normal((3, 3)) + (1j * rng.standard_normal((3, 3)) if complex_ else 0)
+            q, _ = np.linalg.qr(z)
+            m = (q * np.asarray(lam)) @ q.conj().T
+            mats.append((m + m.conj().T) / 2)
+    return np.array(mats)
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "hermitian"])
+@pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+def test_jacobi_spectra_agree_with_eigvalsh(complex_, scale):
+    a = scale * _jacobi_cases(complex_)
+    rows = pack(a)
+    assert row_packing(rows).hermitian == complex_
+    got, expected = packed_eigenvalues(rows, 3), np.linalg.eigvalsh(a)
+    assert got.shape == expected.shape
+    assert np.all(np.diff(got, axis=-1) >= 0)  # ascending, as eigvalsh
+    eps_norm = np.finfo(float).eps * np.abs(expected).max(axis=-1, keepdims=True)
+    assert np.all(np.abs(got - expected) <= 16 * eps_norm)
+    # a 4 x 4 field takes the same sweeps
+    big = scale * np.array([rand_hermitian(np.random.default_rng(i), 4, complex_)
+                            for i in range(40)])
+    got, expected = packed_eigenvalues(pack(big), 4), np.linalg.eigvalsh(big)
+    eps_norm = np.finfo(float).eps * np.abs(expected).max(axis=-1, keepdims=True)
+    assert np.all(np.abs(got - expected) <= 16 * eps_norm)
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "hermitian"])
+def test_jacobi_returns_a_diagonal_matrix_bit_for_bit(complex_):
+    values = np.array([[3.0, -0.0, 0.0], [1.0, 2.0, -5.0], [2.0**-60, -7.5, 2.0**60],
+                       [4.0, 4.0, 4.0], [0.0, 0.0, 0.0]])
+    a = np.zeros(values.shape + (3,), dtype=complex if complex_ else float)
+    a[:, [0, 1, 2], [0, 1, 2]] = values
+    got = packed_eigenvalues(pack(a), 3)
+    assert got.tobytes() == np.sort(values, axis=-1, kind="stable").tobytes()
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "hermitian"])
+def test_jacobi_spectrum_does_not_depend_on_the_batch(complex_):
+    rows = pack(_jacobi_cases(complex_))
+    batch = packed_eigenvalues(rows, 3)
+    for i in range(rows.shape[1]):
+        assert packed_eigenvalues(rows[:, i:i + 1], 3)[0].tobytes() == batch[i].tobytes()
+    assert packed_eigenvalues(rows[:, ::-1], 3).tobytes() == batch[::-1].tobytes()
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "hermitian"])
+def test_jacobi_gives_nan_at_a_non_finite_matrix_only(complex_):
+    rows = pack(_jacobi_cases(complex_))
+    clean = packed_eigenvalues(rows, 3)
+    rows[0, 5], rows[4, 9], rows[-1, 11] = np.nan, np.inf, -np.inf
+    got = packed_eigenvalues(rows, 3)
+    bad = np.isin(np.arange(len(got)), [5, 9, 11])
+    assert np.all(np.isnan(got[bad]))
+    assert got[~bad].tobytes() == clean[~bad].tobytes()
+
+
+def test_jacobi_raises_on_a_matrix_left_unconverged(monkeypatch):
+    from conesolve import NumericError, eigencalc
+
+    monkeypatch.setattr(eigencalc, "MAX_JACOBI_SWEEPS", 1)
+    diagonal = pack(np.diag([3.0, 1.0, 2.0])[None])
+    assert packed_eigenvalues(diagonal, 3).tolist() == [[1.0, 2.0, 3.0]]
+    with pytest.raises(NumericError, match="1 of 2 3 x 3 matrices"):
+        packed_eigenvalues(pack(np.stack([np.diag([3.0, 1.0, 2.0]),
+                                          rand_hermitian(np.random.default_rng(4), 3)])), 3)
+
+
 def test_eigen_decompose_rejects_non_hermitian():
     with pytest.raises(ValueError):
         eigen_decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))

@@ -60,3 +60,46 @@ def test_no_operator_kind_restates_the_calculus():
     found = {kind.__name__: sorted(CALCULUS & vars(kind).keys())
              for kind in subclasses(SymmetricOperator) if kind.__module__.startswith("conesolve.")}
     assert found and {kind: names for kind, names in found.items() if names} == {}
+
+
+#: the functions that may call ``eigvalsh``, one LAPACK call per matrix: the
+#: dense spectrum, the few matrices the sup-norm prune keeps, and the
+#: one-matrix Schur-Horn check; a field's spectrum is read from its rows
+EIGVALSH_SITES = {("eigencalc", "eigenvalues"), ("torus", "sup_operator_norm"),
+                  ("subsolution", "schur_horn_pairing")}
+
+
+def eigvalsh_sites(tree: ast.Module) -> set[str]:
+    """The functions (``Class.method`` for methods, ``<module>`` at top level)
+    of ``tree`` that name ``eigvalsh``, as an attribute, a name or an import."""
+    sites = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, child.name if where == "<module>" else f"{where}.{child.name}")
+                continue
+            if ((isinstance(child, ast.Attribute) and child.attr == "eigvalsh")
+                    or (isinstance(child, ast.Name) and child.id == "eigvalsh")
+                    or (isinstance(child, ast.alias) and child.name == "eigvalsh")):
+                sites.add(where)
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return sites
+
+
+def test_eigvalsh_sites_are_found():
+    tree = ast.parse("from numpy.linalg import eigvalsh\n"
+                     "def spectrum(a):\n"
+                     "    return np.linalg.eigvalsh(a)\n"
+                     "class C:\n"
+                     "    def m(self, a):\n"
+                     "        return eigvalsh(a)\n")
+    assert eigvalsh_sites(tree) == {"<module>", "spectrum", "C.m"}
+
+
+def test_eigvalsh_runs_only_where_few_matrices_are_solved():
+    found = {(path.stem, site) for path in SOURCES
+             for site in eigvalsh_sites(ast.parse(path.read_text()))}
+    assert found and found <= EIGVALSH_SITES
