@@ -631,6 +631,10 @@ def level_set_constants(op: SymmetricOperator, sigma_level: float, samples: int 
 
 #: batches of rays ``sample_level_set`` draws before it gives up
 MAX_SAMPLING_ROUNDS = 60
+#: rows in the first slice of a round's positive half, each later slice twice
+#: the one before: a few slices per round, each paying f's fixed cost per
+#: call once, whose temporaries stay below those of the whole round
+_FIRST_SLICE = 4096
 
 
 def sample_level_set(op: SymmetricOperator, sigma_level, count: int,
@@ -647,10 +651,20 @@ def sample_level_set(op: SymmetricOperator, sigma_level, count: int,
 
     ``sigma_level`` is a scalar, giving shape ``(count, n)``, or a sequence of
     levels, giving ``(levels, count, n)``: one stream of directions serves
-    them all, f is evaluated once per batch of rays, and the draw goes on
-    until every level has ``count`` points, for at most
-    ``MAX_SAMPLING_ROUNDS`` batches; then it raises ``NumericError``.  A level
-    listed twice is sampled once, and gets the same points.
+    them all, and the draw goes on until every level has ``count`` points,
+    for at most ``MAX_SAMPLING_ROUNDS`` rounds; then it raises
+    ``NumericError``.  A level listed twice is sampled once, and gets the same
+    points.
+
+    Each round's directions come in blocks, in draw order (``_directions``):
+    f is evaluated once per block, for the levels still short, and the draw
+    stops at the first block after which every level is full.  The kept
+    points are those of evaluating every round whole and cutting each level
+    at ``count``, bit for bit: each point depends on its own row only, the
+    kept points are each level's first ``count`` in draw order, and nothing
+    reads the generator after the last round, so the draws it skips change
+    none of them.  A round that does not fill every level is evaluated
+    whole, so the next round's size is unchanged.
     """
     if count <= 0:
         raise ValueError("sample count must be positive")
@@ -667,13 +681,16 @@ def sample_level_set(op: SymmetricOperator, sigma_level, count: int,
         need = max(1.5 * (count - got) / max(got / tried if tried else 0.25, 0.02)
                    for got in accepted)
         m = int(min(max(need, 256), 400_000))
-        dirs = _directions(op.cone, m, rng)
-        for points, lam in zip(collected, _rays_to_level(op, dirs, levels, min_radius)):
-            points.append(lam)
-        tried += m
-        accepted = [sum(p.shape[0] for p in points) for points in collected]
+        for dirs in _directions(op.cone, m, rng):
+            short = [i for i, got in enumerate(accepted) if got < count]
+            for i, lam in zip(short, _rays_to_level(op, dirs, levels[short], min_radius)):
+                collected[i].append(lam)
+                accepted[i] += lam.shape[0]
+            if min(accepted) >= count:
+                break
         if min(accepted) >= count:
             break
+        tried += m
     else:
         raise NumericError(
             f"level-set sampling got {min(accepted)}/{count} points at radius > {min_radius}"
@@ -682,17 +699,28 @@ def sample_level_set(op: SymmetricOperator, sigma_level, count: int,
     return out[listed.reshape(np.shape(sigma_level))]
 
 
-def _directions(cone: Cone, m: int, rng: np.random.Generator) -> np.ndarray:
-    """Unit directions inside the cone from m draws: half positively spread,
-    half Gaussian, of which those outside the cone are rejected."""
+def _directions(cone: Cone, m: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """Unit directions inside the cone from m draws, in blocks of rows: half
+    positively spread, half Gaussian, of which those outside the cone are
+    rejected.  The positive half comes in slices of doubling size, then the
+    Gaussian half whole; its normals are drawn only when the caller asks for
+    it.  Every row is made and normalized on its own, so a slice holds the
+    bits the same rows have in the whole round."""
     half, n = m // 2, cone.n
     beta = rng.uniform(0.0, 5.0, size=(half, 1))
-    d_pos = 10.0 ** (-beta * rng.uniform(0.0, 1.0, size=(half, n)))
+    exponents = rng.uniform(0.0, 1.0, size=(half, n))
+    start, size = 0, _FIRST_SLICE
+    while start < half:
+        stop = min(start + size, half)
+        d_pos = 10.0 ** (-beta[start:stop] * exponents[start:stop])
+        d_pos /= row_norms(d_pos)[:, None]
+        yield d_pos
+        start, size = stop, 2 * size
     d_gauss = rng.standard_normal((m - half, n))
-    keep = np.asarray(cone.contains(d_gauss), dtype=bool)
-    dirs = np.concatenate([d_pos, d_gauss[keep]], axis=0)
-    dirs /= row_norms(dirs)[:, None]
-    return dirs
+    d_gauss = d_gauss[np.asarray(cone.contains(d_gauss), dtype=bool)]
+    if len(d_gauss):
+        d_gauss /= row_norms(d_gauss)[:, None]
+        yield d_gauss
 
 
 def row_norms(x: np.ndarray) -> np.ndarray:
@@ -714,9 +742,12 @@ _RAY_REACH = (2.0**-100, 2.0**100)
 def _rays_to_level(op: SymmetricOperator, dirs: np.ndarray, levels,
                    min_radius: float = 0.0) -> Iterator[np.ndarray]:
     """For each sigma in ``levels`` in turn, the points t * d on {f = sigma}
-    of the rays that cross it within reach, at |t * d| > min_radius.  f is
-    evaluated on the rays once; one level's points are made at a time, so the
-    caller can keep each before the next is formed.
+    of the rays ``dirs`` that cross it within reach, at |t * d| > min_radius.
+    f is evaluated on the rays once, for all the levels; one level's points
+    are made at a time, so the caller can keep each before the next is formed.
+    ``sample_level_set`` passes one block of a round's rays at a time, and
+    only the levels still short of their count: a full level's later points
+    are never kept, so they are not made.
 
     The crossing scales t are screened first, by the reach window and by
     t * (1 + 1e-12) > min_radius, and t * d is formed only on the rays that

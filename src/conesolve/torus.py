@@ -299,9 +299,15 @@ def inverse_chain(spec: np.ndarray, symbols: np.ndarray, grid: PeriodicGrid,
 
 
 def hessian(u: ScalarField) -> MatrixField:
-    """The mode's Hessian field: mixed complex (1/4 convention) or full real."""
+    """The mode's Hessian field: mixed complex (1/4 convention) or full real.
+    The sum of the components times their units, over the units' nonzero
+    entries: each entry has one, so no BLAS product is needed."""
     comps = hessian_components(u.values, u.grid)
-    return MatrixField(u.grid, np.tensordot(comps, hessian_symbols(u.grid).units, axes=(0, 0)))
+    units = hessian_symbols(u.grid).units
+    out = np.zeros(u.grid.shape + units.shape[1:], dtype=units.dtype)
+    for e, i, j in zip(*np.nonzero(units)):
+        out[..., i, j] += units[e, i, j] * comps[e]
+    return MatrixField(u.grid, out)
 
 
 def constant_metric(alpha, dim: int) -> np.ndarray:
@@ -327,11 +333,24 @@ def constant_metric(alpha, dim: int) -> np.ndarray:
 def congruence(l: np.ndarray, g: np.ndarray) -> np.ndarray:
     """L g L* for a constant d x d matrix L and matrices g of shape (..., d, d).
 
-    One matrix product: the (points, d*d) view of g times kron(L, conj L)^T.
+    The (points, d*d) view of g times kron(L, conj L)^T, summed over the
+    diagonals of kron(L, conj L): the main one scales each column, then every
+    other nonzero diagonal adds its shifted columns, in order.  No BLAS, so
+    neither the bits nor the time depend on its threads.  A diagonal L (the
+    ``alpha_scaled`` metrics) costs one elementwise product, with the bits of
+    the matrix product; any other L may differ from it by rounding.
     """
-    d = l.shape[-1]
-    flat = np.reshape(g, (-1, d * d)) @ np.kron(l, np.conj(l)).T
-    return flat.reshape(np.shape(g))
+    d2 = l.shape[-1] ** 2
+    flat = np.reshape(g, (-1, d2))
+    kron = np.kron(l, np.conj(l)).astype(np.result_type(flat, l))
+    # a contiguous coefficient row, in the product's dtype: broadcast on its own
+    out = flat * np.diagonal(kron).copy()
+    for s in range(1 - d2, d2):
+        coef = np.diagonal(kron, s)  # kron[i, i + s]
+        if s and coef.any():
+            lo, hi = max(0, -s), d2 - max(0, s)
+            out[:, lo:hi] += flat[:, lo + s:hi + s] * coef
+    return out.reshape(np.shape(g))
 
 
 def packed_frame(alpha, chi: MatrixField):

@@ -12,8 +12,8 @@ with its derivatives in an eigenframe, and the sigma recursion on dense
 library paths it checks, except ``metric_hessian``, which takes a run's steps
 in a run's order so that a report's values can be compared with it bit for
 bit, and ``sample_level_set_filtered``, the level-set sampler that forms
-every crossing before it filters, which draws the library's directions so
-that the two can be compared byte for byte.
+every crossing before it filters, which reads the library's closed-form ray
+scale and reach window so that the two can be compared byte for byte.
 """
 
 import itertools
@@ -292,11 +292,12 @@ def rays_to_level_bisection(op, dirs: np.ndarray, sigma_level, min_radius: float
 
 def sample_level_set_filtered(op, sigma_level, count: int, rng: np.random.Generator,
                               min_radius: float = 0.0) -> np.ndarray:
-    """``sample_level_set`` as it was before it screened the crossings: every
-    ray within reach is formed as a point and measured, and the points at
-    norm <= min_radius are dropped afterwards.  It draws the library's own
-    ``_directions`` in the library's round sizes, so the two must agree byte
-    for byte."""
+    """``sample_level_set`` as it was before it screened the crossings or
+    stopped early: each round draws its directions whole, both halves
+    concatenated and then normalized, every ray within reach is formed as a
+    point and measured, the points at norm <= min_radius are dropped
+    afterwards, and each level is cut at ``count`` at the end.  Its round
+    sizes and draws are the library's, so the two must agree byte for byte."""
     levels, listed = np.unique(np.asarray(sigma_level, dtype=float), return_inverse=True)
     collected = [[] for _ in levels]
     accepted, tried = [0] * len(levels), 0
@@ -304,13 +305,13 @@ def sample_level_set_filtered(op, sigma_level, count: int, rng: np.random.Genera
         need = max(1.5 * (count - got) / max(got / tried if tried else 0.25, 0.02)
                    for got in accepted)
         m = int(min(max(need, 256), 400_000))
-        dirs = operators._directions(op.cone, m, rng)
+        dirs = _whole_round_directions(op.cone, m, rng)
         values = np.asarray(op._value(dirs))
         for points, level in zip(collected, levels):
             t = op._ray_scale(values, level)
             keep = (t > operators._RAY_REACH[0]) & (t < operators._RAY_REACH[1])
             lam = t[keep, None] * dirs[keep]
-            points.append(lam[operators.row_norms(lam) > min_radius])
+            points.append(lam[np.linalg.norm(lam, axis=-1) > min_radius])
         tried += m
         accepted = [sum(p.shape[0] for p in points) for points in collected]
         if min(accepted) >= count:
@@ -319,6 +320,18 @@ def sample_level_set_filtered(op, sigma_level, count: int, rng: np.random.Genera
         raise NumericError(f"level-set sampling got {min(accepted)}/{count} points")
     out = np.stack([np.concatenate(points, axis=0)[:count] for points in collected])
     return out[listed.reshape(np.shape(sigma_level))]
+
+
+def _whole_round_directions(cone, m: int, rng: np.random.Generator) -> np.ndarray:
+    """One round of ``sample_level_set``'s unit directions, drawn whole: m // 2
+    positively spread rows, then the Gaussian rows of the other half that lie
+    in the cone, normalized together."""
+    half, n = m // 2, cone.n
+    beta = rng.uniform(0.0, 5.0, size=(half, 1))
+    d_pos = 10.0 ** (-beta * rng.uniform(0.0, 1.0, size=(half, n)))
+    d_gauss = rng.standard_normal((m - half, n))
+    dirs = np.concatenate([d_pos, d_gauss[np.asarray(cone.contains(d_gauss), dtype=bool)]])
+    return dirs / np.linalg.norm(dirs, axis=-1, keepdims=True)
 
 
 def coordinate_crossings_bisection(op, mu: np.ndarray, sigmas: np.ndarray,

@@ -250,13 +250,62 @@ def test_sampler_keeps_the_bytes_of_form_all_then_filter(op):
                 assert got.tobytes() == expected.tobytes()
 
 
+def _quantile_radius(op, q):
+    """The q-quantile of the norms of 2000 crossings of the level f(1.4 * ones)."""
+    near = float(op.value(np.full(op.n, 1.4)))
+    return float(np.quantile(row_norms(sample_level_set_filtered(
+        op, near, 2000, np.random.default_rng(11))), q))
+
+
+@pytest.mark.parametrize("op, sigma_level, radius, seed, rounds, gaussian_rounds", [
+    (LogSigmaK(3, 2), 1.0, 0.0, 0, 1, 0),
+    (LogSigmaK(3, 2), None, lambda op: _quantile_radius(op, 0.97), 0, 2, 1),
+    (MongeAmpere(2), [0.0, 0.5], lambda op: _quantile_radius(op, 0.97), 3, 5, 4),
+    (LogSigmaK(3, 2), [0.3, -0.11083608, -0.29002441], 4.52, 0, 2, 1),
+    (LogSigmaK(3, 1), None, lambda op: _quantile_radius(op, 0.98), 0, 2, 2),
+    (ComposedWithT(3, LogSigmaK(3, 2)), None, lambda op: _quantile_radius(op, 0.95), 7, 2, 2),
+], ids=["round-0", "later-positive-slice", "two-levels-later-positive", "real3-hessian-certify",
+        "later-gaussian", "composed-later-gaussian"])
+def test_early_stop_keeps_the_bytes_wherever_the_draw_ends(
+        monkeypatch, op, sigma_level, radius, seed, rounds, gaussian_rounds):
+    # the draw ends in round 0, in a later round's positive half (before its
+    # last slice, or after one level is full) or in its Gaussian half: counted
+    # by the rounds' direction draws and the cone tests, which only a Gaussian
+    # half runs; the points are the whole draw's
+    from conesolve import operators, sample_level_set
+
+    if sigma_level is None:
+        sigma_level = float(op.value(np.full(op.n, 1.4)))
+    if callable(radius):
+        radius = radius(op)
+    calls = {"rounds": 0, "cone tests": 0}
+    directions, contains = operators._directions, type(op.cone).contains
+
+    def counted_directions(*args):
+        calls["rounds"] += 1
+        return directions(*args)
+
+    def counted_contains(cone, x):
+        calls["cone tests"] += 1
+        return contains(cone, x)
+
+    monkeypatch.setattr(operators, "_directions", counted_directions)
+    monkeypatch.setattr(type(op.cone), "contains", counted_contains)
+    got = sample_level_set(op, sigma_level, 2000, np.random.default_rng(seed), radius)
+    monkeypatch.undo()
+    assert calls == {"rounds": rounds, "cone tests": gaussian_rounds}
+    expected = sample_level_set_filtered(op, sigma_level, 2000, np.random.default_rng(seed),
+                                         radius)
+    assert got.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("op", [LogSigmaK(2, 1), MongeAmpere(3), LogSigmaK(3, 1),
                                 ComposedWithT(3, LogSigmaK(3, 2))], ids=repr)
 def test_unit_directions_stay_under_the_sampler_screen(op):
     # _rays_to_level screens at t * (1 + 1e-12) > min_radius: no point t * d
     # past the radius may fail it, anywhere in the reach window
     rng = np.random.default_rng(5)
-    dirs = _directions(op.cone, 4000, rng)
+    dirs = np.concatenate(list(_directions(op.cone, 20_000, rng)))
     scales = np.concatenate([np.geomspace(*_RAY_REACH, 64), 2.0 ** rng.uniform(-100, 100, 64)])
     for t in scales:
         assert np.all(row_norms(t * dirs) <= t * (1 + 1e-12))

@@ -103,3 +103,56 @@ def test_eigvalsh_runs_only_where_few_matrices_are_solved():
     found = {(path.stem, site) for path in SOURCES
              for site in eigvalsh_sites(ast.parse(path.read_text()))}
     assert found and found <= EIGVALSH_SITES
+
+
+#: the functions that may run a matrix product (``@``, ``matmul``, ``dot`` or
+#: ``tensordot``): on one point's vectors and matrices, and the contact set's
+#: plane products, in blocks of a fixed byte budget.  A field is summed over
+#: the nonzero entries of its coefficients instead (``eigencalc.combine``,
+#: ``torus.congruence``), whose bits and time do not depend on BLAS threads
+MATMUL_SITES = {("selftest", "check_operator_derivatives"),
+                ("subsolution", "dichotomy_check"), ("subsolution", "schur_horn_pairing"),
+                ("diagnostics", "_has_supporting_plane")}
+MATMUL_NAMES = {"matmul", "dot", "tensordot"}
+
+
+def matmul_sites(tree: ast.Module) -> set[str]:
+    """The functions (``Class.method`` for methods, ``<module>`` at top level)
+    of ``tree`` that use ``@`` or ``@=``, or name a matrix product as an
+    attribute or an import."""
+    sites = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, child.name if where == "<module>" else f"{where}.{child.name}")
+                continue
+            if ((isinstance(child, (ast.BinOp, ast.AugAssign))
+                 and isinstance(child.op, ast.MatMult))
+                    or (isinstance(child, ast.Attribute) and child.attr in MATMUL_NAMES)
+                    or (isinstance(child, ast.alias) and child.name in MATMUL_NAMES)):
+                sites.add(where)
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return sites
+
+
+def test_matmul_sites_are_found():
+    tree = ast.parse("from numpy import tensordot\n"
+                     "def product(a, b):\n"
+                     "    return a @ b\n"
+                     "def update(a, b):\n"
+                     "    a @= b\n"
+                     "class C:\n"
+                     "    def m(self, a, b):\n"
+                     "        return np.matmul(a, b) + a.dot(b)\n"
+                     "    def n(self, dot):\n"
+                     "        return np.einsum(dot, self.a, self.b)\n")
+    assert matmul_sites(tree) == {"<module>", "product", "update", "C.m"}
+
+
+def test_matrix_products_run_only_on_small_operands():
+    found = {(path.stem, site) for path in SOURCES
+             for site in matmul_sites(ast.parse(path.read_text()))}
+    assert found and found <= MATMUL_SITES

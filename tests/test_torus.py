@@ -221,6 +221,27 @@ def test_metric_basis_is_the_congruent_unit_basis(mode, n, reduced):
                        rtol=0, atol=1e-14 * np.abs(d).max())
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_congruence_is_the_kron_product(dtype):
+    # L g L* summed over kron(L, conj L)'s diagonals: the bits of the matrix
+    # product for a diagonal L, and within rounding of L g L* for any other
+    rng = np.random.default_rng(3)
+    d = 3
+
+    def draw(*shape):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if dtype is complex else x
+
+    g = draw(500, d, d)
+    diagonal = np.diag(rng.uniform(0.5, 2.0, d))
+    product = np.reshape(g, (-1, d * d)) @ np.kron(diagonal, diagonal).T
+    assert congruence(diagonal, g).tobytes() == product.reshape(g.shape).tobytes()
+    full = draw(d, d)
+    dense = full @ g @ np.conj(full).T
+    np.testing.assert_allclose(congruence(full, g), dense, rtol=0,
+                               atol=1e-14 * np.abs(dense).max())
+
+
 @pytest.mark.parametrize("mode,n,reduced,count", [
     ("real", 3, False, 6), ("complex", 3, True, 6), ("complex", 2, False, 4),
 ])
