@@ -120,7 +120,7 @@ def build_problem(cfg: RunConfig) -> tuple[TorusProblem, dict]:
 
 def certify_problem(problem: TorusProblem, cfg: RunConfig) -> dict:
     """Certify the trivial comparison function for the configured path."""
-    eigs = packed_eigenvalues(problem.background, problem.grid.n).reshape(-1, problem.grid.n)
+    eigs = packed_eigenvalues(problem.background, problem.packing).reshape(-1, problem.grid.n)
     extra = {}
     if problem.path is PathKind.QUOTIENT:
         extra["class_constant"] = problem.class_constant
@@ -145,7 +145,7 @@ def _diagnostics(problem: TorusProblem, state) -> dict:
     comps = spectral_hessian_components(spec, problem.grid)
     rows = problem.endomorphism(comps)
     every = slice(None, None, max(1, comps[0].size // 512))
-    take = packed_eigenvalues(rows.reshape(len(rows), -1)[:, every], problem.grid.n)
+    take = packed_eigenvalues(rows.reshape(len(rows), -1)[:, every], problem.packing)
     del rows
     flag_a, flag_b = strong_concavity_flags(problem.op, take)
     out["strong_concavity_flags"] = {"f11_plus_f1_over_lam1": flag_a,

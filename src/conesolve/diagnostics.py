@@ -14,10 +14,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .eigencalc import combine
+from .eigencalc import combine, sup_operator_norm
 from .operators import SymmetricOperator
 from .solver import TorusProblem
-from .torus import MatrixField, ScalarField, constant_metric, sup_operator_norm
+from .torus import MatrixField, ScalarField, constant_metric
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -333,7 +333,7 @@ def hmw_ratio(problem: TorusProblem, u: ScalarField, comps: np.ndarray,
     grid = u.grid
     if grid.mode != "complex":
         raise ValueError("the second-order/gradient monitor applies in complex mode")
-    sup_dd = sup_operator_norm(combine(problem.basis, comps))
+    sup_dd = sup_operator_norm(combine(problem.basis, comps), problem.packing)
     p = np.zeros((grid.n, grid.stored_axes), dtype=complex)
     for j in range(grid.n):
         x, y = grid.axis_pair(j)

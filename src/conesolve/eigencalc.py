@@ -11,13 +11,13 @@ closed form for n <= 2, cyclic Jacobi on the rows above, within 16 eps
 max |lambda| of ``eigvalsh`` and chosen over the trigonometric cubic, which
 loses digits at near-double roots.  ``eigenvalues`` is the same of dense
 matrices; ``eigen_decompose`` is the eigenframe of the self-test and oracles.
+Only this module reads the row format: a reader takes its caller's ``Packing``.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -59,8 +59,8 @@ def eigenvalues(a) -> np.ndarray:
     as ``np.linalg.eigvalsh``: ``packed_eigenvalues`` of their rows (the
     upper triangle) for n <= 2, ``eigvalsh`` itself above."""
     a = np.asarray(a)
-    n = a.shape[-1]
-    return packed_eigenvalues(pack(a), n) if n <= 2 else np.linalg.eigvalsh(a)
+    layout = packing(a.shape[-1], np.iscomplexobj(a))
+    return packed_eigenvalues(layout.pack(a), layout) if layout.n <= 2 else np.linalg.eigvalsh(a)
 
 
 def eigen_decompose(a) -> EigenSystem:
@@ -97,6 +97,14 @@ class Packing:
         pairs = ((i, j) for i in range(self.n) for j in range(i + 1, self.n))
         return tuple((i, i) for i in range(self.n)) + tuple(pairs)
 
+    def checked(self, x) -> np.ndarray:
+        """``x`` as this layout's rows; a ValueError unless it is real with the
+        layout's row count, as a dense (..., n, n) field or other rows are not."""
+        x, count = np.asarray(x), self.n**2 if self.hermitian else len(self.upper)
+        if x.shape[:1] != (count,) or np.iscomplexobj(x):
+            raise ValueError(f"{self} reads {count} real rows, not an array of shape {x.shape}")
+        return x
+
     def pack(self, a: np.ndarray) -> np.ndarray:
         imag = [np.imag(a[..., i, j]) for i, j in self.upper[self.n:] if self.hermitian]
         return np.stack([np.real(a[..., i, j]) for i, j in self.upper] + imag)
@@ -110,6 +118,7 @@ class Packing:
         return x[r], (imag if i < j else -imag)
 
     def unpack(self, x) -> np.ndarray:
+        x = self.checked(x)
         out = np.zeros(x.shape[1:] + (self.n, self.n), complex if self.hermitian else float)
         for i, j in itertools.product(range(self.n), repeat=2):
             real, imag = self._entry(x, i, j)
@@ -155,27 +164,9 @@ def pack(a) -> np.ndarray:
     return packing(a.shape[-1], np.iscomplexobj(a)).pack(a)
 
 
-def unpack(x, n: int) -> np.ndarray:
-    """The n x n matrices (..., n, n) whose rows are ``x`` (rows, ...)."""
-    return packing(n, len(x) == n * n).unpack(x)
-
-
-def row_packing(x) -> Packing:
-    """The layout of the rows ``x``: n^2 rows for Hermitian n x n matrices,
-    n (n + 1) / 2 for real symmetric ones.  A count that is both (36, 1225,
-    ...) names no one layout, a ValueError."""
-    count = len(x)
-    real, full = (math.isqrt(8 * count + 1) - 1) // 2, math.isqrt(count)
-    is_real = real >= 1 and real * (real + 1) == 2 * count
-    is_full = full >= 2 and full * full == count
-    if is_real == is_full:
-        raise ValueError(f"{count} rows name no one matrix layout")
-    return packing(real, False) if is_real else packing(full, True)
-
-
-def packed_eigenvalues(x, n: int) -> np.ndarray:
+def packed_eigenvalues(x, layout: Packing) -> np.ndarray:
     """Ascending eigenvalues (..., n) of the n x n Hermitian matrices whose
-    rows are ``x`` (rows, ...).
+    rows are ``x`` (rows, ...) in ``layout``.
 
     n = 1 is the diagonal; n = 2 is (a + d)/2 -+ hypot((a - d)/2, |b|) for the
     diagonal a, d and the off-diagonal entry b, exact at a multiple of I.  The
@@ -191,11 +182,12 @@ def packed_eigenvalues(x, n: int) -> np.ndarray:
     diagonalize in ``MAX_JACOBI_SWEEPS`` sweeps raises ``NumericError``; a
     matrix with a non-finite entry gets NaN eigenvalues.
     """
+    x, n = layout.checked(x), layout.n
     if n > 2:
-        return _jacobi_spectrum(np.asarray(x), packing(n, len(x) == n * n))
+        return _jacobi_spectrum(x, layout)
     if n == 1:
         return np.stack([x[0]], axis=-1)
-    if len(x) == 4:  # |b| as np.abs reads the entry; np.hypot of its parts can differ
+    if layout.hermitian:  # |b| as np.abs reads the entry; np.hypot of its parts can differ
         b = np.empty(x.shape[1:], dtype=complex)
         b.real, b.imag = x[2], x[3]
     else:
@@ -298,22 +290,44 @@ def _rotate(diag, off, slot, p: int, q: int, size, on, hermitian: bool) -> None:
         np.copyto(off[j], np.conj(new_y) if hermitian and k < q else new_y, where=on)
 
 
+def sup_operator_norm(x, layout: Packing) -> float:
+    """max |H|_2 over the Hermitian matrices whose rows are ``x`` (rows, ...) in
+    ``layout``.  Every column norm |H e_j| is <= |H|_2 <= |H|_F, so only
+    matrices with |H|_F^2 = sum_j |H e_j|^2 at least the largest column norm of
+    all (less a rounding slack) can attain it.  The column norms are sums of
+    the squared rows, and ``eigvalsh`` runs on the kept matrices alone,
+    unpacked; it works per matrix, so the result is the full eigensolve's bit
+    for bit."""
+    n, upper, rows = layout.n, len(layout.upper), np.reshape(layout.checked(x), (len(x), -1))
+    squares = rows**2
+    columns = squares[:n].copy()  # |H e_j|^2: the diagonal, then each |H_ij|^2, i < j
+    for r, (i, j) in enumerate(layout.upper[n:], n):
+        entry = squares[r] + squares[r + upper - n] if layout.hermitian else squares[r]
+        columns[i] += entry
+        columns[j] += entry
+    keep = columns.sum(axis=0) >= (1.0 - 1e-12) * columns.max()
+    del squares, columns
+    return float(np.abs(np.linalg.eigvalsh(layout.unpack(rows[:, keep]))).max())
+
+
 def combine(matrix: np.ndarray, x: np.ndarray, base: np.ndarray | None = None) -> np.ndarray:
-    """Rows sum_j matrix[i, j] x[j] (+ base[i]): elementwise sums over the
-    nonzero entries in j order, whose bits do not depend on BLAS threads."""
-    out = np.zeros((len(matrix),) + x.shape[1:]) if base is None else np.array(base)
+    """Rows sum_j matrix[i, j] x[j] (+ base[i]), in the dtype of matrix and x:
+    elementwise sums over the nonzero entries in j order, whose bits and time
+    do not depend on BLAS threads."""
+    shape, dtype = (len(matrix),) + x.shape[1:], np.result_type(matrix, x)
+    out = np.zeros(shape, dtype) if base is None else np.array(base)
     for i, j in zip(*np.nonzero(matrix)):
         out[i] += x[j] if matrix[i, j] == 1.0 else matrix[i, j] * x[j]
     return out
 
 
-def packed_sigmas(x, n: int, kmax: int) -> tuple[np.ndarray, list[np.ndarray]]:
+def packed_sigmas(x, layout: Packing, kmax: int) -> tuple[np.ndarray, list[np.ndarray]]:
     """sigma_0..sigma_kmax (kmax >= 1) of each n x n Hermitian matrix whose rows
-    are ``x`` (rows, ...), stacked on a leading axis, and the rows of
-    P_{j-1} = d sigma_j / dA, by the Faddeev-LeVerrier recursion P_0 = I,
+    are ``x`` (rows, ...) in ``layout``, stacked on a leading axis, and the rows
+    of P_{j-1} = d sigma_j / dA, by the Faddeev-LeVerrier recursion P_0 = I,
     sigma_j = tr(A P_{j-1}) / j, P_j = sigma_j I - A P_{j-1}.  Every P_j is a
     polynomial in A, so it packs as A does; P_0 is the unbatched identity."""
-    layout = packing(n, len(x) == n * n)
+    x, n = layout.checked(x), layout.n
     eye = np.zeros((len(x),) + (1,) * (x.ndim - 1))
     eye[:n] = 1.0
     e = np.ones((kmax + 1,) + x.shape[1:])
@@ -342,9 +356,9 @@ class SigmaTable:
     derivatives: list
 
     @classmethod
-    def at(cls, op: SymmetricOperator, x) -> "SigmaTable":
-        """The table at the matrices whose rows are ``x`` (``pack``)."""
-        return cls(op, *packed_sigmas(op.matrix_argument(x), op.n, op.sigma_order))
+    def at(cls, op: SymmetricOperator, x, layout: Packing) -> "SigmaTable":
+        """The table at the matrices whose rows are ``x`` in ``layout``."""
+        return cls(op, *packed_sigmas(op.matrix_argument(x), layout, op.sigma_order))
 
     def margin(self) -> np.ndarray:
         """The cone margin of lambda(A): min_{j<=k} sigma_j of the argument,
@@ -363,10 +377,10 @@ class SigmaTable:
                                            for j, p in partials.items()))
 
 
-def _admissible_table(op: SymmetricOperator, x) -> SigmaTable:
-    """The sigma table at the rows ``x``; raises ``ConeViolation`` naming the
-    first sigma_j <= 0 of the argument at the first inadmissible matrix."""
-    table = SigmaTable.at(op, x)
+def _admissible_table(op: SymmetricOperator, x, layout: Packing) -> SigmaTable:
+    """The sigma table at the rows ``x`` in ``layout``; raises ``ConeViolation``
+    naming the first sigma_j <= 0 of the argument at the first inadmissible matrix."""
+    table = SigmaTable.at(op, x, layout)
     margins = np.reshape(table.margin(), -1)
     bad = np.flatnonzero(~(margins > 0.0))
     if bad.size:
@@ -380,7 +394,9 @@ def _admissible_table(op: SymmetricOperator, x) -> SigmaTable:
 
 def evaluate(op: SymmetricOperator, a):
     """F(A) = f(eigenvalues of A); basis invariant."""
-    v = _admissible_table(op, pack(require_hermitian(a))).value()
+    a = require_hermitian(a)
+    layout = packing(op.n, np.iscomplexobj(a))
+    v = _admissible_table(op, layout.pack(a), layout).value()
     return v if v.ndim else float(v)
 
 
@@ -390,8 +406,9 @@ def first_derivative(op: SymmetricOperator, a) -> np.ndarray:
     Contracting against a Hermitian direction H gives dF(A)[H] as the real
     trace pairing sum_ij D_ij conj(H_ij).  Positive definite on admissible A.
     """
-    x = pack(require_hermitian(a))
-    return unpack(_admissible_table(op, x).derivative(), op.n)
+    a = require_hermitian(a)
+    layout = packing(op.n, np.iscomplexobj(a))
+    return layout.unpack(_admissible_table(op, layout.pack(a), layout).derivative())
 
 
 def contract(d, h) -> float | np.ndarray:
@@ -416,7 +433,7 @@ def second_form(op: SymmetricOperator, a, h):
     a, h = require_hermitian(a), require_hermitian(h)
     layout = packing(op.n, np.iscomplexobj(a) or np.iscomplexobj(h))
     rows, hx = layout.pack(a), op.matrix_argument(layout.pack(h))
-    table, x = _admissible_table(op, rows), op.matrix_argument(rows)
+    table, x = _admissible_table(op, rows, layout), op.matrix_argument(rows)
     d1, d2 = {}, {}  # sigma_j', sigma_j''
     dp = np.zeros_like(hx)  # P_{j-1}'
     for j, p in enumerate(table.derivatives, start=1):

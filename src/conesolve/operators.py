@@ -229,8 +229,10 @@ class SymmetricOperator:
 
     @property
     def _escape_degrees(self) -> tuple:
-        """Degree in R of sigma_0, ..., sigma_n along the line (mu', R)."""
-        return (0,) + (1,) * self.n
+        """Degree in R of sigma_0, ..., sigma_n of the argument along the line
+        (mu', R): min(j, the nonzero entries of the direction argument(e_n))."""
+        slope = np.count_nonzero(self.argument(np.eye(self.n)[-1]))
+        return tuple(min(j, slope) for j in range(self.n + 1))
 
     def _escape_leads(self, mu_prime: np.ndarray) -> np.ndarray:
         """Leading coefficients in R of sigma_j(mu', R) = sigma_j(mu') + R
@@ -553,16 +555,12 @@ class ComposedWithT(SymmetricOperator):
         out[:self.n] += x[:self.n].sum(axis=0) / (self.n - 1)
         return out
 
-    @property
-    def _escape_degrees(self):
-        # T(mu', R) = T(mu', 0) + R/(n-1) (1, ..., 1, 0): degree j for j < n, n-1 for n
-        return tuple(range(self.n)) + (self.n - 1,)
-
     def _escape_leads(self, mu_prime):
-        # leading coefficients C(n-1, j)/(n-1)^j for j < n, sum(mu')/(n-1)^n for j = n
-        n, shape = self.n, mu_prime.shape[:-1]
-        lead = [np.full(shape, math.comb(n - 1, j) / (n - 1) ** j) for j in range(n)]
-        return np.stack(lead + [mu_prime.sum(axis=-1) / (n - 1) ** n], axis=-1)
+        # the top coefficients of the T-line T(mu', 0) + R T(e_n), as a
+        # coordinate crossing reads it
+        top, mu = self._top, np.concatenate([mu_prime, np.zeros_like(mu_prime[..., :1])], axis=-1)
+        e = _line_sigmas(self.argument(mu), self.argument(np.eye(self.n)[-1]), top)
+        return e[..., np.arange(top + 1), list(self._escape_degrees[:top + 1])]
 
     def coordinate_crossings(self, mu, sigma_level) -> np.ndarray:
         # T(mu + t e_i) = T(mu) + t T(e_i): a line for the inner operator

@@ -188,7 +188,7 @@ class TorusProblem:
     def class_constant(self) -> float:
         """The quotient operator's class constant: ``torus.class_constant`` of
         the held A[0]."""
-        return class_constant(self.background, self.grid, self.op.l, self.op.k)
+        return class_constant(self.background, self.packing, self.grid, self.op.l, self.op.k)
 
 
 @dataclass
@@ -318,7 +318,7 @@ def evaluate_pointwise(problem: TorusProblem, comps: np.ndarray | None,
     None), the sigma table of the operator in force at t, the cone margin and
     F, from the problem's held arrays."""
     return PointwiseEvaluation.of(
-        SigmaTable.at(path_operator(problem, t), problem.endomorphism(comps)))
+        SigmaTable.at(path_operator(problem, t), problem.endomorphism(comps), problem.packing))
 
 
 def rhs_base(problem: TorusProblem, t: float) -> np.ndarray:

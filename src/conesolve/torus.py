@@ -31,7 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .eigencalc import combine, pack, packed_sigmas, packing, require_hermitian, row_packing
+from .eigencalc import (Packing, combine, packed_sigmas, packing, require_hermitian,
+                        sup_operator_norm)
 from .rules import require
 
 
@@ -299,15 +300,11 @@ def inverse_chain(spec: np.ndarray, symbols: np.ndarray, grid: PeriodicGrid,
 
 
 def hessian(u: ScalarField) -> MatrixField:
-    """The mode's Hessian field: mixed complex (1/4 convention) or full real.
-    The sum of the components times their units, over the units' nonzero
-    entries: each entry has one, so no BLAS product is needed."""
-    comps = hessian_components(u.values, u.grid)
-    units = hessian_symbols(u.grid).units
-    out = np.zeros(u.grid.shape + units.shape[1:], dtype=units.dtype)
-    for e, i, j in zip(*np.nonzero(units)):
-        out[..., i, j] += units[e, i, j] * comps[e]
-    return MatrixField(u.grid, out)
+    """The mode's Hessian field, mixed complex (1/4 convention) or full real:
+    the components ``combine``d with the (n*n, E) matrix of their units."""
+    units, n = hessian_symbols(u.grid).units, u.grid.n
+    entries = combine(units.reshape(len(units), n * n).T, hessian_components(u.values, u.grid))
+    return MatrixField(u.grid, np.moveaxis(entries, 0, -1).reshape(u.grid.shape + (n, n)))
 
 
 def constant_metric(alpha, dim: int) -> np.ndarray:
@@ -378,27 +375,6 @@ def endomorphism_field(alpha, chi: MatrixField, u: ScalarField | None = None) ->
     return MatrixField(chi.grid, layout.unpack(rows))
 
 
-def sup_operator_norm(x: np.ndarray) -> float:
-    """max |H|_2 over the Hermitian matrices whose rows are ``x`` (rows, ...;
-    ``eigencalc.row_packing``).  Every column norm |H e_j| is <= |H|_2 <= |H|_F,
-    so only matrices with |H|_F^2 = sum_j |H e_j|^2 at least the largest
-    column norm of all (less a rounding slack) can attain it.  The column
-    norms are sums of the squared rows, and ``eigvalsh`` runs on the kept
-    matrices alone, unpacked; it works per matrix, so the result is the full
-    eigensolve's bit for bit."""
-    layout = row_packing(x)
-    n, upper, rows = layout.n, len(layout.upper), np.reshape(x, (len(x), -1))
-    squares = rows**2
-    columns = squares[:n].copy()  # |H e_j|^2: the diagonal, then each |H_ij|^2, i < j
-    for r, (i, j) in enumerate(layout.upper[n:], n):
-        entry = squares[r] + squares[r + upper - n] if layout.hermitian else squares[r]
-        columns[i] += entry
-        columns[j] += entry
-    keep = columns.sum(axis=0) >= (1.0 - 1e-12) * columns.max()
-    del squares, columns
-    return float(np.abs(np.linalg.eigvalsh(layout.unpack(rows[:, keep]))).max())
-
-
 def integral(f: ScalarField) -> float:
     """Torus integral: the grid mean times the represented volume.
 
@@ -414,24 +390,27 @@ def form_ratio(chi: MatrixField, alpha, j: int) -> ScalarField:
     Normalized so chi = alpha gives the constant 1; this is the pointwise
     density of the degree-j wedge combination of chi against the background.
     """
-    return _form_ratios(packed_frame(alpha, chi)[2], chi.grid, (j,))[0]
+    _, layout, rows, _ = packed_frame(alpha, chi)
+    return _form_ratios(rows, layout, chi.grid, (j,))[0]
 
 
-def _form_ratios(x: np.ndarray, grid: PeriodicGrid, degrees) -> list[ScalarField]:
+def _form_ratios(x: np.ndarray, layout: Packing, grid: PeriodicGrid, degrees) -> list[ScalarField]:
     """``form_ratio`` at each of ``degrees`` of the endomorphism field whose rows
-    are ``x`` (A[0], as ``packed_frame`` gives it), from one sigma recursion."""
+    are ``x`` in ``layout`` (A[0], as ``packed_frame`` gives them), from one
+    sigma recursion."""
     n = grid.n
     for j in degrees:
         if not 0 <= j <= n:
             raise ValueError(f"j must be in 0..{n}, got {j}")
-    e, _ = packed_sigmas(x, n, max(1, *degrees))
+    e, _ = packed_sigmas(x, layout, max(1, *degrees))
     return [ScalarField(grid, e[j] / math.comb(n, j)) for j in degrees]
 
 
-def class_constant(x: np.ndarray, grid: PeriodicGrid, l: int, k: int) -> float:
-    """The class constant of the endomorphism field whose rows are ``x``, such
-    as a problem's held A[0]: ratio of integrated degree-l and degree-k densities."""
-    num, den = (integral(ratio) for ratio in _form_ratios(x, grid, (l, k)))
+def class_constant(x: np.ndarray, layout: Packing, grid: PeriodicGrid, l: int, k: int) -> float:
+    """The class constant of the endomorphism field whose rows are ``x`` in
+    ``layout``, such as a problem's held A[0]: ratio of integrated degree-l and
+    degree-k densities."""
+    num, den = (integral(ratio) for ratio in _form_ratios(x, layout, grid, (l, k)))
     if den <= 0:
         raise DegenerateClassError(f"degree-{k} class integral is {den:.6g}, not positive")
     return num / den
@@ -440,7 +419,8 @@ def class_constant(x: np.ndarray, grid: PeriodicGrid, l: int, k: int) -> float:
 def compute_c(chi: MatrixField, alpha, l: int, k: int) -> float:
     """The class constant of chi against alpha: ``class_constant`` of the rows
     of A[0] = L^{-1} chi L^{-*} (``packed_frame``)."""
-    return class_constant(packed_frame(alpha, chi)[2], chi.grid, l, k)
+    _, layout, rows, _ = packed_frame(alpha, chi)
+    return class_constant(rows, layout, chi.grid, l, k)
 
 
 def nminus1_background(eta: MatrixField, alpha) -> MatrixField:
@@ -495,7 +475,8 @@ def hessian_perturbation(grid: PeriodicGrid, amplitude: float, seed: int
     """
     phi = random_band_limited(grid, 1.0, seed)
     h = hessian(phi)
-    opnorm = sup_operator_norm(pack(h.values))
+    layout = packing(grid.n, np.iscomplexobj(h.values))
+    opnorm = sup_operator_norm(layout.pack(h.values), layout)
     scale = amplitude / opnorm if opnorm > 0 else 0.0
     return (
         ScalarField(grid, phi.values * scale),

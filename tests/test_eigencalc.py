@@ -18,7 +18,7 @@ from conesolve import (
     first_derivative,
     second_form,
 )
-from conesolve.eigencalc import pack, packed_eigenvalues, row_packing, unpack
+from conesolve.eigencalc import pack, packed_eigenvalues, packed_sigmas, packing, sup_operator_norm
 from oracles import second_derivative_form, second_difference
 from test_crossings import _pushed
 from test_term_calculus import KINDS
@@ -136,25 +136,32 @@ def test_row_spectra_are_the_closed_forms_bit_for_bit(complex_):
     scalars = np.array([c * np.eye(2, dtype=dtype) for c in (1.0, -3.7, 0.0, 2.0**-60)])
     diagonal = np.array([np.diag([2.0, -1.0]), np.diag([0.5, 0.5 + 1e-8])], dtype=dtype)
     a = np.concatenate([_spectrum_cases(complex_), scalars, diagonal])
-    rows = pack(a)
-    assert row_packing(rows).hermitian == complex_
-    got = packed_eigenvalues(rows, 2)
-    assert got.tobytes() == eigenvalues(unpack(rows, 2)).tobytes()
+    rows, layout = pack(a), packing(2, complex_)
+    assert layout.checked(rows) is rows
+    got = packed_eigenvalues(rows, layout)
+    assert got.tobytes() == eigenvalues(layout.unpack(rows)).tobytes()
     assert got[len(a) - 6:len(a) - 2].tobytes() == np.repeat(
         [1.0, -3.7, 0.0, 2.0**-60], 2).reshape(4, 2).tobytes()
     assert np.allclose(got[-2:], [[-1.0, 2.0], [0.5, 0.5 + 1e-8]], rtol=4e-16, atol=0.0)
-    ones = rng.standard_normal((1, 5, 3))
-    assert packed_eigenvalues(ones, 1).tobytes() == eigenvalues(unpack(ones, 1)).tobytes()
-    assert packed_eigenvalues(ones, 1).tobytes() == np.linalg.eigvalsh(unpack(ones, 1)).tobytes()
+    ones, single = rng.standard_normal((1, 5, 3)), packing(1, False)
+    assert packed_eigenvalues(ones, single).tobytes() == eigenvalues(single.unpack(ones)).tobytes()
+    assert packed_eigenvalues(ones, single).tobytes() \
+        == np.linalg.eigvalsh(single.unpack(ones)).tobytes()
 
 
-def test_row_packing_names_the_layout_of_a_row_count():
-    layouts = {count: row_packing(np.zeros((count, 2))) for count in (1, 3, 4, 6, 9)}
-    assert {count: (layout.n, layout.hermitian) for count, layout in layouts.items()} == {
-        1: (1, False), 3: (2, False), 4: (2, True), 6: (3, False), 9: (3, True)}
-    for count in (0, 2, 5, 36):  # 36 rows are a real 8 x 8 and a Hermitian 6 x 6
-        with pytest.raises(ValueError, match="no one matrix layout"):
-            row_packing(np.zeros((count, 2)))
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "hermitian"])
+def test_row_readers_refuse_a_dense_field_and_the_other_layout(n, complex_):
+    # a reader reads the layout it is handed: a dense (..., n, n) field, or the
+    # rows of the other layout, is a ValueError, not a misread
+    a = np.array([rand_hermitian(np.random.default_rng(i), n, complex_) for i in range(8)])
+    layout, other = packing(n, complex_), packing(n, not complex_)
+    readers = [lambda x: packed_sigmas(x, layout, n), lambda x: packed_eigenvalues(x, layout),
+               lambda x: sup_operator_norm(x, layout), layout.unpack]
+    for x in (a, np.real(a), other.pack(a)):
+        for read in readers:
+            with pytest.raises(ValueError, match="rows"):
+                read(x)
 
 
 def test_spectra_above_two_are_eigvalsh():
@@ -184,9 +191,9 @@ def _jacobi_cases(complex_: bool) -> np.ndarray:
 @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
 def test_jacobi_spectra_agree_with_eigvalsh(complex_, scale):
     a = scale * _jacobi_cases(complex_)
-    rows = pack(a)
-    assert row_packing(rows).hermitian == complex_
-    got, expected = packed_eigenvalues(rows, 3), np.linalg.eigvalsh(a)
+    rows, layout = pack(a), packing(3, complex_)
+    assert layout.checked(rows) is rows
+    got, expected = packed_eigenvalues(rows, layout), np.linalg.eigvalsh(a)
     assert got.shape == expected.shape
     assert np.all(np.diff(got, axis=-1) >= 0)  # ascending, as eigvalsh
     eps_norm = np.finfo(float).eps * np.abs(expected).max(axis=-1, keepdims=True)
@@ -194,7 +201,7 @@ def test_jacobi_spectra_agree_with_eigvalsh(complex_, scale):
     # a 4 x 4 field takes the same sweeps
     big = scale * np.array([rand_hermitian(np.random.default_rng(i), 4, complex_)
                             for i in range(40)])
-    got, expected = packed_eigenvalues(pack(big), 4), np.linalg.eigvalsh(big)
+    got, expected = packed_eigenvalues(pack(big), packing(4, complex_)), np.linalg.eigvalsh(big)
     eps_norm = np.finfo(float).eps * np.abs(expected).max(axis=-1, keepdims=True)
     assert np.all(np.abs(got - expected) <= 16 * eps_norm)
 
@@ -205,25 +212,25 @@ def test_jacobi_returns_a_diagonal_matrix_bit_for_bit(complex_):
                        [4.0, 4.0, 4.0], [0.0, 0.0, 0.0]])
     a = np.zeros(values.shape + (3,), dtype=complex if complex_ else float)
     a[:, [0, 1, 2], [0, 1, 2]] = values
-    got = packed_eigenvalues(pack(a), 3)
+    got = packed_eigenvalues(pack(a), packing(3, complex_))
     assert got.tobytes() == np.sort(values, axis=-1, kind="stable").tobytes()
 
 
 @pytest.mark.parametrize("complex_", [False, True], ids=["real", "hermitian"])
 def test_jacobi_spectrum_does_not_depend_on_the_batch(complex_):
-    rows = pack(_jacobi_cases(complex_))
-    batch = packed_eigenvalues(rows, 3)
+    rows, layout = pack(_jacobi_cases(complex_)), packing(3, complex_)
+    batch = packed_eigenvalues(rows, layout)
     for i in range(rows.shape[1]):
-        assert packed_eigenvalues(rows[:, i:i + 1], 3)[0].tobytes() == batch[i].tobytes()
-    assert packed_eigenvalues(rows[:, ::-1], 3).tobytes() == batch[::-1].tobytes()
+        assert packed_eigenvalues(rows[:, i:i + 1], layout)[0].tobytes() == batch[i].tobytes()
+    assert packed_eigenvalues(rows[:, ::-1], layout).tobytes() == batch[::-1].tobytes()
 
 
 @pytest.mark.parametrize("complex_", [False, True], ids=["real", "hermitian"])
 def test_jacobi_gives_nan_at_a_non_finite_matrix_only(complex_):
-    rows = pack(_jacobi_cases(complex_))
-    clean = packed_eigenvalues(rows, 3)
+    rows, layout = pack(_jacobi_cases(complex_)), packing(3, complex_)
+    clean = packed_eigenvalues(rows, layout)
     rows[0, 5], rows[4, 9], rows[-1, 11] = np.nan, np.inf, -np.inf
-    got = packed_eigenvalues(rows, 3)
+    got = packed_eigenvalues(rows, layout)
     bad = np.isin(np.arange(len(got)), [5, 9, 11])
     assert np.all(np.isnan(got[bad]))
     assert got[~bad].tobytes() == clean[~bad].tobytes()
@@ -234,10 +241,11 @@ def test_jacobi_raises_on_a_matrix_left_unconverged(monkeypatch):
 
     monkeypatch.setattr(eigencalc, "MAX_JACOBI_SWEEPS", 1)
     diagonal = pack(np.diag([3.0, 1.0, 2.0])[None])
-    assert packed_eigenvalues(diagonal, 3).tolist() == [[1.0, 2.0, 3.0]]
+    assert packed_eigenvalues(diagonal, packing(3, False)).tolist() == [[1.0, 2.0, 3.0]]
     with pytest.raises(NumericError, match="1 of 2 3 x 3 matrices"):
         packed_eigenvalues(pack(np.stack([np.diag([3.0, 1.0, 2.0]),
-                                          rand_hermitian(np.random.default_rng(4), 3)])), 3)
+                                          rand_hermitian(np.random.default_rng(4), 3)])),
+                           packing(3, True))
 
 
 def test_eigen_decompose_rejects_non_hermitian():

@@ -29,7 +29,7 @@ from conesolve import (
     TorusProblem,
 )
 from conesolve.cones import sigma_all, t_map, without_each
-from conesolve.eigencalc import SigmaTable, pack, unpack
+from conesolve.eigencalc import SigmaTable, pack, packing
 from conesolve.solver import evaluate_pointwise
 from oracles import eigenframe_first_derivative as first_derivative
 from oracles import frame_product, matrix_sigmas
@@ -90,7 +90,8 @@ def test_sigma_table_matches_the_eigenframe(data, op, complex_):
         err = np.abs(derivs[j - 1] - frame_product(frame, minors[..., j - 1])).max(axis=(-1, -2))
         assert np.all(err <= RTOL * powers[:, j - 1])
 
-    table = SigmaTable.at(op, pack(a))
+    layout = packing(n, complex_)
+    table = SigmaTable.at(op, pack(a), layout)
     k = op.cone.k
     margin = table.margin()
     assert np.all(np.abs(margin - op.cone.margin(lam)) <= RTOL * powers[:, 1:k + 1].max(axis=-1))
@@ -104,7 +105,7 @@ def test_sigma_table_matches_the_eigenframe(data, op, complex_):
 
     # D is sum_j (df/d sigma_j) P_{j-1}: its natural scale is that sum in norms
     d_scale = sum(np.abs(p) * powers[:, j - 1] for j, p in op.sigma_partials(ref).items())
-    err = np.abs(unpack(table.derivative(), n) - first_derivative(op, a)).max(axis=(-1, -2))
+    err = np.abs(layout.unpack(table.derivative()) - first_derivative(op, a)).max(axis=(-1, -2))
     assert np.all(err <= RTOL * cond * d_scale)
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conesolve import ComposedWithT, MatrixField, PeriodicGrid, ScalarField, TorusProblem
-from conesolve.eigencalc import SigmaTable, pack, unpack
+from conesolve.eigencalc import SigmaTable, pack
 from conesolve.solver import Linearization, PointwiseEvaluation
 from conesolve.torus import (
     congruence,
@@ -65,8 +65,8 @@ def test_packed_rows_match_the_dense_oracle(n, mode, reduced, diagonal):
     rows = problem.endomorphism(problem.components(u))
     linv = metric_root_inverse(alpha)
     a = congruence(linv, chi.values + hessian(u).values)
-    assert _close(unpack(rows, n), a)
-    assert np.array_equal(pack(unpack(rows, n)), rows)
+    assert _close(problem.packing.unpack(rows), a)
+    assert np.array_equal(pack(problem.packing.unpack(rows)), rows)
     basis = congruence(linv, hessian_symbols(g).units)
     # sigma_0..sigma_n of A and of T(A): each kind reads a prefix
     dense = {}
@@ -76,13 +76,13 @@ def test_packed_rows_match_the_dense_oracle(n, mode, reduced, diagonal):
             dense[composed] = matrix_sigmas(_dense_argument(op, a), n)
         sigmas, derivatives = dense[composed]
         sigmas = sigmas[..., :op.sigma_order + 1]
-        table = SigmaTable.at(op, rows)
+        table = SigmaTable.at(op, rows, problem.packing)
         for j in range(op.sigma_order + 1):
             assert _close(table.sigmas[j], sigmas[..., j])
         assert _close(table.margin(), sigmas[..., 1:op.cone.k + 1].min(axis=-1))
         assert _close(table.value(), op.sigma_value(sigmas))
         d = _dense_argument(op, sum(p[..., None, None] * derivatives[j - 1]
                                     for j, p in op.sigma_partials(sigmas).items()))
-        assert _close(unpack(table.derivative(), n), d)
+        assert _close(problem.packing.unpack(table.derivative()), d)
         weights = Linearization(problem, PointwiseEvaluation.of(table)).weights
         assert _close(weights, hessian_weights(d, basis))

@@ -27,7 +27,7 @@ from conesolve import (
     run_continuity,
     uniform_schedule,
 )
-from conesolve.eigencalc import SigmaTable, contract, pack, unpack
+from conesolve.eigencalc import SigmaTable, contract
 from conesolve.solver import Linearization, evaluate_pointwise, rhs_base
 from conesolve.torus import (
     compute_c,
@@ -192,7 +192,7 @@ def test_linearization_apply_is_the_hessian_contraction(monkeypatch, mode, n, re
     v = random_band_limited(g, 1.0, seed=6)
     ev = evaluate_pointwise(prob, prob.components(u0), 1.0)
     linv = metric_root_inverse(alpha)
-    pulled_back = congruence(np.conj(linv).T, unpack(ev.table.derivative(), n))
+    pulled_back = congruence(np.conj(linv).T, prob.packing.unpack(ev.table.derivative()))
     expected = contract(pulled_back, hessian(v).values) - 0.7
 
     # the matvec reads the Hessian's components, never the n x n field
@@ -809,7 +809,8 @@ def test_evaluation_reads_the_endomorphism_field(mode, n, reduced, alpha):
     prob = TorusProblem(g, op, alpha, chi, ScalarField.zeros(g))
     u, _ = hessian_perturbation(g, 0.3, seed=15)
     for w in (None, u):
-        expected = SigmaTable.at(op, pack(endomorphism_field(alpha, chi, w).values))
+        expected = SigmaTable.at(op, prob.packing.pack(endomorphism_field(alpha, chi, w).values),
+                                 prob.packing)
         comps = None if w is None else prob.components(w)
         assert np.array_equal(evaluate_pointwise(prob, comps, 1.0).table.sigmas,
                               expected.sigmas)

@@ -65,28 +65,34 @@ def test_no_operator_kind_restates_the_calculus():
 #: the functions that may call ``eigvalsh``, one LAPACK call per matrix: the
 #: dense spectrum, the few matrices the sup-norm prune keeps, and the
 #: one-matrix Schur-Horn check; a field's spectrum is read from its rows
-EIGVALSH_SITES = {("eigencalc", "eigenvalues"), ("torus", "sup_operator_norm"),
+EIGVALSH_SITES = {("eigencalc", "eigenvalues"), ("eigencalc", "sup_operator_norm"),
                   ("subsolution", "schur_horn_pairing")}
 
 
-def eigvalsh_sites(tree: ast.Module) -> set[str]:
+def sites(tree: ast.Module, hit) -> set[str]:
     """The functions (``Class.method`` for methods, ``<module>`` at top level)
-    of ``tree`` that name ``eigvalsh``, as an attribute, a name or an import."""
-    sites = set()
+    of ``tree`` that hold a node ``hit`` accepts."""
+    found = set()
 
     def visit(node, where):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, child.name if where == "<module>" else f"{where}.{child.name}")
                 continue
-            if ((isinstance(child, ast.Attribute) and child.attr == "eigvalsh")
-                    or (isinstance(child, ast.Name) and child.id == "eigvalsh")
-                    or (isinstance(child, ast.alias) and child.name == "eigvalsh")):
-                sites.add(where)
+            if hit(child):
+                found.add(where)
             visit(child, where)
 
     visit(tree, "<module>")
-    return sites
+    return found
+
+
+def eigvalsh_sites(tree: ast.Module) -> set[str]:
+    """The functions of ``tree`` that name ``eigvalsh``, as an attribute, a
+    name or an import."""
+    return sites(tree, lambda node: (isinstance(node, ast.Attribute) and node.attr == "eigvalsh")
+                 or (isinstance(node, ast.Name) and node.id == "eigvalsh")
+                 or (isinstance(node, ast.alias) and node.name == "eigvalsh"))
 
 
 def test_eigvalsh_sites_are_found():
@@ -117,25 +123,12 @@ MATMUL_NAMES = {"matmul", "dot", "tensordot"}
 
 
 def matmul_sites(tree: ast.Module) -> set[str]:
-    """The functions (``Class.method`` for methods, ``<module>`` at top level)
-    of ``tree`` that use ``@`` or ``@=``, or name a matrix product as an
-    attribute or an import."""
-    sites = set()
-
-    def visit(node, where):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, child.name if where == "<module>" else f"{where}.{child.name}")
-                continue
-            if ((isinstance(child, (ast.BinOp, ast.AugAssign))
-                 and isinstance(child.op, ast.MatMult))
-                    or (isinstance(child, ast.Attribute) and child.attr in MATMUL_NAMES)
-                    or (isinstance(child, ast.alias) and child.name in MATMUL_NAMES)):
-                sites.add(where)
-            visit(child, where)
-
-    visit(tree, "<module>")
-    return sites
+    """The functions of ``tree`` that use ``@`` or ``@=``, or name a matrix
+    product as an attribute or an import."""
+    return sites(tree, lambda node: (isinstance(node, (ast.BinOp, ast.AugAssign))
+                                     and isinstance(node.op, ast.MatMult))
+                 or (isinstance(node, ast.Attribute) and node.attr in MATMUL_NAMES)
+                 or (isinstance(node, ast.alias) and node.name in MATMUL_NAMES))
 
 
 def test_matmul_sites_are_found():
@@ -156,3 +149,31 @@ def test_matrix_products_run_only_on_small_operands():
     found = {(path.stem, site) for path in SOURCES
              for site in matmul_sites(ast.parse(path.read_text()))}
     assert found and found <= MATMUL_SITES
+
+
+#: the functions that may read a ``Packing``'s ``upper``, the row format's
+#: entry order: all in ``eigencalc``, so every other module reads rows through
+#: the ``Packing`` it holds
+UPPER_SITES = {("eigencalc", "Packing.checked"), ("eigencalc", "Packing.pack"),
+               ("eigencalc", "Packing._entry"), ("eigencalc", "Packing.product"),
+               ("eigencalc", "_jacobi_spectrum"), ("eigencalc", "sup_operator_norm")}
+
+
+def upper_sites(tree: ast.Module) -> set[str]:
+    """The functions of ``tree`` that read an attribute ``upper``."""
+    return sites(tree, lambda node: isinstance(node, ast.Attribute) and node.attr == "upper")
+
+
+def test_upper_sites_are_found():
+    tree = ast.parse("def rows(layout):\n"
+                     "    return len(layout.upper)\n"
+                     "def local(upper):\n"
+                     "    return upper\n")
+    assert upper_sites(tree) == {"rows"}
+
+
+def test_only_eigencalc_reads_the_row_format():
+    found = {(path.stem, site) for path in SOURCES
+             for site in upper_sites(ast.parse(path.read_text()))}
+    assert found and found <= UPPER_SITES
+    assert {module for module, _ in UPPER_SITES} == {"eigencalc"}

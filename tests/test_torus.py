@@ -28,14 +28,13 @@ from conesolve import (
     random_band_limited,
     save_field,
 )
-from conesolve.eigencalc import hermitian_defect, pack, unpack
+from conesolve.eigencalc import hermitian_defect, pack, packing, sup_operator_norm
 from conesolve.torus import (
     congruence,
     hessian_components,
     hessian_perturbation,
     hessian_symbols,
     laplacian_symbol,
-    sup_operator_norm,
 )
 from oracles import complex_gradient, derivative_full_mesh, hessian_weights
 from oracles import laplacian_symbol_full_mesh, metric_root_inverse
@@ -205,7 +204,8 @@ def test_metric_basis_is_the_congruent_unit_basis(mode, n, reduced):
     alpha = a @ np.conj(a).T + n * np.eye(n)
     linv = metric_root_inverse(alpha)
     chi = MatrixField.constant(g, alpha)
-    basis = unpack(TorusProblem(g, LogSigmaK(n, 2), alpha, chi, ScalarField.zeros(g)).basis, n)
+    problem = TorusProblem(g, LogSigmaK(n, 2), alpha, chi, ScalarField.zeros(g))
+    basis = problem.packing.unpack(problem.basis)
     units = hessian_symbols(g).units
     assert np.allclose(basis, linv @ units @ np.conj(linv).T, rtol=0, atol=1e-15)
     u = random_band_limited(g, 1.0, seed=12)
@@ -316,7 +316,8 @@ def test_sup_operator_norm_is_the_full_eigensolve(monkeypatch, complex_, n):
     if complex_:
         h = h + 1j * rng.standard_normal((6, 7, n, n))
     h = h + np.conj(np.swapaxes(h, -1, -2))
-    assert sup_operator_norm(pack(h)) == _sup_by_full_eigensolve(h)
+    layout = packing(n, complex_)
+    assert sup_operator_norm(pack(h), layout) == _sup_by_full_eigensolve(h)
 
     # a field with one dominant matrix: eigvalsh sees that matrix alone
     h[2, 3] *= 10.0 * np.sqrt(n)
@@ -327,7 +328,7 @@ def test_sup_operator_norm_is_the_full_eigensolve(monkeypatch, complex_, n):
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
-    assert sup_operator_norm(pack(h)) == _sup_by_full_eigensolve(h)
+    assert sup_operator_norm(pack(h), layout) == _sup_by_full_eigensolve(h)
     assert seen[0] == 1
 
 
@@ -355,7 +356,8 @@ def test_sup_operator_norm_where_frobenius_and_operator_maxima_differ(monkeypatc
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
-    assert sup_operator_norm(pack(h)) == _sup_by_full_eigensolve(h) == pytest.approx(1.5)
+    assert sup_operator_norm(pack(h), packing(3, complex_)) == _sup_by_full_eigensolve(h) \
+        == pytest.approx(1.5)
     # the largest column norm, 1.5 |v_0| > 1.48, admits those two matrices alone;
     # max |H|_F / sqrt(3) = 1 would admit the five 0.8 I as well
     assert seen[0] == 2
@@ -368,13 +370,15 @@ def test_sup_operator_norm_equal_frobenius_and_zero_fields():
     lam = rng.standard_normal((40, 3))
     lam /= np.linalg.norm(lam, axis=-1, keepdims=True)
     # q diag(lam) q* is Hermitian only to rounding; the rows hold its upper triangle
-    h = unpack(pack(np.einsum("pij,pj,pkj->pik", q, lam, np.conj(q))), 3)
-    assert sup_operator_norm(pack(h)) == _sup_by_full_eigensolve(h)
+    layout = packing(3, True)
+    h = layout.unpack(pack(np.einsum("pij,pj,pkj->pik", q, lam, np.conj(q))))
+    assert sup_operator_norm(pack(h), layout) == _sup_by_full_eigensolve(h)
     # scalar matrices attain |H|_F / sqrt(n) exactly
     scalar = np.einsum("p,ij->pij", rng.uniform(0.5, 1.0, 40), np.eye(3))
     scalar[7] = np.eye(3)
-    assert sup_operator_norm(pack(scalar)) == _sup_by_full_eigensolve(scalar) == 1.0
-    assert sup_operator_norm(pack(np.zeros((4, 4, 2, 2)))) == 0.0
+    assert sup_operator_norm(pack(scalar), packing(3, False)) \
+        == _sup_by_full_eigensolve(scalar) == 1.0
+    assert sup_operator_norm(pack(np.zeros((4, 4, 2, 2))), packing(2, False)) == 0.0
 
 
 def test_integral_values():
