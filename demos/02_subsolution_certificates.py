@@ -36,7 +36,7 @@ for lam in ([100.0, 0.01], [1.0, 1.0]):
     branch = cs.dichotomy_check(ma, [2.0, 2.0], 0.0, lam, kappa=0.3)
     print(f"  lambda = {lam}: {branch.value}")
 
-kappa = cs.estimate_kappa(ma, [2.0, 2.0], 0.0, radius=10.0, samples=10_000, seed=1)
+kappa = cs.estimate_kappa(ma, [2.0, 2.0], 0.0, radius=10.0, samples=10_000)
 held_out = cs.sample_level_set(ma, 0.0, 10_000, np.random.default_rng(2),
                                min_radius=10.0)
 from conesolve.subsolution import dichotomy_margins

@@ -12,7 +12,8 @@ Exit codes: 0 success, 1 selftest/abp failure, 2 solver stagnation,
 3 domain error (inadmissible data or a degenerate quotient class),
 4 I/O failure, invalid config or usage error, 5 refuted certificate.
 
-Reports are deterministic for a fixed config and seed: wall-clock timings are
+Reports are deterministic for a fixed config, whose ``seed`` (``--seed``) is the
+default seed of ``chi_perturbed`` and ``random_smooth``: wall-clock timings are
 deliberately excluded so two identical runs produce byte-identical artifacts.
 """
 
@@ -129,8 +130,7 @@ def certify_problem(problem: TorusProblem, cfg: RunConfig) -> dict:
         sigmas = np.full(eigs.shape[0], float(problem.background_value.max()))
     else:
         sigmas = np.asarray(problem.h.values).ravel()
-    cert = certify_field(problem.op, eigs, sigmas, cfg.delta_grid,
-                         kappa_samples=cfg.kappa_samples, seed=cfg.seed)
+    cert = certify_field(problem.op, eigs, sigmas, cfg.delta_grid, cfg.kappa_samples)
     return {**cert.to_dict(), **extra}
 
 

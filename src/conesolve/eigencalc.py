@@ -55,12 +55,11 @@ def require_hermitian(a) -> np.ndarray:
 
 
 def eigenvalues(a) -> np.ndarray:
-    """Ascending eigenvalues of Hermitian matrices ``a``, shape (..., n, n),
-    as ``np.linalg.eigvalsh``: ``packed_eigenvalues`` of their rows (the
-    upper triangle) for n <= 2, ``eigvalsh`` itself above."""
+    """Ascending eigenvalues of Hermitian matrices ``a``, shape (..., n, n):
+    ``packed_eigenvalues`` of their rows (the upper triangle)."""
     a = np.asarray(a)
     layout = packing(a.shape[-1], np.iscomplexobj(a))
-    return packed_eigenvalues(layout.pack(a), layout) if layout.n <= 2 else np.linalg.eigvalsh(a)
+    return packed_eigenvalues(layout.pack(a), layout)
 
 
 def eigen_decompose(a) -> EigenSystem:
@@ -106,6 +105,8 @@ class Packing:
         return x
 
     def pack(self, a: np.ndarray) -> np.ndarray:
+        if np.shape(a)[-2:] != (self.n, self.n):
+            raise ValueError(f"{self} packs n x n matrices, not an array of shape {np.shape(a)}")
         imag = [np.imag(a[..., i, j]) for i, j in self.upper[self.n:] if self.hermitian]
         return np.stack([np.real(a[..., i, j]) for i, j in self.upper] + imag)
 

@@ -603,7 +603,7 @@ class LevelSetConstants:
     superlevel set, N * ones is its closest point to the origin, and the
     whole cone translated by N * ones lies strictly above the level.
     ``tau`` is an empirical lower bound for sum_i f_i over ``samples``
-    sampled level-set points, not a certified constant.
+    points drawn from ``default_rng(0)``, not a certified constant.
     """
 
     sigma: float
@@ -612,8 +612,8 @@ class LevelSetConstants:
     samples: int
 
 
-def level_set_constants(op: SymmetricOperator, sigma_level: float, samples: int = 512,
-                        seed: int = 0) -> LevelSetConstants:
+def level_set_constants(op: SymmetricOperator, sigma_level: float,
+                        samples: int = 512) -> LevelSetConstants:
     if not op.sup_boundary < sigma_level < op.sup_interior:
         raise ValueError(
             f"sigma must lie in ({op.sup_boundary}, {op.sup_interior}), got {sigma_level}"
@@ -622,7 +622,7 @@ def level_set_constants(op: SymmetricOperator, sigma_level: float, samples: int 
     if not 0.0 < big_n < math.inf:
         raise NumericError(f"f(N * 1) = {sigma_level} has no finite solution N, got {big_n}")
 
-    pts = sample_level_set(op, sigma_level, samples, rng=np.random.default_rng(seed))
+    pts = sample_level_set(op, sigma_level, samples, rng=np.random.default_rng(0))
     tau = float(op.gradient(pts).sum(axis=-1).min())
     return LevelSetConstants(float(sigma_level), float(big_n), tau, samples)
 

@@ -11,7 +11,7 @@ The quantitative side is the dichotomy: for level-set points lambda far from
 the origin, either the gradient pairing sum_i f_i (mu_i - lambda_i) exceeds
 kappa * sum_i f_i, or every component f_i does.  The constant kappa exists by
 compactness but has no formula; ``estimate_kappa`` reports an empirical floor
-from level-set sampling and never claims a certified value.
+from level-set sampling of one fixed stream and never claims a certified value.
 """
 
 from __future__ import annotations
@@ -94,19 +94,18 @@ def dichotomy_margins(op: SymmetricOperator, mu: np.ndarray, lam: np.ndarray) ->
     return np.maximum(pairing, smallest)
 
 
-def estimate_kappa(op: SymmetricOperator, mu, sigma_level, radius: float,
-                   samples: int, seed: int = 0) -> float:
+def estimate_kappa(op: SymmetricOperator, mu, sigma_level, radius: float, samples: int) -> float:
     """Empirical dichotomy constant from level-set sampling.
 
-    Samples points on {f = sigma} with |lambda| > radius and returns the
-    largest member of the geometric grid {2^j} lying at or below half the
-    smallest observed branch margin.  The halving is a held-out safety notch;
-    the value is a sampled floor, not a certified constant.  ``mu`` may hold
-    rows and ``sigma_level`` one level per row: one ``sample_level_set`` draw
-    then serves every level, and the floor is over all of them.
+    Samples points on {f = sigma} with |lambda| > radius from the fixed
+    stream ``default_rng(0)`` and returns the largest power of two at or below
+    half the smallest observed branch margin, a held-out safety notch: the
+    value is a sampled floor, not a certified constant.  ``mu`` may hold rows
+    and ``sigma_level`` one level per row: one ``sample_level_set`` draw then
+    serves every level, and the floor is over all of them.
     """
     mu = np.asarray(mu, dtype=float)
-    lam = sample_level_set(op, sigma_level, samples, np.random.default_rng(seed),
+    lam = sample_level_set(op, sigma_level, samples, np.random.default_rng(0),
                            min_radius=radius)
     margins = dichotomy_margins(op, mu[..., None, :], lam)
     m_min = float(margins.min())
@@ -202,7 +201,7 @@ class SubsolutionCertificate:
 
 
 def certify_field(op: SymmetricOperator, eigenvalue_field, rhs_field, delta_grid,
-                  kappa_samples: int = 2000, seed: int = 0) -> SubsolutionCertificate:
+                  kappa_samples: int = 2000) -> SubsolutionCertificate:
     """Certify the comparison data over a grid, at the largest workable delta.
 
     ``eigenvalue_field`` holds lambda(B(x)) per point, shape (npts, n);
@@ -236,7 +235,7 @@ def certify_field(op: SymmetricOperator, eigenvalue_field, rhs_field, delta_grid
         bounded = limits > sigmas[:, None]
         if bounded.all():
             radius = coordinate_ray_radius(op, mu, sigmas)
-            kappa = _kappa_at_tightest(op, mu, sigmas, radius, kappa_samples, seed)
+            kappa = _kappa_at_tightest(op, mu, sigmas, radius, kappa_samples)
             return SubsolutionCertificate(
                 delta=delta, radius=radius, kappa=kappa, sigma_range=sigma_range,
                 verdict="certified", kappa_samples=kappa_samples,
@@ -267,15 +266,13 @@ def coordinate_ray_radius(op: SymmetricOperator, mu: np.ndarray, sigmas: np.ndar
 
 
 def _kappa_at_tightest(op: SymmetricOperator, mu: np.ndarray, sigmas: np.ndarray,
-                       radius: float, kappa_samples: int, seed: int) -> float:
+                       radius: float, kappa_samples: int) -> float:
     """Empirical kappa at the tightest few grid points (min-margin, sigma
     extremes), from one level-set draw for all of them."""
-    if kappa_samples <= 0:
-        return math.nan
-    if op.n == 1:
-        # one-dimensional level sets are single points; the far-field
-        # dichotomy is vacuous and no constant is needed
+    if kappa_samples <= 0 or op.n == 1:
+        # no samples asked for, or one-dimensional level sets: single points,
+        # where the far-field dichotomy is vacuous and no constant is needed
         return math.nan
     margins = np.asarray(op.cone.margin(mu))
     picks = sorted({int(np.argmin(margins)), int(np.argmin(sigmas)), int(np.argmax(sigmas))})
-    return estimate_kappa(op, mu[picks], sigmas[picks], radius, kappa_samples, seed=seed)
+    return estimate_kappa(op, mu[picks], sigmas[picks], radius, kappa_samples)

@@ -12,7 +12,10 @@ and seed, each tree runs the main and the certify operation in a fresh
 interpreter, from its own ``src/``, with the config its own
 ``bench/workloads.py`` builds, and keeps the exit code, the report
 (``solve_report.json``, or ``abp_report.json`` for ``conesolve abp``) and the
-lines of the ``summary.txt`` beside it, if the run wrote one.
+lines of the ``summary.txt`` beside it, if the run wrote one.  Each tree's
+``demos/quotient.cfg`` runs the same way, as ``conesolve solve`` (main) and
+``conesolve certify`` with ``--seed`` set to the seed, writing under the
+temporary directory.
 
 For each report value, named by its key path with list indices folded
 (``solve.steps[].c``), it prints "identical" or the largest absolute and
@@ -39,25 +42,33 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOAD_NAMES = ("real3-hessian", "quotient-c3", "c2-full-fixed", "abp-128")
+#: configs of the tree, by path from its root, that run beside the workloads
+DEMO_CONFIGS = ("demos/quotient.cfg",)
 #: last key segments whose every change is flagged
 FLAGGED_KEYS = {"newton_iterations", "iterations", "verdict", "start", "complete", "exit_code",
                 "summary"}
 OUT = "<out>"
 
-#: run in a fresh interpreter: tree, workload, seed, output directory
+#: run in a fresh interpreter: tree, workload or demo config, seed, output directory
 RUNNER = """
 import contextlib, io, json, sys
 from pathlib import Path
 tree, name, seed, outdir = Path(sys.argv[1]), sys.argv[2], int(sys.argv[3]), Path(sys.argv[4])
 sys.path[:0] = [str(tree / "src"), str(tree / "bench")]
-import workloads
 from conesolve.cli import main
 outdir.mkdir(parents=True)
-wl = workloads.WORKLOADS[name](seed, outdir)
-wl.config_path.write_text(wl.config_text)
+if name.endswith(".cfg"):
+    plan = [(kind, [command, "--config", str(tree / name), "--output", str(outdir / kind),
+                    "--seed", str(seed)], outdir / kind / "solve_report.json")
+            for kind, command in (("main", "solve"), ("certify", "certify"))]
+else:
+    import workloads
+    wl = workloads.WORKLOADS[name](seed, outdir)
+    wl.config_path.write_text(wl.config_text)
+    plan = [("main", wl.main_argv, wl.report_path),
+            ("certify", wl.certify_argv, wl.certify_report_path)]
 runs = {}
-for kind, argv, path in (("main", wl.main_argv, wl.report_path),
-                         ("certify", wl.certify_argv, wl.certify_report_path)):
+for kind, argv, path in plan:
     summary = path.with_name("summary.txt")
     path.unlink(missing_ok=True)
     summary.unlink(missing_ok=True)
@@ -174,9 +185,9 @@ def strip_paths(value, outdir: str):
 
 
 def run_tree(tree: Path, workload: str, seed: int, outdir: Path) -> dict:
-    """{"main": record, "certify": record} of one tree, each record holding
-    the exit code, the report and the summary's lines, with output paths
-    stripped."""
+    """{"main": record, "certify": record} of one tree's workload or demo
+    config, each record holding the exit code, the report and the summary's
+    lines, with output paths stripped."""
     done = subprocess.run(
         [sys.executable, "-c", RUNNER, str(tree), workload, str(seed), str(outdir)],
         cwd=tree, capture_output=True, text=True, timeout=600)
@@ -201,9 +212,10 @@ def parent_checkout(rev: str, scratch: Path):
 def report_diff(parent: Path, seeds, scratch: Path) -> dict[tuple, dict[str, KeyDiff]]:
     """(workload, operation) -> folded key -> its largest change over the seeds."""
     table: dict[tuple, dict[str, KeyDiff]] = {}
-    for workload in WORKLOAD_NAMES:
+    for workload in WORKLOAD_NAMES + DEMO_CONFIGS:
         for seed in seeds:
-            before, after = (run_tree(tree, workload, seed, scratch / side / f"{workload}-{seed}")
+            run = f"{Path(workload).name}-{seed}"
+            before, after = (run_tree(tree, workload, seed, scratch / side / run)
                              for side, tree in (("parent", parent), ("tree", ROOT)))
             for kind in ("main", "certify"):
                 merged = table.setdefault((workload, kind), {})

@@ -167,7 +167,7 @@ def test_criterion_4_dichotomy_validation():
     details = []
     for op, mu, sigma_level in cases:
         radius = coordinate_ray_radius(op, mu[None, :], np.array([sigma_level]))
-        kappa = cs.estimate_kappa(op, mu, sigma_level, radius, samples=10_000, seed=1)
+        kappa = cs.estimate_kappa(op, mu, sigma_level, radius, samples=10_000)
         held_out = cs.sample_level_set(op, sigma_level, 10_000,
                                        np.random.default_rng(2), min_radius=radius)
         margins = dichotomy_margins(op, mu, held_out)

@@ -1,6 +1,7 @@
 import inspect
 import json
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -544,6 +545,22 @@ def test_cli_constant_metric_file(tmp_path):
     assert main(["certify", "--config", str(cfg)]) == 0
     report = json.loads((tmp_path / "out" / "solve_report.json").read_text())
     assert report["certificate"]["verdict"] == "certified" and "error" not in report
+
+
+def test_cli_certificate_does_not_depend_on_the_seed(tmp_path):
+    # with few kappa samples a seeded draw would move kappa between seeds; the
+    # certificate reads its data alone, and here --seed reaches no generator
+    text = (Path(__file__).resolve().parents[1] / "demos" / "quotient.cfg").read_text()
+    assert "kappa_samples = 2000" in text
+    cfg = tmp_path / "quotient.cfg"
+    cfg.write_text(text.replace("kappa_samples = 2000", "kappa_samples = 20"))
+    certificates = []
+    for seed in ("0", "3"):
+        out = tmp_path / f"seed-{seed}"
+        assert main(["certify", "--config", str(cfg), "--output", str(out), "--seed", seed]) == 0
+        certificates.append(json.loads((out / "solve_report.json").read_text())["certificate"])
+    assert certificates[0]["verdict"] == "certified" and certificates[0]["kappa_samples"] == 20
+    assert certificates[0] == certificates[1]
 
 
 #: metrics with off-diagonal entries, the complex one with imaginary entries

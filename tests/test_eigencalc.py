@@ -164,9 +164,26 @@ def test_row_readers_refuse_a_dense_field_and_the_other_layout(n, complex_):
                 read(x)
 
 
-def test_spectra_above_two_are_eigvalsh():
-    a = rand_hermitian(np.random.default_rng(2), 3)[None]
-    assert eigenvalues(a).tobytes() == np.linalg.eigvalsh(a).tobytes()
+def test_pack_refuses_matrices_of_another_size():
+    # the layout packs its own n x n matrices: a 3 x 3 field is not read as
+    # the rows of its upper-left 2 x 2 blocks, nor a 2 x 2 field as 3 x 3 rows
+    cases = [(packing(2, False), np.arange(45.0).reshape(5, 3, 3)),
+             (packing(3, True), np.ones((5, 2, 2), dtype=complex)),
+             (packing(2, False), np.ones((5, 2, 3))), (packing(2, False), np.ones(4))]
+    for layout, a in cases:
+        with pytest.raises(ValueError, match="n x n matrices"):
+            layout.pack(a)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "hermitian"])
+def test_spectra_above_two_are_the_row_spectra(n, complex_):
+    a = np.array([rand_hermitian(np.random.default_rng(i), n, complex_) for i in range(20)])
+    layout = packing(n, complex_)
+    got, expected = eigenvalues(a), np.linalg.eigvalsh(a)
+    assert got.tobytes() == packed_eigenvalues(pack(a), layout).tobytes()
+    eps_norm = np.finfo(float).eps * np.abs(expected).max(axis=-1, keepdims=True)
+    assert np.all(np.abs(got - expected) <= 16 * eps_norm)
 
 
 def _jacobi_cases(complex_: bool) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 import math
 
-from report_diff import compare, flags, fold, strip_paths
+from report_diff import DEMO_CONFIGS, OUT, ROOT, compare, flags, fold, run_tree, strip_paths
 
 C = 1.0922238873126544
 
@@ -84,3 +84,23 @@ def test_output_paths_are_ignored():
 
 def test_fold_drops_list_indices():
     assert fold("solve.steps[12].newton_trace[0].margin") == "solve.steps[].newton_trace[].margin"
+
+
+def test_the_demo_config_runs_at_the_seed_in_the_scratch_directory(tmp_path):
+    # solve and certify of demos/quotient.cfg, each with --seed, writing under
+    # the run's directory and not the config's; its chi names its own seed,
+    # so the seed reaches neither the data nor the certificate
+    assert DEMO_CONFIGS == ("demos/quotient.cfg",)
+    runs = {seed: run_tree(ROOT, DEMO_CONFIGS[0], seed, tmp_path / str(seed)) for seed in (0, 3)}
+    for seed, run in runs.items():
+        assert [run[kind]["exit_code"] for kind in ("main", "certify")] == [0, 0]
+        for kind in ("main", "certify"):
+            config = run[kind]["report"]["config"]
+            assert (config["seed"], config["output_directory"]) == (seed, f"{OUT}/{kind}")
+            assert (tmp_path / str(seed) / kind / "solve_report.json").is_file()
+        assert run["main"]["summary"][0].startswith("conesolve")
+        assert run["certify"]["summary"] is None and run["certify"]["report"]["certify_only"]
+        assert run["main"]["report"]["certificate"] == run["certify"]["report"]["certificate"]
+    diffs = compare(runs[0], runs[3])
+    assert {key for key, diff in diffs.items() if diff.changed} == {
+        "main.report.config.seed", "certify.report.config.seed"}

@@ -63,10 +63,9 @@ def test_no_operator_kind_restates_the_calculus():
 
 
 #: the functions that may call ``eigvalsh``, one LAPACK call per matrix: the
-#: dense spectrum, the few matrices the sup-norm prune keeps, and the
-#: one-matrix Schur-Horn check; a field's spectrum is read from its rows
-EIGVALSH_SITES = {("eigencalc", "eigenvalues"), ("eigencalc", "sup_operator_norm"),
-                  ("subsolution", "schur_horn_pairing")}
+#: few matrices the sup-norm prune keeps and the one-matrix Schur-Horn check;
+#: a field's spectrum, dense or not, is read from its rows
+EIGVALSH_SITES = {("eigencalc", "sup_operator_norm"), ("subsolution", "schur_horn_pairing")}
 
 
 def sites(tree: ast.Module, hit) -> set[str]:

@@ -104,7 +104,7 @@ def test_dichotomy_requires_level_set_point():
 
 def test_estimate_kappa_and_heldout():
     ma = MongeAmpere(2)
-    kappa = estimate_kappa(ma, [2.0, 2.0], 0.0, radius=10.0, samples=4000, seed=1)
+    kappa = estimate_kappa(ma, [2.0, 2.0], 0.0, radius=10.0, samples=4000)
     assert kappa >= 0.05
     held_out = sample_level_set(ma, 0.0, 4000, np.random.default_rng(2),
                                 min_radius=10.0)
@@ -129,7 +129,7 @@ def test_certificate_kappa_is_one_draw_for_every_pick(monkeypatch):
         return sample_level_set(op, sigma_level, *args, **kwargs)
 
     monkeypatch.setattr(subsolution, "sample_level_set", spy)
-    cert = certify_field(op, mu, sigmas, [0.01], kappa_samples=2000, seed=3)
+    cert = certify_field(op, mu, sigmas, [0.01], kappa_samples=2000)
     assert draws == [[0.5, -1.0, 2.0]]
     # the floor holds at each pick on samples the draw did not see
     for idx in (0, 1, 3):
@@ -137,7 +137,7 @@ def test_certificate_kappa_is_one_draw_for_every_pick(monkeypatch):
                                     min_radius=cert.radius)
         assert dichotomy_margins(op, mu[idx] - 0.02, held_out).min() > cert.kappa
     # here the shared draw finds the floor of three separate draws
-    alone = [estimate_kappa(op, mu[idx] - 0.02, sigmas[idx], cert.radius, 2000, seed=3)
+    alone = [estimate_kappa(op, mu[idx] - 0.02, sigmas[idx], cert.radius, 2000)
              for idx in (0, 1, 3)]
     assert cert.kappa == min(alone)
 
@@ -145,8 +145,8 @@ def test_certificate_kappa_is_one_draw_for_every_pick(monkeypatch):
 def test_kappa_degenerates_near_admissibility_edge():
     hq = HessianQuotientNeg(2, 1, 2)
     # limit at mu=(1,1) is -0.5; sigma barely below leaves almost no margin
-    wide = estimate_kappa(hq, [1.0, 1.0], -0.9, radius=5.0, samples=2000, seed=3)
-    tight = estimate_kappa(hq, [1.0, 1.0], -0.52, radius=5.0, samples=2000, seed=3)
+    wide = estimate_kappa(hq, [1.0, 1.0], -0.9, radius=5.0, samples=2000)
+    tight = estimate_kappa(hq, [1.0, 1.0], -0.52, radius=5.0, samples=2000)
     assert tight < wide
     assert tight < 0.05
 
