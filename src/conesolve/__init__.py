@@ -35,6 +35,7 @@ from .operators import (
 )
 from .solver import (
     AdmissibilityError,
+    EllipticityError,
     PathBoundError,
     PathKind,
     SolveReport,

@@ -9,11 +9,12 @@ and A[u] = A[0] + M c as packed real rows, entries first, for the matrix M
 of the packed B_e (``eigencalc.Packing``).  One sigma recursion on the rows
 (``eigencalc.SigmaTable``) gives the cone margin, F and dF, whose Hessian
 weights are M^T (g D).  The linear solves are matrix-free restarted GMRES
-(``gmres``, Saad & Schultz 1986) preconditioned by the inverse of (mean trace
-of dF / n) times the metric Laplacian, each to the relative residual
-max(min(1e-3, 0.1 |r|_sup), 0.1 newton_tol / |r|_2, 1e-12) of the Newton
-residual r: an inexact-Newton forcing term (Eisenstat & Walker 1996) whose
-floor stops at a linear residual of 2-norm, hence of sup norm, 0.1 newton_tol.
+(``gmres``, Saad & Schultz 1986) preconditioned by the exact inverse of
+tau Lap_alpha - s*dc, tau = tr dF / n pointwise (Concus & Golub 1973), each
+to the relative residual max(min(1e-3, 0.1 |r|_sup), 0.1 newton_tol / |r|_2,
+1e-12) of the Newton residual r: an inexact-Newton forcing term (Eisenstat &
+Walker 1996) whose floor stops at a linear residual of 2-norm, hence of sup
+norm, 0.1 newton_tol.
 
 Continuity paths, each anchored at a member solvable from u = 0:
 
@@ -73,12 +74,20 @@ GMRES_MAX_RESTARTS = 200
 class AdmissibilityError(ValueError):
     """Eigenvalues of A[u] left the operator cone somewhere on the grid."""
 
+    #: what ``margin`` measures, for the message
+    measure = "inadmissible data: cone margin"
+
     def __init__(self, worst_index: tuple, margin: float):
         self.worst_index = worst_index
         self.margin = margin
-        super().__init__(
-            f"inadmissible data: cone margin {margin:.6g} at grid point {worst_index}"
-        )
+        super().__init__(f"{self.measure} {margin:.6g} at grid point {worst_index}")
+
+
+class EllipticityError(AdmissibilityError):
+    """dF at an admissible iterate is not elliptic: its ``margin``, tr dF / n
+    at ``worst_index``, is not a finite number > 0."""
+
+    measure = "non-elliptic linearization: tr dF / n"
 
 
 class StagnationError(RuntimeError):
@@ -345,7 +354,9 @@ def residual(problem: TorusProblem, u: ScalarField, c: float, t: float) -> Scala
 
 
 class Linearization:
-    """Matrix-free derivative of the residual at a fixed admissible iterate.
+    """Matrix-free derivative of the residual at a fixed admissible iterate,
+    and ``inv_tau``, 1 / tau for tau = tr D / n pointwise; EllipticityError
+    if tau is not a finite number > 0 somewhere.
 
     It allocates the buffers of its products once: the complex work spectrum
     of ``spectral_hessian_components``, ``components`` and the weighted sum.
@@ -359,7 +370,11 @@ class Linearization:
         self.grid = problem.grid
         ev.require_admissible()
         d = ev.table.derivative()
-        self.mean_trace = float(d[:self.grid.n].sum(axis=0).mean()) / self.grid.n
+        tau = d[:self.grid.n].sum(axis=0) / self.grid.n
+        worst = int(np.argmin(np.where(np.isfinite(tau), tau, -np.inf)))
+        if not 0.0 < tau.flat[worst] < math.inf:
+            raise EllipticityError(np.unravel_index(worst, tau.shape), float(tau.flat[worst]))
+        self.inv_tau = 1.0 / tau
         self.sign = constant_sign(problem)
         # <D, sum_e c_e B_e> = sum_e <D, B_e> c_e: one weight per Hessian
         # component, so a matvec never forms the n x n Hessian field
@@ -461,33 +476,21 @@ lgmres = gmres
 
 
 def _solve_newton_system(lin: Linearization, r: np.ndarray, forcing: float):
-    """Solve dF - s*dc = -r for mean-zero v by ``gmres`` preconditioned with
-    the inverse constant-coefficient Laplacian, to relative residual
-    ``forcing``; the call goes through ``lgmres`` so the benchmark times it.
-
-    The system has the residual's N rows.  The search space is the rfftn half
-    spectrum of v, with dc appended: the preconditioner returns
-    rfftn(g - mean g) / symbol, maps the mean of g to dc and never inverts the
-    symbol, and the matvec reads the Hessian components of v straight from it.
-    The zero mode of every search direction is 0, so the mean-zero gauge lives
-    in the search space and needs no row of its own.  An Arnoldi step costs
-    one forward transform and E inverse ones (E Hessian components); one
-    inverse transform of the solution then gives dv.  comp(dv) is the last
-    product's: a converged solve of a nonzero r, as ``newton_solve`` passes,
-    ends with a product at its solution.  It is the buffer ``lin.components``
-    itself, not a copy; ``newton_solve`` drops ``lin`` before its line search,
-    so comp(dv) then owns it.  The same last product gives the solve's final
-    relative residual, which the matvec keeps with its count of products:
-    returns (dv, dc, comp(dv), info, work), work holding ``krylov_products``
-    and ``krylov_residual``.
+    """Solve dF - s*dc = -r for mean-zero v by ``gmres`` to relative residual
+    ``forcing``, preconditioned with the exact inverse of tau Lap_alpha - s*dc
+    for tau = tr dF / n pointwise.  The search space is v's rfftn half
+    spectrum, zero mode 0, with dc appended.  Returns (dv, dc, comp(dv),
+    info, work): comp(dv) is ``lin.components``, the last product's, and
+    work holds ``krylov_products`` and the final relative ``krylov_residual``.
     """
     grid = lin.grid
     sign = lin.sign
     axes = tuple(range(grid.stored_axes))
-    symbol = lin.problem.laplacian * lin.mean_trace
+    symbol = lin.problem.laplacian.copy()
     half, modes = symbol.shape, symbol.size
     zero_mode = (0,) * grid.stored_axes
     symbol[zero_mode] = 1.0  # the zero mode is handled by dc
+    inv_tau_mean = lin.inv_tau.mean()
     b = -r.ravel()
     products, last = 0, 0.0  # A x at gmres's start, x = 0
 
@@ -498,11 +501,12 @@ def _solve_newton_system(lin: Linearization, r: np.ndarray, forcing: float):
         return last
 
     def precondition(w):
+        # tau Lap v - s*dc = w: the shift makes (w - shift) / tau mean zero
         g = w.reshape(grid.shape)
-        gbar = g.mean()
-        spec = np.fft.rfftn(g - gbar) / symbol
+        shift = (g * lin.inv_tau).mean() / inv_tau_mean
+        spec = np.fft.rfftn((g - shift) * lin.inv_tau) / symbol
         spec[zero_mode] = 0.0
-        return np.concatenate([spec.ravel(), [-sign * gbar]])
+        return np.concatenate([spec.ravel(), [-sign * shift]])
 
     sol, info = lgmres(matvec, b, M=precondition, rtol=forcing)
     dv = np.fft.irfftn(sol[:modes].reshape(half), s=grid.shape, axes=axes)

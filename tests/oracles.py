@@ -412,9 +412,15 @@ def metric_hessian(u, alpha) -> np.ndarray:
     """L^{-1} Hess u L^{-*}, the Hessian in alpha-orthonormal coordinates, as
     sum_e c_e(u) B_e with B_e = L^{-1} U_e L^{-*}: the operations and order of
     the library's frame, so its values are those of a run bit for bit.  It is
-    returned as rows (``eigencalc.pack``), as the monitor reads it."""
-    basis = congruence(metric_root_inverse(alpha), hessian_symbols(u.grid).units)
-    return pack(np.tensordot(hessian_components(u.values, u.grid), basis, axes=(0, 0)))
+    returned as rows (``eigencalc.pack``), as the monitor reads it, summed
+    over e in order on the packed rows with no BLAS product, as a run sums
+    them (a BLAS ``tensordot`` rounds differently)."""
+    basis = pack(congruence(metric_root_inverse(alpha), hessian_symbols(u.grid).units))
+    comps = hessian_components(u.values, u.grid)
+    rows = np.zeros((len(basis),) + comps.shape[1:])
+    for e, comp in enumerate(comps):
+        rows += basis[:, e].reshape((-1,) + (1,) * comp.ndim) * comp
+    return rows
 
 
 def complex_gradient(u) -> np.ndarray:

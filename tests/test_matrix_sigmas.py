@@ -109,6 +109,21 @@ def test_sigma_table_matches_the_eigenframe(data, op, complex_):
     assert np.all(err <= RTOL * cond * d_scale)
 
 
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(data=st.data(), op=st.sampled_from(KINDS), complex_=st.booleans())
+def test_trace_of_df_is_positive_at_admissible_points(data, op, complex_):
+    # every kind a config can build, and the blended quotient, is elliptic on
+    # its cone: tau = tr D / n, the Newton preconditioner's weight, read from
+    # D's first n packed rows (its diagonal), is finite and > 0 down to 1e-6
+    # from the boundary
+    n = op.n
+    count = data.draw(st.integers(1, 4))
+    a = np.stack([_hermitian(data, _spectrum(data, op.cone, n, data.draw(gaps)), complex_)
+                  for _ in range(count)])
+    tau = SigmaTable.at(op, pack(a), packing(n, complex_)).derivative()[:n].sum(axis=0) / n
+    assert np.all(np.isfinite(tau)) and np.all(tau > 0.0)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(data=st.data(), op=st.sampled_from(KINDS), complex_=st.booleans())
 def test_inadmissible_iterate_names_the_eigenvalue_worst_point(data, op, complex_):

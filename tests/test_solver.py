@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from conesolve import (
     AdmissibilityError,
+    EllipticityError,
     HessianQuotientNeg,
     LogSigmaK,
     MatrixField,
@@ -28,7 +29,7 @@ from conesolve import (
     uniform_schedule,
 )
 from conesolve.eigencalc import SigmaTable, contract
-from conesolve.solver import Linearization, evaluate_pointwise, rhs_base
+from conesolve.solver import Linearization, PointwiseEvaluation, evaluate_pointwise, rhs_base
 from conesolve.torus import (
     compute_c,
     congruence,
@@ -204,6 +205,50 @@ def test_linearization_apply_is_the_hessian_contraction(monkeypatch, mode, n, re
     monkeypatch.setattr(solver, "hessian", refuse)
     out = lin.apply(np.fft.rfftn(v.values), 0.7).values
     assert np.abs(out - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+class _DerivativeRows:
+    """A sigma table stand-in that hands out fixed rows of D."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def derivative(self):
+        return self.rows
+
+
+@pytest.mark.parametrize("bad", [-0.5, 0.0, math.nan, math.inf])
+def test_non_elliptic_linearization_names_its_worst_point(bad):
+    # a linearization refuses tr D / n <= 0 or not finite rather than hand
+    # GMRES a weight it cannot scale by
+    g = PeriodicGrid.make("real", 2, 4, 1.0)
+    prob = TorusProblem(g, MongeAmpere(2), np.eye(2), MatrixField.constant(g, np.eye(2)),
+                        ScalarField.zeros(g))
+    rows = np.ones((3,) + g.shape)
+    rows[2] = 0.0
+    rows[:2, 1, 3] = bad
+    rows[:2, 2, 0] = 1e-3  # small but elliptic: not the worst point
+    ev = PointwiseEvaluation(_DerivativeRows(rows), 1.0, (0, 0), None)
+    with pytest.raises(EllipticityError) as err:
+        Linearization(prob, ev)
+    assert isinstance(err.value, AdmissibilityError)
+    assert err.value.worst_index == (1, 3)
+    assert "non-elliptic" in str(err.value)
+
+
+def test_preconditioner_inverts_the_real_line_linearization_exactly():
+    # on a real n = 1 torus dF is D v'' with D = tau pointwise, which the
+    # preconditioner inverts exactly: each Krylov solve converges at its first
+    # Arnoldi step, one product there and one for the true residual
+    g = PeriodicGrid.make("real", 1, 32, 1.0)
+    _, pert = hessian_perturbation(g, 0.2, seed=21)  # chi_perturbed(1, 0.2, 21)
+    prob = TorusProblem(g, MongeAmpere(1), np.eye(1), MatrixField(g, np.eye(1) + pert.values),
+                        random_band_limited(g, 0.3, seed=1), path=PathKind.FIXED)
+    assert np.ptp(pert.values) > 0.1
+    state = newton_solve(prob, 1.0)
+    assert state.iterations >= 2
+    for step in state.newton_steps:
+        assert step["krylov_products"] == 2 and step["krylov_residual"] < 1e-13
 
 
 def _linearized(mode, n, reduced, alpha, points=8):
