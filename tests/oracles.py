@@ -219,10 +219,10 @@ def supporting_plane_bruteforce(v, grads, candidates: np.ndarray) -> np.ndarray:
     return mask
 
 
-def abp_dense(v, epsilon: float) -> tuple[float, float]:
-    """``abp_check``'s integral of det D^2 v and contact volume fraction,
-    from the full (N, ..., m, m) tensor of symmetrized second differences and
-    the per-candidate plane test."""
+def abp_dense_weight(v, epsilon: float):
+    """``abp_check``'s gradient, full (N, ..., m, m) tensor of symmetrized
+    second differences and weight of every point of the square, before the
+    plane test."""
     grid = v.grid
     m, h = grid.m, grid.spacing
     grads = np.gradient(v.values, h)
@@ -240,6 +240,16 @@ def abp_dense(v, epsilon: float) -> tuple[float, float]:
                       for i in range(m) for j in range(m)))
     weight = np.clip(0.5 + (0.5 * epsilon - gnorm) / np.maximum(rate * h, 1e-300), 0.0, 1.0)
     weight[sum(c**2 for c in ball_coordinates(grid)) >= 1.0] = 0.0
+    return grads, hess, weight
+
+
+def abp_dense(v, epsilon: float) -> tuple[float, float]:
+    """``abp_check``'s integral of det D^2 v and contact volume fraction,
+    from the full (N, ..., m, m) tensor of symmetrized second differences and
+    the per-candidate plane test."""
+    grid = v.grid
+    m, h = grid.m, grid.spacing
+    grads, hess, weight = abp_dense_weight(v, epsilon)
     weight[~supporting_plane_bruteforce(v, grads, weight > 0.0)] = 0.0
     cell = h**m
     ball = math.pi ** (m / 2.0) / math.gamma(m / 2.0 + 1.0)
