@@ -188,8 +188,8 @@ def _has_supporting_plane(v: BallFunction, grads, candidates: np.ndarray) -> np.
 
 
 def _check_preconditions(v: BallFunction, epsilon: float) -> None:
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")
     if not (np.isfinite(v.values).all() and np.isfinite(v.boundary_values).all()):
         raise ValueError("the grid and sphere samples must be finite")
     if v.center_value() + epsilon > float(v.boundary_values.min()) + 1e-12:

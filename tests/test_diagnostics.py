@@ -245,15 +245,18 @@ def test_abp_band_takes_one_sided_differences_on_the_faces(m, points, abp_bands)
 
 @pytest.mark.parametrize("check", [abp_check, contact_set])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("where", ["grid", "sphere"])
+@pytest.mark.parametrize("where", ["grid", "sphere", "epsilon"])
 def test_non_finite_samples_are_refused(check, bad, where):
-    v = quadratic_well(0.4)
+    v, epsilon = quadratic_well(0.4), 0.4
     if where == "grid":
         v.values[10, 40] = bad
-    else:
+    elif where == "sphere":
         v.boundary_values[3] = bad
+    else:
+        # NaN compares false with everything, so `epsilon <= 0` lets it through
+        epsilon = bad
     with pytest.raises(ValueError, match="finite"):
-        check(v, 0.4)
+        check(v, epsilon)
 
 
 @pytest.mark.parametrize("m, fn", [(2, lambda x, y: x), (3, lambda *x: x[0] ** 2)],

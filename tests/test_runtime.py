@@ -1,7 +1,10 @@
-"""Whole-program properties checked in fresh interpreters: the report does not
-depend on the BLAS thread count, a run needs numpy alone, and a bad command
-line or a degenerate class gives its documented exit status, not a traceback."""
+"""Whole-program properties, most checked in fresh interpreters: the report
+does not depend on the BLAS thread count, a run needs numpy alone, a second
+solve reuses the memory the first freed, a C library without ``mallopt`` runs
+the same, and a bad command line or a degenerate class gives its documented
+exit status, not a traceback."""
 
+import ctypes
 import json
 import os
 import subprocess
@@ -12,7 +15,7 @@ import numpy as np
 import pytest
 
 import conesolve
-from conesolve import MatrixField, PeriodicGrid, save_field
+from conesolve import MatrixField, PeriodicGrid, cli, save_field
 
 SRC = Path(conesolve.__file__).resolve().parents[1]
 
@@ -182,6 +185,59 @@ def test_a_run_imports_no_scipy(tmp_path):
     )
     out = run_python(["-c", code, str(cfg)])
     assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
+def on_glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, OSError, ValueError):
+        return False
+
+
+@pytest.mark.skipif(not on_glibc(), reason="main fixes glibc's thresholds only")
+def test_a_second_solve_reuses_the_memory_the_first_freed(tmp_path):
+    # at glibc's default thresholds each freed field array is unmapped or
+    # trimmed, and the second solve faults it back in: over 1300 minor faults
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(QUOTIENT_C3_CFG.format(out=tmp_path / "out"))
+    code = (
+        "import resource, sys, conesolve.cli\n"
+        "argv = ['solve', '--config', sys.argv[1]]\n"
+        "assert conesolve.cli.main(argv) == 0\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "assert conesolve.cli.main(argv) == 0\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    faults = int(run_python(["-c", code, str(cfg)]).stdout.split()[-1])
+    assert faults < 200
+
+
+def _library_that_cannot_load(*args, **kwargs):
+    raise OSError("cannot load the C library")
+
+
+@pytest.mark.parametrize("cdll", [_library_that_cannot_load, lambda *args, **kwargs: object()],
+                         ids=["cdll-raises", "no-mallopt"])
+def test_main_runs_where_mallopt_cannot_be_reached(tmp_path, monkeypatch, cdll):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY_CFG.format(out=tmp_path / "out"))
+    argv = ["solve", "--config", str(cfg)]
+    outputs = [tmp_path / "out" / name for name in ("solve_report.json", "summary.txt")]
+    assert cli.main(argv) == 0
+    expected = [path.read_bytes() for path in outputs]
+    for path in outputs:
+        path.unlink()
+
+    loads = []
+
+    def patched(*args, **kwargs):
+        loads.append(args)
+        return cdll(*args, **kwargs)
+
+    monkeypatch.setattr(ctypes, "CDLL", patched)
+    assert cli.main(argv) == 0
+    assert [path.read_bytes() for path in outputs] == expected
+    assert len(loads) == (1 if on_glibc() else 0)
 
 
 @pytest.mark.parametrize("certify", ["true", "false"])
