@@ -14,7 +14,9 @@ tau Lap_alpha - s*dc, tau = tr dF / n pointwise (Concus & Golub 1973), each
 to the relative residual max(min(1e-3, 0.1 |r|_sup), 0.1 newton_tol / |r|_2,
 1e-12) of the Newton residual r: an inexact-Newton forcing term (Eisenstat &
 Walker 1996) whose floor stops at a linear residual of 2-norm, hence of sup
-norm, 0.1 newton_tol.
+norm, 0.1 newton_tol.  A solve takes one product per Arnoldi step and none at
+its solution, whose Hessian components and product are formed by linearity
+from the products' (Brown & Saad 1990).
 
 Continuity paths, each anchored at a member solvable from u = 0:
 
@@ -212,8 +214,9 @@ class SolveState:
     this one, ``iterations + 1`` entries; the report writes it as
     ``newton_trace``.  ``newton_steps`` holds what each Newton step did,
     ``iterations`` entries: the Krylov solve's ``forcing``, its
-    ``krylov_products`` and final ``krylov_residual`` (relative, 2-norm), and
-    the accepted ``step`` length, 2^-halvings.
+    ``krylov_products`` (one per Arnoldi step) and final ``krylov_residual``
+    (relative, 2-norm, read from the product formed by linearity at its
+    solution), and the accepted ``step`` length, 2^-halvings.
     """
 
     u: ScalarField
@@ -358,12 +361,13 @@ class Linearization:
     and ``inv_tau``, 1 / tau for tau = tr D / n pointwise; EllipticityError
     if tau is not a finite number > 0 somewhere.
 
-    It allocates the buffers of its products once: the complex work spectrum
-    of ``spectral_hessian_components``, ``components`` and the weighted sum.
-    Every ``apply`` overwrites them, so a product allocates nothing of
-    component size.  ``components`` holds the Hessian components of the last
-    direction applied, until the next product; the field ``apply`` returns is
-    its own."""
+    It allocates the complex work spectrum of ``spectral_hessian_components``
+    once.  Each ``apply`` writes the Hessian components of its direction into
+    ``components``, an E x N array allocated on first use and overwritten by
+    the next product, unless a caller takes it with ``take_components``: the
+    Krylov solve takes each product's, so every product has an array of its
+    own, and forms those of its solution from them by linearity.  The field
+    ``apply`` returns is its own."""
 
     def __init__(self, problem: TorusProblem, ev: PointwiseEvaluation):
         self.problem = problem
@@ -380,48 +384,66 @@ class Linearization:
         # component, so a matvec never forms the n x n Hessian field
         self.weights = problem.packing.pairings(problem.basis, d)
         self._work = np.empty(hessian_symbols(self.grid).symbols.shape, dtype=complex)
-        self.components = np.empty(self.weights.shape)
-        self._sum = np.empty(self.grid.shape)
+        self.components: np.ndarray | None = None
 
     def apply(self, spec: np.ndarray, dc: float) -> ScalarField:
         """Directional derivative: <D, alpha-orthonormal Hess v> - s*dc, for
         the v whose rfftn half spectrum is ``spec``, as the Krylov solve keeps
         its directions: the Hessian components take E inverse transforms.
         """
+        if self.components is None:
+            self.components = np.empty(self.weights.shape)
         spectral_hessian_components(spec, self.grid, self._work, self.components)
-        np.einsum("e...,e...->...", self.weights, self.components, out=self._sum)
-        return ScalarField(self.grid, self._sum - self.sign * dc)
+        return self.along(self.components, dc)
+
+    def along(self, comps: np.ndarray, dc: float) -> ScalarField:
+        """The directional derivative along the v whose Hessian components are
+        ``comps``: sum_e <D, B_e> c_e - s*dc, with no transform."""
+        out = np.einsum("e...,e...->...", self.weights, comps)
+        out -= self.sign * dc
+        return ScalarField(self.grid, out)
+
+    def take_components(self) -> np.ndarray:
+        """The last product's Hessian components, handed over: the next product
+        allocates an array of its own."""
+        comps, self.components = self.components, None
+        return comps
 
 
 def _norm(w: np.ndarray) -> float:
     return float(np.sqrt(np.sum(w * w)))
 
 
-def gmres(matvec, b: np.ndarray, *, M, rtol: float) -> tuple[np.ndarray, int]:
+def gmres(matvec, b: np.ndarray, *, M, finish, rtol: float):
     """Solve A x = b by right-preconditioned restarted GMRES (Saad & Schultz 1986).
 
     ``M`` maps a vector of b's space into a search space of its own, such as
-    a complex half spectrum, and ``matvec`` applies A to a vector of that
-    space, returning one of b's.  The orthonormal Arnoldi basis lives in b's
-    space; the search directions z_j = M v_j and the solution x = sum_j y_j z_j
-    live in M's.  Starts from x = 0, so no product is spent on a zero vector.
-    Each cycle takes up to ``GMRES_RESTART`` Arnoldi steps (one M and one
-    matvec each), orthogonalized by classical Gram-Schmidt applied twice, and
-    minimizes the residual by Givens rotations; it ends with one product for
-    the true residual, and the last product of a converged solve is A x.
-    Returns (x, info): info is 0 once |b - A x| <= rtol |b|, else the number
-    of cycles run (``GMRES_MAX_RESTARTS``, or fewer if A M is singular on the
-    Krylov space).  For b = 0 it returns x = 0 of M's space (M(0)) and takes
-    no product.  Projections are einsum sums and norms pairwise sums, never a
-    BLAS dot or nrm2, whose bits change with the thread count.
+    a complex half spectrum.  ``matvec(z)`` applies A to a vector z of that
+    space and returns (A z, P z) for a linear map P, the product's
+    by-products, each an array of gmres's own; ``finish(P x, x)`` is A x.
+    The orthonormal Arnoldi basis lives in b's space, the search directions
+    z_j = M v_j in M's.  Starts from x = 0, so no product is spent on a zero
+    vector.  Each cycle takes up to ``GMRES_RESTART`` Arnoldi steps (one M
+    and one matvec each), orthogonalized by classical Gram-Schmidt applied
+    twice, and minimizes the residual by Givens rotations.  Its minimizer y
+    updates x, P x and A x by linearity, with no product: P x += sum_j y_j
+    P z_j in place, x += M(sum_j y_j v_j) (M is linear) and A x = finish(P x,
+    x), from which the true residual is read (Brown & Saad 1990).  A restart
+    carries all three.  Returns (x, A x, P x, info): info is 0 once
+    |b - A x| <= rtol |b|, else the number of cycles run
+    (``GMRES_MAX_RESTARTS``, or fewer if A M is singular on the Krylov
+    space).  For b = 0 it returns x = 0 of M's space (M(0)) and takes no
+    product; P x is None until a cycle has ended.  Projections are einsum sums
+    and norms pairwise sums, never a BLAS dot or nrm2, whose bits change with
+    the thread count.
     """
     m = GMRES_RESTART
     beta = _norm(b)
     tol = rtol * beta
     if beta == 0.0:
-        return M(b), 0
+        return M(b), np.zeros_like(b), None, 0
     basis = np.empty((1, b.size))
-    x = None
+    x = ax = px = None
     r = b
     for cycle in range(1, GMRES_MAX_RESTARTS + 1):
         hess = np.zeros((m + 1, m))
@@ -429,16 +451,12 @@ def gmres(matvec, b: np.ndarray, *, M, rtol: float) -> tuple[np.ndarray, int]:
         g = np.zeros(m + 1)
         g[0] = beta
         basis[0] = r / beta
-        search = []
+        parts = [None] * m
         for j in range(m):
-            z = M(basis[j])
-            if x is None:
-                x = np.zeros_like(z)
-            search.append(z)
-            w = matvec(z)
+            w, parts[j] = matvec(M(basis[j]))
             for _ in range(2):
                 h = np.einsum("ij,j->i", basis[:j + 1], w)
-                w = w - np.einsum("ij,i->j", basis[:j + 1], h)
+                w -= np.einsum("ij,i->j", basis[:j + 1], h)
                 hess[:j + 1, j] += h
             w_norm = _norm(w)
             col = hess[:j + 2, j]
@@ -448,7 +466,9 @@ def gmres(matvec, b: np.ndarray, *, M, rtol: float) -> tuple[np.ndarray, int]:
                                       cs[i] * col[i + 1] - sn[i] * col[i])
             rho = float(np.hypot(col[j], w_norm))
             if rho == 0.0:
-                return x, cycle
+                if x is None:  # x = 0 still
+                    x, ax = M(np.zeros_like(b)), np.zeros_like(b)
+                return x, ax, px, cycle
             cs[j], sn[j] = col[j] / rho, w_norm / rho
             col[j], col[j + 1] = rho, 0.0
             g[j + 1] = -sn[j] * g[j]
@@ -458,17 +478,29 @@ def gmres(matvec, b: np.ndarray, *, M, rtol: float) -> tuple[np.ndarray, int]:
             if j + 1 == len(basis):
                 # rows are added by doubling: an up-front block of m + 1 rows
                 # lands on the heap and stays resident, though most solves
-                # take a few Arnoldi steps
-                basis = np.concatenate([basis, np.empty_like(basis)])
-            basis[j + 1] = w / w_norm
+                # take a few Arnoldi steps; the copied rows are overwritten
+                basis = np.concatenate([basis, basis])
+            np.divide(w, w_norm, out=basis[j + 1])
+            del w  # before the next product allocates its own
         k = j + 1
         y = np.linalg.solve(hess[:k, :k], g[:k])
-        x = x + np.einsum("i,i...->...", y, search)
-        r = b - matvec(x)
+        # in place, each by-product dropped once summed: no y_j P z_j
+        # temporary, no stacked copy, and only P x left when x is formed
+        for i in range(k):
+            parts[i] *= y[i]
+            if px is None:
+                px = parts[i]
+            else:
+                px += parts[i]
+            parts[i] = None
+        update = M(np.einsum("i,i...->...", y, basis[:k]))
+        x = update if x is None else x + update
+        ax = finish(px, x)
+        r = b - ax
         beta = _norm(r)
         if beta <= tol:
-            return x, 0
-    return x, GMRES_MAX_RESTARTS
+            return x, ax, px, 0
+    return x, ax, px, GMRES_MAX_RESTARTS
 
 
 # the benchmark's tracer times the Krylov layer at this name
@@ -479,9 +511,10 @@ def _solve_newton_system(lin: Linearization, r: np.ndarray, forcing: float):
     """Solve dF - s*dc = -r for mean-zero v by ``gmres`` to relative residual
     ``forcing``, preconditioned with the exact inverse of tau Lap_alpha - s*dc
     for tau = tr dF / n pointwise.  The search space is v's rfftn half
-    spectrum, zero mode 0, with dc appended.  Returns (dv, dc, comp(dv),
-    info, work): comp(dv) is ``lin.components``, the last product's, and
-    work holds ``krylov_products`` and the final relative ``krylov_residual``.
+    spectrum, zero mode 0, with dc appended; a product's by-products are its
+    Hessian components, so comp(dv) and the product at the solution are formed
+    by linearity.  Returns (dv, dc, comp(dv), info, work): work holds
+    ``krylov_products`` and the final relative ``krylov_residual``.
     """
     grid = lin.grid
     sign = lin.sign
@@ -492,26 +525,32 @@ def _solve_newton_system(lin: Linearization, r: np.ndarray, forcing: float):
     symbol[zero_mode] = 1.0  # the zero mode is handled by dc
     inv_tau_mean = lin.inv_tau.mean()
     b = -r.ravel()
-    products, last = 0, 0.0  # A x at gmres's start, x = 0
+    products = 0
 
     def matvec(z):
-        nonlocal products, last
+        nonlocal products
         products += 1
-        last = lin.apply(z[:modes].reshape(half), float(z[modes].real)).values.ravel()
-        return last
+        w = lin.apply(z[:modes].reshape(half), float(z[modes].real)).values.ravel()
+        return w, lin.take_components()
+
+    def finish(comps, x):
+        return lin.along(comps, float(x[modes].real)).values.ravel()
 
     def precondition(w):
         # tau Lap v - s*dc = w: the shift makes (w - shift) / tau mean zero
         g = w.reshape(grid.shape)
         shift = (g * lin.inv_tau).mean() / inv_tau_mean
-        spec = np.fft.rfftn((g - shift) * lin.inv_tau) / symbol
+        out = np.empty(modes + 1, dtype=complex)
+        spec = np.fft.rfftn((g - shift) * lin.inv_tau, out=out[:modes].reshape(half))
+        spec /= symbol
         spec[zero_mode] = 0.0
-        return np.concatenate([spec.ravel(), [-sign * shift]])
+        out[modes] = -sign * shift
+        return out
 
-    sol, info = lgmres(matvec, b, M=precondition, rtol=forcing)
+    sol, ax, comps, info = lgmres(matvec, b, M=precondition, finish=finish, rtol=forcing)
     dv = np.fft.irfftn(sol[:modes].reshape(half), s=grid.shape, axes=axes)
-    work = {"krylov_products": products, "krylov_residual": _norm(b - last) / _norm(b)}
-    return ScalarField(grid, dv - dv.mean()), float(sol[modes].real), lin.components, info, work
+    work = {"krylov_products": products, "krylov_residual": _norm(b - ax) / _norm(b)}
+    return ScalarField(grid, dv - dv.mean()), float(sol[modes].real), comps, info, work
 
 
 def newton_solve(problem: TorusProblem, t: float,
@@ -528,7 +567,8 @@ def newton_solve(problem: TorusProblem, t: float,
     0.1 newton_tol.  Newton exits on the sup-norm test alone, so a loose
     solve can cost a step but cannot end one early.  Each iterate is evaluated once, from the
     Hessian components carried with u: a trial reads comp(u) + step*comp(dv),
-    comp(dv) from the Krylov solve's last product, and forms no field.  The
+    comp(dv) summed by the Krylov solve from its products' components, and
+    forms no field.  The
     cold start evaluates the held A[0]; a warm start evaluates ``warm``'s
     components (transforming u only if it carries none) and leaves ``warm``
     as it was handed.  The returned state carries the final iterate's
@@ -572,7 +612,8 @@ def newton_solve(problem: TorusProblem, t: float,
             raise stagnated(f"Krylov solve did not converge (gmres info {info})")
         step = 1.0
         for _ in range(MAX_HALVINGS + 1):
-            comps_try = comps + step * dv_comps
+            comps_try = np.multiply(dv_comps, step)
+            comps_try += comps
             ev = evaluate_pointwise(problem, comps_try, t)
             if ev.margin > 0.0:
                 c_try = c + step * dc

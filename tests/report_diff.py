@@ -19,7 +19,9 @@ temporary directory.
 
 For each report value, named by its key path with list indices folded
 (``solve.steps[].c``), it prints "identical" or the largest absolute and
-relative change over seeds and indices.  Output paths are ignored: each run's
+relative change over seeds and indices.  For each workload it prints one line
+of each tree's totals, over seeds, of ``WORK_KEYS``, so that a change in work
+reads at a glance.  Output paths are ignored: each run's
 output directory reads as ``<out>``.  It flags a change in a Newton count, a
 verdict, a ``start``, a ``complete``, an exit code or a byte of a summary,
 and any change in the key set or a list's length, and exits 1 if it flagged
@@ -48,6 +50,8 @@ DEMO_CONFIGS = ("demos/quotient.cfg",)
 FLAGGED_KEYS = {"newton_iterations", "iterations", "verdict", "start", "complete", "exit_code",
                 "summary"}
 OUT = "<out>"
+#: work counts totalled over each tree's reports, by last key segment
+WORK_KEYS = ("newton_iterations", "krylov_products")
 
 #: run in a fresh interpreter: tree, workload or demo config, seed, output directory
 RUNNER = """
@@ -173,6 +177,23 @@ def flags(diffs: dict[str, KeyDiff]) -> list[str]:
     return flagged
 
 
+def work_totals(value) -> dict[str, int]:
+    """The total of each of ``WORK_KEYS`` over the leaves of a JSON value."""
+    totals = dict.fromkeys(WORK_KEYS, 0)
+    for path, leaf in flatten(value):
+        last = path.rsplit(".", 1)[-1]
+        if last in totals:
+            totals[last] += leaf
+    return totals
+
+
+def work_line(workload: str, parent: dict[str, int], tree: dict[str, int]) -> str:
+    """One line of each tree's work totals."""
+    def counts(totals):
+        return ", ".join(f"{key} {totals[key]}" for key in WORK_KEYS)
+    return f"{workload} work: parent {counts(parent)}; this tree {counts(tree)}"
+
+
 def strip_paths(value, outdir: str):
     """``value`` with ``outdir`` read as ``<out>`` in every string."""
     if isinstance(value, dict):
@@ -209,19 +230,25 @@ def parent_checkout(rev: str, scratch: Path):
                        capture_output=True)
 
 
-def report_diff(parent: Path, seeds, scratch: Path) -> dict[tuple, dict[str, KeyDiff]]:
-    """(workload, operation) -> folded key -> its largest change over the seeds."""
+def report_diff(parent: Path, seeds, scratch: Path):
+    """(workload, operation) -> folded key -> its largest change over the
+    seeds, and workload -> (parent's, this tree's) ``work_totals`` over them."""
     table: dict[tuple, dict[str, KeyDiff]] = {}
+    work: dict[str, tuple] = {}
     for workload in WORKLOAD_NAMES + DEMO_CONFIGS:
+        totals = work[workload] = (dict.fromkeys(WORK_KEYS, 0), dict.fromkeys(WORK_KEYS, 0))
         for seed in seeds:
             run = f"{Path(workload).name}-{seed}"
             before, after = (run_tree(tree, workload, seed, scratch / side / run)
                              for side, tree in (("parent", parent), ("tree", ROOT)))
+            for counts, record in zip(totals, (before, after)):
+                for key, count in work_totals(record).items():
+                    counts[key] += count
             for kind in ("main", "certify"):
                 merged = table.setdefault((workload, kind), {})
                 for key, diff in compare(before[kind], after[kind]).items():
                     merged.setdefault(key, KeyDiff()).merge(diff)
-    return table
+    return table, work
 
 
 def main(argv=None) -> int:
@@ -236,7 +263,7 @@ def main(argv=None) -> int:
                 else parent_checkout(args.parent, scratch))
     try:
         with checkout as parent:
-            table = report_diff(parent, args.seeds, scratch)
+            table, work = report_diff(parent, args.seeds, scratch)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     flagged = []
@@ -247,6 +274,9 @@ def main(argv=None) -> int:
         for key in sorted(diffs):
             print(f"  {key:<{width}}  {diffs[key].describe()}")
         flagged += [f"{workload} {kind}: {line}" for line in flags(diffs)]
+    print(f"work (seeds {seeds})")
+    for workload, (before, after) in work.items():
+        print(f"  {work_line(workload, before, after)}")
     for line in flagged:
         print(f"FLAGGED {line}")
     return 1 if flagged else 0

@@ -2,7 +2,8 @@
 
 import math
 
-from report_diff import DEMO_CONFIGS, OUT, ROOT, compare, flags, fold, run_tree, strip_paths
+from report_diff import (DEMO_CONFIGS, OUT, ROOT, compare, flags, fold, run_tree, strip_paths,
+                         work_line, work_totals)
 
 C = 1.0922238873126544
 
@@ -80,6 +81,21 @@ def test_output_paths_are_ignored():
     child = strip_paths(report(outdir="/var/b"), "/var/b")
     assert parent["report"]["config"]["output"]["directory"] == "<out>/report"
     assert all(diff.describe() == "identical" for diff in compare(parent, child).values())
+
+
+def test_work_totals_sum_newton_steps_and_krylov_products():
+    # over every report of a run, main and certify; final.iterations repeats
+    # the last step's count and is not summed
+    run = {"main": report(iterations=3), "certify": report()}
+    run["main"]["report"]["solve"]["steps"][1]["newton_steps"] = [
+        {"krylov_products": 4}, {"krylov_products": 3}, {"krylov_products": 5}]
+    parent = work_totals(run)
+    assert parent == {"newton_iterations": 5, "krylov_products": 12}
+    for step in run["main"]["report"]["solve"]["steps"][1]["newton_steps"]:
+        step["krylov_products"] -= 1
+    assert work_line("real3-hessian", parent, work_totals(run)) == (
+        "real3-hessian work: parent newton_iterations 5, krylov_products 12; "
+        "this tree newton_iterations 5, krylov_products 9")
 
 
 def test_fold_drops_list_indices():
